@@ -24,7 +24,6 @@ from .kernels import (
     matrix_to_json,
     op_norm,
     principal_sqrt,
-    psd_margin,
     random_matrix,
 )
 from .opsys import (

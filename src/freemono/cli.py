@@ -4,8 +4,8 @@ Subcommands: ``check`` (run a verification suite and emit a report
 document), ``eval`` (evaluate a function at a point), ``parse`` (parse an
 expression), ``catalog`` (list the built-in functions).  Exit codes:
 0 = all checks passed, 1 = a violation was witnessed, 2 = usage or
-configuration error, 3 = numerical failure (eigensolver non-convergence or
-an exhausted sampling budget).
+configuration error, 3 = numerical failure (eigensolver non-convergence, an
+exhausted sampling budget, or a value or margin that is not finite).
 
 Report documents contain no timestamps or host data unless ``--annotate``
 is given, so identical configurations produce byte-identical output; the
@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import report as report_mod
 from .freeexpr import (
@@ -29,6 +30,7 @@ from .freeexpr import (
 from .kernels import NumericalError, Rng
 from .loewner1d import SCALAR_CATALOG_NAMES, cross_check, scalar_catalog
 from .opsys import builtin_system, point_from_json, point_to_json, system_from_json
+from .report import ConsistencyReport
 from .verifiers import (
     check_boundary_continuity,
     check_free_axioms,
@@ -44,10 +46,53 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-SUITES = ("equivalence", "axioms", "monotone", "halfplane", "local",
-          "boundary", "schur_identity", "loewner1d", "all")
 
-_FUNCTION_SUITES = ("equivalence", "axioms", "monotone", "halfplane", "local", "boundary")
+class _Options(NamedTuple):
+    """Options of one check run, in the order the checks take them."""
+
+    levels: tuple
+    trials: int
+    tol: float
+    rng: Rng
+    jobs: int
+
+
+# suite -> its units in report order: (check label, function name, run).  A
+# function name of None stands for the --function/--expr function, which
+# run(f, o) receives as f; o is an _Options.  Each run looks its check up in
+# this module's namespace when it is called, so a patched check takes effect.
+_SUITES = {
+    "equivalence": [("equivalence", None, lambda f, o: equivalence_report(f, None, *o))],
+    "axioms": [("free_axioms", None, lambda f, o: check_free_axioms(f, None, *o))],
+    "monotone": [("monotone", None, lambda f, o: check_monotone(f, None, *o))],
+    "halfplane": [("halfplane", None, lambda f, o: check_halfplane(f, *o))],
+    "local": [("local_monotone", None, lambda f, o: check_local_monotone(
+        f, None, o.levels, o.trials, tol=o.tol, rng=o.rng, jobs=o.jobs))],
+    "boundary": [("boundary_continuity", None,
+                  lambda f, o: check_boundary_continuity(f, None, *o))],
+    "schur_identity": [("schur_im_identity", "schur_complement",
+                        lambda f, o: check_schur_im_identity(*o))],
+    "loewner1d": [("cross_check_1d", name, lambda f, o, name=name: cross_check(
+        scalar_catalog(name), node_sets=o.trials, pick_sets=o.trials, levels=o.levels,
+        pairs=o.trials, tol=o.tol, rng=o.rng, jobs=o.jobs))
+        for name in SCALAR_CATALOG_NAMES],
+}
+
+
+def _catalog_unit(suite: str, name: str) -> tuple:
+    """The unit of a one-function suite, run on the catalog function ``name``."""
+    [(check, _, run)] = _SUITES[suite]
+    return check, name, lambda f, o: run(catalog(name), o)
+
+
+_SUITES["all"] = [
+    *(_catalog_unit(suite, name) for name in CATALOG_NAMES for suite in ("axioms", "equivalence")),
+    *(_catalog_unit("boundary", name) for name in ("schur_complement", "msqrt")),
+    *_SUITES["schur_identity"],
+    *_SUITES["loewner1d"],
+]
+
+SUITES = tuple(_SUITES)
 
 
 class _UsageError(Exception):
@@ -172,114 +217,36 @@ def _run_check(args) -> int:
         raise _UsageError("--tol must be positive")
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
-    rng = Rng(args.seed)
-    trials, tol, jobs = args.trials, args.tol, args.jobs
+    opts = _Options(levels, args.trials, args.tol, Rng(args.seed), args.jobs)
+    units = _SUITES[args.suite]
+    f = _resolve_function(args) if any(name is None for _, name, _ in units) else None
     reports: list = []
     consistency: list = []
     failures: list = []
-
-    def guard(check_name, function_name, run):
+    for check, name, run in units:
         try:
-            return run()
+            result = run(f, opts)
         except NumericalError as exc:
-            failures.append({"check": check_name, "function": function_name,
-                             "error": str(exc)})
-            return None
-
-    def run_equivalence(f):
-        eq = guard("equivalence", f.name,
-                   lambda: equivalence_report(f, None, levels, trials, tol, rng, jobs))
-        if eq is not None:
-            reports.extend(eq.reports)
-            consistency.append(eq)
-
-    suite = args.suite
-    needs_function = suite in _FUNCTION_SUITES
-    f = _resolve_function(args) if needs_function else None
-
-    if suite == "monotone":
-        rep = guard("monotone", f.name,
-                    lambda: check_monotone(f, None, levels, trials, tol, rng, jobs))
-        if rep:
-            reports.append(rep)
-    elif suite == "halfplane":
-        rep = guard("halfplane", f.name,
-                    lambda: check_halfplane(f, levels, trials, tol, rng, jobs))
-        if rep:
-            reports.append(rep)
-    elif suite == "local":
-        try:
-            rep = guard("local_monotone", f.name,
-                        lambda: check_local_monotone(f, None, levels, trials, 1e-4, tol, rng, jobs))
-        except ValueError as exc:
+            failures.append({"check": check, "function": name or f.name, "error": str(exc)})
+            continue
+        except ValueError as exc:  # the check does not apply to this function
             raise _UsageError(str(exc)) from exc
-        if rep:
-            reports.append(rep)
-    elif suite == "axioms":
-        rep = guard("free_axioms", f.name,
-                    lambda: check_free_axioms(f, None, levels, trials, tol, rng, jobs))
-        if rep:
-            reports.append(rep)
-    elif suite == "boundary":
-        rep = guard("boundary_continuity", f.name,
-                    lambda: check_boundary_continuity(f, None, levels, trials, tol, rng, jobs))
-        if rep:
-            reports.append(rep)
-    elif suite == "equivalence":
-        run_equivalence(f)
-    elif suite == "schur_identity":
-        rep = guard("schur_im_identity", "schur_complement",
-                    lambda: check_schur_im_identity(levels, trials, tol, rng, jobs))
-        if rep:
-            reports.append(rep)
-    elif suite == "loewner1d":
-        for name in SCALAR_CATALOG_NAMES:
-            sf = scalar_catalog(name)
-            cc = guard("cross_check_1d", name,
-                       lambda sf=sf: cross_check(sf, node_sets=trials, pick_sets=trials,
-                                                 levels=levels, pairs=trials,
-                                                 tol=tol, rng=rng, jobs=jobs))
-            if cc is not None:
-                reports.extend(cc.reports)
-                consistency.append(cc)
-    elif suite == "all":
-        for name in CATALOG_NAMES:
-            g = catalog(name)
-            rep = guard("free_axioms", name,
-                        lambda g=g: check_free_axioms(g, None, levels, trials, tol, rng, jobs))
-            if rep:
-                reports.append(rep)
-            run_equivalence(g)
-        for name in ("schur_complement", "msqrt"):
-            g = catalog(name)
-            rep = guard("boundary_continuity", name,
-                        lambda g=g: check_boundary_continuity(g, None, levels, trials, tol, rng, jobs))
-            if rep:
-                reports.append(rep)
-        rep = guard("schur_im_identity", "schur_complement",
-                    lambda: check_schur_im_identity(levels, trials, tol, rng, jobs))
-        if rep:
-            reports.append(rep)
-        for name in SCALAR_CATALOG_NAMES:
-            sf = scalar_catalog(name)
-            cc = guard("cross_check_1d", name,
-                       lambda sf=sf: cross_check(sf, node_sets=trials, pick_sets=trials,
-                                                 levels=levels, pairs=trials,
-                                                 tol=tol, rng=rng, jobs=jobs))
-            if cc is not None:
-                reports.extend(cc.reports)
-                consistency.append(cc)
+        if isinstance(result, ConsistencyReport):
+            reports.extend(result.reports)
+            consistency.append(result)
+        else:
+            reports.append(result)
 
     config = {
         "command": "check",
-        "suite": suite,
+        "suite": args.suite,
         "function": args.function,
         "expr": args.expr,
         "system": args.system,
         "levels": [int(x) for x in levels],
-        "trials": trials,
+        "trials": args.trials,
         "seed": args.seed,
-        "tol": tol,
+        "tol": args.tol,
     }
     annotations = None
     if args.annotate:

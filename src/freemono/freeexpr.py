@@ -158,6 +158,8 @@ def _tokenize(text: str) -> list[_Token]:
                 while j < n and text[j].isdigit():
                     j += 1
             raw = text[i:j]
+            if not np.isfinite(float(raw)):
+                raise ParseError("scalar literal overflows to infinity", i)
             if j < n and text[j] == "i":
                 tokens.append(_Token("scalar", i, complex(0.0, float(raw)), raw))
                 j += 1
@@ -377,12 +379,13 @@ def function_from_expr(name: str, text: str, in_system: OpSysBasis,
     return FreeFunction(name, in_system, out, ((expr,),), dom, text)
 
 
-def eval_function(f: FreeFunction, point: NCPoint, tol: float = 1e-9) -> NCPoint:
+def eval_function(f: FreeFunction, point: NCPoint) -> NCPoint:
     """Evaluate a free function at a point; output level equals input level.
 
     Raises :class:`OutOfDomainError` on singular inverses or square-root
     branch violations, and :class:`CodomainError` when the assembled value
-    does not decode into the output system within ``tol``.
+    does not decode into the output system within 1e-9; a value that
+    overflows raises :class:`~freemono.kernels.NonFiniteError`.
     """
     if point.system.name != f.in_system.name:
         raise ValueError(
@@ -428,7 +431,7 @@ def eval_function(f: FreeFunction, point: NCPoint, tol: float = 1e-9) -> NCPoint
         for q in range(ko):
             out[p * n:(p + 1) * n, q * n:(q + 1) * n] = ev(f.grid[p][q])
     try:
-        return opsys.decode(out, f.out_system, n, tol=tol)
+        return opsys.decode(out, f.out_system, n)
     except NotInImageError as exc:
         raise CodomainError(str(exc)) from exc
 
@@ -446,10 +449,7 @@ _CATALOG = {
     "geometric_mean": ("sqrt(X1)*sqrt(inv(sqrt(X1))*X2*inv(sqrt(X1)))*sqrt(X1)", "diagonal(2)"),
 }
 
-CATALOG_NAMES = (
-    "identity", "msqrt", "neg_inverse", "inverse", "square",
-    "schur_complement", "geometric_mean",
-)
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 def catalog(name: str) -> FreeFunction:

@@ -28,7 +28,8 @@ _MASK64 = (1 << 64) - 1
 
 
 class NumericalError(Exception):
-    """An eigensolver failed to converge or a sampling budget ran out."""
+    """An eigensolver failed to converge, a sampling budget ran out, or a value
+    stopped being finite."""
 
 
 class EigensolverError(NumericalError):
@@ -37,6 +38,14 @@ class EigensolverError(NumericalError):
 
 class SamplingError(NumericalError):
     """A rejection sampler exhausted its attempt budget."""
+
+
+class NonFiniteError(NumericalError, ValueError):
+    """A matrix has an infinite or NaN entry.
+
+    A numerical failure when a computation overflows, and a ``ValueError``
+    for input that arrives with such entries.
+    """
 
 
 class BranchCutError(Exception):
@@ -57,7 +66,7 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix entries must all be finite")
+        raise NonFiniteError("matrix entries must all be finite")
     return m
 
 
@@ -72,16 +81,16 @@ def hermitize(a) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def is_hermitian(a, tol: float = TOL_HERM) -> bool:
-    """True when A equals its conjugate transpose within ``tol * (1 + ||A||)``."""
+def is_hermitian(a) -> bool:
+    """True when A equals its conjugate transpose within ``TOL_HERM * (1 + ||A||)``."""
     a = as_matrix(a)
-    return op_norm(a - a.conj().T) <= tol * (1.0 + op_norm(a))
+    return op_norm(a - a.conj().T) <= TOL_HERM * (1.0 + op_norm(a))
 
 
-def require_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     """Return the canonically symmetrized copy of A, or raise if not Hermitian."""
     a = as_matrix(a)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
     return hermitize(a)
 
@@ -107,16 +116,6 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
-def psd_margin(a) -> float:
-    """Minimum eigenvalue of a Hermitian matrix.
-
-    Callers test A >= 0 as ``margin >= -tol * (1 + ||A||)`` and A > 0 as
-    ``margin > tol * (1 + ||A||)``.
-    """
-    w, _ = herm_eig(a)
-    return float(w[0])
-
-
 def min_eig_h(a) -> float:
     """Minimum eigenvalue, input trusted to be Hermitian (no validation)."""
     try:
@@ -132,14 +131,6 @@ def scaled_min_eig(a) -> float:
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
     return float(w[0]) / (1.0 + max(abs(float(w[0])), abs(float(w[-1]))))
-
-
-def is_psd(a, tol: float = TOL_PSD) -> bool:
-    return psd_margin(a) >= -tol * (1.0 + op_norm(a))
-
-
-def is_pd(a, tol: float = TOL_PSD) -> bool:
-    return psd_margin(a) > tol * (1.0 + op_norm(a))
 
 
 def safe_inv(a) -> np.ndarray:

@@ -19,7 +19,7 @@ from .freeexpr import CodomainError, FreeFunction, OutOfDomainError, eval_functi
 from .kernels import Rng, func_calc, hermitize, scaled_min_eig
 from .opsys import builtin_system, full_domain, realize, sample_ordered_pair, spectral_interval
 from .report import OUT_OF_DOMAIN_MARGIN, CheckReport, ConsistencyReport
-from .verifiers import _aggregate, _run_levels, _Trial, is_diagonal_type
+from .verifiers import _run_trials, _Trial, is_diagonal_type
 
 MIN_NODE_GAP = 1e-8
 
@@ -65,7 +65,7 @@ _SCALAR_CATALOG = {
         lambda x: 3.0 * np.asarray(x, dtype=float) ** 2),
 }
 
-SCALAR_CATALOG_NAMES = ("x", "sqrt", "neg_inverse", "square", "cube")
+SCALAR_CATALOG_NAMES = tuple(_SCALAR_CATALOG)
 
 
 def scalar_catalog(name: str) -> ScalarFunction:
@@ -145,9 +145,7 @@ def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng, interva
             }
         return _Trial(margin, witness)
 
-    results = _run_levels(levels, trials, jobs, trial)
-    return _aggregate("monotone_1d", f.name, ("scalar", "scalar"),
-                      levels, trials, results, rng, tol)
+    return _run_trials("monotone_1d", f.name, trial, levels, trials, tol, rng, jobs)
 
 
 def check_1d_monotone(f: ScalarFunction, level: int = 2, trials: int = 200,
@@ -207,12 +205,10 @@ def cross_check(f: ScalarFunction, node_count: int = 5, node_sets: int = 100,
                        "margin": margin}
         return _Trial(margin, witness)
 
-    loewner_rep = _aggregate(
-        "loewner_psd", f.name, ("scalar", "scalar"), (node_count,), node_sets,
-        _run_levels((node_count,), node_sets, jobs, loewner_trial), rng, tol)
-    pick_rep = _aggregate(
-        "pick_psd", f.name, ("scalar", "scalar"), (point_count,), pick_sets,
-        _run_levels((point_count,), pick_sets, jobs, pick_trial), rng, tol)
+    loewner_rep = _run_trials("loewner_psd", f.name, loewner_trial,
+                              (node_count,), node_sets, tol, rng, jobs)
+    pick_rep = _run_trials("pick_psd", f.name, pick_trial,
+                           (point_count,), pick_sets, tol, rng, jobs)
     mono_rep = _monotone_matrix_report(f, levels, pairs, tol, rng, interval, jobs)
     sides = {
         "loewner_psd": loewner_rep.verdict,
@@ -255,9 +251,7 @@ def amy_local_check(f: FreeFunction, box, level: int = 2, trials: int = 200,
                        "margin": margin}
         return _Trial(margin, witness)
 
-    results = _run_levels((level,), trials, jobs, trial)
-    return _aggregate("amy_local", f.name, (f.in_system.name, f.out_system.name),
-                      (level,), trials, results, rng, tol)
+    return _run_trials("amy_local", f.name, trial, (level,), trials, tol, rng, jobs)
 
 
 def amy_margin(f: FreeFunction, witness: dict) -> float:

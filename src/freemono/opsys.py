@@ -143,10 +143,6 @@ class DomainSpec:
     a: float = float("-inf")
     b: float = float("inf")
 
-    @property
-    def basis_ref(self) -> str:
-        return self.system.name
-
 
 def full_domain(system: OpSysBasis) -> DomainSpec:
     return DomainSpec("full", system)
@@ -196,21 +192,20 @@ def builtin_system(name: str) -> OpSysBasis:
 # --------------------------------------------------------------------------
 # Core operations.
 
-def realize(point: NCPoint, system: OpSysBasis | None = None) -> np.ndarray:
+def realize(point: NCPoint) -> np.ndarray:
     """Assemble sum_j kron(E_j, A_j) as one (n*k)-by-(n*k) matrix."""
-    sys_ = _resolve_system(point, system)
-    n = point.level
-    acc = np.zeros((sys_.k * n, sys_.k * n), dtype=np.complex128)
-    for e, a in zip(sys_.basis, point.coeffs):
+    system, n = point.system, point.level
+    acc = np.zeros((system.k * n, system.k * n), dtype=np.complex128)
+    for e, a in zip(system.basis, point.coeffs):
         acc += np.kron(e, a)
     return acc
 
 
-def decode(m, system: OpSysBasis, level: int, tol: float = 1e-9) -> NCPoint:
+def decode(m, system: OpSysBasis, level: int) -> NCPoint:
     """Invert ``realize`` on its image via the dual frame, extended complex-linearly.
 
     Raises :class:`NotInImageError` when the reassembly residual exceeds
-    ``tol * (1 + ||m||)``.
+    ``1e-9 * (1 + ||m||)``.
     """
     m = as_matrix(m)
     k, n = system.k, int(level)
@@ -228,7 +223,7 @@ def decode(m, system: OpSysBasis, level: int, tol: float = 1e-9) -> NCPoint:
         coeffs.append(acc)
     point = NCPoint(system, tuple(coeffs))
     resid = op_norm(realize(point) - m)
-    if resid > tol * (1.0 + op_norm(m)):
+    if resid > 1e-9 * (1.0 + op_norm(m)):
         raise NotInImageError(
             f"matrix is not in the realization image (residual {resid:.3e})"
         )
@@ -304,9 +299,10 @@ def shuffle_permutation(k: int, n: int, m: int) -> np.ndarray:
     return perm
 
 
-def in_domain(point: NCPoint, domain: DomainSpec, tol: float = kernels.TOL_PSD) -> bool:
-    """Membership predicate; interval and cone slices shrink by ``tol`` for openness."""
-    if point.system.name != domain.basis_ref:
+def in_domain(point: NCPoint, domain: DomainSpec) -> bool:
+    """Membership predicate; interval and cone slices shrink by ``TOL_PSD`` for openness."""
+    tol = kernels.TOL_PSD
+    if point.system.name != domain.system.name:
         raise ValueError("point and domain refer to different systems")
     if domain.kind == "full":
         return True
@@ -418,16 +414,6 @@ def sample_halfplane(system: OpSysBasis, level: int, rng: Rng) -> NCPoint:
     """Draw P = H + iK with K realizing a positive definite matrix."""
     gen = rng.generator()
     return _halfplane_point(system, level, gen)
-
-
-def _resolve_system(point: NCPoint, system: OpSysBasis | None) -> OpSysBasis:
-    if system is None:
-        return point.system
-    if system.name != point.system.name:
-        raise ValueError(
-            f"point over {point.system.name!r} does not match system {system.name!r}"
-        )
-    return system
 
 
 # --------------------------------------------------------------------------

@@ -30,6 +30,10 @@ from . import kernels, opsys
 from .kernels import hermitize
 from .opsys import NCPoint, OpSysBasis
 
+# Lower bound on every coordinate's velocity, as a fraction of the smallest
+# diagonal velocity entry, over the whole band |t| <= eps.
+VELOCITY_FLOOR = 0.05
+
 
 @dataclass(frozen=True, eq=False)
 class CommutingPath:
@@ -116,12 +120,12 @@ def _max_rotation(u, diags, deltas, khat, endpoints, floor) -> float:
 
 
 def sample_path(system: OpSysBasis, level: int, gen: np.random.Generator,
-                ranges, velocity_floor: float = 0.05) -> CommutingPath:
+                ranges) -> CommutingPath:
     """Draw a commuting path whose joint spectrum stays inside ``ranges``.
 
     ``ranges`` gives one finite open interval per coordinate; the rotation
     strength is pushed to a random fraction of the largest value keeping
-    every coordinate's velocity above ``velocity_floor`` times the smallest
+    every coordinate's velocity above ``VELOCITY_FLOOR`` times the smallest
     diagonal velocity entry, across the whole band |t| <= eps.
     """
     n = int(level)
@@ -157,7 +161,7 @@ def sample_path(system: OpSysBasis, level: int, gen: np.random.Generator,
     nrm = kernels.op_norm(khat)
     if nrm > 1e-12:
         khat = khat / nrm
-        floor = velocity_floor * min(float(np.min(dl)) for dl in deltas)
+        floor = VELOCITY_FLOOR * min(float(np.min(dl)) for dl in deltas)
         kappa = _max_rotation(u, diags, deltas, khat, (-eps, eps), floor)
         # Bias toward the feasibility boundary: weakly rotated paths cannot
         # expose order violations of merely scalar-monotone functions.

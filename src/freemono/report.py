@@ -24,21 +24,19 @@ class CheckReport:
     ``worst_margin`` is the most negative scaled margin observed over all
     trials; a trial fails exactly when its margin drops below ``-tol``, so
     ``failures == 0`` iff ``worst_margin >= -tol``.  Margins inside
-    ``[-tol, tol]`` are boundary cases and count as passes.
+    ``[-tol, tol]`` are boundary cases and count as passes.  Every margin is
+    finite: a trial without one is a numerical failure, not a report.
     """
 
     check: str
     function: str
-    systems: tuple
     levels: tuple
     trials: int
     failures: int
     worst_margin: float
     witness: dict | None
     seed: int
-    stream: int
     tol: float
-    resamples: int = 0
 
     @property
     def verdict(self) -> str:

@@ -10,6 +10,7 @@ order or the number of worker threads.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -19,8 +20,8 @@ import numpy as np
 from . import kernels, opsys, paths
 from .freeexpr import CodomainError, FreeFunction, OutOfDomainError, catalog, eval_function
 from .kernels import (
-    Rng, SamplingError, SingularMatrixError, hermitize, imag_part, min_eig_h,
-    op_norm, scaled_min_eig,
+    NumericalError, Rng, SamplingError, SingularMatrixError, hermitize, imag_part,
+    min_eig_h, op_norm, scaled_min_eig,
 )
 from .opsys import (
     DomainSpec,
@@ -42,39 +43,38 @@ BOUNDARY_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 class _Trial:
     margin: float
     witness: dict | None = None
-    resamples: int = 0
 
 
-def _run_levels(levels, trials, jobs, fn) -> list[_Trial]:
+def _run_trials(check, function, trial, levels, trials, tol, rng, jobs) -> CheckReport:
+    """Run ``trial(level, t)`` for every level and trial index and report the margins.
+
+    The witness is that of the most negative margin when some margin drops
+    below ``-tol``.  Raises :class:`NumericalError` on a non-finite margin.
+    """
+    levels = tuple(int(x) for x in levels)
     results: list[_Trial] = []
     for level in levels:
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results.extend(pool.map(partial(fn, level), range(trials)))
+                results.extend(pool.map(partial(trial, level), range(trials)))
         else:
-            results.extend(fn(level, t) for t in range(trials))
-    return results
-
-
-def _aggregate(check, function, systems, levels, trials, results, rng, tol) -> CheckReport:
-    worst = min(r.margin for r in results)
+            results.extend(trial(level, t) for t in range(trials))
+    for i, r in enumerate(results):
+        if not math.isfinite(r.margin):
+            raise NumericalError(f"{check} of {function}: margin {r.margin} at level "
+                                 f"{levels[i // trials]}, trial {i % trials}")
     failures = sum(1 for r in results if r.margin < -tol)
-    witness = None
-    if failures:
-        witness = min(results, key=lambda r: r.margin).witness
+    worst = min(results, key=lambda r: r.margin)
     return CheckReport(
         check=check,
         function=function,
-        systems=tuple(systems),
-        levels=tuple(int(x) for x in levels),
+        levels=levels,
         trials=int(trials),
         failures=failures,
-        worst_margin=float(worst),
-        witness=witness,
+        worst_margin=float(worst.margin),
+        witness=worst.witness if failures else None,
         seed=rng.seed,
-        stream=rng.stream,
         tol=float(tol),
-        resamples=sum(r.resamples for r in results),
     )
 
 
@@ -129,9 +129,7 @@ def check_monotone(f: FreeFunction, domain: DomainSpec | None = None,
         witness = dict(pair, margin=margin) if margin < -tol else None
         return _Trial(margin, witness)
 
-    results = _run_levels(levels, trials, jobs, trial)
-    return _aggregate("monotone", f.name, (f.in_system.name, f.out_system.name),
-                      levels, trials, results, rng, tol)
+    return _run_trials("monotone", f.name, trial, levels, trials, tol, rng, jobs)
 
 
 def find_counterexample(f: FreeFunction, domain: DomainSpec | None = None,
@@ -169,9 +167,7 @@ def check_halfplane(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,
         witness = {"P": point_to_json(p), "margin": margin} if margin < -tol else None
         return _Trial(margin, witness)
 
-    results = _run_levels(levels, trials, jobs, trial)
-    return _aggregate("halfplane", f.name, (f.in_system.name, f.out_system.name),
-                      levels, trials, results, rng, tol)
+    return _run_trials("halfplane", f.name, trial, levels, trials, tol, rng, jobs)
 
 
 def check_free_axioms(f: FreeFunction, domain: DomainSpec | None = None,
@@ -182,7 +178,6 @@ def check_free_axioms(f: FreeFunction, domain: DomainSpec | None = None,
 
     def trial(level, t):
         r = rng.split("axioms", f.name, level, t)
-        resamples = 0
         for attempt in range(100):
             rr = r.split("attempt", attempt)
             x = sample_point(dom, level, rr.split("x"))
@@ -194,7 +189,6 @@ def check_free_axioms(f: FreeFunction, domain: DomainSpec | None = None,
                 fxy = eval_function(f, direct_sum(x, y))
                 fu = eval_function(f, conjugate(x, u))
             except (OutOfDomainError, CodomainError):
-                resamples += 1
                 continue
             break
         else:
@@ -212,11 +206,9 @@ def check_free_axioms(f: FreeFunction, domain: DomainSpec | None = None,
                 "residual_direct_sum": float(res_ds / scale),
                 "residual_similarity": float(res_sim / scale),
             }
-        return _Trial(margin, witness, resamples)
+        return _Trial(margin, witness)
 
-    results = _run_levels(levels, trials, jobs, trial)
-    return _aggregate("free_axioms", f.name, (f.in_system.name, f.out_system.name),
-                      levels, trials, results, rng, tol)
+    return _run_trials("free_axioms", f.name, trial, levels, trials, tol, rng, jobs)
 
 
 def _path_ranges(domain: DomainSpec, count: int) -> list:
@@ -263,15 +255,12 @@ def check_local_monotone(f: FreeFunction, domain: DomainSpec | None = None,
             witness = {"path": path.to_witness(), "h": h_eff, "margin": margin}
         return _Trial(margin, witness)
 
-    results = _run_levels(levels, trials, jobs, trial)
-    return _aggregate("local_monotone", f.name, (f.in_system.name, f.out_system.name),
-                      levels, trials, results, rng, tol)
+    return _run_trials("local_monotone", f.name, trial, levels, trials, tol, rng, jobs)
 
 
 def check_boundary_continuity(f: FreeFunction, domain: DomainSpec | None = None,
                               levels=(1, 2, 3), trials: int = 50, tol: float = 1e-8,
-                              rng: Rng = Rng(0), jobs: int = 1,
-                              eps_grid=BOUNDARY_EPS_GRID) -> CheckReport:
+                              rng: Rng = Rng(0), jobs: int = 1) -> CheckReport:
     """Approach a Hermitian interior point vertically and test for linear decay.
 
     The decay rate is calibrated at the largest epsilon; a trial fails when
@@ -288,29 +277,27 @@ def check_boundary_continuity(f: FreeFunction, domain: DomainSpec | None = None,
             base = realize(eval_function(f, a))
             denom = 1.0 + op_norm(base)
             ratios = []
-            for eps in eps_grid:
+            for eps in BOUNDARY_EPS_GRID:
                 val = realize(eval_function(f, a + (1j * eps) * ident))
                 ratios.append(op_norm(val - base) / denom)
         except (OutOfDomainError, CodomainError) as exc:
             return _Trial(OUT_OF_DOMAIN_MARGIN, {"A": point_to_json(a), "error": str(exc)})
-        c = ratios[0] / eps_grid[0]
+        c = ratios[0] / BOUNDARY_EPS_GRID[0]
         margin = min(
             (10.0 * c * eps + 1e-14 - rr) / (10.0 * c * eps + 1e-14)
-            for eps, rr in zip(eps_grid, ratios)
+            for eps, rr in zip(BOUNDARY_EPS_GRID, ratios)
         )
         witness = None
         if margin < -tol:
             witness = {
                 "A": point_to_json(a),
                 "rate": float(c),
-                "ratios": [[float(e), float(rr)] for e, rr in zip(eps_grid, ratios)],
+                "ratios": [[float(e), float(rr)] for e, rr in zip(BOUNDARY_EPS_GRID, ratios)],
                 "margin": margin,
             }
         return _Trial(margin, witness)
 
-    results = _run_levels(levels, trials, jobs, trial)
-    return _aggregate("boundary_continuity", f.name, (f.in_system.name, f.out_system.name),
-                      levels, trials, results, rng, tol)
+    return _run_trials("boundary_continuity", f.name, trial, levels, trials, tol, rng, jobs)
 
 
 def check_schur_im_identity(levels=(1, 2, 3), trials: int = 500, tol: float = 1e-10,
@@ -358,9 +345,8 @@ def check_schur_im_identity(levels=(1, 2, 3), trials: int = 500, tol: float = 1e
             }
         return _Trial(margin, witness)
 
-    results = _run_levels(levels, trials, jobs, trial)
-    return _aggregate("schur_im_identity", "schur_complement",
-                      (sys2.name, "scalar"), levels, trials, results, rng, tol)
+    return _run_trials("schur_im_identity", "schur_complement", trial,
+                       levels, trials, tol, rng, jobs)
 
 
 def equivalence_report(f: FreeFunction, domain: DomainSpec | None = None,

@@ -1,11 +1,16 @@
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import freemono
+import freemono.cli
 from freemono.cli import main
 from freemono.opsys import builtin_system, point_from_json, system_to_json
 from freemono.report import REPORT_SCHEMA
@@ -73,6 +78,59 @@ class TestExitCodes:
         code, _, err = run_cli("check", "--function", "schur_complement",
                                "--suite", "local", "--trials", "5")
         assert code == 2
+
+
+class TestNonFinite:
+    BIG = "9" * 300
+
+    def test_overflowing_literal_is_usage_error(self):
+        for argv in (("check", "--suite", "monotone", "--system", "scalar"),
+                     ("parse",)):
+            code, out, err = run_cli(*argv, "--expr", "9" * 320 + "*X1")
+            assert code == 2 and out == ""
+            assert "overflows to infinity (offset 0)" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_during_check_is_numerical_failure(self):
+        code, out, _ = run_cli("check", "--expr", f"X1*{self.BIG}*{self.BIG}",
+                               "--system", "scalar", "--suite", "monotone",
+                               "--levels", "1..1", "--trials", "2")
+        assert code == 3
+        doc = json.loads(out)
+        jsonschema.validate(doc, REPORT_SCHEMA)
+        assert doc["reports"] == []
+        assert [(e["check"], e["function"]) for e in doc["numerical_failures"]] == [
+            ("monotone", "expr")]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_during_eval_is_three(self, pd_point):
+        code, out, err = run_cli("eval", "--expr", f"X1*{self.BIG}*{self.BIG}",
+                                 "--point", pd_point)
+        assert code == 3 and out == ""
+        assert "finite" in err
+
+    def test_non_finite_point_file_is_usage_error(self, tmp_path):
+        path = tmp_path / "inf-point.json"
+        path.write_text('{"system": "scalar", "level": 1, '
+                        '"coeffs": [{"n": 1, "entries": [[[1e999, 0.0]]]}]}')
+        code, _, err = run_cli("eval", "--function", "identity", "--point", str(path))
+        assert code == 2 and "finite" in err
+
+    def test_non_finite_system_file_is_usage_error(self, tmp_path):
+        path = tmp_path / "sys.json"
+        doc = system_to_json(builtin_system("scalar"))
+        path.write_text(json.dumps(doc).replace("1.0", "1e999", 1))
+        code, _, err = run_cli("parse", "--expr", "X1", "--system", str(path))
+        assert code == 2 and "finite" in err
+
+    def test_nan_margin_is_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(freemono.verifiers, "pair_margin", lambda f, a, b: float("nan"))
+        code, out, _ = run_cli("check", "--function", "identity", "--suite", "monotone",
+                               "--levels", "1..1", "--trials", "3")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["reports"] == [] and doc["verdict"] == "fail"
+        assert "margin nan" in doc["numerical_failures"][0]["error"]
 
 
 class TestEval:
@@ -201,3 +259,70 @@ class TestUserSystems:
                              "--trials", "20", "--seed", "4",
                              "--out", str(tmp_path / "r.json"))
         assert code == 0
+
+
+class TestSuiteTable:
+    def test_suite_all_runs_every_unit_in_order(self):
+        code, out, _ = run_cli("check", "--suite", "all", "--trials", "2",
+                               "--levels", "1..2", "--seed", "1")
+        assert code == 1
+        doc = json.loads(out)
+        assert [(r["check"], r["function"]) for r in doc["reports"]] == [
+            ("free_axioms", "identity"), ("monotone", "identity"),
+            ("local_monotone", "identity"), ("halfplane", "identity"),
+            ("free_axioms", "msqrt"), ("monotone", "msqrt"),
+            ("local_monotone", "msqrt"), ("halfplane", "msqrt"),
+            ("free_axioms", "neg_inverse"), ("monotone", "neg_inverse"),
+            ("local_monotone", "neg_inverse"), ("halfplane", "neg_inverse"),
+            ("free_axioms", "inverse"), ("monotone", "inverse"),
+            ("local_monotone", "inverse"), ("halfplane", "inverse"),
+            ("free_axioms", "square"), ("monotone", "square"),
+            ("local_monotone", "square"), ("halfplane", "square"),
+            ("free_axioms", "schur_complement"), ("monotone", "schur_complement"),
+            ("halfplane", "schur_complement"),
+            ("free_axioms", "geometric_mean"), ("monotone", "geometric_mean"),
+            ("local_monotone", "geometric_mean"), ("halfplane", "geometric_mean"),
+            ("boundary_continuity", "schur_complement"), ("boundary_continuity", "msqrt"),
+            ("schur_im_identity", "schur_complement"),
+            ("loewner_psd", "x"), ("pick_psd", "x"), ("monotone_1d", "x"),
+            ("loewner_psd", "sqrt"), ("pick_psd", "sqrt"), ("monotone_1d", "sqrt"),
+            ("loewner_psd", "neg_inverse"), ("pick_psd", "neg_inverse"),
+            ("monotone_1d", "neg_inverse"),
+            ("loewner_psd", "square"), ("pick_psd", "square"), ("monotone_1d", "square"),
+            ("loewner_psd", "cube"), ("pick_psd", "cube"), ("monotone_1d", "cube"),
+        ]
+        assert [(e["check"], e["function"]) for e in doc["equivalence"]] == [
+            *(("equivalence", name) for name in (
+                "identity", "msqrt", "neg_inverse", "inverse", "square",
+                "schur_complement", "geometric_mean")),
+            *(("cross_check_1d", name) for name in ("x", "sqrt", "neg_inverse", "square", "cube")),
+        ]
+
+    def test_checks_are_looked_up_when_a_unit_runs(self, monkeypatch):
+        calls = []
+        original = freemono.cli.check_monotone
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(freemono.cli, "check_monotone", spy)
+        code, _, _ = run_cli("check", "--function", "identity", "--suite", "monotone",
+                             "--levels", "1..1", "--trials", "2")
+        assert code == 0 and calls == ["identity"]
+
+    def test_benchmark_names_resolve(self):
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        modules = {}
+        for name in ("spans", "workload"):
+            spec = importlib.util.spec_from_file_location(f"_bench_{name}", perfbench / f"{name}.py")
+            modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(modules[name])
+        for layer, names in modules["spans"].LAYERS.items():
+            for name in names:
+                owner = importlib.import_module(f"freemono.{layer}")
+                for attr in name.split("."):
+                    owner = getattr(owner, attr)
+                assert callable(owner), f"{layer}.{name}"
+        for name in modules["workload"].CLI_CHECKS:
+            assert callable(getattr(freemono.cli, name)), name

@@ -23,7 +23,9 @@ from freemono.freeexpr import (
     parse,
     to_text,
 )
-from freemono.kernels import Rng, hermitize, is_hermitian, op_norm, psd_margin, random_matrix
+from freemono.kernels import (
+    NonFiniteError, Rng, hermitize, is_hermitian, min_eig_h, op_norm, random_matrix,
+)
 from freemono.opsys import (
     NCPoint,
     builtin_system,
@@ -59,6 +61,12 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse("X[1,", BLOCK2)
         assert exc.value.pos == 4
+
+    def test_overflowing_literal_is_rejected_at_its_offset(self):
+        for text, pos in (("9" * 320 + "*X1", 0), ("X1 + " + "9" * 320 + "i", 5)):
+            with pytest.raises(ParseError) as exc:
+                parse(text, SCALAR)
+            assert exc.value.pos == pos
 
     def test_var_out_of_range(self):
         with pytest.raises(ParseError):
@@ -198,6 +206,14 @@ class TestEval:
         with pytest.raises(CodomainError):
             eval_function(f, p)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_is_a_non_finite_error(self):
+        big = "9" * 300
+        for text in (f"X1*{big}*{big}", f"inv(X1*{big}*{big})"):
+            f = function_from_expr("big", text, SCALAR)
+            with pytest.raises(NonFiniteError):
+                eval_function(f, _point(SCALAR, 2.0))
+
     def test_system_mismatch(self):
         with pytest.raises(ValueError):
             eval_function(catalog("identity"), _point(DIAG2, 1.0, 1.0))
@@ -239,7 +255,7 @@ class TestCatalog:
             p = sample_point(schur.domain, n, rng.split(t))
             out = eval_function(schur, p)
             assert is_hermitian(out.coeffs[0])
-            assert psd_margin(hermitize(out.coeffs[0])) > 0
+            assert min_eig_h(hermitize(out.coeffs[0])) > 0
 
     def test_expr_function_wrapper(self):
         f = function_from_expr("twice", "2*X1", SCALAR)

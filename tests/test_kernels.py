@@ -13,9 +13,9 @@ from freemono.kernels import (
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
+    min_eig_h,
     op_norm,
     principal_sqrt,
-    psd_margin,
     random_matrix,
     safe_inv,
 )
@@ -78,15 +78,15 @@ class TestHermEig:
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestPsdMargin:
+class TestMinEigH:
     def test_identity(self):
-        assert psd_margin(np.eye(3)) == pytest.approx(1.0)
+        assert min_eig_h(np.eye(3)) == pytest.approx(1.0)
 
     def test_boundary(self):
-        assert psd_margin(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
+        assert min_eig_h(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
 
     def test_indefinite(self):
-        assert psd_margin(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(-1.0)
+        assert min_eig_h(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(-1.0)
 
 
 class TestPrincipalSqrt:
@@ -121,7 +121,7 @@ class TestPrincipalSqrt:
             h = random_matrix("hermitian", n, rng.split("h", t))
             k = random_matrix("pd", n, rng.split("k", t))
             root = principal_sqrt(h + 1j * k)
-            assert psd_margin(imag_part(root)) > 0
+            assert min_eig_h(imag_part(root)) > 0
 
     def test_branch_cut_negative_eigenvalue(self):
         with pytest.raises(BranchCutError):
@@ -179,7 +179,8 @@ class TestRandomMatrix:
     def test_pd_kind_margin(self):
         for t in range(50):
             a = random_matrix("pd", 4, Rng(1).split(t))
-            assert psd_margin(a) >= 0.1 - 1e-10
+            assert is_hermitian(a)
+            assert min_eig_h(a) >= 0.1 - 1e-10
 
     def test_unitary_kind(self):
         for t in range(50):
@@ -188,7 +189,8 @@ class TestRandomMatrix:
 
     def test_psd_kind(self):
         a = random_matrix("psd", 4, Rng(3))
-        assert psd_margin(a) >= -1e-12
+        assert is_hermitian(a)
+        assert min_eig_h(a) >= -1e-12
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from freemono.kernels import Rng, SamplingError, SingularMatrixError, imag_part, op_norm, psd_margin, random_matrix
+from freemono.kernels import Rng, SamplingError, SingularMatrixError, imag_part, min_eig_h, op_norm, random_matrix
 from freemono.opsys import (
     DomainSpec,
     NCPoint,
@@ -165,7 +165,7 @@ class TestOrder:
             p = sample_hermitian_point(sys_, n, rng.split("p", t))
             q = sample_hermitian_point(sys_, n, rng.split("q", t))
             coordwise = all(
-                psd_margin(np.asarray(b - a)) >= -1e-8 * (1 + op_norm(b - a))
+                min_eig_h(np.asarray(b - a)) >= -1e-8 * (1 + op_norm(b - a))
                 for a, b in zip(p.coeffs, q.coeffs))
             assert order_leq(p, q) == coordwise
 
@@ -286,7 +286,7 @@ class TestSamplers:
             p, q = sample_ordered_pair(dom, 2, rng.split(t))
             assert order_leq(p, q, tol=0.0)
             assert in_domain(p, dom) and in_domain(q, dom)
-            assert psd_margin(realize(p)) > 0 and psd_margin(realize(q)) > 0
+            assert min_eig_h(realize(p)) > 0 and min_eig_h(realize(q)) > 0
 
     def test_interval_pairs_stay_inside(self):
         sys_ = builtin_system("scalar")
@@ -315,7 +315,7 @@ class TestSamplers:
             rng = Rng(85)
             for t in range(50):
                 p = sample_halfplane(sys_, 1 + t % 3, rng.split(name, t))
-                assert psd_margin(imag_part(realize(p))) > 0
+                assert min_eig_h(imag_part(realize(p))) > 0
 
     def test_halfplane_scalar_level_one(self):
         p = sample_halfplane(builtin_system("scalar"), 1, Rng(86))

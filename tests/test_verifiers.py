@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freemono.freeexpr import catalog, eval_function, function_from_expr
-from freemono.kernels import Rng, hermitize, min_eig_h, op_norm, random_matrix
+from freemono.kernels import NumericalError, Rng, hermitize, min_eig_h, op_norm, random_matrix
 from freemono.opsys import (
     NCPoint,
     builtin_system,
@@ -13,6 +13,8 @@ from freemono.opsys import (
     sample_ordered_pair,
 )
 from freemono.verifiers import (
+    _run_trials,
+    _Trial,
     check_boundary_continuity,
     check_free_axioms,
     check_halfplane,
@@ -252,3 +254,26 @@ class TestMarginProperties:
         a = check_halfplane(catalog("square"), levels=(1, 2), trials=50, rng=Rng(31))
         b = check_halfplane(catalog("square"), levels=(1, 2), trials=50, rng=Rng(31), jobs=8)
         assert a.to_json() == b.to_json()
+
+
+class TestTrialRunner:
+    @staticmethod
+    def _run(margins, jobs=1):
+        def trial(level, t):
+            return _Trial(margins[t], {"t": t})
+
+        return _run_trials("monotone", "f", trial, (1,), len(margins), 1e-8, Rng(0), jobs)
+
+    def test_worst_margin_and_witness(self):
+        rep = self._run([0.5, -2.0, -1.0, -2.0])
+        assert (rep.failures, rep.worst_margin, rep.witness) == (3, -2.0, {"t": 1})
+        assert self._run([0.5, -1e-9]).witness is None
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    @pytest.mark.parametrize("margins", [[None, -1.0], [-1.0, None], [None]])
+    def test_non_finite_margin_is_a_numerical_error(self, bad, margins):
+        margins = [bad if m is None else m for m in margins]
+        with pytest.raises(NumericalError, match="monotone of f"):
+            self._run(margins)
+        with pytest.raises(NumericalError):
+            self._run(margins, jobs=2)
