@@ -8,8 +8,9 @@ configuration error, 3 = numerical failure (eigensolver non-convergence, an
 exhausted sampling budget, or a value or margin that is not finite).
 
 Report documents contain no timestamps or host data unless ``--annotate``
-is given, so identical configurations produce byte-identical output; the
-``--jobs`` flag changes only the execution schedule, never the bytes.
+is given, so identical configurations produce byte-identical output.
+Trials run serially; ``--jobs`` is still accepted and validated for
+existing scripts but has no effect.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class _Options(NamedTuple):
     trials: int
     tol: float
     rng: Rng
-    jobs: int
 
 
 # suite -> its units in report order: (check label, function name, run).  A
@@ -66,15 +66,14 @@ _SUITES = {
     "axioms": [("free_axioms", None, lambda f, o: check_free_axioms(f, None, *o))],
     "monotone": [("monotone", None, lambda f, o: check_monotone(f, None, *o))],
     "halfplane": [("halfplane", None, lambda f, o: check_halfplane(f, *o))],
-    "local": [("local_monotone", None, lambda f, o: check_local_monotone(
-        f, None, o.levels, o.trials, tol=o.tol, rng=o.rng, jobs=o.jobs))],
+    "local": [("local_monotone", None, lambda f, o: check_local_monotone(f, None, *o))],
     "boundary": [("boundary_continuity", None,
                   lambda f, o: check_boundary_continuity(f, None, *o))],
     "schur_identity": [("schur_im_identity", "schur_complement",
                         lambda f, o: check_schur_im_identity(*o))],
     "loewner1d": [("cross_check_1d", name, lambda f, o, name=name: cross_check(
         scalar_catalog(name), node_sets=o.trials, pick_sets=o.trials, levels=o.levels,
-        pairs=o.trials, tol=o.tol, rng=o.rng, jobs=o.jobs))
+        pairs=o.trials, tol=o.tol, rng=o.rng))
         for name in SCALAR_CATALOG_NAMES],
 }
 
@@ -115,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trials", type=int, default=100)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--tol", type=float, default=1e-8)
-    check.add_argument("--jobs", type=int, default=1)
+    check.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; trials always run serially")
     check.add_argument("--out", help="write the report document to this path")
     check.add_argument("--annotate", action="store_true",
                        help="add timestamp/host annotations (breaks byte determinism)")
@@ -217,7 +217,7 @@ def _run_check(args) -> int:
         raise _UsageError("--tol must be positive")
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
-    opts = _Options(levels, args.trials, args.tol, Rng(args.seed), args.jobs)
+    opts = _Options(levels, args.trials, args.tol, Rng(args.seed))
     units = _SUITES[args.suite]
     f = _resolve_function(args) if any(name is None for _, name, _ in units) else None
     reports: list = []
@@ -333,3 +333,7 @@ def main(argv=None) -> int:
 
 def app():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    app()

@@ -427,9 +427,11 @@ def eval_function(f: FreeFunction, point: NCPoint) -> NCPoint:
 
     ko = f.out_system.k
     out = np.zeros((ko * n, ko * n), dtype=np.complex128)
-    for p in range(ko):
-        for q in range(ko):
-            out[p * n:(p + 1) * n, q * n:(q + 1) * n] = ev(f.grid[p][q])
+    # an overflow leaves inf/nan in ``out``, which decode rejects as NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(ko):
+            for q in range(ko):
+                out[p * n:(p + 1) * n, q * n:(q + 1) * n] = ev(f.grid[p][q])
     try:
         return opsys.decode(out, f.out_system, n)
     except NotInImageError as exc:

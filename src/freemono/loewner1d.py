@@ -122,7 +122,7 @@ def pick_matrix(f: ScalarFunction, points) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Matrix-level monotonicity through the functional calculus.
 
-def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng, interval, jobs) -> CheckReport:
+def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng, interval) -> CheckReport:
     a, b = interval if interval is not None else f.domain
     scalar_sys = builtin_system("scalar")
     if np.isinf(a) and np.isinf(b):
@@ -145,15 +145,14 @@ def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng, interva
             }
         return _Trial(margin, witness)
 
-    return _run_trials("monotone_1d", f.name, trial, levels, trials, tol, rng, jobs)
+    return _run_trials("monotone_1d", f.name, trial, levels, trials, tol, rng)
 
 
 def check_1d_monotone(f: ScalarFunction, level: int = 2, trials: int = 200,
-                      tol: float = 1e-8, rng: Rng = Rng(0),
-                      interval=None, jobs: int = 1) -> CheckReport:
+                      tol: float = 1e-8, rng: Rng = Rng(0), interval=None) -> CheckReport:
     """Sample Hermitian pairs A <= B with spectra in the interval and test
     func_calc(f, A) <= func_calc(f, B)."""
-    return _monotone_matrix_report(f, (level,), trials, tol, rng, interval, jobs)
+    return _monotone_matrix_report(f, (level,), trials, tol, rng, interval)
 
 
 # --------------------------------------------------------------------------
@@ -181,7 +180,7 @@ def _sample_pick_points(gen, count):
 def cross_check(f: ScalarFunction, node_count: int = 5, node_sets: int = 100,
                 point_count: int = 5, pick_sets: int = 100,
                 levels=(2, 3, 4), pairs: int = 200, interval=(0.1, 10.0),
-                tol: float = 1e-8, rng: Rng = Rng(0), jobs: int = 1) -> ConsistencyReport:
+                tol: float = 1e-8, rng: Rng = Rng(0)) -> ConsistencyReport:
     """Loewner-matrix, Pick-matrix and functional-calculus verdicts side by side."""
 
     def loewner_trial(level, t):
@@ -206,10 +205,10 @@ def cross_check(f: ScalarFunction, node_count: int = 5, node_sets: int = 100,
         return _Trial(margin, witness)
 
     loewner_rep = _run_trials("loewner_psd", f.name, loewner_trial,
-                              (node_count,), node_sets, tol, rng, jobs)
+                              (node_count,), node_sets, tol, rng)
     pick_rep = _run_trials("pick_psd", f.name, pick_trial,
-                           (point_count,), pick_sets, tol, rng, jobs)
-    mono_rep = _monotone_matrix_report(f, levels, pairs, tol, rng, interval, jobs)
+                           (point_count,), pick_sets, tol, rng)
+    mono_rep = _monotone_matrix_report(f, levels, pairs, tol, rng, interval)
     sides = {
         "loewner_psd": loewner_rep.verdict,
         "pick_psd": pick_rep.verdict,
@@ -223,7 +222,7 @@ def cross_check(f: ScalarFunction, node_count: int = 5, node_sets: int = 100,
 # Local monotonicity for commuting tuples on a box.
 
 def amy_local_check(f: FreeFunction, box, level: int = 2, trials: int = 200,
-                    tol: float = 1e-8, rng: Rng = Rng(0), jobs: int = 1) -> CheckReport:
+                    tol: float = 1e-8, rng: Rng = Rng(0)) -> CheckReport:
     """Order preservation of f along commuting-tuple paths with joint spectrum
     in the box: g(gamma(t1)) <= g(gamma(t2)) for sampled t1 < t2."""
     if not is_diagonal_type(f.in_system):
@@ -251,7 +250,7 @@ def amy_local_check(f: FreeFunction, box, level: int = 2, trials: int = 200,
                        "margin": margin}
         return _Trial(margin, witness)
 
-    return _run_trials("amy_local", f.name, trial, (level,), trials, tol, rng, jobs)
+    return _run_trials("amy_local", f.name, trial, (level,), trials, tol, rng)
 
 
 def amy_margin(f: FreeFunction, witness: dict) -> float:

@@ -4,16 +4,13 @@ Each check samples seeded trials, records a scaled margin per trial (the
 most negative eigenvalue for order checks, minus the relative residual for
 identity checks) and fails a trial when its margin drops below ``-tol``.
 Trials derive their randomness from (master rng, check name, function,
-level, trial index), so results are identical regardless of execution
-order or the number of worker threads.
+level, trial index), so results do not depend on the order trials run in.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -37,6 +34,7 @@ from .opsys import (
 from .report import OUT_OF_DOMAIN_MARGIN, CheckReport, ConsistencyReport
 
 BOUNDARY_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+LOCAL_STEP = 1e-4  # finite-difference half-step of the local check, capped by the path's eps
 
 
 @dataclass(frozen=True)
@@ -45,20 +43,14 @@ class _Trial:
     witness: dict | None = None
 
 
-def _run_trials(check, function, trial, levels, trials, tol, rng, jobs) -> CheckReport:
+def _run_trials(check, function, trial, levels, trials, tol, rng) -> CheckReport:
     """Run ``trial(level, t)`` for every level and trial index and report the margins.
 
     The witness is that of the most negative margin when some margin drops
     below ``-tol``.  Raises :class:`NumericalError` on a non-finite margin.
     """
     levels = tuple(int(x) for x in levels)
-    results: list[_Trial] = []
-    for level in levels:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results.extend(pool.map(partial(trial, level), range(trials)))
-        else:
-            results.extend(trial(level, t) for t in range(trials))
+    results = [trial(level, t) for level in levels for t in range(trials)]
     for i, r in enumerate(results):
         if not math.isfinite(r.margin):
             raise NumericalError(f"{check} of {function}: margin {r.margin} at level "
@@ -114,7 +106,7 @@ def local_margin(f: FreeFunction, witness: dict) -> float:
 
 def check_monotone(f: FreeFunction, domain: DomainSpec | None = None,
                    levels=(1, 2, 3), trials: int = 100, tol: float = 1e-8,
-                   rng: Rng = Rng(0), jobs: int = 1) -> CheckReport:
+                   rng: Rng = Rng(0)) -> CheckReport:
     """Sample ordered pairs in the domain and test f(A) <= f(B)."""
     dom = domain or f.domain
 
@@ -129,7 +121,7 @@ def check_monotone(f: FreeFunction, domain: DomainSpec | None = None,
         witness = dict(pair, margin=margin) if margin < -tol else None
         return _Trial(margin, witness)
 
-    return _run_trials("monotone", f.name, trial, levels, trials, tol, rng, jobs)
+    return _run_trials("monotone", f.name, trial, levels, trials, tol, rng)
 
 
 def find_counterexample(f: FreeFunction, domain: DomainSpec | None = None,
@@ -150,7 +142,7 @@ def find_counterexample(f: FreeFunction, domain: DomainSpec | None = None,
 
 
 def check_halfplane(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,
-                    tol: float = 1e-8, rng: Rng = Rng(0), jobs: int = 1) -> CheckReport:
+                    tol: float = 1e-8, rng: Rng = Rng(0)) -> CheckReport:
     """Sample upper-half-plane points and test Im f >= 0.
 
     An evaluation error inside the half-plane counts as a failure: the
@@ -167,12 +159,12 @@ def check_halfplane(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,
         witness = {"P": point_to_json(p), "margin": margin} if margin < -tol else None
         return _Trial(margin, witness)
 
-    return _run_trials("halfplane", f.name, trial, levels, trials, tol, rng, jobs)
+    return _run_trials("halfplane", f.name, trial, levels, trials, tol, rng)
 
 
 def check_free_axioms(f: FreeFunction, domain: DomainSpec | None = None,
                       levels=(1, 2, 3), trials: int = 200, tol: float = 1e-9,
-                      rng: Rng = Rng(0), jobs: int = 1) -> CheckReport:
+                      rng: Rng = Rng(0)) -> CheckReport:
     """Direct-sum and similarity residuals of f on sampled domain points."""
     dom = domain or f.domain
 
@@ -208,7 +200,7 @@ def check_free_axioms(f: FreeFunction, domain: DomainSpec | None = None,
             }
         return _Trial(margin, witness)
 
-    return _run_trials("free_axioms", f.name, trial, levels, trials, tol, rng, jobs)
+    return _run_trials("free_axioms", f.name, trial, levels, trials, tol, rng)
 
 
 def _path_ranges(domain: DomainSpec, count: int) -> list:
@@ -230,8 +222,8 @@ def _path_ranges(domain: DomainSpec, count: int) -> list:
 
 
 def check_local_monotone(f: FreeFunction, domain: DomainSpec | None = None,
-                         levels=(1, 2, 3), trials: int = 100, h: float = 1e-4,
-                         tol: float = 1e-8, rng: Rng = Rng(0), jobs: int = 1) -> CheckReport:
+                         levels=(1, 2, 3), trials: int = 100, tol: float = 1e-8,
+                         rng: Rng = Rng(0)) -> CheckReport:
     """Finite-difference derivative of f along commuting paths with pd velocity."""
     if not is_diagonal_type(f.in_system):
         raise ValueError("local monotonicity needs a scalar or diagonal input system")
@@ -241,7 +233,7 @@ def check_local_monotone(f: FreeFunction, domain: DomainSpec | None = None,
     def trial(level, t):
         r = rng.split("local", f.name, level, t)
         path = paths.sample_path(f.in_system, level, r.generator(), ranges)
-        h_eff = min(h, 0.5 * path.eps)
+        h_eff = min(LOCAL_STEP, 0.5 * path.eps)
         try:
             fa = eval_function(f, path.point(-h_eff))
             fb = eval_function(f, path.point(h_eff))
@@ -255,12 +247,12 @@ def check_local_monotone(f: FreeFunction, domain: DomainSpec | None = None,
             witness = {"path": path.to_witness(), "h": h_eff, "margin": margin}
         return _Trial(margin, witness)
 
-    return _run_trials("local_monotone", f.name, trial, levels, trials, tol, rng, jobs)
+    return _run_trials("local_monotone", f.name, trial, levels, trials, tol, rng)
 
 
 def check_boundary_continuity(f: FreeFunction, domain: DomainSpec | None = None,
                               levels=(1, 2, 3), trials: int = 50, tol: float = 1e-8,
-                              rng: Rng = Rng(0), jobs: int = 1) -> CheckReport:
+                              rng: Rng = Rng(0)) -> CheckReport:
     """Approach a Hermitian interior point vertically and test for linear decay.
 
     The decay rate is calibrated at the largest epsilon; a trial fails when
@@ -297,11 +289,11 @@ def check_boundary_continuity(f: FreeFunction, domain: DomainSpec | None = None,
             }
         return _Trial(margin, witness)
 
-    return _run_trials("boundary_continuity", f.name, trial, levels, trials, tol, rng, jobs)
+    return _run_trials("boundary_continuity", f.name, trial, levels, trials, tol, rng)
 
 
 def check_schur_im_identity(levels=(1, 2, 3), trials: int = 500, tol: float = 1e-10,
-                            rng: Rng = Rng(0), jobs: int = 1) -> CheckReport:
+                            rng: Rng = Rng(0)) -> CheckReport:
     """Exact factorization of Im f for the Schur complement on half-plane points.
 
     With V the column block stacking the identity over -(X22*)^{-1} X12*, the
@@ -346,26 +338,26 @@ def check_schur_im_identity(levels=(1, 2, 3), trials: int = 500, tol: float = 1e
         return _Trial(margin, witness)
 
     return _run_trials("schur_im_identity", "schur_complement", trial,
-                       levels, trials, tol, rng, jobs)
+                       levels, trials, tol, rng)
 
 
 def equivalence_report(f: FreeFunction, domain: DomainSpec | None = None,
                        levels=(1, 2, 3), trials: int = 100, tol: float = 1e-8,
-                       rng: Rng = Rng(0), jobs: int = 1, h: float = 1e-4) -> ConsistencyReport:
+                       rng: Rng = Rng(0)) -> ConsistencyReport:
     """Run the monotone, local (where applicable) and half-plane checks.
 
     The verdicts must agree for a genuine free function; disagreement points
     at a toolkit or tolerance defect, not at the mathematics.
     """
     dom = domain or f.domain
-    mono = check_monotone(f, dom, levels, trials, tol, rng, jobs)
+    mono = check_monotone(f, dom, levels, trials, tol, rng)
     reports = [mono]
     sides = {"monotone": mono.verdict}
     if is_diagonal_type(f.in_system):
-        loc = check_local_monotone(f, dom, levels, trials, h, tol, rng, jobs)
+        loc = check_local_monotone(f, dom, levels, trials, tol, rng)
         reports.append(loc)
         sides["local"] = loc.verdict
-    hp = check_halfplane(f, levels, trials, tol, rng, jobs)
+    hp = check_halfplane(f, levels, trials, tol, rng)
     reports.append(hp)
     sides["halfplane"] = hp.verdict
     return ConsistencyReport("equivalence", f.name, tuple(reports), sides)

@@ -3,6 +3,10 @@ import importlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import jsonschema
@@ -65,6 +69,8 @@ class TestExitCodes:
                        "--levels", "0..9")[0] == 2
         assert run_cli("check", "--function", "identity", "--suite", "monotone",
                        "--trials", "0")[0] == 2
+        assert run_cli("check", "--function", "identity", "--suite", "monotone",
+                       "--jobs", "0")[0] == 2
         assert run_cli("check", "--expr", "X1", "--suite", "monotone")[0] == 2
         assert run_cli("nonsense")[0] == 2
 
@@ -90,7 +96,6 @@ class TestNonFinite:
             assert code == 2 and out == ""
             assert "overflows to infinity (offset 0)" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_during_check_is_numerical_failure(self):
         code, out, _ = run_cli("check", "--expr", f"X1*{self.BIG}*{self.BIG}",
                                "--system", "scalar", "--suite", "monotone",
@@ -102,12 +107,20 @@ class TestNonFinite:
         assert [(e["check"], e["function"]) for e in doc["numerical_failures"]] == [
             ("monotone", "expr")]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_during_eval_is_three(self, pd_point):
         code, out, err = run_cli("eval", "--expr", f"X1*{self.BIG}*{self.BIG}",
                                  "--point", pd_point)
         assert code == 3 and out == ""
         assert "finite" in err
+
+    def test_module_entry_point_runs_the_cli(self, pd_point):
+        src = Path(freemono.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "freemono.cli", "eval",
+             "--expr", f"X1*{self.BIG}*{self.BIG}", "--point", pd_point],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "freemono: evaluation failed: matrix entries must all be finite\n"
 
     def test_non_finite_point_file_is_usage_error(self, tmp_path):
         path = tmp_path / "inf-point.json"
@@ -297,6 +310,16 @@ class TestSuiteTable:
                 "schur_complement", "geometric_mean")),
             *(("cross_check_1d", name) for name in ("x", "sqrt", "neg_inverse", "square", "cube")),
         ]
+
+    def test_trials_run_serially_whatever_the_jobs(self, monkeypatch):
+        def no_threads(self):
+            raise AssertionError("a check started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        argv = ("check", "--suite", "all", "--levels", "1..1", "--trials", "2")
+        serial = run_cli(*argv, "--jobs", "1")
+        assert serial[0] == 1
+        assert run_cli(*argv, "--jobs", "8") == serial
 
     def test_checks_are_looked_up_when_a_unit_runs(self, monkeypatch):
         calls = []

@@ -206,7 +206,6 @@ class TestEval:
         with pytest.raises(CodomainError):
             eval_function(f, p)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_is_a_non_finite_error(self):
         big = "9" * 300
         for text in (f"X1*{big}*{big}", f"inv(X1*{big}*{big})"):

@@ -250,19 +250,14 @@ class TestMarginProperties:
         b = check_monotone(catalog("square"), levels=(2,), trials=50, rng=Rng(30))
         assert a.to_json() == b.to_json()
 
-    def test_jobs_do_not_change_results(self):
-        a = check_halfplane(catalog("square"), levels=(1, 2), trials=50, rng=Rng(31))
-        b = check_halfplane(catalog("square"), levels=(1, 2), trials=50, rng=Rng(31), jobs=8)
-        assert a.to_json() == b.to_json()
-
 
 class TestTrialRunner:
     @staticmethod
-    def _run(margins, jobs=1):
+    def _run(margins):
         def trial(level, t):
             return _Trial(margins[t], {"t": t})
 
-        return _run_trials("monotone", "f", trial, (1,), len(margins), 1e-8, Rng(0), jobs)
+        return _run_trials("monotone", "f", trial, (1,), len(margins), 1e-8, Rng(0))
 
     def test_worst_margin_and_witness(self):
         rep = self._run([0.5, -2.0, -1.0, -2.0])
@@ -275,5 +270,3 @@ class TestTrialRunner:
         margins = [bad if m is None else m for m in margins]
         with pytest.raises(NumericalError, match="monotone of f"):
             self._run(margins)
-        with pytest.raises(NumericalError):
-            self._run(margins, jobs=2)
