@@ -71,8 +71,9 @@ def as_matrix(a) -> np.ndarray:
 
 
 def op_norm(a) -> float:
-    """Operator (spectral) norm: the largest singular value."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.complex128), 2))
+    """Operator (spectral) norm: the largest singular value (0.0 for a 0-by-0 matrix)."""
+    sv = np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
+    return float(sv.max(initial=0.0))
 
 
 def hermitize(a) -> np.ndarray:
@@ -84,6 +85,8 @@ def hermitize(a) -> np.ndarray:
 def is_hermitian(a) -> bool:
     """True when A equals its conjugate transpose within ``TOL_HERM * (1 + ||A||)``."""
     a = as_matrix(a)
+    if np.array_equal(a, a.conj().T):  # exact: the tolerance test below would pass
+        return True
     return op_norm(a - a.conj().T) <= TOL_HERM * (1.0 + op_norm(a))
 
 
@@ -311,6 +314,8 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(doc: dict) -> np.ndarray:
     n = int(doc["n"])
+    if n < 1:
+        raise ValueError("matrix size must be at least 1")
     entries = doc["entries"]
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError("matrix JSON entries do not match the declared size")

@@ -2,10 +2,12 @@
 
 An operator system is given by a self-adjoint basis ``E_1..E_m`` of k-by-k
 matrices whose real span contains the identity.  A point at level n is one
-n-by-n complex coefficient matrix per basis element; ``realize`` assembles
-the single (n*k)-by-(n*k) matrix ``sum_j kron(E_j, A_j)``, a k-by-k grid of
-n-by-n blocks.  The ambient index is kept outermost so block (p, q) of the
-realization is a plain linear read of the coefficients.
+n-by-n complex coefficient matrix per basis element, held as a single
+read-only ``(m, n, n)`` array; ``realize`` assembles the (n*k)-by-(n*k)
+matrix ``sum_j kron(E_j, A_j)``, a k-by-k grid of n-by-n blocks.  The
+ambient index is kept outermost so block (p, q) of the realization is
+``sum_j E_j[p, q] * A_j``, a plain linear read of the coefficients; it is
+built from the basis's table of nonzero entries, one scaled add per entry.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import (
+    NonFiniteError,
     Rng,
     SamplingError,
     as_matrix,
@@ -82,47 +85,57 @@ class OpSysBasis:
         inv = np.linalg.inv(self._gram())
         return np.einsum("ij,jkl->ikl", inv, np.stack(self.basis))
 
+    @cached_property
+    def terms(self) -> tuple:
+        """``(j, p, q, E_j[p, q])`` for every nonzero basis entry, in basis order."""
+        return tuple((j, int(p), int(q), complex(e[p, q]))
+                     for j, e in enumerate(self.basis) for p, q in zip(*np.nonzero(e)))
+
 
 @dataclass(frozen=True, eq=False)
 class NCPoint:
-    """Element of the level-n slice of the matrix universe over a system."""
+    """Element of the level-n slice of the matrix universe over a system.
+
+    ``coeffs`` is given as any sequence of m square matrices of one size and
+    kept as a read-only complex ``(m, n, n)`` array; ``coeffs[j]`` is A_j.
+    """
 
     system: OpSysBasis
-    coeffs: tuple
+    coeffs: np.ndarray
 
     def __post_init__(self):
         if len(self.coeffs) != self.system.size:
             raise ValueError("coefficient count must equal the basis size")
-        mats = []
-        level = None
-        for a in self.coeffs:
-            a = as_matrix(a).copy()
-            if level is None:
-                level = a.shape[0]
-            elif a.shape[0] != level:
-                raise ValueError("all coefficients must share one level")
-            a.setflags(write=False)
-            mats.append(a)
-        object.__setattr__(self, "coeffs", tuple(mats))
+        try:
+            coeffs = np.array(self.coeffs, dtype=np.complex128)
+        except ValueError:  # ragged: the coefficients differ in shape
+            coeffs = None
+        if coeffs is None or coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
+            for a in self.coeffs:
+                as_matrix(a)  # names a coefficient that is not a finite square matrix
+            raise ValueError("all coefficients must share one level")
+        if not np.isfinite(coeffs).all():
+            raise NonFiniteError("matrix entries must all be finite")
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def level(self) -> int:
-        return self.coeffs[0].shape[0]
+        return self.coeffs.shape[1]
 
     def __add__(self, other: "NCPoint") -> "NCPoint":
         _require_compatible(self, other)
-        return NCPoint(self.system, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return NCPoint(self.system, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "NCPoint") -> "NCPoint":
         _require_compatible(self, other)
-        return NCPoint(self.system, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return NCPoint(self.system, self.coeffs - other.coeffs)
 
     def __neg__(self) -> "NCPoint":
-        return NCPoint(self.system, tuple(-a for a in self.coeffs))
+        return NCPoint(self.system, -self.coeffs)
 
     def __mul__(self, scalar) -> "NCPoint":
-        c = complex(scalar)
-        return NCPoint(self.system, tuple(c * a for a in self.coeffs))
+        return NCPoint(self.system, complex(scalar) * self.coeffs)
 
     __rmul__ = __mul__
 
@@ -193,12 +206,19 @@ def builtin_system(name: str) -> OpSysBasis:
 # Core operations.
 
 def realize(point: NCPoint) -> np.ndarray:
-    """Assemble sum_j kron(E_j, A_j) as one (n*k)-by-(n*k) matrix."""
-    system, n = point.system, point.level
-    acc = np.zeros((system.k * n, system.k * n), dtype=np.complex128)
-    for e, a in zip(system.basis, point.coeffs):
-        acc += np.kron(e, a)
-    return acc
+    """Assemble sum_j kron(E_j, A_j) as one (n*k)-by-(n*k) matrix.
+
+    Block (p, q) accumulates ``E_j[p, q] * A_j`` over the basis's nonzero
+    entries in basis order.  That is the kron sum bit for bit: a skipped
+    zero entry adds only a signed zero, which changes no nonzero sum, and a
+    zero sum starting from +0 is +0 either way.
+    """
+    system, n, coeffs = point.system, point.level, point.coeffs
+    k = system.k
+    acc = np.zeros((k, n, k, n), dtype=np.complex128)
+    for j, p, q, w in system.terms:
+        acc[p, :, q, :] += w * coeffs[j]
+    return acc.reshape(k * n, k * n)
 
 
 def decode(m, system: OpSysBasis, level: int) -> NCPoint:
@@ -222,7 +242,10 @@ def decode(m, system: OpSysBasis, level: int) -> NCPoint:
                     acc = acc + w * blocks[q, :, p, :]
         coeffs.append(acc)
     point = NCPoint(system, tuple(coeffs))
-    resid = op_norm(realize(point) - m)
+    back = realize(point)
+    if np.array_equal(back, m):  # exact round trip: the residual is 0
+        return point
+    resid = op_norm(back - m)
     if resid > 1e-9 * (1.0 + op_norm(m)):
         raise NotInImageError(
             f"matrix is not in the realization image (residual {resid:.3e})"

@@ -113,12 +113,14 @@ def check_monotone(f: FreeFunction, domain: DomainSpec | None = None,
     def trial(level, t):
         r = rng.split("monotone", f.name, level, t)
         a, b = sample_ordered_pair(dom, level, r)
-        pair = {"A": point_to_json(a), "B": point_to_json(b)}
         try:
             margin = pair_margin(f, a, b)
         except (OutOfDomainError, CodomainError) as exc:
-            return _Trial(OUT_OF_DOMAIN_MARGIN, dict(pair, error=str(exc)))
-        witness = dict(pair, margin=margin) if margin < -tol else None
+            return _Trial(OUT_OF_DOMAIN_MARGIN,
+                          {"A": point_to_json(a), "B": point_to_json(b), "error": str(exc)})
+        witness = None
+        if margin < -tol:
+            witness = {"A": point_to_json(a), "B": point_to_json(b), "margin": margin}
         return _Trial(margin, witness)
 
     return _run_trials("monotone", f.name, trial, levels, trials, tol, rng)

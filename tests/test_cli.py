@@ -164,6 +164,14 @@ class TestEval:
         code, _, _ = run_cli("eval", "--function", "identity", "--point", "/nope.json")
         assert code == 2
 
+    def test_level_zero_point_is_usage_error(self, tmp_path):
+        path = tmp_path / "level-zero.json"
+        path.write_text(json.dumps(
+            {"system": "scalar", "level": 0, "coeffs": [{"n": 0, "entries": []}]}))
+        code, out, err = run_cli("eval", "--function", "square", "--point", str(path))
+        assert code == 2 and out == ""
+        assert "bad point file" in err and "matrix size must be at least 1" in err
+
 
 class TestParseCommand:
     def test_schur_expression(self):

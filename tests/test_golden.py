@@ -1,0 +1,42 @@
+"""Pinned report bytes: a fixed config and seed must print the same report.
+
+Each case runs the CLI in-process at ``--seed 42`` and compares the sha256
+of the report with its recorded 16-hex-digit prefix.  The prefixes were
+recorded with numpy 2.4.6, scipy 1.17.1 and scipy-openblas 0.3.31; a
+change that moves a byte here must say so and publish the new prefixes.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from freemono.cli import main
+
+SMALL = ("--levels", "1..2", "--trials", "12")
+SQUARE = ("--function", "square", *SMALL)
+
+GOLDEN = {
+    "equivalence": (("--suite", "equivalence", *SQUARE), "c08fef93cc7d935b"),
+    "axioms": (("--suite", "axioms", *SQUARE), "f197d0718c7f019c"),
+    "monotone": (("--suite", "monotone", *SQUARE), "5747a34340c29795"),
+    "halfplane": (("--suite", "halfplane", *SQUARE), "895d2ec13a828834"),
+    "local": (("--suite", "local", *SQUARE), "2f1203e7bdab2b1b"),
+    "boundary": (("--suite", "boundary", *SQUARE), "54c3ac74c9ab7ae4"),
+    "schur_identity": (("--suite", "schur_identity", *SMALL), "daaae5c1a08c9463"),
+    "loewner1d": (("--suite", "loewner1d", *SMALL), "0a95638f93b8960c"),
+    "all": (("--suite", "all", *SMALL), "25a34eb461c252d1"),
+    "geometric_mean": (("--suite", "equivalence", "--function", "geometric_mean",
+                        "--levels", "1..3", "--trials", "30"), "f2ffb8c09817432d"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_report_bytes(name):
+    argv, prefix = GOLDEN[name]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        main(["check", *argv, "--seed", "42"])
+    assert err.getvalue() == ""
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == prefix

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from freemono.kernels import (
+    TOL_HERM,
     BranchCutError,
     Rng,
     SingularMatrixError,
@@ -239,3 +240,44 @@ class TestMatrixJson:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             matrix_from_json({"n": 2, "entries": [[[1.0, 0.0]]]})
+
+    def test_size_zero_rejected(self):
+        with pytest.raises(ValueError, match="matrix size must be at least 1"):
+            matrix_from_json({"n": 0, "entries": []})
+
+
+def _svd_is_hermitian(a):
+    # The tolerance predicate ``is_hermitian`` reduces to, via numpy's 2-norm.
+    return np.linalg.norm(a - a.conj().T, 2) <= TOL_HERM * (1.0 + np.linalg.norm(a, 2))
+
+
+class TestExactShortcuts:
+    """``op_norm`` and ``is_hermitian`` give the answers of their plain forms exactly."""
+
+    def test_op_norm_equals_numpy_two_norm(self):
+        rng = Rng(21)
+        for t in range(200):
+            n = 1 + t % 8
+            for kind in ("ginibre", "hermitian"):
+                a = random_matrix(kind, n, rng.split(kind, t))
+                assert op_norm(a) == np.linalg.norm(a, 2)
+
+    def test_op_norm_of_empty_matrix(self):
+        empty = np.zeros((0, 0), dtype=np.complex128)
+        assert op_norm(empty) == np.linalg.norm(empty, 2) == 0.0
+
+    def test_is_hermitian_agrees_with_svd_predicate(self):
+        rng = Rng(22)
+        for t in range(100):
+            n = 1 + t % 6
+            h = random_matrix("hermitian", n, rng.split("h", t))
+            g = random_matrix("ginibre", n, rng.split("g", t))
+            near, far = h + 1e-14 * g, h + 1e-6 * g
+            assert is_hermitian(h) and _svd_is_hermitian(h)
+            assert not np.array_equal(near, near.conj().T)
+            assert is_hermitian(near) and _svd_is_hermitian(near)
+            assert not is_hermitian(far) and not _svd_is_hermitian(far)
+
+    def test_is_hermitian_checks_finiteness_first(self):
+        with pytest.raises(ValueError, match="finite"):
+            is_hermitian(np.full((2, 2), np.nan))

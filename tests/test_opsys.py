@@ -3,11 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from freemono.kernels import Rng, SamplingError, SingularMatrixError, imag_part, min_eig_h, op_norm, random_matrix
+from freemono.kernels import (
+    NonFiniteError, Rng, SamplingError, SingularMatrixError, imag_part, min_eig_h, op_norm,
+    random_matrix,
+)
 from freemono.opsys import (
     DomainSpec,
     NCPoint,
     NotInImageError,
+    OpSysBasis,
     builtin_system,
     conjugate,
     decode,
@@ -399,3 +403,63 @@ class TestValidation:
         sys_ = builtin_system("diagonal(2)")
         with pytest.raises(ValueError):
             NCPoint(sys_, (np.eye(2, dtype=complex),))
+
+
+def _kron_realize(point):
+    # Reference: the plain kron sum that ``realize`` must reproduce bit for bit.
+    return sum(np.kron(e, a) for e, a in zip(point.system.basis, point.coeffs))
+
+
+def _dense_system():
+    # A user system whose basis has dense, non-integer entries.
+    rng = Rng(31)
+    h = [random_matrix("hermitian", 2, rng.split(j)) for j in range(3)]
+    fourth = (np.eye(2) - 0.5 * h[0]) / 0.3
+    return OpSysBasis("dense2", 2, (*h, fourth), (0.5, 0.0, 0.0, 0.3))
+
+
+class TestBitExact:
+    """The fast kernels give the plain kernels' values exactly, down to signed zeros."""
+
+    @pytest.mark.parametrize("name", ("scalar", "diagonal(3)", "block2", "dense"))
+    def test_realize_equals_kron_sum(self, name):
+        sys_ = _dense_system() if name == "dense" else builtin_system(name)
+        rng = Rng(32)
+        for level in range(1, 5):
+            for t in range(12):
+                coeffs = [random_matrix("ginibre", level, rng.split(name, level, t, j))
+                          for j in range(sys_.size)]
+                if t % 3 == 0:  # signed zeros in every coefficient
+                    for a in coeffs:
+                        a[0, :] = -0.0 * a[0, :]
+                        a[:, -1] = a[:, -1].real * 0.0
+                p = NCPoint(sys_, coeffs)
+                got, want = realize(p), _kron_realize(p)
+                np.testing.assert_array_equal(got, want)
+                for part in (np.real, np.imag):
+                    np.testing.assert_array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+    def test_decode_still_rejects_off_image(self):
+        sys_ = builtin_system("diagonal(2)")
+        m = realize(sample_hermitian_point(sys_, 2, Rng(33))).copy()
+        m[0:2, 2:4] += 0.5  # a nonzero off-diagonal block
+        with pytest.raises(NotInImageError):
+            decode(m, sys_, 2)
+
+    def test_point_rejects_non_finite_coefficient(self):
+        sys_ = builtin_system("diagonal(2)")
+        bad = np.eye(2, dtype=complex)
+        bad[1, 0] = complex(0.0, np.inf)
+        with pytest.raises(NonFiniteError, match="finite"):
+            NCPoint(sys_, (np.eye(2), bad))
+
+    def test_point_coefficients_are_read_only(self):
+        sys_ = builtin_system("block2")
+        source = [np.eye(2, dtype=complex) for _ in range(sys_.size)]
+        p = NCPoint(sys_, source)
+        assert p.coeffs.shape == (4, 2, 2) and not p.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            p.coeffs[0][0, 0] = 2.0
+        source[0][0, 0] = 2.0  # the point holds a copy
+        assert p.coeffs[0][0, 0] == 1.0
+        assert len(p.coeffs) == 4 and all(a.shape == (2, 2) for a in p.coeffs)
