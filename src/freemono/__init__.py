@@ -36,9 +36,7 @@ from .opsys import (
     decode,
     direct_sum,
     full_domain,
-    half_plane,
     identity_point,
-    im_point,
     in_domain,
     is_hermitian_point,
     order_leq,
@@ -53,7 +51,6 @@ from .opsys import (
     spectral_interval,
     system_from_json,
     system_to_json,
-    zero_point,
 )
 from .freeexpr import (
     CATALOG_NAMES,
@@ -84,7 +81,6 @@ from .verifiers import (
 from .loewner1d import (
     SCALAR_CATALOG_NAMES,
     ScalarFunction,
-    amy_local_check,
     check_1d_monotone,
     cross_check,
     loewner_matrix,

@@ -24,9 +24,8 @@ from typing import NamedTuple
 
 from . import report as report_mod
 from .freeexpr import (
-    Add, Block, CodomainError, Inv, Mul, Neg, OutOfDomainError, ParseError, ScalarConst,
-    ScalarMul, Sqrt, Sub, Var,
-    CATALOG_NAMES, FreeFunction, catalog, eval_function, function_from_expr, parse, to_text,
+    CATALOG_NAMES, CodomainError, FreeFunction, OutOfDomainError, ParseError, catalog,
+    eval_function, function_from_expr, parse, to_json, to_text,
 )
 from .kernels import NumericalError, Rng
 from .loewner1d import SCALAR_CATALOG_NAMES, cross_check, scalar_catalog
@@ -190,25 +189,6 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _ast_json(e) -> dict:
-    if isinstance(e, Var):
-        return {"node": "var", "index": e.index}
-    if isinstance(e, Block):
-        return {"node": "block", "row": e.row, "col": e.col}
-    if isinstance(e, ScalarConst):
-        return {"node": "scalar", "re": e.value.real, "im": e.value.imag}
-    if isinstance(e, ScalarMul):
-        return {"node": "scalar_mul", "re": e.value.real, "im": e.value.imag,
-                "child": _ast_json(e.child)}
-    for cls, name in ((Add, "add"), (Sub, "sub"), (Mul, "mul")):
-        if isinstance(e, cls):
-            return {"node": name, "left": _ast_json(e.left), "right": _ast_json(e.right)}
-    for cls, name in ((Neg, "neg"), (Inv, "inv"), (Sqrt, "sqrt")):
-        if isinstance(e, cls):
-            return {"node": name, "child": _ast_json(e.child)}
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def _run_check(args) -> int:
     levels = _parse_levels(args.levels)
     if args.trials < 1:
@@ -294,15 +274,14 @@ def _run_parse(args) -> int:
     except ParseError as exc:
         print(f"freemono: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out = {"expr": args.expr, "canonical": to_text(expr), "ast": _ast_json(expr)}
+    out = {"expr": args.expr, "canonical": to_text(expr), "ast": to_json(expr)}
     _emit(json.dumps(out, indent=2) + "\n", args.out)
     return EXIT_PASS
 
 
 def _run_catalog(args) -> int:
-    from .freeexpr import _CATALOG
-    entries = [{"name": name, "system": _CATALOG[name][1], "expression": _CATALOG[name][0]}
-               for name in CATALOG_NAMES]
+    entries = [{"name": f.name, "system": f.in_system.name, "expression": f.text}
+               for f in map(catalog, CATALOG_NAMES)]
     _emit(json.dumps({"functions": entries}, indent=2) + "\n", args.out)
     return EXIT_PASS
 

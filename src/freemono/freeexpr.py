@@ -22,7 +22,7 @@ Whitespace is insignificant between tokens; indices are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -347,6 +347,25 @@ def _fmt(e: FreeExpr, ctx: int) -> str:
 def to_text(e: FreeExpr) -> str:
     """Render an AST back to source text."""
     return _fmt(e, 0)
+
+
+_NODE_NAMES = {Var: "var", Block: "block", ScalarConst: "scalar", Add: "add", Sub: "sub",
+               Mul: "mul", Neg: "neg", Inv: "inv", Sqrt: "sqrt", ScalarMul: "scalar_mul"}
+
+
+def to_json(e: FreeExpr) -> dict:
+    """Render an AST as nested dicts: the node name, then each field in order.
+
+    A complex field is written as ``re`` and ``im``, a child node recursively.
+    """
+    out = {"node": _NODE_NAMES[type(e)]}
+    for field in fields(e):
+        v = getattr(e, field.name)
+        if isinstance(v, complex):
+            out["re"], out["im"] = v.real, v.imag
+        else:
+            out[field.name] = v if isinstance(v, int) else to_json(v)
+    return out
 
 
 # --------------------------------------------------------------------------

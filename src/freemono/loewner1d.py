@@ -14,12 +14,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import kernels, opsys, paths
-from .freeexpr import CodomainError, FreeFunction, OutOfDomainError, eval_function
+from . import kernels
 from .kernels import Rng, func_calc, hermitize, scaled_min_eig
-from .opsys import builtin_system, full_domain, realize, sample_ordered_pair, spectral_interval
-from .report import OUT_OF_DOMAIN_MARGIN, CheckReport, ConsistencyReport
-from .verifiers import _run_trials, _Trial, is_diagonal_type
+from .opsys import builtin_system, full_domain, sample_ordered_pair, spectral_interval
+from .report import CheckReport, ConsistencyReport
+from .verifiers import _run_trials, _Trial
 
 MIN_NODE_GAP = 1e-8
 
@@ -216,46 +215,3 @@ def cross_check(f: ScalarFunction, node_count: int = 5, node_sets: int = 100,
     }
     return ConsistencyReport("cross_check_1d", f.name,
                              (loewner_rep, pick_rep, mono_rep), sides)
-
-
-# --------------------------------------------------------------------------
-# Local monotonicity for commuting tuples on a box.
-
-def amy_local_check(f: FreeFunction, box, level: int = 2, trials: int = 200,
-                    tol: float = 1e-8, rng: Rng = Rng(0)) -> CheckReport:
-    """Order preservation of f along commuting-tuple paths with joint spectrum
-    in the box: g(gamma(t1)) <= g(gamma(t2)) for sampled t1 < t2."""
-    if not is_diagonal_type(f.in_system):
-        raise ValueError("commuting-tuple paths need a scalar or diagonal input system")
-    if len(box) != f.in_system.size:
-        raise ValueError("box must give one interval per coordinate")
-
-    def trial(level_, t):
-        r = rng.split("amy_local", f.name, level_, t)
-        gen = r.generator()
-        path = paths.sample_path(f.in_system, level_, gen, box)
-        band = 0.95 * path.eps
-        t1, t2 = np.sort(band * (2.0 * gen.random(2) - 1.0))
-        try:
-            fa = eval_function(f, path.point(t1))
-            fb = eval_function(f, path.point(t2))
-        except (OutOfDomainError, CodomainError) as exc:
-            return _Trial(OUT_OF_DOMAIN_MARGIN,
-                          {"path": path.to_witness(), "t1": float(t1), "t2": float(t2),
-                           "error": str(exc)})
-        margin = scaled_min_eig(hermitize(realize(fb) - realize(fa)))
-        witness = None
-        if margin < -tol:
-            witness = {"path": path.to_witness(), "t1": float(t1), "t2": float(t2),
-                       "margin": margin}
-        return _Trial(margin, witness)
-
-    return _run_trials("amy_local", f.name, trial, (level,), trials, tol, rng)
-
-
-def amy_margin(f: FreeFunction, witness: dict) -> float:
-    """Recompute the two-point order margin from an amy_local witness."""
-    path = paths.path_from_witness(f.in_system, witness["path"])
-    fa = eval_function(f, path.point(float(witness["t1"])))
-    fb = eval_function(f, path.point(float(witness["t2"])))
-    return scaled_min_eig(hermitize(realize(fb) - realize(fa)))

@@ -26,7 +26,6 @@ from .kernels import (
     as_matrix,
     draw_hermitian,
     hermitize,
-    imag_part,
     is_hermitian,
     op_norm,
 )
@@ -151,7 +150,7 @@ def _require_compatible(p: NCPoint, q: NCPoint):
 class DomainSpec:
     """Free domain descriptor, closed under direct sums and unitary conjugation."""
 
-    kind: str  # full | pd_cone | spectral_interval | half_plane
+    kind: str  # full | pd_cone | spectral_interval
     system: OpSysBasis
     a: float = float("-inf")
     b: float = float("inf")
@@ -169,10 +168,6 @@ def spectral_interval(system: OpSysBasis, a: float, b: float) -> DomainSpec:
     if not a < b:
         raise ValueError("interval endpoints must satisfy a < b")
     return DomainSpec("spectral_interval", system, float(a), float(b))
-
-
-def half_plane(system: OpSysBasis) -> DomainSpec:
-    return DomainSpec("half_plane", system)
 
 
 # --------------------------------------------------------------------------
@@ -258,11 +253,6 @@ def is_hermitian_point(point: NCPoint) -> bool:
     return all(is_hermitian(a) for a in point.coeffs)
 
 
-def im_point(point: NCPoint) -> NCPoint:
-    """Coefficientwise imaginary part (A_j - A_j*) / 2i; a Hermitian point."""
-    return NCPoint(point.system, tuple(imag_part(a) for a in point.coeffs))
-
-
 def order_leq(p: NCPoint, q: NCPoint, tol: float = kernels.TOL_PSD) -> bool:
     """Semidefinite order: true when realize(q) - realize(p) is PSD within tol."""
     _require_compatible(p, q)
@@ -301,11 +291,6 @@ def identity_point(system: OpSysBasis, level: int) -> NCPoint:
     return NCPoint(system, tuple(c * eye for c in system.id_coeffs))
 
 
-def zero_point(system: OpSysBasis, level: int) -> NCPoint:
-    z = np.zeros((level, level), dtype=np.complex128)
-    return NCPoint(system, tuple(z for _ in range(system.size)))
-
-
 def shuffle_permutation(k: int, n: int, m: int) -> np.ndarray:
     """Index permutation relating realize(P (+) Q) to realize(P) (+) realize(Q).
 
@@ -329,8 +314,6 @@ def in_domain(point: NCPoint, domain: DomainSpec) -> bool:
         raise ValueError("point and domain refer to different systems")
     if domain.kind == "full":
         return True
-    if domain.kind == "half_plane":
-        return kernels.min_eig_h(imag_part(realize(point))) > tol
     if not is_hermitian_point(point):
         return False
     w = np.linalg.eigvalsh(hermitize(realize(point)))
@@ -343,11 +326,6 @@ def in_domain(point: NCPoint, domain: DomainSpec) -> bool:
 
 # --------------------------------------------------------------------------
 # Samplers.  All are pure functions of their Rng argument.
-
-def sample_hermitian_point(system: OpSysBasis, level: int, rng: Rng) -> NCPoint:
-    gen = rng.generator()
-    return _hermitian_point(system, level, gen)
-
 
 def _hermitian_point(system: OpSysBasis, level: int, gen) -> NCPoint:
     return NCPoint(system, tuple(draw_hermitian(gen, level) for _ in range(system.size)))
@@ -365,8 +343,6 @@ def _draw_in_domain(domain: DomainSpec, level: int, gen) -> NCPoint:
     system = domain.system
     if domain.kind == "full":
         return _hermitian_point(system, level, gen)
-    if domain.kind == "half_plane":
-        return _halfplane_point(system, level, gen)
     g = _hermitian_point(system, level, gen)
     w = np.linalg.eigvalsh(hermitize(realize(g)))
     lo, hi = float(w[0]), float(w[-1])
@@ -408,8 +384,6 @@ def sample_ordered_pair(domain: DomainSpec, level: int, rng: Rng,
     Q is P plus a scaled PSD Hermitian point; the scale is bisected down
     until Q stays in the domain.
     """
-    if domain.kind == "half_plane":
-        raise ValueError("ordered pairs live on Hermitian slices, not the half-plane")
     gen = rng.generator()
     for _ in range(budget):
         p = _draw_in_domain(domain, level, gen)
@@ -427,16 +401,12 @@ def sample_ordered_pair(domain: DomainSpec, level: int, rng: Rng,
     raise SamplingError(f"ordered-pair sampling budget ({budget}) exhausted")
 
 
-def _halfplane_point(system: OpSysBasis, level: int, gen) -> NCPoint:
-    h = _hermitian_point(system, level, gen)
-    k = _psd_point(system, level, gen)
-    return h + 1j * k
-
-
 def sample_halfplane(system: OpSysBasis, level: int, rng: Rng) -> NCPoint:
     """Draw P = H + iK with K realizing a positive definite matrix."""
     gen = rng.generator()
-    return _halfplane_point(system, level, gen)
+    h = _hermitian_point(system, level, gen)
+    k = _psd_point(system, level, gen)
+    return h + 1j * k
 
 
 # --------------------------------------------------------------------------

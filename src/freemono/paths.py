@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import kernels, opsys
+from . import kernels
 from .kernels import hermitize
 from .opsys import NCPoint, OpSysBasis
 

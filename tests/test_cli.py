@@ -182,6 +182,31 @@ class TestParseCommand:
         assert doc["canonical"] == "X[1,1] - X[1,2] * inv(X[2,2]) * X[2,1]"
         assert doc["ast"]["node"] == "sub"
 
+    def test_full_output_pinned(self):
+        # one expression with all ten node kinds; the AST lists each node's
+        # fields in order, a complex value as re/im
+        expr = "X1 + 2*X[1,2] - sqrt(inv(X[2,2]))*-X[2,1] - i"
+        code, out, err = run_cli("parse", "--expr", expr, "--system", "block2")
+        assert (code, err) == (0, "")
+
+        def block(row, col):
+            return {"node": "block", "row": row, "col": col}
+
+        ast = {"node": "sub",
+               "left": {"node": "sub",
+                        "left": {"node": "add",
+                                 "left": {"node": "var", "index": 1},
+                                 "right": {"node": "scalar_mul", "re": 2.0, "im": 0.0,
+                                           "child": block(1, 2)}},
+                        "right": {"node": "mul",
+                                  "left": {"node": "sqrt",
+                                           "child": {"node": "inv", "child": block(2, 2)}},
+                                  "right": {"node": "neg", "child": block(2, 1)}}},
+               "right": {"node": "scalar", "re": 0.0, "im": 1.0}}
+        canonical = "X1 + 2.0 * X[1,2] - sqrt(inv(X[2,2])) * -X[2,1] - 1.0i"
+        want = {"expr": expr, "canonical": canonical, "ast": ast}
+        assert out == json.dumps(want, indent=2) + "\n"
+
     def test_syntax_error(self):
         code, _, err = run_cli("parse", "--expr", "X[1,", "--system", "block2")
         assert code == 2
@@ -195,6 +220,20 @@ class TestCatalogCommand:
         doc = json.loads(out)
         names = [f["name"] for f in doc["functions"]]
         assert "schur_complement" in names and "geometric_mean" in names
+
+    def test_listing_pinned(self):
+        code, out, _ = run_cli("catalog")
+        assert code == 0
+        assert [tuple(f.values()) for f in json.loads(out)["functions"]] == [
+            ("identity", "scalar", "X1"),
+            ("msqrt", "scalar", "sqrt(X1)"),
+            ("neg_inverse", "scalar", "-inv(X1)"),
+            ("inverse", "scalar", "inv(X1)"),
+            ("square", "scalar", "X1*X1"),
+            ("schur_complement", "block2", "X[1,1] - X[1,2]*inv(X[2,2])*X[2,1]"),
+            ("geometric_mean", "diagonal(2)",
+             "sqrt(X1)*sqrt(inv(sqrt(X1))*X2*inv(sqrt(X1)))*sqrt(X1)"),
+        ]
 
 
 class TestDocuments:

@@ -5,8 +5,6 @@ from freemono.freeexpr import catalog, function_from_expr
 from freemono.kernels import Rng, hermitize, min_eig_h, op_norm
 from freemono.loewner1d import (
     SCALAR_CATALOG_NAMES,
-    amy_local_check,
-    amy_margin,
     check_1d_monotone,
     cross_check,
     loewner_matrix,
@@ -14,6 +12,7 @@ from freemono.loewner1d import (
     scalar_catalog,
 )
 from freemono.opsys import builtin_system, pd_cone
+from freemono.verifiers import check_local_monotone, local_margin
 
 DIAG2 = builtin_system("diagonal(2)")
 
@@ -151,31 +150,26 @@ class TestCrossCheck:
 
 
 class TestAmyLocal:
-    BOX = ((0.0, 10.0), (0.0, 10.0))
+    """Order preservation along commuting-tuple paths (Agler-McCarthy-Young),
+    checked by the ``local`` check's derivative margin."""
 
     def test_geometric_mean_passes(self):
-        rep = amy_local_check(catalog("geometric_mean"), self.BOX,
-                              level=2, trials=200, rng=Rng(10))
+        rep = check_local_monotone(catalog("geometric_mean"), None, (2,), 200, 1e-8, Rng(10))
         assert rep.failures == 0
 
     def test_coordinate_projection_positive(self):
         proj = function_from_expr("first_coordinate", "X1", DIAG2, domain=pd_cone(DIAG2))
-        rep = amy_local_check(proj, self.BOX, level=2, trials=50, rng=Rng(11))
+        rep = check_local_monotone(proj, None, (2,), 50, 1e-8, Rng(11))
         assert rep.failures == 0
         assert rep.worst_margin > 0
 
     def test_product_fails(self):
         prod = function_from_expr("coordinate_product", "X1*X2", DIAG2,
                                   domain=pd_cone(DIAG2))
-        rep = amy_local_check(prod, self.BOX, level=2, trials=300, rng=Rng(12))
+        rep = check_local_monotone(prod, None, (2,), 300, 1e-8, Rng(12))
         assert rep.failures > 0
-        again = amy_margin(prod, rep.witness)
+        again = local_margin(prod, rep.witness)
         assert abs(again - rep.witness["margin"]) <= 1e-10
-
-    def test_box_arity_checked(self):
-        with pytest.raises(ValueError):
-            amy_local_check(catalog("geometric_mean"), ((0.0, 1.0),),
-                            level=2, trials=1, rng=Rng(13))
 
 
 class TestDimensionOneReduction:
@@ -186,18 +180,17 @@ class TestDimensionOneReduction:
         sqrt_1d = scalar_catalog("sqrt")
         square_free = catalog("square")
         square_1d = scalar_catalog("square")
-        box = ((0.1, 10.0),)
         interval = (0.1, 10.0)
         scalar_sys = builtin_system("scalar")
         assert sqrt_free.in_system.name == scalar_sys.name
         disagreements = 0
         for seed in range(100):
             rng = Rng(1000 + seed)
-            a = amy_local_check(sqrt_free, box, level=2, trials=10, rng=rng)
+            a = check_local_monotone(sqrt_free, None, (2,), 10, 1e-8, rng)
             b = check_1d_monotone(sqrt_1d, level=2, trials=10, rng=rng, interval=interval)
             if a.verdict != b.verdict:
                 disagreements += 1
-            a = amy_local_check(square_free, box, level=2, trials=60, rng=rng)
+            a = check_local_monotone(square_free, None, (2,), 60, 1e-8, rng)
             b = check_1d_monotone(square_1d, level=2, trials=150, rng=rng, interval=interval)
             if a.verdict != b.verdict:
                 disagreements += 1
