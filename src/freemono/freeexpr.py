@@ -4,8 +4,11 @@ An expression is built from coefficient variables ``X1, X2, ...`` (one per
 basis slot of the input system), block variables ``X[p,q]`` (blocks of the
 realized input), scalar constants, ``+ - *``, unary minus, ``inv``/``^-1``,
 and ``sqrt``.  A free function is a grid of expressions, one per ambient
-block of the output system; evaluation assembles the grid and decodes it
-back into a point over the output system.
+block of the output system.  When a function is built, its grid compiles
+into a straight-line program of its distinct subexpressions, so that a
+subexpression repeated anywhere in the grid is evaluated once; evaluation
+runs that program, assembles the grid and decodes it back into a point over
+the output system.
 
 Grammar::
 
@@ -22,7 +25,8 @@ Whitespace is insignificant between tokens; indices are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import struct
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -371,9 +375,46 @@ def to_json(e: FreeExpr) -> dict:
 # --------------------------------------------------------------------------
 # Free functions and evaluation.
 
+_CHILD_FIELDS = ("left", "right", "child")
+
+
+def _step_key(v):
+    # complex and float ``==`` merge 0.0 with -0.0, so scalars are keyed by their bits
+    return struct.pack("<2d", v.real, v.imag) if isinstance(v, (complex, float)) else v
+
+
+def _compile(grid: tuple) -> tuple[tuple, tuple]:
+    """Hash-cons a grid into a straight-line program and the root step of each cell.
+
+    A step is ``(node type, a, b)``: the node's fields in order, each child
+    replaced by the index of its step, padded with ``None`` to two.  Steps are
+    emitted in post-order, left to right, cell by cell, each at its first
+    occurrence, so a step's children always come before it.
+    """
+    steps, index = [], {}
+
+    def emit(e) -> int:
+        if type(e) not in _NODE_NAMES:
+            raise TypeError(f"not an expression node: {e!r}")
+        args = [emit(getattr(e, f.name)) if f.name in _CHILD_FIELDS else getattr(e, f.name)
+                for f in fields(e)]
+        step = (type(e), *args, *[None] * (2 - len(args)))
+        key = tuple(map(_step_key, step))
+        if key not in index:
+            index[key] = len(steps)
+            steps.append(step)
+        return index[key]
+
+    roots = tuple(tuple(emit(e) for e in row) for row in grid)
+    return tuple(steps), roots
+
+
 @dataclass(frozen=True, eq=False)
 class FreeFunction:
-    """Named grid of expressions mapping points over one system to another."""
+    """Named grid of expressions mapping points over one system to another.
+
+    ``program`` and ``roots`` are the grid compiled by :func:`_compile`.
+    """
 
     name: str
     in_system: OpSysBasis
@@ -381,11 +422,16 @@ class FreeFunction:
     grid: tuple
     domain: DomainSpec
     text: str = ""
+    program: tuple = field(init=False, repr=False)
+    roots: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         ko = self.out_system.k
         if len(self.grid) != ko or any(len(row) != ko for row in self.grid):
             raise ValueError("expression grid must be k-by-k for the output system")
+        program, roots = _compile(self.grid)
+        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "roots", roots)
 
 
 def function_from_expr(name: str, text: str, in_system: OpSysBasis,
@@ -401,6 +447,9 @@ def function_from_expr(name: str, text: str, in_system: OpSysBasis,
 def eval_function(f: FreeFunction, point: NCPoint) -> NCPoint:
     """Evaluate a free function at a point; output level equals input level.
 
+    Runs the function's compiled program, so a subexpression shared within
+    or across grid cells is evaluated once.  When evaluation fails, the error
+    is that of the first failing subexpression in left-to-right post-order.
     Raises :class:`OutOfDomainError` on singular inverses or square-root
     branch violations, and :class:`CodomainError` when the assembled value
     does not decode into the output system within 1e-9; a value that
@@ -410,47 +459,47 @@ def eval_function(f: FreeFunction, point: NCPoint) -> NCPoint:
         raise ValueError(
             f"point over {point.system.name!r} fed to function on {f.in_system.name!r}")
     n = point.level
-    k = f.in_system.k
-    realized = opsys.realize(point)
-    blocks = realized.reshape(k, n, k, n)
-    eye = np.eye(n, dtype=np.complex128)
-
-    def ev(e: FreeExpr) -> np.ndarray:
-        if isinstance(e, Var):
-            return point.coeffs[e.index - 1]
-        if isinstance(e, Block):
-            return blocks[e.row - 1, :, e.col - 1, :]
-        if isinstance(e, ScalarConst):
-            return e.value * eye
-        if isinstance(e, Add):
-            return ev(e.left) + ev(e.right)
-        if isinstance(e, Sub):
-            return ev(e.left) - ev(e.right)
-        if isinstance(e, Mul):
-            return ev(e.left) @ ev(e.right)
-        if isinstance(e, Neg):
-            return -ev(e.child)
-        if isinstance(e, ScalarMul):
-            return e.value * ev(e.child)
-        if isinstance(e, Inv):
-            try:
-                return kernels.safe_inv(ev(e.child))
-            except SingularMatrixError as exc:
-                raise OutOfDomainError(f"singular inverse: {exc}") from exc
-        if isinstance(e, Sqrt):
-            try:
-                return kernels.principal_sqrt(ev(e.child))
-            except BranchCutError as exc:
-                raise OutOfDomainError(f"square-root branch violation: {exc}") from exc
-        raise TypeError(f"not an expression node: {e!r}")
-
-    ko = f.out_system.k
-    out = np.zeros((ko * n, ko * n), dtype=np.complex128)
+    coeffs = point.coeffs
+    blocks = None
+    vals = []
     # an overflow leaves inf/nan in ``out``, which decode rejects as NonFiniteError
     with np.errstate(over="ignore", invalid="ignore"):
-        for p in range(ko):
-            for q in range(ko):
-                out[p * n:(p + 1) * n, q * n:(q + 1) * n] = ev(f.grid[p][q])
+        for kind, a, b in f.program:
+            if kind is Mul:
+                v = vals[a] @ vals[b]
+            elif kind is Var:
+                v = coeffs[a - 1]
+            elif kind is Sqrt:
+                try:
+                    v = kernels.principal_sqrt(vals[a])
+                except BranchCutError as exc:
+                    raise OutOfDomainError(f"square-root branch violation: {exc}") from exc
+            elif kind is Inv:
+                try:
+                    v = kernels.safe_inv(vals[a])
+                except SingularMatrixError as exc:
+                    raise OutOfDomainError(f"singular inverse: {exc}") from exc
+            elif kind is Add:
+                v = vals[a] + vals[b]
+            elif kind is Sub:
+                v = vals[a] - vals[b]
+            elif kind is Neg:
+                v = -vals[a]
+            elif kind is ScalarMul:
+                v = a * vals[b]
+            elif kind is ScalarConst:
+                v = a * np.eye(n, dtype=np.complex128)
+            else:  # Block
+                if blocks is None:
+                    k = f.in_system.k
+                    blocks = opsys.realize(point).reshape(k, n, k, n)
+                v = blocks[a - 1, :, b - 1, :]
+            vals.append(v)
+        ko = f.out_system.k
+        out = np.zeros((ko * n, ko * n), dtype=np.complex128)
+        for p, row in enumerate(f.roots):
+            for q, r in enumerate(row):
+                out[p * n:(p + 1) * n, q * n:(q + 1) * n] = vals[r]
     try:
         return opsys.decode(out, f.out_system, n)
     except NotInImageError as exc:

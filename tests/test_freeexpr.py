@@ -1,10 +1,16 @@
+from dataclasses import fields
+from typing import get_args
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from freemono import kernels, opsys
 from freemono.freeexpr import (
     Add,
     Block,
     CodomainError,
+    FreeExpr,
     Inv,
     Mul,
     Neg,
@@ -24,11 +30,13 @@ from freemono.freeexpr import (
     to_text,
 )
 from freemono.kernels import (
-    NonFiniteError, Rng, hermitize, is_hermitian, min_eig_h, op_norm, random_matrix,
+    BranchCutError, NonFiniteError, Rng, SingularMatrixError, hermitize, is_hermitian,
+    min_eig_h, op_norm, random_matrix,
 )
 from freemono.opsys import (
     NCPoint,
     builtin_system,
+    full_domain,
     identity_point,
     pd_cone,
     realize,
@@ -43,6 +51,75 @@ DIAG2 = builtin_system("diagonal(2)")
 
 def _point(system, *scalars):
     return NCPoint(system, tuple(np.array([[v]], dtype=complex) for v in scalars))
+
+
+def _reference_eval(f: FreeFunction, point: NCPoint) -> NCPoint:
+    """Evaluate ``f`` by walking each grid cell's tree, every occurrence anew.
+
+    The reference for ``eval_function``'s compiled program.
+    """
+    n = point.level
+    k = f.in_system.k
+    blocks = realize(point).reshape(k, n, k, n)
+    eye = np.eye(n, dtype=np.complex128)
+
+    def ev(e: FreeExpr) -> np.ndarray:
+        if isinstance(e, Var):
+            return point.coeffs[e.index - 1]
+        if isinstance(e, Block):
+            return blocks[e.row - 1, :, e.col - 1, :]
+        if isinstance(e, ScalarConst):
+            return e.value * eye
+        if isinstance(e, Add):
+            return ev(e.left) + ev(e.right)
+        if isinstance(e, Sub):
+            return ev(e.left) - ev(e.right)
+        if isinstance(e, Mul):
+            return ev(e.left) @ ev(e.right)
+        if isinstance(e, Neg):
+            return -ev(e.child)
+        if isinstance(e, ScalarMul):
+            return e.value * ev(e.child)
+        if isinstance(e, Inv):
+            try:
+                return kernels.safe_inv(ev(e.child))
+            except SingularMatrixError as exc:
+                raise OutOfDomainError(f"singular inverse: {exc}") from exc
+        if isinstance(e, Sqrt):
+            try:
+                return kernels.principal_sqrt(ev(e.child))
+            except BranchCutError as exc:
+                raise OutOfDomainError(f"square-root branch violation: {exc}") from exc
+        raise TypeError(f"not an expression node: {e!r}")
+
+    ko = f.out_system.k
+    out = np.zeros((ko * n, ko * n), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(ko):
+            for q in range(ko):
+                out[p * n:(p + 1) * n, q * n:(q + 1) * n] = ev(f.grid[p][q])
+    try:
+        return opsys.decode(out, f.out_system, n)
+    except opsys.NotInImageError as exc:
+        raise CodomainError(str(exc)) from exc
+
+
+def _outcome(evaluate, f, point):
+    """The coefficients ``evaluate`` returns, or the type and message it raises."""
+    try:
+        return evaluate(f, point).coeffs
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_reference(f, point):
+    got, want = _outcome(eval_function, f, point), _outcome(_reference_eval, f, point)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got.real), np.signbit(want.real))
+    np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 class TestParse:
@@ -108,6 +185,10 @@ class TestParse:
             parse("X1 X1", SCALAR)
 
 
+_NODES = get_args(FreeExpr)
+_LEAVES = (Var, Block, ScalarConst)
+
+
 def _random_expr(gen, system, depth):
     leaves = ["var", "block", "scalar"]
     inner = ["add", "sub", "mul", "neg", "inv", "sqrt", "smul"]
@@ -138,12 +219,54 @@ def _random_expr(gen, system, depth):
     return ScalarMul(complex(value, 0), _random_expr(gen, system, depth - 1))
 
 
+def _plant(gen, e, shared):
+    """Replace each leaf of ``e`` by the subtree ``shared`` with probability 1/2."""
+    if isinstance(e, _LEAVES):
+        return shared if gen.random() < 0.5 else e
+    return type(e)(*(_plant(gen, v, shared) if isinstance(v, _NODES) else v
+                     for v in (getattr(e, f.name) for f in fields(e))))
+
+
+# Hypothesis strategy for ASTs that ``to_text`` prints back to themselves:
+# scalars are non-negative decimals, real or imaginary, and a leading scalar
+# factor is a ScalarMul, as the parser folds it.
+_SCALARS = st.builds(lambda c, imaginary: complex(0, c / 100) if imaginary else complex(c / 100, 0),
+                     st.integers(0, 900), st.booleans())
+_HYPOTHESIS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+
+def _mul(left, right):
+    return ScalarMul(left.value, right) if isinstance(left, ScalarConst) else Mul(left, right)
+
+
+def _exprs(system):
+    leaves = st.one_of(st.integers(1, system.size).map(Var),
+                       st.builds(Block, st.integers(1, system.k), st.integers(1, system.k)),
+                       _SCALARS.map(ScalarConst))
+
+    def extend(children):
+        pairs = st.tuples(children, children)
+        return st.one_of(
+            pairs.map(lambda lr: Add(*lr)), pairs.map(lambda lr: Sub(*lr)),
+            pairs.map(lambda lr: _mul(*lr)), children.map(Neg), children.map(Inv),
+            children.map(Sqrt), st.builds(ScalarMul, _SCALARS, children),
+            # a repeated subtree
+            children.map(lambda c: Add(_mul(c, c), Sqrt(c))))
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
 class TestPrintRoundTrip:
     def test_structural_round_trip(self):
         gen = Rng(105).generator()
         for _ in range(200):
             e = _random_expr(gen, BLOCK2, 6)
             assert parse(to_text(e), BLOCK2) == e
+
+    @_HYPOTHESIS
+    @given(_exprs(BLOCK2))
+    def test_generated_round_trip(self, e):
+        assert parse(to_text(e), BLOCK2) == e
 
     def test_catalog_round_trip(self):
         for name in CATALOG_NAMES:
@@ -260,3 +383,75 @@ class TestCatalog:
         f = function_from_expr("twice", "2*X1", SCALAR)
         out = eval_function(f, _point(SCALAR, 3.0))
         np.testing.assert_allclose(out.coeffs[0], [[6.0]])
+
+
+class TestCompiledProgram:
+    def test_geometric_mean_takes_two_roots_and_one_inverse(self, monkeypatch):
+        calls = {"principal_sqrt": 0, "safe_inv": 0}
+        for name in calls:
+            def spy(a, name=name, kernel=getattr(kernels, name)):
+                calls[name] += 1
+                return kernel(a)
+            monkeypatch.setattr(kernels, name, spy)
+        gm = catalog("geometric_mean")
+        p = NCPoint(DIAG2, (random_matrix("pd", 3, Rng(11)), random_matrix("pd", 3, Rng(12))))
+        eval_function(gm, p)
+        assert calls == {"principal_sqrt": 2, "safe_inv": 1}
+        _reference_eval(gm, p)
+        assert calls == {"principal_sqrt": 2 + 5, "safe_inv": 1 + 2}
+
+    def test_program_is_post_order_of_distinct_subexpressions(self):
+        gm = catalog("geometric_mean")
+        assert gm.program == (
+            (Var, 1, None), (Sqrt, 0, None), (Inv, 1, None), (Var, 2, None), (Mul, 2, 3),
+            (Mul, 4, 2), (Sqrt, 5, None), (Mul, 1, 6), (Mul, 7, 1))
+        assert gm.roots == ((8,),)
+
+    def test_signed_zero_constants_stay_two_steps(self):
+        zero, neg_zero = ScalarConst(0j), ScalarConst(complex(-0.0, -0.0))
+        grid = ((Sub(neg_zero, zero), Add(zero, Mul(neg_zero, Var(1)))),
+                (Neg(neg_zero), Mul(Var(1), zero)))
+        f = FreeFunction("zeros", SCALAR, BLOCK2, grid, pd_cone(SCALAR))
+        constants = [a for kind, a, _ in f.program if kind is ScalarConst]
+        assert [(np.signbit(c.real), np.signbit(c.imag)) for c in constants] == \
+            [(True, True), (False, False)]
+        rng = Rng(407)
+        for level in (1, 2, 3):
+            _assert_matches_reference(f, identity_point(SCALAR, level))
+            _assert_matches_reference(f, sample_point(full_domain(SCALAR), level, rng.split(level)))
+
+    def test_not_a_node_is_rejected_when_built(self):
+        with pytest.raises(TypeError):
+            FreeFunction("bad", SCALAR, SCALAR, ((Neg("X1"),),), pd_cone(SCALAR))
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_catalog_matches_reference(self, name):
+        f = catalog(name)
+        rng = Rng(408)
+        for level in (1, 2, 3):
+            for t in range(10):
+                # full-domain points leave the cone, so some evaluations fail
+                domain = f.domain if t % 2 else full_domain(f.in_system)
+                _assert_matches_reference(f, sample_point(domain, level, rng.split(name, level, t)))
+
+    def test_random_asts_with_repeats_match_reference(self):
+        gen = Rng(409).generator()
+        rng = Rng(410)
+        for t in range(120):
+            shared = _random_expr(gen, BLOCK2, 2)
+            cells = [_plant(gen, _random_expr(gen, BLOCK2, 3), shared) for _ in range(4)]
+            if t % 2:
+                f = FreeFunction("cells", BLOCK2, BLOCK2, (tuple(cells[:2]), tuple(cells[2:])),
+                                 pd_cone(BLOCK2))
+            else:
+                f = FreeFunction("cell", BLOCK2, SCALAR, ((cells[0],),), pd_cone(BLOCK2))
+            for level in (1, 2, 3):
+                domain = pd_cone(BLOCK2) if t % 3 else full_domain(BLOCK2)
+                _assert_matches_reference(f, sample_point(domain, level, rng.split(t, level)))
+
+    @_HYPOTHESIS
+    @given(_exprs(BLOCK2), st.integers(1, 3), st.integers(0, 2**16), st.booleans())
+    def test_generated_asts_match_reference(self, e, level, seed, in_cone):
+        f = FreeFunction("generated", BLOCK2, SCALAR, ((e,),), pd_cone(BLOCK2))
+        domain = pd_cone(BLOCK2) if in_cone else full_domain(BLOCK2)
+        _assert_matches_reference(f, sample_point(domain, level, Rng(seed)))

@@ -29,6 +29,9 @@ GOLDEN = {
     "all": (("--suite", "all", *SMALL), "25a34eb461c252d1"),
     "geometric_mean": (("--suite", "equivalence", "--function", "geometric_mean",
                         "--levels", "1..3", "--trials", "30"), "f2ffb8c09817432d"),
+    # the witness carries an evaluation error raised inside a repeated subexpression
+    "error_witness": (("--suite", "monotone", "--expr", "sqrt(X1 - 2)*sqrt(X1 - 2) + inv(X1 - 1)",
+                       "--system", "scalar", *SMALL), "577ac9283daa3f79"),
 }
 
 
