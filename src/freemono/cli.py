@@ -9,8 +9,9 @@ exhausted sampling budget, or a value or margin that is not finite).
 
 Report documents contain no timestamps or host data unless ``--annotate``
 is given, so identical configurations produce byte-identical output.
-Trials run serially; ``--jobs`` is still accepted and validated for
-existing scripts but has no effect.
+Trials run in one thread, and the monotone and half-plane checks run each
+level's trials as stacks (see :mod:`freemono.verifiers`); ``--jobs`` is
+still accepted and validated for existing scripts but has no effect.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--tol", type=float, default=1e-8)
     check.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; trials always run serially")
+                       help="accepted for compatibility; trials always run in one thread")
     check.add_argument("--out", help="write the report document to this path")
     check.add_argument("--annotate", action="store_true",
                        help="add timestamp/host annotations (breaks byte determinism)")

@@ -32,7 +32,6 @@ from typing import Union
 import numpy as np
 
 from . import kernels, opsys
-from .kernels import BranchCutError, SingularMatrixError
 from .opsys import DomainSpec, NCPoint, OpSysBasis, NotInImageError, builtin_system
 
 
@@ -444,7 +443,7 @@ def function_from_expr(name: str, text: str, in_system: OpSysBasis,
     return FreeFunction(name, in_system, out, ((expr,),), dom, text)
 
 
-def eval_function(f: FreeFunction, point: NCPoint) -> NCPoint:
+def eval_function(f: FreeFunction, point: NCPoint, errors: dict | None = None) -> NCPoint:
     """Evaluate a free function at a point; output level equals input level.
 
     Runs the function's compiled program, so a subexpression shared within
@@ -454,12 +453,19 @@ def eval_function(f: FreeFunction, point: NCPoint) -> NCPoint:
     branch violations, and :class:`CodomainError` when the assembled value
     does not decode into the output system within 1e-9; a value that
     overflows raises :class:`~freemono.kernels.NonFiniteError`.
+
+    At a stack of points the program runs once on ``(T, n, n)`` stacks and
+    each point gets the value it would get alone.  A point whose evaluation
+    fails is handed to :func:`~freemono.kernels.settle` with its first error
+    and gets a finite stand-in value; a single point is the stack of one.
     """
     if point.system.name != f.in_system.name:
         raise ValueError(
             f"point over {point.system.name!r} fed to function on {f.in_system.name!r}")
-    n = point.level
-    coeffs = point.coeffs
+    stacked = point.coeffs.ndim == 4
+    coeffs = point.coeffs if stacked else point.coeffs[np.newaxis]
+    rows, n = len(coeffs), point.level
+    errs = {}
     blocks = None
     vals = []
     # an overflow leaves inf/nan in ``out``, which decode rejects as NonFiniteError
@@ -468,17 +474,11 @@ def eval_function(f: FreeFunction, point: NCPoint) -> NCPoint:
             if kind is Mul:
                 v = vals[a] @ vals[b]
             elif kind is Var:
-                v = coeffs[a - 1]
+                v = coeffs[:, a - 1]
             elif kind is Sqrt:
-                try:
-                    v = kernels.principal_sqrt(vals[a])
-                except BranchCutError as exc:
-                    raise OutOfDomainError(f"square-root branch violation: {exc}") from exc
+                v = _guarded(kernels.principal_sqrt, vals[a], errs, "square-root branch violation")
             elif kind is Inv:
-                try:
-                    v = kernels.safe_inv(vals[a])
-                except SingularMatrixError as exc:
-                    raise OutOfDomainError(f"singular inverse: {exc}") from exc
+                v = _guarded(kernels.safe_inv, vals[a], errs, "singular inverse")
             elif kind is Add:
                 v = vals[a] + vals[b]
             elif kind is Sub:
@@ -488,22 +488,46 @@ def eval_function(f: FreeFunction, point: NCPoint) -> NCPoint:
             elif kind is ScalarMul:
                 v = a * vals[b]
             elif kind is ScalarConst:
-                v = a * np.eye(n, dtype=np.complex128)
+                v = np.broadcast_to(a * np.eye(n, dtype=np.complex128), (rows, n, n))
             else:  # Block
                 if blocks is None:
                     k = f.in_system.k
-                    blocks = opsys.realize(point).reshape(k, n, k, n)
-                v = blocks[a - 1, :, b - 1, :]
+                    blocks = opsys.realize(point).reshape(rows, k, n, k, n)
+                v = blocks[:, a - 1, :, b - 1, :]
             vals.append(v)
         ko = f.out_system.k
-        out = np.zeros((ko * n, ko * n), dtype=np.complex128)
+        out = np.zeros((rows, ko * n, ko * n), dtype=np.complex128)
         for p, row in enumerate(f.roots):
             for q, r in enumerate(row):
-                out[p * n:(p + 1) * n, q * n:(q + 1) * n] = vals[r]
-    try:
-        return opsys.decode(out, f.out_system, n)
-    except NotInImageError as exc:
-        raise CodomainError(str(exc)) from exc
+                out[:, p * n:(p + 1) * n, q * n:(q + 1) * n] = vals[r]
+    failed = {}
+    value = opsys.decode(out, f.out_system, n, failed)
+    for row, exc in failed.items():
+        if isinstance(exc, NotInImageError):
+            exc = _caused(CodomainError(str(exc)), exc)
+        errs.setdefault(row, exc)
+    kernels.settle(errs, errors)
+    return value if stacked else value[0]
+
+
+def _caused(exc, cause):
+    exc.__cause__ = cause
+    return exc
+
+
+def _guarded(kernel, x, errs: dict, what: str):
+    """Run the kernel of an Inv or Sqrt step, adding each failed row's error to ``errs``.
+
+    A row keeps its first error; the kernel's domain errors become
+    :class:`OutOfDomainError`.
+    """
+    failed = {}
+    v = kernel(x, failed)
+    for row, exc in failed.items():
+        if not isinstance(exc, kernels.NumericalError):
+            exc = _caused(OutOfDomainError(f"{what}: {exc}"), exc)
+        errs.setdefault(row, exc)
+    return v
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,12 @@ Everything downstream reduces to the routines here: Hermitian eigenwork,
 semidefiniteness margins, principal square roots, the scalar functional
 calculus, and reproducible random matrix generation.
 
+The kernels of the trial path also take a ``(T, n, n)`` stack and work on
+each matrix alone, with the values the matrix would get by itself; a
+single matrix is the stack of one.  A matrix of a stack that fails is a
+failed row: its error goes to the ``errors`` dict the caller passes (see
+:func:`settle`) and its result is a finite stand-in.
+
 Tolerance convention: a comparison at tolerance ``t`` against a matrix
 ``A`` is made relative to ``t * (1 + ||A||)``, with ``||.||`` the operator
 (spectral) norm.
@@ -12,6 +18,7 @@ Tolerance convention: a comparison at tolerance ``t`` against a matrix
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,24 +77,89 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def op_norm(a) -> float:
-    """Operator (spectral) norm: the largest singular value (0.0 for a 0-by-0 matrix)."""
+def as_stack(a) -> tuple[np.ndarray, bool]:
+    """``a`` as a complex ``(T, n, n)`` stack, and whether it came as one.
+
+    A single matrix is validated by :func:`as_matrix` and becomes a stack of
+    one; the finiteness of a stack's rows is left to :func:`finite_rows`.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim == 3 and a.shape[1] == a.shape[2]:
+        return a, True
+    return as_matrix(a)[np.newaxis], False
+
+
+def _ct(a) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def settle(errs: dict, errors: dict | None):
+    """Hand on the row errors ``errs`` (``{row: exception}``) of one call on a stack.
+
+    With a dict ``errors`` each goes there unless its row already has one,
+    so a row keeps its first error, as a trial run alone stopped at it;
+    without one, the error of the lowest failing row is raised.
+    """
+    if not errs:
+        return
+    if errors is None:
+        raise errs[min(errs)]
+    for row, exc in errs.items():
+        errors.setdefault(int(row), exc)
+
+
+def finite_rows(a: np.ndarray, errs: dict) -> np.ndarray:
+    """The stack with each matrix that has a non-finite entry replaced by the identity.
+
+    Each such row gets the :class:`NonFiniteError` that :func:`as_matrix`
+    raises, and the stand-in goes into a copy of ``a``.
+    """
+    if np.isfinite(a).all():
+        return a
+    bad = ~np.isfinite(a).all(axis=(1, 2))
+    for row in np.flatnonzero(bad):
+        errs[row] = NonFiniteError("matrix entries must all be finite")
+    a = a.copy()
+    a[bad] = np.eye(a.shape[-1])
+    return a
+
+
+def op_norm(a):
+    """Operator (spectral) norm: the largest singular value (0.0 for a 0-by-0 matrix).
+
+    For a stack, the norm of each matrix.
+    """
     sv = np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
-    return float(sv.max(initial=0.0))
+    top = sv.max(axis=-1, initial=0.0)
+    return float(top) if sv.ndim == 1 else top
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    # ``np.linalg.norm`` of each matrix of a stack, to the bit: the same two
+    # BLAS dot products over the real and the imaginary parts in row-major order
+    flat = np.ascontiguousarray(a).reshape(len(a), -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def hermitize(a) -> np.ndarray:
-    """Hermitian part (A + A*) / 2."""
+    """Hermitian part (A + A*) / 2, of a matrix or of each matrix of a stack."""
     a = np.asarray(a, dtype=np.complex128)
-    return (a + a.conj().T) / 2.0
+    return (a + _ct(a)) / 2.0
 
 
-def is_hermitian(a) -> bool:
-    """True when A equals its conjugate transpose within ``TOL_HERM * (1 + ||A||)``."""
-    a = as_matrix(a)
-    if np.array_equal(a, a.conj().T):  # exact: the tolerance test below would pass
-        return True
-    return op_norm(a - a.conj().T) <= TOL_HERM * (1.0 + op_norm(a))
+def is_hermitian(a):
+    """True when A equals its conjugate transpose within ``TOL_HERM * (1 + ||A||)``.
+
+    For a stack, a boolean array with the answer for each matrix.
+    """
+    a, stacked = as_stack(a)
+    ah = _ct(a)
+    out = (a == ah).all(axis=(1, 2))  # exact: the tolerance test below would pass
+    rest = np.flatnonzero(~out)
+    if rest.size:
+        out[rest] = op_norm(a[rest] - ah[rest]) <= TOL_HERM * (1.0 + op_norm(a[rest]))
+    return out if stacked else bool(out[0])
 
 
 def require_hermitian(a) -> np.ndarray:
@@ -99,10 +171,12 @@ def require_hermitian(a) -> np.ndarray:
 
 
 def imag_part(a) -> np.ndarray:
-    """Imaginary part (A - A*) / 2i, exactly Hermitian by construction."""
-    a = as_matrix(a)
-    b = (a - a.conj().T) * (-0.5j)
-    return (b + b.conj().T) / 2.0
+    """Imaginary part (A - A*) / 2i, exactly Hermitian by construction; stack-wise for a stack."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 3:
+        a = as_matrix(a)
+    b = (a - _ct(a)) * (-0.5j)
+    return (b + _ct(b)) / 2.0
 
 
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -119,30 +193,70 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
-def min_eig_h(a) -> float:
-    """Minimum eigenvalue, input trusted to be Hermitian (no validation)."""
+def _eigvalsh(a: np.ndarray, errs: dict) -> np.ndarray:
+    """Eigenvalues of each matrix of a stack.
+
+    When the stacked call fails, the matrices are solved one by one, and
+    each one whose solver does not converge gets an :class:`EigensolverError`
+    and zeros.
+    """
     try:
-        return float(np.linalg.eigvalsh(a)[0])
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError:
+        w = np.zeros(a.shape[:-1])
+        for row, m in enumerate(a):
+            try:
+                w[row] = np.linalg.eigvalsh(m)
+            except np.linalg.LinAlgError as exc:
+                errs[row] = EigensolverError(f"eigensolver did not converge: {exc}")
+        return w
 
 
-def scaled_min_eig(a) -> float:
-    """min eig / (1 + ||A||) for Hermitian A, in one eigendecomposition."""
+def min_eig_h(a):
+    """Minimum eigenvalue, input trusted to be Hermitian (no validation); stack-wise for a stack."""
     try:
         w = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
-    return float(w[0]) / (1.0 + max(abs(float(w[0])), abs(float(w[-1]))))
+    return float(w[0]) if w.ndim == 1 else w[:, 0]
 
 
-def safe_inv(a) -> np.ndarray:
-    """Matrix inverse guarded by a condition estimate."""
-    a = as_matrix(a)
+def scaled_min_eig(a, errors: dict | None = None):
+    """min eig / (1 + ||A||) for Hermitian A, in one eigendecomposition.
+
+    For a stack, the margin of each matrix; a row whose eigensolver fails
+    is handed to :func:`settle`.
+    """
+    a = np.asarray(a)  # a real matrix keeps the real solver
+    errs = {}
+    w = _eigvalsh(a.reshape((-1,) + a.shape[-2:]), errs)
+    settle(errs, errors)
+    out = [r[0] / (1.0 + max(abs(r[0]), abs(r[-1]))) for r in w.tolist()]
+    return np.array(out) if a.ndim == 3 else out[0]
+
+
+def safe_inv(a, errors: dict | None = None) -> np.ndarray:
+    """Matrix inverse guarded by a condition estimate.
+
+    For a stack, the inverse of each matrix; a row with a non-finite entry
+    or a condition estimate above ``COND_LIMIT`` is handed to :func:`settle`
+    and gets the identity.
+    """
+    a, stacked = as_stack(a)
+    errs = {}
+    if stacked:
+        a = finite_rows(a, errs)
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= 0.0 or not np.isfinite(sv[0]) or sv[0] / sv[-1] > COND_LIMIT:
-        raise SingularMatrixError("condition estimate exceeds 1e12; inverse not trusted")
-    return np.linalg.inv(a)
+    bad = [row for row, (lo, hi) in enumerate(zip(sv[:, -1].tolist(), sv[:, 0].tolist()))
+           if lo <= 0.0 or not math.isfinite(hi) or hi / lo > COND_LIMIT]
+    if bad:
+        for row in bad:
+            errs[row] = SingularMatrixError("condition estimate exceeds 1e12; inverse not trusted")
+        a = a.copy()
+        a[bad] = np.eye(a.shape[-1])
+    settle(errs, errors)
+    out = np.linalg.inv(a)
+    return out if stacked else out[0]
 
 
 def _sqrt_triu(t: np.ndarray) -> np.ndarray:
@@ -158,41 +272,74 @@ def _sqrt_triu(t: np.ndarray) -> np.ndarray:
     return s
 
 
-def principal_sqrt(a) -> np.ndarray:
+def _branch_cut(value) -> BranchCutError:
+    return BranchCutError(f"eigenvalue {value} within {TOL_BRANCH:g} of the closed ray (-inf, 0]")
+
+
+def _roots_by_eigh(a: np.ndarray, scale: list, errs: dict, rows) -> np.ndarray:
+    # Roots of Hermitian matrices from one stacked eigendecomposition.
+    w, u = np.linalg.eigh(hermitize(a))
+    # Real spectrum: any eigenvalue at or below the branch tolerance
+    # sits on the closed negative ray.
+    cut = [i for i, (w0, s) in enumerate(zip(w[:, 0].tolist(), scale)) if w0 <= TOL_BRANCH * s]
+    if cut:
+        for i in cut:
+            errs[rows[i]] = _branch_cut(float(w[i, 0]))
+        w[cut] = 1.0
+    return (u * np.sqrt(w)[:, None, :]) @ _ct(u)
+
+
+def _roots_by_schur(a: np.ndarray, scale: list, errs: dict, rows) -> np.ndarray:
+    # Roots of general matrices, one Schur decomposition each: SciPy's
+    # stacked call loops over the stack in Python and takes twice as long.
+    root = np.empty_like(a)
+    for i, m in enumerate(a):
+        try:
+            t, z = scipy.linalg.schur(m, output="complex")
+        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            errs[rows[i]] = EigensolverError(f"Schur triangularization failed: {exc}")
+            root[i] = np.eye(len(m))
+            continue
+        w = np.diag(t)
+        dist = np.where(w.real > 0.0, np.abs(w), np.abs(w.imag))
+        if np.any(dist <= TOL_BRANCH * scale[i]):
+            errs[rows[i]] = _branch_cut(w[np.argmin(dist)])
+            root[i] = np.eye(len(m))
+            continue
+        root[i] = z @ _sqrt_triu(t) @ z.conj().T
+    return root
+
+
+def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
     """Principal matrix square root via complex triangularization.
 
     Requires the spectrum to stay off the closed ray (-inf, 0]; every
     eigenvalue of the result has strictly positive real part.  Hermitian
     inputs take the eigendecomposition shortcut (same branch, same errors).
+    For a stack, the root of each matrix, the Hermitian ones by one stacked
+    ``eigh``; a row that fails is handed to :func:`settle` and gets a
+    finite stand-in.
     """
-    a = as_matrix(a)
-    scale = 1.0 + op_norm(a)
-    if np.linalg.norm(a - a.conj().T) <= 1e-13 * (1.0 + np.linalg.norm(a)):
-        w, u = np.linalg.eigh(hermitize(a))
-        # Real spectrum: any eigenvalue at or below the branch tolerance
-        # sits on the closed negative ray.
-        if w[0] <= TOL_BRANCH * scale:
-            raise BranchCutError(
-                f"eigenvalue {float(w[0])} within {TOL_BRANCH:g} of the closed ray (-inf, 0]"
-            )
-        root = ((u * np.sqrt(w)) @ u.conj().T).astype(np.complex128)
+    a, stacked = as_stack(a)
+    errs = {}
+    if stacked:
+        a = finite_rows(a, errs)
+    scale = (1.0 + op_norm(a)).tolist()
+    norms = _frobenius(np.concatenate([a - _ct(a), a])).tolist()
+    herm = [d <= 1e-13 * (1.0 + m) for d, m in zip(norms[:len(a)], norms[len(a):])]
+    if all(herm) or not any(herm):  # one path for the whole stack
+        root = (_roots_by_eigh if herm[0] else _roots_by_schur)(a, scale, errs, range(len(a)))
     else:
-        try:
-            t, z = scipy.linalg.schur(a, output="complex")
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise EigensolverError(f"Schur triangularization failed: {exc}") from exc
-        w = np.diag(t)
-        dist = np.where(w.real > 0.0, np.abs(w), np.abs(w.imag))
-        if np.any(dist <= TOL_BRANCH * scale):
-            worst = w[np.argmin(dist)]
-            raise BranchCutError(
-                f"eigenvalue {worst} within {TOL_BRANCH:g} of the closed ray (-inf, 0]"
-            )
-        s = _sqrt_triu(t)
-        root = z @ s @ z.conj().T
-    if op_norm(root @ root - a) > TOL_RECON * scale:
-        raise NumericalError("principal square root failed to reconstruct its input")
-    return root
+        root = np.empty_like(a)
+        for want, roots in ((True, _roots_by_eigh), (False, _roots_by_schur)):
+            rows = [row for row, h in enumerate(herm) if h == want]
+            root[rows] = roots(a[rows], [scale[row] for row in rows], errs, rows)
+    resid = op_norm(root @ root - a).tolist()
+    for row, (r, s) in enumerate(zip(resid, scale)):
+        if r > TOL_RECON * s:
+            errs.setdefault(row, NumericalError("principal square root failed to reconstruct its input"))
+    settle(errs, errors)
+    return root if stacked else root[0]
 
 
 def func_calc(fn: Callable[[np.ndarray], np.ndarray], a,
@@ -245,24 +392,23 @@ class Rng:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def draw_normals(gen: np.random.Generator, count: int) -> np.ndarray:
-    """Standard normals via Box-Muller on uniform doubles."""
-    half = (count + 1) // 2
-    u1 = 1.0 - gen.random(half)  # (0, 1]: keeps log() finite
-    u2 = gen.random(half)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
-    return z[:count]
+def ginibre_from_uniforms(u: np.ndarray, n: int) -> np.ndarray:
+    """n-by-n Ginibre matrices, one per 2 n^2 uniform doubles along the last axis of ``u``.
+
+    Box-Muller: the first n^2 uniforms give the radii, the others the
+    angles; cosines make the real parts and sines the imaginary parts.
+    """
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., : n * n]))  # 1 - u in (0, 1]: keeps log() finite
+    angle = 2.0 * np.pi * u[..., n * n:]
+    return (r * np.cos(angle) + 1j * (r * np.sin(angle))).reshape(u.shape[:-1] + (n, n))
 
 
 def draw_ginibre(gen: np.random.Generator, n: int) -> np.ndarray:
-    z = draw_normals(gen, 2 * n * n)
-    return (z[: n * n] + 1j * z[n * n:]).reshape(n, n)
+    return ginibre_from_uniforms(gen.random(2 * n * n), n)
 
 
 def draw_hermitian(gen: np.random.Generator, n: int) -> np.ndarray:
-    g = draw_ginibre(gen, n)
-    return (g + g.conj().T) / 2.0
+    return hermitize(draw_ginibre(gen, n))
 
 
 def draw_psd(gen: np.random.Generator, n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from . import kernels
 from .kernels import Rng, func_calc, hermitize, scaled_min_eig
 from .opsys import builtin_system, full_domain, sample_ordered_pair, spectral_interval
 from .report import CheckReport, ConsistencyReport
-from .verifiers import _run_trials, _Trial
+from .verifiers import _one_by_one, _run_trials, _Trial
 
 MIN_NODE_GAP = 1e-8
 
@@ -144,7 +144,7 @@ def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng, interva
             }
         return _Trial(margin, witness)
 
-    return _run_trials("monotone_1d", f.name, trial, levels, trials, tol, rng)
+    return _run_trials("monotone_1d", f.name, _one_by_one(trial), levels, trials, tol, rng)
 
 
 def check_1d_monotone(f: ScalarFunction, level: int = 2, trials: int = 200,
@@ -203,9 +203,9 @@ def cross_check(f: ScalarFunction, node_count: int = 5, node_sets: int = 100,
                        "margin": margin}
         return _Trial(margin, witness)
 
-    loewner_rep = _run_trials("loewner_psd", f.name, loewner_trial,
+    loewner_rep = _run_trials("loewner_psd", f.name, _one_by_one(loewner_trial),
                               (node_count,), node_sets, tol, rng)
-    pick_rep = _run_trials("pick_psd", f.name, pick_trial,
+    pick_rep = _run_trials("pick_psd", f.name, _one_by_one(pick_trial),
                            (point_count,), pick_sets, tol, rng)
     mono_rep = _monotone_matrix_report(f, levels, pairs, tol, rng, interval)
     sides = {

@@ -8,6 +8,10 @@ matrix ``sum_j kron(E_j, A_j)``, a k-by-k grid of n-by-n blocks.  The
 ambient index is kept outermost so block (p, q) of the realization is
 ``sum_j E_j[p, q] * A_j``, a plain linear read of the coefficients; it is
 built from the basis's table of nonzero entries, one scaled add per entry.
+
+A stack of T points of one level holds a ``(T, m, n, n)`` array.  The
+samplers draw stacks, one generator per row, and ``realize``, ``decode``
+and ``in_domain`` work on each point of a stack as they would on it alone.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ from .kernels import (
     Rng,
     SamplingError,
     as_matrix,
-    draw_hermitian,
+    finite_rows,
     hermitize,
     is_hermitian,
     op_norm,
+    settle,
 )
 
 
@@ -97,6 +102,8 @@ class NCPoint:
 
     ``coeffs`` is given as any sequence of m square matrices of one size and
     kept as a read-only complex ``(m, n, n)`` array; ``coeffs[j]`` is A_j.
+    A stack of points (see the module docstring) holds ``(T, m, n, n)``;
+    stacks come from the samplers, ``decode`` and :func:`stack_points`.
     """
 
     system: OpSysBasis
@@ -113,30 +120,63 @@ class NCPoint:
             for a in self.coeffs:
                 as_matrix(a)  # names a coefficient that is not a finite square matrix
             raise ValueError("all coefficients must share one level")
-        if not np.isfinite(coeffs).all():
-            raise NonFiniteError("matrix entries must all be finite")
+        _check_finite(coeffs)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def level(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
+
+    def __getitem__(self, rows) -> "NCPoint":
+        """Point ``rows`` of a stack, or the stack of the points an index array selects."""
+        if self.coeffs.ndim != 4:
+            raise TypeError("only a stack of points can be indexed")
+        return _point(self.system, self.coeffs[rows])
 
     def __add__(self, other: "NCPoint") -> "NCPoint":
         _require_compatible(self, other)
-        return NCPoint(self.system, self.coeffs + other.coeffs)
+        return _point(self.system, _check_finite(self.coeffs + other.coeffs))
 
     def __sub__(self, other: "NCPoint") -> "NCPoint":
         _require_compatible(self, other)
-        return NCPoint(self.system, self.coeffs - other.coeffs)
+        return _point(self.system, _check_finite(self.coeffs - other.coeffs))
 
     def __neg__(self) -> "NCPoint":
-        return NCPoint(self.system, -self.coeffs)
+        return _point(self.system, -self.coeffs)
 
     def __mul__(self, scalar) -> "NCPoint":
-        return NCPoint(self.system, complex(scalar) * self.coeffs)
+        """Scale by a complex scalar, or each point of a stack by its own entry of a vector."""
+        s = np.asarray(scalar, dtype=np.complex128)
+        return _point(self.system, _check_finite(s.reshape(s.shape + (1, 1, 1)) * self.coeffs))
 
     __rmul__ = __mul__
+
+
+def _check_finite(coeffs: np.ndarray) -> np.ndarray:
+    if not np.isfinite(coeffs).all():
+        raise NonFiniteError("matrix entries must all be finite")
+    return coeffs
+
+
+def _point(system: OpSysBasis, coeffs: np.ndarray) -> NCPoint:
+    """A point, or a stack, that holds ``coeffs``: finite, and held by no one else.
+
+    The array is made read-only, not copied.
+    """
+    coeffs.setflags(write=False)
+    point = object.__new__(NCPoint)
+    object.__setattr__(point, "system", system)
+    object.__setattr__(point, "coeffs", coeffs)
+    return point
+
+
+def stack_points(*points: NCPoint) -> NCPoint:
+    """The stack of the given points, and of the rows of the given stacks, in order."""
+    for p in points[1:]:
+        _require_compatible(points[0], p)
+    return _point(points[0].system,
+                  np.concatenate([p.coeffs.reshape((-1,) + p.coeffs.shape[-3:]) for p in points]))
 
 
 def _require_compatible(p: NCPoint, q: NCPoint):
@@ -201,7 +241,7 @@ def builtin_system(name: str) -> OpSysBasis:
 # Core operations.
 
 def realize(point: NCPoint) -> np.ndarray:
-    """Assemble sum_j kron(E_j, A_j) as one (n*k)-by-(n*k) matrix.
+    """Assemble sum_j kron(E_j, A_j) as one (n*k)-by-(n*k) matrix; one per point of a stack.
 
     Block (p, q) accumulates ``E_j[p, q] * A_j`` over the basis's nonzero
     entries in basis order.  That is the kron sum bit for bit: a skipped
@@ -209,48 +249,62 @@ def realize(point: NCPoint) -> np.ndarray:
     zero sum starting from +0 is +0 either way.
     """
     system, n, coeffs = point.system, point.level, point.coeffs
-    k = system.k
-    acc = np.zeros((k, n, k, n), dtype=np.complex128)
+    k, stack = system.k, coeffs.shape[:-3]
+    acc = np.zeros(stack + (k, n, k, n), dtype=np.complex128)
     for j, p, q, w in system.terms:
-        acc[p, :, q, :] += w * coeffs[j]
-    return acc.reshape(k * n, k * n)
+        acc[..., p, :, q, :] += w * coeffs[..., j, :, :]
+    return acc.reshape(stack + (k * n, k * n))
 
 
-def decode(m, system: OpSysBasis, level: int) -> NCPoint:
+def decode(m, system: OpSysBasis, level: int, errors: dict | None = None) -> NCPoint:
     """Invert ``realize`` on its image via the dual frame, extended complex-linearly.
 
     Raises :class:`NotInImageError` when the reassembly residual exceeds
-    ``1e-9 * (1 + ||m||)``.
+    ``1e-9 * (1 + ||m||)``.  A ``(T, n*k, n*k)`` stack decodes into a stack
+    of points; a matrix that is not finite or not in the image is handed to
+    :func:`~freemono.kernels.settle` and decodes to a finite stand-in.
     """
-    m = as_matrix(m)
+    m, stacked = kernels.as_stack(m)
     k, n = system.k, int(level)
-    if m.shape[0] != n * k:
-        raise ValueError(f"matrix side {m.shape[0]} does not equal level*k = {n * k}")
-    blocks = m.reshape(k, n, k, n)
-    coeffs = []
-    for dual in system.dual_basis:
-        acc = np.zeros((n, n), dtype=np.complex128)
+    if m.shape[-1] != n * k:
+        raise ValueError(f"matrix side {m.shape[-1]} does not equal level*k = {n * k}")
+    errs = {}
+    if stacked:
+        m = finite_rows(m, errs)
+    blocks = m.reshape(len(m), k, n, k, n)
+    coeffs = np.empty((len(m), system.size, n, n), dtype=np.complex128)
+    for j, dual in enumerate(system.dual_basis):
+        acc = np.zeros((len(m), n, n), dtype=np.complex128)
         for p in range(k):
             for q in range(k):
                 w = dual[p, q]
                 if w != 0:
-                    acc = acc + w * blocks[q, :, p, :]
-        coeffs.append(acc)
-    point = NCPoint(system, tuple(coeffs))
+                    acc = acc + w * blocks[:, q, :, p, :]
+        coeffs[:, j] = acc
+    if not np.isfinite(coeffs).all():  # the dual frame overflowed
+        bad = ~np.isfinite(coeffs).all(axis=(1, 2, 3))
+        for row in np.flatnonzero(bad):
+            errs.setdefault(row, NonFiniteError("matrix entries must all be finite"))
+        coeffs[bad] = 0.0
+    point = _point(system, coeffs)
     back = realize(point)
-    if np.array_equal(back, m):  # exact round trip: the residual is 0
-        return point
-    resid = op_norm(back - m)
-    if resid > 1e-9 * (1.0 + op_norm(m)):
-        raise NotInImageError(
-            f"matrix is not in the realization image (residual {resid:.3e})"
-        )
-    return point
+    exact = (back == m).all(axis=(1, 2))  # an exact round trip has residual 0
+    if np.count_nonzero(exact) < len(m):
+        rows = np.flatnonzero(~exact)
+        resid = op_norm(back[rows] - m[rows])
+        bad = resid > 1e-9 * (1.0 + op_norm(m[rows]))
+        for row, r in zip(rows[bad], resid[bad]):
+            errs.setdefault(row, NotInImageError(
+                f"matrix is not in the realization image (residual {r:.3e})"))
+    settle(errs, errors)
+    return point if stacked else point[0]
 
 
-def is_hermitian_point(point: NCPoint) -> bool:
-    """True when every coefficient is Hermitian."""
-    return all(is_hermitian(a) for a in point.coeffs)
+def is_hermitian_point(point: NCPoint):
+    """True when every coefficient is Hermitian; for a stack, a boolean array per point."""
+    c = point.coeffs
+    herm = is_hermitian(c.reshape((-1,) + c.shape[-2:])).reshape(c.shape[:-2]).all(axis=-1)
+    return herm if c.ndim == 4 else bool(herm)
 
 
 def order_leq(p: NCPoint, q: NCPoint, tol: float = kernels.TOL_PSD) -> bool:
@@ -307,106 +361,173 @@ def shuffle_permutation(k: int, n: int, m: int) -> np.ndarray:
     return perm
 
 
-def in_domain(point: NCPoint, domain: DomainSpec) -> bool:
-    """Membership predicate; interval and cone slices shrink by ``TOL_PSD`` for openness."""
+def in_domain(point: NCPoint, domain: DomainSpec):
+    """Membership predicate; interval and cone slices shrink by ``TOL_PSD`` for openness.
+
+    For a stack, a boolean array with the answer for each point.
+    """
     tol = kernels.TOL_PSD
     if point.system.name != domain.system.name:
         raise ValueError("point and domain refer to different systems")
+    stacked = point.coeffs.ndim == 4
     if domain.kind == "full":
-        return True
-    if not is_hermitian_point(point):
-        return False
-    w = np.linalg.eigvalsh(hermitize(realize(point)))
-    if domain.kind == "pd_cone":
-        return float(w[0]) > tol
-    if domain.kind == "spectral_interval":
-        return float(w[0]) > domain.a + tol and float(w[-1]) < domain.b - tol
-    raise ValueError(f"unknown domain kind {domain.kind!r}")
+        return np.ones(len(point.coeffs), dtype=bool) if stacked else True
+    inside = is_hermitian_point(point)
+    if stacked or inside:
+        w = np.linalg.eigvalsh(hermitize(realize(point)))
+        if domain.kind == "pd_cone":
+            inside = inside & (w[..., 0] > tol)
+        elif domain.kind == "spectral_interval":
+            inside = inside & (w[..., 0] > domain.a + tol) & (w[..., -1] < domain.b - tol)
+        else:
+            raise ValueError(f"unknown domain kind {domain.kind!r}")
+    return inside if stacked else bool(inside)
 
 
 # --------------------------------------------------------------------------
-# Samplers.  All are pure functions of their Rng argument.
+# Samplers.  All are pure functions of their Rng argument: one Rng draws
+# one point, a sequence of them a stack, each row from its own generator
+# and with the draws that row would make alone.  A point takes its
+# uniforms in one ``random`` call (on Philox, ``random(a)`` then
+# ``random(b)`` equals ``random(a + b)``).
 
-def _hermitian_point(system: OpSysBasis, level: int, gen) -> NCPoint:
-    return NCPoint(system, tuple(draw_hermitian(gen, level) for _ in range(system.size)))
+def _generators(rng) -> tuple[list, bool]:
+    if isinstance(rng, Rng):
+        return [rng.generator()], False
+    return [r.generator() for r in rng], True
 
 
-def _psd_point(system: OpSysBasis, level: int, gen) -> NCPoint:
-    # Shift a Hermitian draw until its realization clears margin >= 0.1.
-    g = _hermitian_point(system, level, gen)
+def _uniforms(gens: list, count: int) -> np.ndarray:
+    return np.stack([gen.random(count) for gen in gens])
+
+
+def _hermitian_point(system: OpSysBasis, level: int, u: np.ndarray) -> NCPoint:
+    # a stack of Hermitian draws from 2 n^2 uniforms per coefficient and row
+    u = u.reshape(len(u), system.size, 2 * level * level)
+    return _point(system, hermitize(kernels.ginibre_from_uniforms(u, level)))
+
+
+def _psd_point(system: OpSysBasis, level: int, u: np.ndarray) -> NCPoint:
+    # Shift a Hermitian draw until its realization clears margin >= 0.1;
+    # the shift takes the last uniform of each row.
+    g = _hermitian_point(system, level, u[:, :-1])
     margin = kernels.min_eig_h(hermitize(realize(g)))
-    shift = max(0.0, -margin) + 0.1 + 0.9 * float(gen.random())
-    return g + shift * identity_point(system, level)
+    shift = np.where(-margin > 0.0, -margin, 0.0) + 0.1 + 0.9 * u[:, -1]
+    return g + identity_point(system, level) * shift
 
 
-def _draw_in_domain(domain: DomainSpec, level: int, gen) -> NCPoint:
+def _draw_in_domain(domain: DomainSpec, level: int, gens: list) -> NCPoint:
+    """A stack of candidate points, one per generator; the caller tests membership."""
     system = domain.system
-    if domain.kind == "full":
-        return _hermitian_point(system, level, gen)
-    g = _hermitian_point(system, level, gen)
-    w = np.linalg.eigvalsh(hermitize(realize(g)))
-    lo, hi = float(w[0]), float(w[-1])
-    a, b = domain.a, domain.b
-    if domain.kind == "pd_cone":
-        a, b = 0.0, float("inf")
+    a, b = {"full": (-np.inf, np.inf), "pd_cone": (0.0, np.inf)}.get(domain.kind, (domain.a, domain.b))
+    count = 2 * system.size * level * level
+    u = _uniforms(gens, count + int(np.isfinite(a)) + int(np.isfinite(b)))
+    g = _hermitian_point(system, level, u[:, :count])
     if np.isinf(a) and np.isinf(b):
         return g
+    w = np.linalg.eigvalsh(hermitize(realize(g)))
+    lo, hi = w[:, 0], w[:, -1]
     ident = identity_point(system, level)
-    if np.isinf(b):
-        shift = a + 0.1 + 0.9 * float(gen.random()) - lo
-        return g + shift * ident
-    if np.isinf(a):
-        shift = b - 0.1 - 0.9 * float(gen.random()) - hi
-        return g + shift * ident
-    # Finite interval: affine map of the spectrum into a random interior window.
-    width = b - a
-    start = a + width * (0.05 + 0.2 * float(gen.random()))
-    target = width * (0.3 + 0.4 * float(gen.random()))
-    alpha = target / max(hi - lo, 1e-9)
-    beta = start - alpha * lo
-    return alpha * g + beta * ident
+    with np.errstate(over="ignore", invalid="ignore"):  # per-row scalars overflow silently
+        if np.isinf(b):
+            shift = a + 0.1 + 0.9 * u[:, -1] - lo
+        elif np.isinf(a):
+            shift = b - 0.1 - 0.9 * u[:, -1] - hi
+        else:
+            # Finite interval: affine map of the spectrum into a random interior window.
+            width = b - a
+            start = a + width * (0.05 + 0.2 * u[:, -2])
+            target = width * (0.3 + 0.4 * u[:, -1])
+            alpha = target / np.where(1e-9 > hi - lo, 1e-9, hi - lo)
+            beta = start - alpha * lo
+    if np.isinf(a) or np.isinf(b):
+        return g + ident * shift
+    return g * alpha + ident * beta
 
 
 def sample_point(domain: DomainSpec, level: int, rng: Rng, budget: int = 1000) -> NCPoint:
     """Draw one point of the domain's level-n slice."""
-    gen = rng.generator()
+    gens, _ = _generators(rng)
     for _ in range(budget):
-        p = _draw_in_domain(domain, level, gen)
-        if in_domain(p, domain):
-            return p
+        p = _draw_in_domain(domain, level, gens)
+        if in_domain(p, domain)[0]:
+            return p[0]
     raise SamplingError(f"could not draw a point of {domain.kind} within {budget} attempts")
 
 
-def sample_ordered_pair(domain: DomainSpec, level: int, rng: Rng,
-                        t_scale: float = 1.0, budget: int = 1000) -> tuple[NCPoint, NCPoint]:
+def _bisect(domain: DomainSpec, p: NCPoint, h: NCPoint, t: np.ndarray):
+    # Per row, the first Q = P + t H inside the domain, halving t at most 60
+    # times and stopping at t == 0: (mask of the rows that found one, the Qs).
+    q = p + h * t
+    found = in_domain(q, domain)
+    if np.count_nonzero(found) == len(t):
+        return found, q.coeffs
+    q_out = q.coeffs.copy()
+    live = np.flatnonzero(~found & (t != 0.0))
+    for _ in range(59):
+        if not live.size:
+            break
+        t[live] /= 2.0
+        q = p[live] + h[live] * t[live]
+        inside = in_domain(q, domain)
+        found[live[inside]] = True
+        q_out[live[inside]] = q.coeffs[inside]
+        live = live[~inside]
+        live = live[t[live] != 0.0]
+    return found, q_out
+
+
+def sample_ordered_pair(domain: DomainSpec, level: int, rng, t_scale: float = 1.0,
+                        budget: int = 1000, errors: dict | None = None):
     """Draw Hermitian ``(P, Q)`` with both in the domain and ``P <= Q``.
 
     Q is P plus a scaled PSD Hermitian point; the scale is bisected down
-    until Q stays in the domain.
+    until Q stays in the domain.  Given a sequence of Rngs, draws a stack
+    of pairs; a row that exhausts its budget is handed to
+    :func:`~freemono.kernels.settle` and gets zero points.
     """
-    gen = rng.generator()
-    for _ in range(budget):
-        p = _draw_in_domain(domain, level, gen)
-        if not in_domain(p, domain):
-            continue
-        h = _psd_point(domain.system, level, gen)
-        t = t_scale * (0.2 + 0.8 * float(gen.random()))
-        for _ in range(60):
-            q = p + t * h
-            if in_domain(q, domain):
-                return p, q
-            if t == 0.0:
-                break
-            t /= 2.0
-    raise SamplingError(f"ordered-pair sampling budget ({budget}) exhausted")
+    gens, stacked = _generators(rng)
+    system, count = domain.system, 2 * domain.system.size * level * level
+    pq = np.zeros((2, len(gens), system.size, level, level), dtype=np.complex128)
+    attempts = np.zeros(len(gens), dtype=int)
+    rows = np.arange(len(gens))  # the rows still drawing
+    errs = {}
+    while True:
+        for row in rows[attempts[rows] >= budget]:
+            errs[row] = SamplingError(f"ordered-pair sampling budget ({budget}) exhausted")
+        rows = rows[attempts[rows] < budget]
+        if not rows.size:
+            break
+        p = _draw_in_domain(domain, level, [gens[i] for i in rows])
+        inside = np.flatnonzero(in_domain(p, domain))
+        found = np.zeros(len(rows), dtype=bool)
+        if inside.size:
+            u = _uniforms([gens[i] for i in rows[inside]], count + 2)
+            h = _psd_point(system, level, u[:, :-1])
+            if inside.size < len(rows):
+                p = p[inside]
+            hit, q = _bisect(domain, p, h, t_scale * (0.2 + 0.8 * u[:, -1]))
+            done = inside[hit]
+            found[done] = True
+            pq[0, rows[done]] = p.coeffs[hit]
+            pq[1, rows[done]] = q[hit]
+        attempts[rows[~found]] += 1
+        rows = rows[~found]
+    settle(errs, errors)
+    a, b = _point(system, pq[0]), _point(system, pq[1])
+    return (a, b) if stacked else (a[0], b[0])
 
 
-def sample_halfplane(system: OpSysBasis, level: int, rng: Rng) -> NCPoint:
-    """Draw P = H + iK with K realizing a positive definite matrix."""
-    gen = rng.generator()
-    h = _hermitian_point(system, level, gen)
-    k = _psd_point(system, level, gen)
-    return h + 1j * k
+def sample_halfplane(system: OpSysBasis, level: int, rng) -> NCPoint:
+    """Draw P = H + iK with K realizing a positive definite matrix.
+
+    Given a sequence of Rngs, draws a stack, one point per Rng.
+    """
+    gens, stacked = _generators(rng)
+    count = 2 * system.size * level * level
+    u = _uniforms(gens, 2 * count + 1)
+    p = _hermitian_point(system, level, u[:, :count]) + 1j * _psd_point(system, level, u[:, count:])
+    return p if stacked else p[0]
 
 
 # --------------------------------------------------------------------------

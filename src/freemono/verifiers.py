@@ -5,6 +5,12 @@ most negative eigenvalue for order checks, minus the relative residual for
 identity checks) and fails a trial when its margin drops below ``-tol``.
 Trials derive their randomness from (master rng, check name, function,
 level, trial index), so results do not depend on the order trials run in.
+
+Trials run in one thread, one level at a time.  The monotone and
+half-plane checks run the trials of a level as stacks of up to
+``TRIAL_CHUNK`` points: they sample, evaluate and take margins of a whole
+chunk at once, and each trial gets the margin, witness or error it would
+get alone.  The other checks run their trials one by one.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from . import kernels, opsys, paths
 from .freeexpr import CodomainError, FreeFunction, OutOfDomainError, catalog, eval_function
 from .kernels import (
     NumericalError, Rng, SamplingError, SingularMatrixError, hermitize, imag_part,
-    min_eig_h, op_norm, scaled_min_eig,
+    min_eig_h, op_norm, scaled_min_eig, settle,
 )
 from .opsys import (
     DomainSpec,
@@ -30,11 +36,13 @@ from .opsys import (
     sample_halfplane,
     sample_ordered_pair,
     sample_point,
+    stack_points,
 )
 from .report import OUT_OF_DOMAIN_MARGIN, CheckReport, ConsistencyReport
 
 BOUNDARY_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 LOCAL_STEP = 1e-4  # finite-difference half-step of the local check, capped by the path's eps
+TRIAL_CHUNK = 256  # trials of one level run as one stack; bounds the memory of a large --trials
 
 
 @dataclass(frozen=True)
@@ -43,14 +51,16 @@ class _Trial:
     witness: dict | None = None
 
 
-def _run_trials(check, function, trial, levels, trials, tol, rng) -> CheckReport:
-    """Run ``trial(level, t)`` for every level and trial index and report the margins.
+def _run_trials(check, function, run, levels, trials, tol, rng) -> CheckReport:
+    """Run ``run(level, ts)``, a list of :class:`_Trial` for the trial indices ``ts``,
+    over each level's trials, ``TRIAL_CHUNK`` at a time, and report the margins.
 
     The witness is that of the most negative margin when some margin drops
     below ``-tol``.  Raises :class:`NumericalError` on a non-finite margin.
     """
     levels = tuple(int(x) for x in levels)
-    results = [trial(level, t) for level in levels for t in range(trials)]
+    results = [r for level in levels for lo in range(0, trials, TRIAL_CHUNK)
+               for r in run(level, range(lo, min(lo + TRIAL_CHUNK, trials)))]
     for i, r in enumerate(results):
         if not math.isfinite(r.margin):
             raise NumericalError(f"{check} of {function}: margin {r.margin} at level "
@@ -70,6 +80,31 @@ def _run_trials(check, function, trial, levels, trials, tol, rng) -> CheckReport
     )
 
 
+def _one_by_one(trial):
+    """The ``run`` of :func:`_run_trials` that calls ``trial(level, t)`` for each index in turn."""
+    return lambda level, ts: [trial(level, t) for t in ts]
+
+
+def _row_trials(margins, errors: dict, tol: float, points) -> list:
+    """The :class:`_Trial` of each row of a stacked check, as a trial run alone would end.
+
+    ``errors`` holds each failed row's first error.  An evaluation error
+    makes an out-of-domain witness; any other error is raised, the lowest
+    row's first.  ``points(i)`` gives row i's witness points as JSON.
+    """
+    out = []
+    for i, margin in enumerate(margins):
+        exc = errors.get(i)
+        if exc is None:
+            margin = float(margin)
+            out.append(_Trial(margin, {**points(i), "margin": margin} if margin < -tol else None))
+        elif isinstance(exc, (OutOfDomainError, CodomainError)):
+            out.append(_Trial(OUT_OF_DOMAIN_MARGIN, {**points(i), "error": str(exc)}))
+        else:
+            raise exc
+    return out
+
+
 def is_diagonal_type(system: opsys.OpSysBasis) -> bool:
     """True for systems whose basis is diagonal matrix units (commuting tuples)."""
     if system.size != system.k:
@@ -80,16 +115,30 @@ def is_diagonal_type(system: opsys.OpSysBasis) -> bool:
 # --------------------------------------------------------------------------
 # Shared margin computations (also used to re-verify reported witnesses).
 
-def pair_margin(f: FreeFunction, a: opsys.NCPoint, b: opsys.NCPoint) -> float:
-    """Scaled PSD margin of realize(f(b)) - realize(f(a))."""
-    fa = eval_function(f, a)
-    fb = eval_function(f, b)
-    return scaled_min_eig(hermitize(realize(fb) - realize(fa)))
+def pair_margin(f: FreeFunction, a: opsys.NCPoint, b: opsys.NCPoint,
+                errors: dict | None = None):
+    """Scaled PSD margin of realize(f(b)) - realize(f(a)).
+
+    f is evaluated once, at the stack of A and B.  For stacks of pairs, the
+    margin of each pair; a pair that fails is handed to
+    :func:`~freemono.kernels.settle` with its first error, at A before B,
+    and its margin means nothing.
+    """
+    stacked = a.coeffs.ndim == 4
+    rows = len(a.coeffs) if stacked else 1
+    failed = {}
+    fab = realize(eval_function(f, stack_points(a, b), failed))
+    first = {}
+    for row, exc in sorted(failed.items()):  # the rows of A come first
+        first.setdefault(row % rows, exc)
+    settle(first, errors)
+    diff = fab[rows:] - fab[:rows]
+    return scaled_min_eig(hermitize(diff if stacked else diff[0]), errors)
 
 
-def halfplane_margin(f: FreeFunction, p: opsys.NCPoint) -> float:
-    """Scaled PSD margin of Im realize(f(p))."""
-    return scaled_min_eig(imag_part(realize(eval_function(f, p))))
+def halfplane_margin(f: FreeFunction, p: opsys.NCPoint, errors: dict | None = None):
+    """Scaled PSD margin of Im realize(f(p)); for a stack, as :func:`pair_margin`."""
+    return scaled_min_eig(imag_part(realize(eval_function(f, p, errors))), errors)
 
 
 def local_margin(f: FreeFunction, witness: dict) -> float:
@@ -110,20 +159,15 @@ def check_monotone(f: FreeFunction, domain: DomainSpec | None = None,
     """Sample ordered pairs in the domain and test f(A) <= f(B)."""
     dom = domain or f.domain
 
-    def trial(level, t):
-        r = rng.split("monotone", f.name, level, t)
-        a, b = sample_ordered_pair(dom, level, r)
-        try:
-            margin = pair_margin(f, a, b)
-        except (OutOfDomainError, CodomainError) as exc:
-            return _Trial(OUT_OF_DOMAIN_MARGIN,
-                          {"A": point_to_json(a), "B": point_to_json(b), "error": str(exc)})
-        witness = None
-        if margin < -tol:
-            witness = {"A": point_to_json(a), "B": point_to_json(b), "margin": margin}
-        return _Trial(margin, witness)
+    def run(level, ts):
+        errors = {}
+        rngs = [rng.split("monotone", f.name, level, t) for t in ts]
+        a, b = sample_ordered_pair(dom, level, rngs, errors=errors)
+        margins = pair_margin(f, a, b, errors)
+        return _row_trials(margins, errors, tol,
+                           lambda i: {"A": point_to_json(a[i]), "B": point_to_json(b[i])})
 
-    return _run_trials("monotone", f.name, trial, levels, trials, tol, rng)
+    return _run_trials("monotone", f.name, run, levels, trials, tol, rng)
 
 
 def find_counterexample(f: FreeFunction, domain: DomainSpec | None = None,
@@ -151,17 +195,14 @@ def check_halfplane(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,
     continuation is supposed to be defined on all of it.
     """
 
-    def trial(level, t):
-        r = rng.split("halfplane", f.name, level, t)
-        p = sample_halfplane(f.in_system, level, r)
-        try:
-            margin = halfplane_margin(f, p)
-        except (OutOfDomainError, CodomainError) as exc:
-            return _Trial(OUT_OF_DOMAIN_MARGIN, {"P": point_to_json(p), "error": str(exc)})
-        witness = {"P": point_to_json(p), "margin": margin} if margin < -tol else None
-        return _Trial(margin, witness)
+    def run(level, ts):
+        errors = {}
+        p = sample_halfplane(f.in_system, level,
+                             [rng.split("halfplane", f.name, level, t) for t in ts])
+        margins = halfplane_margin(f, p, errors)
+        return _row_trials(margins, errors, tol, lambda i: {"P": point_to_json(p[i])})
 
-    return _run_trials("halfplane", f.name, trial, levels, trials, tol, rng)
+    return _run_trials("halfplane", f.name, run, levels, trials, tol, rng)
 
 
 def check_free_axioms(f: FreeFunction, domain: DomainSpec | None = None,
@@ -202,7 +243,7 @@ def check_free_axioms(f: FreeFunction, domain: DomainSpec | None = None,
             }
         return _Trial(margin, witness)
 
-    return _run_trials("free_axioms", f.name, trial, levels, trials, tol, rng)
+    return _run_trials("free_axioms", f.name, _one_by_one(trial), levels, trials, tol, rng)
 
 
 def _path_ranges(domain: DomainSpec, count: int) -> list:
@@ -249,7 +290,7 @@ def check_local_monotone(f: FreeFunction, domain: DomainSpec | None = None,
             witness = {"path": path.to_witness(), "h": h_eff, "margin": margin}
         return _Trial(margin, witness)
 
-    return _run_trials("local_monotone", f.name, trial, levels, trials, tol, rng)
+    return _run_trials("local_monotone", f.name, _one_by_one(trial), levels, trials, tol, rng)
 
 
 def check_boundary_continuity(f: FreeFunction, domain: DomainSpec | None = None,
@@ -291,7 +332,7 @@ def check_boundary_continuity(f: FreeFunction, domain: DomainSpec | None = None,
             }
         return _Trial(margin, witness)
 
-    return _run_trials("boundary_continuity", f.name, trial, levels, trials, tol, rng)
+    return _run_trials("boundary_continuity", f.name, _one_by_one(trial), levels, trials, tol, rng)
 
 
 def check_schur_im_identity(levels=(1, 2, 3), trials: int = 500, tol: float = 1e-10,
@@ -339,7 +380,7 @@ def check_schur_im_identity(levels=(1, 2, 3), trials: int = 500, tol: float = 1e
             }
         return _Trial(margin, witness)
 
-    return _run_trials("schur_im_identity", "schur_complement", trial,
+    return _run_trials("schur_im_identity", "schur_complement", _one_by_one(trial),
                        levels, trials, tol, rng)
 
 

@@ -1,0 +1,320 @@
+"""The batched trial engine against a serial reference, bit for bit.
+
+``check_monotone`` and ``check_halfplane`` run the trials of a level as
+stacks.  The reference here is the serial engine they replaced: samplers
+that draw one point at a time, two ``random`` calls per coefficient, and a
+loop that runs one trial after another through the single-point
+``pair_margin`` and ``halfplane_margin``.  Every margin, witness and error
+text must come out the same, whatever the chunk size.
+"""
+
+import contextlib
+import io
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from freemono import cli, verifiers
+from freemono.freeexpr import CATALOG_NAMES, CodomainError, OutOfDomainError, catalog
+from freemono.freeexpr import function_from_expr
+from freemono.kernels import NumericalError, Rng, SamplingError, hermitize
+from freemono.opsys import (
+    NCPoint, builtin_system, full_domain, identity_point, in_domain, pd_cone, point_to_json,
+    realize, sample_halfplane, sample_ordered_pair, spectral_interval,
+)
+from freemono.report import OUT_OF_DOMAIN_MARGIN
+from freemono.verifiers import _one_by_one, _run_trials, _Trial, halfplane_margin, pair_margin
+
+SCALAR = builtin_system("scalar")
+BLOCK2 = builtin_system("block2")
+DIAG2 = builtin_system("diagonal(2)")
+
+# A narrow interval: candidates are rejected near its ends, and the step
+# from P to Q is bisected many times before Q fits.
+NARROW = spectral_interval(SCALAR, 1.0, 1.0 + 1.5e-7)
+ERROR_WITNESS = "sqrt(X1 - 2)*sqrt(X1 - 2) + inv(X1 - 1)"
+
+
+# --------------------------------------------------------------------------
+# The serial reference: one point, one trial at a time.
+
+def _ref_hermitian(gen, n):
+    half = n * n
+    u1 = 1.0 - gen.random(half)
+    u2 = gen.random(half)
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
+    g = (z[:half] + 1j * z[half:]).reshape(n, n)
+    return (g + g.conj().T) / 2.0
+
+
+def _ref_hermitian_point(system, level, gen):
+    return NCPoint(system, tuple(_ref_hermitian(gen, level) for _ in range(system.size)))
+
+
+def _ref_psd_point(system, level, gen):
+    g = _ref_hermitian_point(system, level, gen)
+    margin = float(np.linalg.eigvalsh(hermitize(realize(g)))[0])
+    shift = max(0.0, -margin) + 0.1 + 0.9 * float(gen.random())
+    return g + shift * identity_point(system, level)
+
+
+def _ref_draw_in_domain(domain, level, gen):
+    system = domain.system
+    g = _ref_hermitian_point(system, level, gen)
+    if domain.kind == "full":
+        return g
+    w = np.linalg.eigvalsh(hermitize(realize(g)))
+    lo, hi = float(w[0]), float(w[-1])
+    a, b = (0.0, float("inf")) if domain.kind == "pd_cone" else (domain.a, domain.b)
+    if np.isinf(a) and np.isinf(b):
+        return g
+    ident = identity_point(system, level)
+    if np.isinf(b):
+        return g + (a + 0.1 + 0.9 * float(gen.random()) - lo) * ident
+    if np.isinf(a):
+        return g + (b - 0.1 - 0.9 * float(gen.random()) - hi) * ident
+    width = b - a
+    start = a + width * (0.05 + 0.2 * float(gen.random()))
+    target = width * (0.3 + 0.4 * float(gen.random()))
+    alpha = target / max(hi - lo, 1e-9)
+    return alpha * g + (start - alpha * lo) * ident
+
+
+def _ref_sample_ordered_pair(domain, level, rng, budget=1000, stats=None):
+    # ``stats`` (a list) receives (attempts, halvings) of a pair that is found
+    gen = rng.generator()
+    for attempt in range(budget):
+        p = _ref_draw_in_domain(domain, level, gen)
+        if not in_domain(p, domain):
+            continue
+        h = _ref_psd_point(domain.system, level, gen)
+        t = 0.2 + 0.8 * float(gen.random())
+        for halvings in range(60):
+            q = p + t * h
+            if in_domain(q, domain):
+                if stats is not None:
+                    stats.append((attempt + 1, halvings))
+                return p, q
+            if t == 0.0:
+                break
+            t /= 2.0
+    raise SamplingError(f"ordered-pair sampling budget ({budget}) exhausted")
+
+
+def _ref_sample_halfplane(system, level, rng):
+    gen = rng.generator()
+    h = _ref_hermitian_point(system, level, gen)
+    return h + 1j * _ref_psd_point(system, level, gen)
+
+
+def _ref_trial(kind, f, dom, tol, rng, seen):
+    """The serial loop's trial body; records each trial's (margin, witness) in ``seen``."""
+
+    def trial(level, t):
+        r = rng.split(kind, f.name, level, t)
+        if kind == "monotone":
+            a, b = _ref_sample_ordered_pair(dom, level, r)
+            points, margin = {"A": point_to_json(a), "B": point_to_json(b)}, pair_margin
+            args = (f, a, b)
+        else:
+            p = _ref_sample_halfplane(f.in_system, level, r)
+            points, margin, args = {"P": point_to_json(p)}, halfplane_margin, (f, p)
+        try:
+            m = margin(*args)
+            out = _Trial(m, {**points, "margin": m} if m < -tol else None)
+        except (OutOfDomainError, CodomainError) as exc:
+            out = _Trial(OUT_OF_DOMAIN_MARGIN, {**points, "error": str(exc)})
+        seen.append(out)
+        return out
+
+    return trial
+
+
+# --------------------------------------------------------------------------
+# Comparison.
+
+def _bits(trials):
+    return [(struct.pack("<d", t.margin), json.dumps(t.witness)) for t in trials]
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except NumericalError as exc:
+        return None, (type(exc).__name__, str(exc))
+
+
+def _compare(monkeypatch, kind, f, dom, levels, trials, tol=1e-8, seed=42):
+    """Run the batched check and the serial reference; both must agree bit for bit."""
+    rng = Rng(seed)
+    seen = []
+    row_trials = verifiers._row_trials
+
+    def spy(*args):
+        rows = row_trials(*args)
+        seen.extend(rows)
+        return rows
+
+    monkeypatch.setattr(verifiers, "_row_trials", spy)
+    if kind == "monotone":
+        report, error = _outcome(lambda: verifiers.check_monotone(f, dom, levels, trials, tol, rng))
+    else:
+        report, error = _outcome(lambda: verifiers.check_halfplane(f, levels, trials, tol, rng))
+    monkeypatch.setattr(verifiers, "_row_trials", row_trials)
+    ref_seen = []
+    ref_report, ref_error = _outcome(lambda: _run_trials(
+        kind, f.name, _one_by_one(_ref_trial(kind, f, dom, tol, rng, ref_seen)),
+        levels, trials, tol, rng))
+    assert error == ref_error
+    if ref_error is None:
+        assert json.dumps(report.to_json()) == json.dumps(ref_report.to_json())
+    if ref_error is None or ref_error[1].startswith(f"{kind} of {f.name}: margin"):
+        assert _bits(seen) == _bits(ref_seen)  # every trial ran on both sides
+    return seen, error
+
+
+@pytest.fixture(params=[1, 3, verifiers.TRIAL_CHUNK], ids=lambda c: f"chunk{c}")
+def chunk(request, monkeypatch):
+    monkeypatch.setattr(verifiers, "TRIAL_CHUNK", request.param)
+    return request.param
+
+
+class TestAgainstSerialReference:
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize("kind", ["monotone", "halfplane"])
+    def test_catalog_levels_1_to_4(self, monkeypatch, chunk, kind, name):
+        f = catalog(name)
+        seen, error = _compare(monkeypatch, kind, f, f.domain, (1, 2, 3, 4), 5)
+        assert error is None and len(seen) == 20
+
+    @pytest.mark.parametrize("name, domain", [
+        ("identity", full_domain(SCALAR)),
+        ("square", full_domain(SCALAR)),
+        ("msqrt", full_domain(SCALAR)),  # negative spectra: branch-cut rows among good ones
+        ("inverse", spectral_interval(SCALAR, 0.5, 2.0)),
+        ("msqrt", spectral_interval(SCALAR, 0.25, float("inf"))),
+        ("neg_inverse", spectral_interval(SCALAR, float("-inf"), -0.5)),
+        ("square", NARROW),
+        ("schur_complement", spectral_interval(BLOCK2, 0.2, 3.0)),
+        ("schur_complement", full_domain(BLOCK2)),
+        ("geometric_mean", spectral_interval(DIAG2, 0.1, 0.2)),
+    ], ids=lambda v: getattr(v, "kind", v))
+    def test_monotone_domains(self, monkeypatch, chunk, name, domain):
+        seen, error = _compare(monkeypatch, "monotone", catalog(name), domain, (1, 2, 3), 7)
+        assert error is None and len(seen) == 21
+
+    @pytest.mark.parametrize("text", [ERROR_WITNESS, "sqrt(X1 - 0.5)*sqrt(X1 - 0.5) - X1"])
+    def test_out_of_domain_rows_mixed_with_good_rows(self, monkeypatch, chunk, text):
+        f = function_from_expr("expr", text, SCALAR)
+        for kind in ("monotone", "halfplane"):
+            seen, error = _compare(monkeypatch, kind, f, f.domain, (1, 2), 12)
+            assert error is None
+            errors = [t for t in seen if t.witness and "error" in t.witness]
+            if kind == "monotone" and text != ERROR_WITNESS:
+                assert 0 < len(errors) < len(seen)
+
+    def test_narrow_interval_rejects_and_bisects(self):
+        # the draws the comparisons above make on NARROW: some candidates are
+        # rejected, and most steps from P to Q are halved many times
+        stats = []
+        for level in (1, 2, 3):
+            for t in range(7):
+                _ref_sample_ordered_pair(NARROW, level, Rng(42).split("monotone", "square", level, t),
+                                         stats=stats)
+        assert max(a for a, _ in stats) > 1
+        assert min(h for _, h in stats) >= 10
+
+
+class TestSamplersBitForBit:
+    @pytest.mark.parametrize("domain", [
+        pd_cone(BLOCK2), full_domain(SCALAR), spectral_interval(DIAG2, -1.0, 1.0),
+        spectral_interval(BLOCK2, 0.5, float("inf")), spectral_interval(SCALAR, float("-inf"), 0.0),
+        NARROW,
+    ], ids=lambda d: d.kind)
+    def test_ordered_pairs(self, domain):
+        rngs = [Rng(9).split(t) for t in range(6)]
+        for level in (1, 2, 3):
+            a, b = sample_ordered_pair(domain, level, rngs)
+            for i, r in enumerate(rngs):
+                ra, rb = _ref_sample_ordered_pair(domain, level, r)
+                for got, want in ((a[i], ra), (b[i], rb)):
+                    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("system", [SCALAR, DIAG2, BLOCK2], ids=lambda s: s.name)
+    def test_halfplane_points(self, system):
+        rngs = [Rng(10).split(t) for t in range(6)]
+        for level in (1, 2, 4):
+            p = sample_halfplane(system, level, rngs)
+            for i, r in enumerate(rngs):
+                assert p[i].coeffs.tobytes() == _ref_sample_halfplane(system, level, r).coeffs.tobytes()
+
+    def test_exhausted_budget_is_a_row_error(self):
+        hopeless = spectral_interval(SCALAR, 0.0, 1e-8)  # narrower than the openness margin
+        errors = {}
+        a, b = sample_ordered_pair(hopeless, 1, [Rng(1), Rng(2)], budget=5, errors=errors)
+        assert sorted(errors) == [0, 1] and isinstance(errors[0], SamplingError)
+        assert not a.coeffs.any() and not b.coeffs.any()
+        with pytest.raises(SamplingError, match=r"budget \(5\) exhausted"):
+            sample_ordered_pair(hopeless, 1, Rng(1), budget=5)
+
+
+# --------------------------------------------------------------------------
+# Which error a check raises when rows of one chunk fail at different stages.
+
+# 1e308 * (71900000 * X1) overflows once X1 exceeds 2.5e-8, and the leading
+# 0 * turns that into a NaN but every finite value into 0.  On INTERVAL each P
+# sits just above 1e-8, and Q lands in (2e-8, 3e-8): a trial whose Q is large
+# raises NonFiniteError when f(Q) is decoded.  A candidate P is accepted with
+# probability 0.003, so some trials exhaust the sampling budget of 1000 and
+# raise SamplingError.
+OVERFLOW = "0 * (1" + "0" * 308 + " * (71900000 * X1))"
+INTERVAL = spectral_interval(SCALAR, 0.0, 4.0096e-8)
+
+
+def _stage_errors(seed, trials):
+    """Per trial index: the error its serial trial raises, or None."""
+    f = function_from_expr("expr", OVERFLOW, SCALAR)
+    out = []
+    for t in range(trials):
+        try:
+            _ref_trial("monotone", f, INTERVAL, 1e-8, Rng(seed), [])(1, t)
+            out.append(None)
+        except NumericalError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+class TestFirstErrorWins:
+    # Trials 0..5 at level 1, as _stage_errors reports them:
+    #   seed 5: trial 0 NonFiniteError (evaluation), trial 1 SamplingError (sampling)
+    #   seed 36: trial 1 SamplingError (sampling), trial 2 NonFiniteError (evaluation)
+    CASES = {5: "matrix entries must all be finite",
+             36: "ordered-pair sampling budget (1000) exhausted"}
+
+    def test_the_cases_fail_at_two_stages(self):
+        assert _stage_errors(5, 3) == ["NonFiniteError", "SamplingError", None]
+        assert _stage_errors(36, 3) == [None, "SamplingError", "NonFiniteError"]
+
+    @pytest.mark.parametrize("seed", CASES)
+    def test_the_lowest_trials_error_is_raised(self, monkeypatch, chunk, seed):
+        f = function_from_expr("expr", OVERFLOW, SCALAR)
+        _, error = _compare(monkeypatch, "monotone", f, INTERVAL, (1,), 6, seed=seed)
+        assert error is not None and error[1] == self.CASES[seed]
+
+    @pytest.mark.parametrize("seed", CASES)
+    def test_cli_reports_it_as_a_numerical_failure(self, monkeypatch, seed):
+        check = cli.check_monotone
+        monkeypatch.setattr(cli, "check_monotone",
+                            lambda f, dom, *o: check(f, INTERVAL, *o))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["check", "--expr", OVERFLOW, "--system", "scalar", "--suite",
+                             "monotone", "--levels", "1..1", "--trials", "6",
+                             "--seed", str(seed)])
+        doc = json.loads(out.getvalue())
+        assert code == cli.EXIT_NUMERICAL
+        assert doc["numerical_failures"] == [
+            {"check": "monotone", "function": "expr", "error": self.CASES[seed]}]

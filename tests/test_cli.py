@@ -137,7 +137,8 @@ class TestNonFinite:
         assert code == 2 and "finite" in err
 
     def test_nan_margin_is_numerical_failure(self, monkeypatch):
-        monkeypatch.setattr(freemono.verifiers, "pair_margin", lambda f, a, b: float("nan"))
+        monkeypatch.setattr(freemono.verifiers, "pair_margin",
+                            lambda f, a, b, errors=None: np.full(len(a.coeffs), np.nan))
         code, out, _ = run_cli("check", "--function", "identity", "--suite", "monotone",
                                "--levels", "1..1", "--trials", "3")
         assert code == 3

@@ -389,9 +389,9 @@ class TestCompiledProgram:
     def test_geometric_mean_takes_two_roots_and_one_inverse(self, monkeypatch):
         calls = {"principal_sqrt": 0, "safe_inv": 0}
         for name in calls:
-            def spy(a, name=name, kernel=getattr(kernels, name)):
+            def spy(a, errors=None, name=name, kernel=getattr(kernels, name)):
                 calls[name] += 1
-                return kernel(a)
+                return kernel(a, errors)
             monkeypatch.setattr(kernels, name, spy)
         gm = catalog("geometric_mean")
         p = NCPoint(DIAG2, (random_matrix("pd", 3, Rng(11)), random_matrix("pd", 3, Rng(12))))

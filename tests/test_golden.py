@@ -32,6 +32,12 @@ GOLDEN = {
     # the witness carries an evaluation error raised inside a repeated subexpression
     "error_witness": (("--suite", "monotone", "--expr", "sqrt(X1 - 2)*sqrt(X1 - 2) + inv(X1 - 1)",
                        "--system", "scalar", *SMALL), "577ac9283daa3f79"),
+    # block variables, a k = 2 decode and level 4; every check passes
+    "schur_levels_1_4": (("--suite", "equivalence", "--function", "schur_complement",
+                          "--levels", "1..4", "--trials", "40"), "3d69e89d4b0fb1f5"),
+    # every trial of every check fails, so the report keeps a witness of each check
+    "inverse_levels_1_4": (("--suite", "equivalence", "--function", "inverse",
+                            "--levels", "1..4", "--trials", "40"), "45fd0a032034d4cd"),
 }
 
 

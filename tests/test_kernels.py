@@ -4,6 +4,7 @@ import pytest
 from freemono.kernels import (
     TOL_HERM,
     BranchCutError,
+    EigensolverError,
     Rng,
     SingularMatrixError,
     SpectrumDomainError,
@@ -19,6 +20,7 @@ from freemono.kernels import (
     principal_sqrt,
     random_matrix,
     safe_inv,
+    scaled_min_eig,
 )
 
 
@@ -281,3 +283,69 @@ class TestExactShortcuts:
     def test_is_hermitian_checks_finiteness_first(self):
         with pytest.raises(ValueError, match="finite"):
             is_hermitian(np.full((2, 2), np.nan))
+
+
+class TestStacks:
+    """A stack of matrices gets, row by row, what each matrix gets alone."""
+
+    @staticmethod
+    def _rows():
+        rng = Rng(23)
+        pd = [random_matrix("pd", 3, rng.split("pd", t)) for t in range(3)]
+        upper = [random_matrix("ginibre", 3, rng.split("g", t)) + 4j * np.eye(3) for t in range(2)]
+        neg = -random_matrix("pd", 3, rng.split("neg"))
+        return [pd[0], upper[0], neg, pd[1], np.zeros((3, 3)), upper[1], pd[2]]
+
+    @staticmethod
+    def _alone(kernel, m):
+        try:
+            return kernel(m)
+        except Exception as exc:  # the row error the stack must report
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("kernel", [principal_sqrt, safe_inv], ids=lambda k: k.__name__)
+    def test_rows_match_single_calls_bit_for_bit(self, kernel):
+        rows = self._rows()
+        rows[3] = rows[3].copy()
+        rows[3][0, 1] = np.inf
+        errors = {}
+        got = kernel(np.stack(rows), errors)
+        for i, m in enumerate(rows):
+            want = self._alone(kernel, m)
+            if isinstance(want, tuple):
+                assert (type(errors[i]), str(errors[i])) == want
+                assert np.isfinite(got[i]).all()  # a finite stand-in
+            else:
+                assert i not in errors and got[i].tobytes() == want.tobytes()
+        assert set(errors) == {i for i, m in enumerate(rows) if isinstance(self._alone(kernel, m), tuple)}
+
+    def test_without_errors_the_lowest_failing_row_raises(self):
+        rows = self._rows()
+        with pytest.raises(BranchCutError, match="eigenvalue -"):  # row 2, not row 4's 0.0
+            principal_sqrt(np.stack(rows))
+        with pytest.raises(SingularMatrixError):
+            safe_inv(np.stack(rows))
+
+    def test_a_rows_first_error_is_kept(self):
+        errors = {1: ValueError("earlier")}
+        safe_inv(np.stack([np.eye(2), np.zeros((2, 2))]), errors)
+        assert list(errors) == [1] and str(errors[1]) == "earlier"
+
+    def test_an_eigensolver_failure_is_a_row_error(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def fails_on_marked(a):  # a matrix with 7 in its corner does not converge
+            if (np.asarray(a)[..., 0, 0] == 7.0).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(a)
+
+        rows = [hermitize(random_matrix("hermitian", 3, Rng(24).split(t))) for t in range(4)]
+        rows[2][0, 0] = 7.0
+        want = [scaled_min_eig(m) for m in rows[:2] + rows[3:]]
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails_on_marked)
+        errors = {}
+        got = scaled_min_eig(np.stack(rows), errors)
+        assert list(errors) == [2] and isinstance(errors[2], EigensolverError)
+        assert [got[0], got[1], got[3]] == want
+        with pytest.raises(EigensolverError, match="did not converge"):
+            scaled_min_eig(np.stack(rows))

@@ -443,3 +443,25 @@ class TestBitExact:
         source[0][0, 0] = 2.0  # the point holds a copy
         assert p.coeffs[0][0, 0] == 1.0
         assert len(p.coeffs) == 4 and all(a.shape == (2, 2) for a in p.coeffs)
+
+    def test_arithmetic_result_holds_the_operators_array(self, monkeypatch):
+        sys_ = builtin_system("block2")
+        p = NCPoint(sys_, [np.eye(2, dtype=complex) * (j + 1) for j in range(sys_.size)])
+        q = NCPoint(sys_, [np.full((2, 2), 0.5j) for _ in range(sys_.size)])
+        copies = []
+        monkeypatch.setattr(NCPoint, "__post_init__", lambda self: copies.append(self))
+        results = {"+": p + q, "-": p - q, "neg": -p, "*": 2.5 * p, "*j": p * 1j}
+        assert copies == []  # no result went through the copying constructor
+        expect = {"+": p.coeffs + q.coeffs, "-": p.coeffs - q.coeffs, "neg": -p.coeffs,
+                  "*": 2.5 * p.coeffs, "*j": 1j * p.coeffs}
+        for name, r in results.items():
+            assert r.coeffs.flags.owndata and not r.coeffs.flags.writeable, name
+            np.testing.assert_array_equal(r.coeffs, expect[name])
+
+    def test_arithmetic_overflow_is_still_rejected(self):
+        sys_ = builtin_system("scalar")
+        p = NCPoint(sys_, (np.array([[1e308]], dtype=complex),))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            p + p
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            10.0 * p
