@@ -129,22 +129,29 @@ def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng, interva
     else:
         dom = spectral_interval(scalar_sys, a, b)
 
-    def trial(level, t):
-        r = rng.split("monotone_1d", f.name, level, t)
-        p, q = sample_ordered_pair(dom, level, r)
-        fa = func_calc(f.real_rule, p.coeffs[0], f.domain)
-        fb = func_calc(f.real_rule, q.coeffs[0], f.domain)
-        margin = scaled_min_eig(hermitize(fb - fa))
-        witness = None
-        if margin < -tol:
-            witness = {
-                "A": kernels.matrix_to_json(p.coeffs[0]),
-                "B": kernels.matrix_to_json(q.coeffs[0]),
-                "margin": margin,
-            }
-        return _Trial(margin, witness)
+    def run(level, ts):
+        errors = {}
+        p, q = sample_ordered_pair(dom, level, [rng.split("monotone_1d", f.name, level, t)
+                                                for t in ts], errors=errors)
+        out = []
+        for i in range(len(ts)):  # in trial order, so the lowest trial's error is raised
+            if i in errors:
+                raise errors[i]
+            a, b = p.coeffs[i, 0], q.coeffs[i, 0]
+            fa = func_calc(f.real_rule, a, f.domain)
+            fb = func_calc(f.real_rule, b, f.domain)
+            margin = scaled_min_eig(hermitize(fb - fa))
+            witness = None
+            if margin < -tol:
+                witness = {
+                    "A": kernels.matrix_to_json(a),
+                    "B": kernels.matrix_to_json(b),
+                    "margin": margin,
+                }
+            out.append(_Trial(margin, witness))
+        return out
 
-    return _run_trials("monotone_1d", f.name, _one_by_one(trial), levels, trials, tol, rng)
+    return _run_trials("monotone_1d", f.name, run, levels, trials, tol, rng)
 
 
 def check_1d_monotone(f: ScalarFunction, level: int = 2, trials: int = 200,

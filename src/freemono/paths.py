@@ -27,8 +27,8 @@ import numpy as np
 import scipy.linalg
 
 from . import kernels
-from .kernels import hermitize
-from .opsys import NCPoint, OpSysBasis
+from .kernels import _ct, hermitize
+from .opsys import NCPoint, OpSysBasis, _check_finite, _point
 
 # Lower bound on every coordinate's velocity, as a fraction of the smallest
 # diagonal velocity entry, over the whole band |t| <= eps.
@@ -49,13 +49,7 @@ class CommutingPath:
         return self.unitary.shape[0]
 
     def point(self, t: float) -> NCPoint:
-        u = self.unitary
-        r = scipy.linalg.expm(t * self.skew)
-        coeffs = []
-        for d, dl in zip(self.diags, self.deltas):
-            base = (u * (d + t * dl)) @ u.conj().T
-            coeffs.append(hermitize(r @ base @ r.conj().T))
-        return NCPoint(self.system, tuple(coeffs))
+        return path_points([self], [t])[0]
 
     def velocity_margin(self, t: float) -> float:
         """Smallest eigenvalue, over coordinates, of the path velocity at t."""
@@ -70,6 +64,22 @@ class CommutingPath:
             "skew": kernels.matrix_to_json(self.skew),
             "eps": float(self.eps),
         }
+
+
+def path_points(paths, ts) -> NCPoint:
+    """The stack of ``paths[i].point(ts[i])``, for paths of one system and level.
+
+    The rotations R(t) come from one stacked ``expm``, which runs the same
+    algorithm on each matrix as a call on that matrix alone.
+    """
+    ts = np.asarray(ts, dtype=float)
+    u = np.stack([p.unitary for p in paths])[:, np.newaxis]
+    r = scipy.linalg.expm(ts[:, np.newaxis, np.newaxis] * np.stack([p.skew for p in paths]))
+    r = r[:, np.newaxis]
+    spectra = np.array([p.diags for p in paths]) + ts[:, np.newaxis, np.newaxis] * np.array(
+        [p.deltas for p in paths])
+    base = (u * spectra[:, :, np.newaxis, :]) @ _ct(u)
+    return _point(paths[0].system, _check_finite(hermitize(r @ base @ _ct(r))))
 
 
 def path_from_witness(system: OpSysBasis, doc: dict) -> CommutingPath:

@@ -6,11 +6,14 @@ identity checks) and fails a trial when its margin drops below ``-tol``.
 Trials derive their randomness from (master rng, check name, function,
 level, trial index), so results do not depend on the order trials run in.
 
-Trials run in one thread, one level at a time.  The monotone and
+Trials run in one thread, one level at a time.  The monotone, local and
 half-plane checks run the trials of a level as stacks of up to
-``TRIAL_CHUNK`` points: they sample, evaluate and take margins of a whole
-chunk at once, and each trial gets the margin, witness or error it would
-get alone.  The other checks run their trials one by one.
+``TRIAL_CHUNK`` points: they evaluate f once per chunk and take the
+margins of the whole chunk at once, and each trial gets the margin,
+witness or error it would get alone.  The monotone and half-plane checks
+also sample a chunk at once; the local check draws each trial's path
+alone and builds the chunk's path points as one stack.  The axioms,
+boundary and Schur-identity checks run their trials one by one.
 """
 
 from __future__ import annotations
@@ -115,6 +118,23 @@ def is_diagonal_type(system: opsys.OpSysBasis) -> bool:
 # --------------------------------------------------------------------------
 # Shared margin computations (also used to re-verify reported witnesses).
 
+def _differences(f: FreeFunction, ab: opsys.NCPoint, errors: dict | None) -> np.ndarray:
+    """realize(f(B)) - realize(f(A)) of each pair, ``ab`` being the stack of the As, then the Bs.
+
+    f is evaluated once, at ``ab``.  A pair that fails is handed to
+    :func:`~freemono.kernels.settle` with its first error, at A before B,
+    and its difference means nothing.
+    """
+    rows = len(ab.coeffs) // 2
+    failed = {}
+    fab = realize(eval_function(f, ab, failed))
+    first = {}
+    for row, exc in sorted(failed.items()):  # the rows of A come first
+        first.setdefault(row % rows, exc)
+    settle(first, errors)
+    return fab[rows:] - fab[:rows]
+
+
 def pair_margin(f: FreeFunction, a: opsys.NCPoint, b: opsys.NCPoint,
                 errors: dict | None = None):
     """Scaled PSD margin of realize(f(b)) - realize(f(a)).
@@ -124,16 +144,8 @@ def pair_margin(f: FreeFunction, a: opsys.NCPoint, b: opsys.NCPoint,
     :func:`~freemono.kernels.settle` with its first error, at A before B,
     and its margin means nothing.
     """
-    stacked = a.coeffs.ndim == 4
-    rows = len(a.coeffs) if stacked else 1
-    failed = {}
-    fab = realize(eval_function(f, stack_points(a, b), failed))
-    first = {}
-    for row, exc in sorted(failed.items()):  # the rows of A come first
-        first.setdefault(row % rows, exc)
-    settle(first, errors)
-    diff = fab[rows:] - fab[:rows]
-    return scaled_min_eig(hermitize(diff if stacked else diff[0]), errors)
+    diff = _differences(f, stack_points(a, b), errors)
+    return scaled_min_eig(hermitize(diff if a.coeffs.ndim == 4 else diff[0]), errors)
 
 
 def halfplane_margin(f: FreeFunction, p: opsys.NCPoint, errors: dict | None = None):
@@ -141,13 +153,23 @@ def halfplane_margin(f: FreeFunction, p: opsys.NCPoint, errors: dict | None = No
     return scaled_min_eig(imag_part(realize(eval_function(f, p, errors))), errors)
 
 
+def _derivative_margins(f: FreeFunction, path_list: list, hs: list,
+                        errors: dict | None = None) -> np.ndarray:
+    """Scaled PSD margin of (f(path(h)) - f(path(-h))) / 2h for each path and its step h.
+
+    f is evaluated once, at the stack of every path's point at -h, then at
+    +h; errors are handed on as by :func:`pair_margin`, at -h before +h.
+    """
+    h = np.array(hs)
+    ab = paths.path_points(path_list + path_list, np.concatenate([-h, h]))
+    der = _differences(f, ab, errors) / (2.0 * h)[:, np.newaxis, np.newaxis]
+    return scaled_min_eig(hermitize(der), errors)
+
+
 def local_margin(f: FreeFunction, witness: dict) -> float:
     """Recompute the finite-difference derivative margin from a witness."""
     path = paths.path_from_witness(f.in_system, witness["path"])
-    h = float(witness["h"])
-    fa = eval_function(f, path.point(-h))
-    fb = eval_function(f, path.point(h))
-    return scaled_min_eig(hermitize((realize(fb) - realize(fa)) / (2.0 * h)))
+    return float(_derivative_margins(f, [path], [float(witness["h"])])[0])
 
 
 # --------------------------------------------------------------------------
@@ -273,24 +295,17 @@ def check_local_monotone(f: FreeFunction, domain: DomainSpec | None = None,
     dom = domain or f.domain
     ranges = _path_ranges(dom, f.in_system.size)
 
-    def trial(level, t):
-        r = rng.split("local", f.name, level, t)
-        path = paths.sample_path(f.in_system, level, r.generator(), ranges)
-        h_eff = min(LOCAL_STEP, 0.5 * path.eps)
-        try:
-            fa = eval_function(f, path.point(-h_eff))
-            fb = eval_function(f, path.point(h_eff))
-        except (OutOfDomainError, CodomainError) as exc:
-            return _Trial(OUT_OF_DOMAIN_MARGIN,
-                          {"path": path.to_witness(), "h": h_eff, "error": str(exc)})
-        der = hermitize((realize(fb) - realize(fa)) / (2.0 * h_eff))
-        margin = scaled_min_eig(der)
-        witness = None
-        if margin < -tol:
-            witness = {"path": path.to_witness(), "h": h_eff, "margin": margin}
-        return _Trial(margin, witness)
+    def run(level, ts):
+        errors = {}
+        path_list = [paths.sample_path(f.in_system, level,
+                                       rng.split("local", f.name, level, t).generator(), ranges)
+                     for t in ts]
+        hs = [min(LOCAL_STEP, 0.5 * path.eps) for path in path_list]
+        margins = _derivative_margins(f, path_list, hs, errors)
+        return _row_trials(margins, errors, tol,
+                           lambda i: {"path": path_list[i].to_witness(), "h": hs[i]})
 
-    return _run_trials("local_monotone", f.name, _one_by_one(trial), levels, trials, tol, rng)
+    return _run_trials("local_monotone", f.name, run, levels, trials, tol, rng)
 
 
 def check_boundary_continuity(f: FreeFunction, domain: DomainSpec | None = None,

@@ -1,11 +1,12 @@
 """The batched trial engine against a serial reference, bit for bit.
 
-``check_monotone`` and ``check_halfplane`` run the trials of a level as
+``check_monotone``, ``check_halfplane``, ``check_local_monotone`` and the
+``monotone_1d`` check of ``loewner1d`` run the trials of a level as
 stacks.  The reference here is the serial engine they replaced: samplers
-that draw one point at a time, two ``random`` calls per coefficient, and a
-loop that runs one trial after another through the single-point
-``pair_margin`` and ``halfplane_margin``.  Every margin, witness and error
-text must come out the same, whatever the chunk size.
+that draw one point at a time, two ``random`` calls per coefficient, path
+points built one at a time, and a loop that runs one trial after another
+through single-point evaluations and margins.  Every margin, witness and
+error text must come out the same, whatever the chunk size.
 """
 
 import contextlib
@@ -15,11 +16,16 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from freemono import cli, verifiers
+from freemono import cli, loewner1d, paths, verifiers
 from freemono.freeexpr import CATALOG_NAMES, CodomainError, OutOfDomainError, catalog
-from freemono.freeexpr import function_from_expr
-from freemono.kernels import NumericalError, Rng, SamplingError, hermitize
+from freemono.freeexpr import eval_function, function_from_expr
+from freemono.kernels import (
+    NumericalError, Rng, SamplingError, SpectrumDomainError, func_calc, hermitize, matrix_to_json,
+    scaled_min_eig,
+)
+from freemono.loewner1d import SCALAR_CATALOG_NAMES, ScalarFunction, scalar_catalog
 from freemono.opsys import (
     NCPoint, builtin_system, full_domain, identity_point, in_domain, pd_cone, point_to_json,
     realize, sample_halfplane, sample_ordered_pair, spectral_interval,
@@ -110,20 +116,64 @@ def _ref_sample_halfplane(system, level, rng):
     return h + 1j * _ref_psd_point(system, level, gen)
 
 
+def _ref_point(path, t):
+    u = path.unitary
+    r = scipy.linalg.expm(t * path.skew)
+    coeffs = []
+    for d, dl in zip(path.diags, path.deltas):
+        base = (u * (d + t * dl)) @ u.conj().T
+        coeffs.append(hermitize(r @ base @ r.conj().T))
+    return NCPoint(path.system, tuple(coeffs))
+
+
+def _ref_monotone_1d(f, interval, level, r, tol):
+    a, b = interval if interval is not None else f.domain
+    if np.isinf(a) and np.isinf(b):
+        dom = full_domain(SCALAR)
+    else:
+        dom = spectral_interval(SCALAR, a, b)
+    p, q = _ref_sample_ordered_pair(dom, level, r)
+    fa = func_calc(f.real_rule, p.coeffs[0], f.domain)
+    fb = func_calc(f.real_rule, q.coeffs[0], f.domain)
+    m = scaled_min_eig(hermitize(fb - fa))
+    witness = None
+    if m < -tol:
+        witness = {"A": matrix_to_json(p.coeffs[0]), "B": matrix_to_json(q.coeffs[0]), "margin": m}
+    return _Trial(m, witness)
+
+
 def _ref_trial(kind, f, dom, tol, rng, seen):
     """The serial loop's trial body; records each trial's (margin, witness) in ``seen``."""
 
     def trial(level, t):
         r = rng.split(kind, f.name, level, t)
-        if kind == "monotone":
+        if kind == "monotone_1d":
+            seen.append(_ref_monotone_1d(f, dom, level, r, tol))
+            return seen[-1]
+        if kind == "local":
+            path = paths.sample_path(f.in_system, level, r.generator(),
+                                     verifiers._path_ranges(dom, f.in_system.size))
+            h = min(verifiers.LOCAL_STEP, 0.5 * path.eps)
+            points = {"path": path.to_witness(), "h": h}
+
+            def margin():
+                fa = eval_function(f, _ref_point(path, -h))
+                fb = eval_function(f, _ref_point(path, h))
+                return scaled_min_eig(hermitize((realize(fb) - realize(fa)) / (2.0 * h)))
+        elif kind == "monotone":
             a, b = _ref_sample_ordered_pair(dom, level, r)
-            points, margin = {"A": point_to_json(a), "B": point_to_json(b)}, pair_margin
-            args = (f, a, b)
+            points = {"A": point_to_json(a), "B": point_to_json(b)}
+
+            def margin():
+                return pair_margin(f, a, b)
         else:
             p = _ref_sample_halfplane(f.in_system, level, r)
-            points, margin, args = {"P": point_to_json(p)}, halfplane_margin, (f, p)
+            points = {"P": point_to_json(p)}
+
+            def margin():
+                return halfplane_margin(f, p)
         try:
-            m = margin(*args)
+            m = margin()
             out = _Trial(m, {**points, "margin": m} if m < -tol else None)
         except (OutOfDomainError, CodomainError) as exc:
             out = _Trial(OUT_OF_DOMAIN_MARGIN, {**points, "error": str(exc)})
@@ -143,35 +193,47 @@ def _bits(trials):
 def _outcome(run):
     try:
         return run(), None
-    except NumericalError as exc:
+    except (NumericalError, SpectrumDomainError) as exc:
         return None, (type(exc).__name__, str(exc))
+
+
+# kind -> (the module whose _run_trials the check calls, its report's check
+# name, the batched check); ``dom`` is an interval (or None) for monotone_1d
+CHECKS = {
+    "monotone": (verifiers, "monotone", verifiers.check_monotone),
+    "halfplane": (verifiers, "halfplane",
+                  lambda f, dom, *opts: verifiers.check_halfplane(f, *opts)),
+    "local": (verifiers, "local_monotone", verifiers.check_local_monotone),
+    "monotone_1d": (loewner1d, "monotone_1d",
+                    lambda f, dom, *opts: loewner1d._monotone_matrix_report(f, *opts, dom)),
+}
 
 
 def _compare(monkeypatch, kind, f, dom, levels, trials, tol=1e-8, seed=42):
     """Run the batched check and the serial reference; both must agree bit for bit."""
     rng = Rng(seed)
+    module, check, batched = CHECKS[kind]
     seen = []
-    row_trials = verifiers._row_trials
 
-    def spy(*args):
-        rows = row_trials(*args)
-        seen.extend(rows)
-        return rows
+    def spy(name, function, run, *rest):
+        def recorded(level, ts):
+            rows = run(level, ts)
+            seen.extend(rows)
+            return rows
 
-    monkeypatch.setattr(verifiers, "_row_trials", spy)
-    if kind == "monotone":
-        report, error = _outcome(lambda: verifiers.check_monotone(f, dom, levels, trials, tol, rng))
-    else:
-        report, error = _outcome(lambda: verifiers.check_halfplane(f, levels, trials, tol, rng))
-    monkeypatch.setattr(verifiers, "_row_trials", row_trials)
+        return _run_trials(name, function, recorded, *rest)
+
+    monkeypatch.setattr(module, "_run_trials", spy)
+    report, error = _outcome(lambda: batched(f, dom, levels, trials, tol, rng))
+    monkeypatch.setattr(module, "_run_trials", _run_trials)
     ref_seen = []
     ref_report, ref_error = _outcome(lambda: _run_trials(
-        kind, f.name, _one_by_one(_ref_trial(kind, f, dom, tol, rng, ref_seen)),
+        check, f.name, _one_by_one(_ref_trial(kind, f, dom, tol, rng, ref_seen)),
         levels, trials, tol, rng))
     assert error == ref_error
     if ref_error is None:
         assert json.dumps(report.to_json()) == json.dumps(ref_report.to_json())
-    if ref_error is None or ref_error[1].startswith(f"{kind} of {f.name}: margin"):
+    if ref_error is None or ref_error[1].startswith(f"{check} of {f.name}: margin"):
         assert _bits(seen) == _bits(ref_seen)  # every trial ran on both sides
     return seen, error
 
@@ -206,15 +268,42 @@ class TestAgainstSerialReference:
         seen, error = _compare(monkeypatch, "monotone", catalog(name), domain, (1, 2, 3), 7)
         assert error is None and len(seen) == 21
 
+    @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES
+                                      if verifiers.is_diagonal_type(catalog(n).in_system)])
+    def test_local_levels_1_to_4(self, monkeypatch, chunk, name):
+        f = catalog(name)
+        seen, error = _compare(monkeypatch, "local", f, f.domain, (1, 2, 3, 4), 5)
+        assert error is None and len(seen) == 20
+
     @pytest.mark.parametrize("text", [ERROR_WITNESS, "sqrt(X1 - 0.5)*sqrt(X1 - 0.5) - X1"])
     def test_out_of_domain_rows_mixed_with_good_rows(self, monkeypatch, chunk, text):
         f = function_from_expr("expr", text, SCALAR)
-        for kind in ("monotone", "halfplane"):
+        for kind in ("monotone", "halfplane", "local"):
             seen, error = _compare(monkeypatch, kind, f, f.domain, (1, 2), 12)
             assert error is None
             errors = [t for t in seen if t.witness and "error" in t.witness]
-            if kind == "monotone" and text != ERROR_WITNESS:
+            if (kind, text == ERROR_WITNESS) in (("monotone", False), ("local", True)):
                 assert 0 < len(errors) < len(seen)
+
+    @pytest.mark.parametrize("name", SCALAR_CATALOG_NAMES)
+    @pytest.mark.parametrize("interval", [None, (0.1, 10.0), (-1.0, 1.0)], ids=str)
+    def test_monotone_1d_levels_1_to_4(self, monkeypatch, chunk, name, interval):
+        seen, error = _compare(monkeypatch, "monotone_1d", scalar_catalog(name), interval,
+                               (1, 2, 3, 4), 5)
+        domain_error = interval == (-1.0, 1.0) and name in ("sqrt", "neg_inverse")
+        assert (error is not None) == domain_error
+        assert len(seen) == (0 if domain_error else 20)
+
+    def test_local_chunk_evaluates_once(self, monkeypatch):
+        calls = []
+
+        def spy(f, point, errors=None):
+            calls.append(len(point.coeffs))
+            return eval_function(f, point, errors)
+
+        monkeypatch.setattr(verifiers, "eval_function", spy)
+        verifiers.check_local_monotone(catalog("geometric_mean"), levels=(3,), trials=5, rng=Rng(4))
+        assert calls == [10]  # the five points at -h, then the five at +h
 
     def test_narrow_interval_rejects_and_bisects(self):
         # the draws the comparisons above make on NARROW: some candidates are
@@ -303,6 +392,24 @@ class TestFirstErrorWins:
         f = function_from_expr("expr", OVERFLOW, SCALAR)
         _, error = _compare(monkeypatch, "monotone", f, INTERVAL, (1,), 6, seed=seed)
         assert error is not None and error[1] == self.CASES[seed]
+
+    # The same for monotone_1d, with a function defined on (0, 2.5e-8) only:
+    #   seed 16: trial 0 SamplingError (sampling), trial 1 SpectrumDomainError (func_calc)
+    #   seed 36: trial 0 SpectrumDomainError (func_calc), trial 2 SamplingError (sampling)
+    NARROW_1D = ScalarFunction("narrow", (0.0, 2.5e-8), lambda x: np.asarray(x, dtype=float),
+                               None, None)
+    CASES_1D = {16: "SamplingError", 36: "SpectrumDomainError"}
+
+    @pytest.mark.parametrize("seed", CASES_1D)
+    def test_the_lowest_trials_error_is_raised_in_monotone_1d(self, monkeypatch, chunk, seed):
+        _, error = _compare(monkeypatch, "monotone_1d", self.NARROW_1D, (INTERVAL.a, INTERVAL.b),
+                            (1,), 4, seed=seed)
+        assert error is not None and error[0] == self.CASES_1D[seed]
+        later = 1 if seed == 16 else 2
+        with pytest.raises((NumericalError, SpectrumDomainError)) as alone:
+            _ref_trial("monotone_1d", self.NARROW_1D, (INTERVAL.a, INTERVAL.b), 1e-8,
+                       Rng(seed), [])(1, later)
+        assert type(alone.value).__name__ not in (error[0], "NoneType")
 
     @pytest.mark.parametrize("seed", CASES)
     def test_cli_reports_it_as_a_numerical_failure(self, monkeypatch, seed):

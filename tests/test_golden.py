@@ -32,6 +32,10 @@ GOLDEN = {
     # the witness carries an evaluation error raised inside a repeated subexpression
     "error_witness": (("--suite", "monotone", "--expr", "sqrt(X1 - 2)*sqrt(X1 - 2) + inv(X1 - 1)",
                        "--system", "scalar", *SMALL), "577ac9283daa3f79"),
+    # the local check's worst witness carries an evaluation error; good rows are mixed in
+    "local_error_witness": (("--suite", "local", "--expr",
+                             "sqrt(X1 - 2)*sqrt(X1 - 2) + inv(X1 - 1)", "--system", "scalar",
+                             *SMALL), "01060c49af571b34"),
     # block variables, a k = 2 decode and level 4; every check passes
     "schur_levels_1_4": (("--suite", "equivalence", "--function", "schur_complement",
                           "--levels", "1..4", "--trials", "40"), "3d69e89d4b0fb1f5"),

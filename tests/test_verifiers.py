@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freemono.freeexpr import catalog, eval_function, function_from_expr
+from freemono.freeexpr import OutOfDomainError, catalog, eval_function, function_from_expr
 from freemono.kernels import NumericalError, Rng, hermitize, min_eig_h, op_norm, random_matrix
 from freemono.opsys import (
     NCPoint,
@@ -155,7 +155,15 @@ class TestLocalMonotone:
         rep = check_local_monotone(catalog("square"), levels=(2, 3), trials=200, rng=Rng(18))
         assert rep.witness is not None
         again = local_margin(catalog("square"), rep.witness)
-        assert abs(again - rep.witness["margin"]) <= 1e-10
+        assert type(again) is float and again == rep.witness["margin"]
+
+    def test_error_witness_replays_its_error(self):
+        f = function_from_expr("expr", "sqrt(X1 - 2)*sqrt(X1 - 2) + inv(X1 - 1)", SCALAR)
+        rep = check_local_monotone(f, levels=(1, 2), trials=12, rng=Rng(42))
+        assert "error" in rep.witness
+        with pytest.raises(OutOfDomainError) as exc:
+            local_margin(f, rep.witness)
+        assert str(exc.value) == rep.witness["error"]
 
     def test_rejects_block_systems(self):
         with pytest.raises(ValueError):
