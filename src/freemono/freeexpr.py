@@ -125,6 +125,11 @@ class _Token:
     raw: str = ""
 
 
+def _digit(text: str, j: int) -> bool:
+    # ASCII only: str.isdigit() also accepts '²' and '١', which float() and int() reject or misread
+    return j < len(text) and "0" <= text[j] <= "9"
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i, n = 0, len(text)
@@ -147,18 +152,18 @@ def _tokenize(text: str) -> list[_Token]:
                 j += 1
                 while j < n and text[j].isspace():
                     j += 1
-                if j < n and text[j] == "1" and (j + 1 >= n or not (text[j + 1].isdigit() or text[j + 1] == ".")):
+                if j < n and text[j] == "1" and not (_digit(text, j + 1) or text[j + 1:j + 2] == "."):
                     tokens.append(_Token("powinv", i))
                     i = j + 1
                     continue
             raise ParseError("expected '^-1'", i)
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if _digit(text, i) or (c == "." and _digit(text, i + 1)):
             j = i
-            while j < n and text[j].isdigit():
+            while _digit(text, j):
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while _digit(text, j):
                     j += 1
             raw = text[i:j]
             if not np.isfinite(float(raw)):
@@ -172,8 +177,8 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         if c == "X":
             j = i + 1
-            if j < n and text[j].isdigit():
-                while j < n and text[j].isdigit():
+            if _digit(text, j):
+                while _digit(text, j):
                     j += 1
                 tokens.append(_Token("var", i, raw=text[i + 1:j]))
                 i = j
@@ -262,7 +267,7 @@ class _Parser:
 
     def _index(self, what: str) -> tuple[int, int]:
         t = self.tok
-        if t.kind != "scalar" or not t.raw.isdigit():
+        if t.kind != "scalar" or not (t.raw.isascii() and t.raw.isdigit()):
             raise ParseError(f"expected a {what} index", t.pos)
         self.advance()
         return int(t.raw), t.pos
@@ -454,17 +459,15 @@ def eval_function(f: FreeFunction, point: NCPoint, errors: dict | None = None) -
     does not decode into the output system within 1e-9; a value that
     overflows raises :class:`~freemono.kernels.NonFiniteError`.
 
-    At a stack of points the program runs once on ``(T, n, n)`` stacks and
-    each point gets the value it would get alone.  A point whose evaluation
-    fails is handed to :func:`~freemono.kernels.settle` with its first error
-    and gets a finite stand-in value; a single point is the stack of one.
+    The program runs once, on ``(..., n, n)`` arrays of the points' leading
+    shape, and each point gets the value it would get alone.  A point whose
+    evaluation fails is handed to :func:`~freemono.kernels.settle` with its
+    first error and gets a finite stand-in value.
     """
     if point.system.name != f.in_system.name:
         raise ValueError(
             f"point over {point.system.name!r} fed to function on {f.in_system.name!r}")
-    stacked = point.coeffs.ndim == 4
-    coeffs = point.coeffs if stacked else point.coeffs[np.newaxis]
-    rows, n = len(coeffs), point.level
+    lead, n = point.coeffs.shape[:-3], point.level
     errs = {}
     blocks = None
     vals = []
@@ -474,7 +477,7 @@ def eval_function(f: FreeFunction, point: NCPoint, errors: dict | None = None) -
             if kind is Mul:
                 v = vals[a] @ vals[b]
             elif kind is Var:
-                v = coeffs[:, a - 1]
+                v = point.coeffs[..., a - 1, :, :]
             elif kind is Sqrt:
                 v = _guarded(kernels.principal_sqrt, vals[a], errs, "square-root branch violation")
             elif kind is Inv:
@@ -488,18 +491,18 @@ def eval_function(f: FreeFunction, point: NCPoint, errors: dict | None = None) -
             elif kind is ScalarMul:
                 v = a * vals[b]
             elif kind is ScalarConst:
-                v = np.broadcast_to(a * np.eye(n, dtype=np.complex128), (rows, n, n))
+                v = np.broadcast_to(a * np.eye(n, dtype=np.complex128), lead + (n, n))
             else:  # Block
                 if blocks is None:
                     k = f.in_system.k
-                    blocks = opsys.realize(point).reshape(rows, k, n, k, n)
-                v = blocks[:, a - 1, :, b - 1, :]
+                    blocks = opsys.realize(point).reshape(lead + (k, n, k, n))
+                v = blocks[..., a - 1, :, b - 1, :]
             vals.append(v)
         ko = f.out_system.k
-        out = np.zeros((rows, ko * n, ko * n), dtype=np.complex128)
+        out = np.zeros(lead + (ko * n, ko * n), dtype=np.complex128)
         for p, row in enumerate(f.roots):
             for q, r in enumerate(row):
-                out[:, p * n:(p + 1) * n, q * n:(q + 1) * n] = vals[r]
+                out[..., p * n:(p + 1) * n, q * n:(q + 1) * n] = vals[r]
     failed = {}
     value = opsys.decode(out, f.out_system, n, failed)
     for row, exc in failed.items():
@@ -507,7 +510,7 @@ def eval_function(f: FreeFunction, point: NCPoint, errors: dict | None = None) -
             exc = _caused(CodomainError(str(exc)), exc)
         errs.setdefault(row, exc)
     kernels.settle(errs, errors)
-    return value if stacked else value[0]
+    return value
 
 
 def _caused(exc, cause):

@@ -4,11 +4,15 @@ Everything downstream reduces to the routines here: Hermitian eigenwork,
 semidefiniteness margins, principal square roots, the scalar functional
 calculus, and reproducible random matrix generation.
 
-The kernels of the trial path also take a ``(T, n, n)`` stack and work on
-each matrix alone, with the values the matrix would get by itself; a
-single matrix is the stack of one.  A matrix of a stack that fails is a
-failed row: its error goes to the ``errors`` dict the caller passes (see
-:func:`settle`) and its result is a finite stand-in.
+The kernels of the trial path follow NumPy's ``linalg`` convention: they
+take an ``(..., n, n)`` array, any leading shape including none, work on
+each matrix alone, with the values the matrix would get by itself, and
+return results with the same leading shape (so a number-valued kernel
+gives a NumPy scalar for a single matrix).  Inside, the matrices are a flat ``(T, n, n)`` stack, and a single
+matrix is its row 0.  A matrix that fails is a failed row: its error goes
+to the ``errors`` dict the caller passes, keyed by flat row (see
+:func:`settle`), and its result is a finite stand-in; without a dict the
+error is raised.
 
 Tolerance convention: a comparison at tolerance ``t`` against a matrix
 ``A`` is made relative to ``t * (1 + ||A||)``, with ``||.||`` the operator
@@ -77,16 +81,16 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_stack(a) -> tuple[np.ndarray, bool]:
-    """``a`` as a complex ``(T, n, n)`` stack, and whether it came as one.
+def as_stack(a) -> tuple[np.ndarray, tuple]:
+    """An ``(..., n, n)`` array ``a`` as a complex ``(T, n, n)`` stack, and its leading shape.
 
-    A single matrix is validated by :func:`as_matrix` and becomes a stack of
-    one; the finiteness of a stack's rows is left to :func:`finite_rows`.
+    The finiteness of the rows is left to :func:`finite_rows`.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim == 3 and a.shape[1] == a.shape[2]:
-        return a, True
-    return as_matrix(a)[np.newaxis], False
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    lead = a.shape[:-2]
+    return a.reshape((math.prod(lead),) + a.shape[-2:]), lead
 
 
 def _ct(a) -> np.ndarray:
@@ -109,30 +113,27 @@ def settle(errs: dict, errors: dict | None):
         errors.setdefault(int(row), exc)
 
 
-def finite_rows(a: np.ndarray, errs: dict) -> np.ndarray:
+def finite_rows(a: np.ndarray, errs: dict | None = None) -> np.ndarray:
     """The stack with each matrix that has a non-finite entry replaced by the identity.
 
     Each such row gets the :class:`NonFiniteError` that :func:`as_matrix`
-    raises, and the stand-in goes into a copy of ``a``.
+    raises, and the stand-in goes into a copy of ``a``.  Without ``errs``,
+    the error of the lowest such row is raised.
     """
     if np.isfinite(a).all():
         return a
     bad = ~np.isfinite(a).all(axis=(1, 2))
-    for row in np.flatnonzero(bad):
-        errs[row] = NonFiniteError("matrix entries must all be finite")
+    settle({row: NonFiniteError("matrix entries must all be finite")
+            for row in np.flatnonzero(bad)}, errs)
     a = a.copy()
     a[bad] = np.eye(a.shape[-1])
     return a
 
 
 def op_norm(a):
-    """Operator (spectral) norm: the largest singular value (0.0 for a 0-by-0 matrix).
-
-    For a stack, the norm of each matrix.
-    """
+    """Operator (spectral) norm: the largest singular value (0.0 for a 0-by-0 matrix)."""
     sv = np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
-    top = sv.max(axis=-1, initial=0.0)
-    return float(top) if sv.ndim == 1 else top
+    return sv.max(axis=-1, initial=0.0)
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
@@ -149,17 +150,15 @@ def hermitize(a) -> np.ndarray:
 
 
 def is_hermitian(a):
-    """True when A equals its conjugate transpose within ``TOL_HERM * (1 + ||A||)``.
-
-    For a stack, a boolean array with the answer for each matrix.
-    """
-    a, stacked = as_stack(a)
+    """True when A equals its conjugate transpose within ``TOL_HERM * (1 + ||A||)``."""
+    a, lead = as_stack(a)
+    a = finite_rows(a)
     ah = _ct(a)
     out = (a == ah).all(axis=(1, 2))  # exact: the tolerance test below would pass
     rest = np.flatnonzero(~out)
     if rest.size:
         out[rest] = op_norm(a[rest] - ah[rest]) <= TOL_HERM * (1.0 + op_norm(a[rest]))
-    return out if stacked else bool(out[0])
+    return out.reshape(lead)[()]
 
 
 def require_hermitian(a) -> np.ndarray:
@@ -171,12 +170,11 @@ def require_hermitian(a) -> np.ndarray:
 
 
 def imag_part(a) -> np.ndarray:
-    """Imaginary part (A - A*) / 2i, exactly Hermitian by construction; stack-wise for a stack."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 3:
-        a = as_matrix(a)
+    """Imaginary part (A - A*) / 2i, exactly Hermitian by construction."""
+    a, lead = as_stack(a)
+    a = finite_rows(a)
     b = (a - _ct(a)) * (-0.5j)
-    return (b + _ct(b)) / 2.0
+    return ((b + _ct(b)) / 2.0).reshape(lead + a.shape[1:])
 
 
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -193,59 +191,49 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
-def _eigvalsh(a: np.ndarray, errs: dict) -> np.ndarray:
-    """Eigenvalues of each matrix of a stack.
+def _eigvalsh(a, errors: dict | None = None) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of ``a``; a real ``a`` keeps the real solver.
 
-    When the stacked call fails, the matrices are solved one by one, and
-    each one whose solver does not converge gets an :class:`EigensolverError`
-    and zeros.
+    When the call fails, the matrices are solved one by one, and each one
+    whose solver does not converge is a failed row with an
+    :class:`EigensolverError`, and gets zeros.
     """
+    a = np.asarray(a)
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError:
-        w = np.zeros(a.shape[:-1])
-        for row, m in enumerate(a):
+        flat = a.reshape((-1,) + a.shape[-2:])
+        w, errs = np.zeros(flat.shape[:-1]), {}
+        for row, m in enumerate(flat):
             try:
                 w[row] = np.linalg.eigvalsh(m)
             except np.linalg.LinAlgError as exc:
                 errs[row] = EigensolverError(f"eigensolver did not converge: {exc}")
-        return w
+        settle(errs, errors)
+        return w.reshape(a.shape[:-1])
 
 
 def min_eig_h(a):
-    """Minimum eigenvalue, input trusted to be Hermitian (no validation); stack-wise for a stack."""
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
-    return float(w[0]) if w.ndim == 1 else w[:, 0]
+    """Minimum eigenvalue, input trusted to be Hermitian (no validation)."""
+    return _eigvalsh(a)[..., 0][()]
 
 
 def scaled_min_eig(a, errors: dict | None = None):
-    """min eig / (1 + ||A||) for Hermitian A, in one eigendecomposition.
-
-    For a stack, the margin of each matrix; a row whose eigensolver fails
-    is handed to :func:`settle`.
-    """
-    a = np.asarray(a)  # a real matrix keeps the real solver
-    errs = {}
-    w = _eigvalsh(a.reshape((-1,) + a.shape[-2:]), errs)
-    settle(errs, errors)
-    out = [r[0] / (1.0 + max(abs(r[0]), abs(r[-1]))) for r in w.tolist()]
-    return np.array(out) if a.ndim == 3 else out[0]
+    """min eig / (1 + ||A||) for Hermitian A, in one eigendecomposition."""
+    w = _eigvalsh(a, errors)
+    out = [r[0] / (1.0 + max(abs(r[0]), abs(r[-1]))) for r in w.reshape(-1, w.shape[-1]).tolist()]
+    return np.array(out).reshape(w.shape[:-1])[()]
 
 
 def safe_inv(a, errors: dict | None = None) -> np.ndarray:
     """Matrix inverse guarded by a condition estimate.
 
-    For a stack, the inverse of each matrix; a row with a non-finite entry
-    or a condition estimate above ``COND_LIMIT`` is handed to :func:`settle`
-    and gets the identity.
+    A matrix with a non-finite entry or a condition estimate above
+    ``COND_LIMIT`` is a failed row and gets the identity.
     """
-    a, stacked = as_stack(a)
+    a, lead = as_stack(a)
     errs = {}
-    if stacked:
-        a = finite_rows(a, errs)
+    a = finite_rows(a, errs)
     sv = np.linalg.svd(a, compute_uv=False)
     bad = [row for row, (lo, hi) in enumerate(zip(sv[:, -1].tolist(), sv[:, 0].tolist()))
            if lo <= 0.0 or not math.isfinite(hi) or hi / lo > COND_LIMIT]
@@ -255,8 +243,7 @@ def safe_inv(a, errors: dict | None = None) -> np.ndarray:
         a = a.copy()
         a[bad] = np.eye(a.shape[-1])
     settle(errs, errors)
-    out = np.linalg.inv(a)
-    return out if stacked else out[0]
+    return np.linalg.inv(a).reshape(lead + a.shape[1:])
 
 
 def _sqrt_triu(t: np.ndarray) -> np.ndarray:
@@ -315,15 +302,12 @@ def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
 
     Requires the spectrum to stay off the closed ray (-inf, 0]; every
     eigenvalue of the result has strictly positive real part.  Hermitian
-    inputs take the eigendecomposition shortcut (same branch, same errors).
-    For a stack, the root of each matrix, the Hermitian ones by one stacked
-    ``eigh``; a row that fails is handed to :func:`settle` and gets a
-    finite stand-in.
+    inputs take the eigendecomposition shortcut (same branch, same errors),
+    all of them by one stacked ``eigh``.
     """
-    a, stacked = as_stack(a)
+    a, lead = as_stack(a)
     errs = {}
-    if stacked:
-        a = finite_rows(a, errs)
+    a = finite_rows(a, errs)
     scale = (1.0 + op_norm(a)).tolist()
     norms = _frobenius(np.concatenate([a - _ct(a), a])).tolist()
     herm = [d <= 1e-13 * (1.0 + m) for d, m in zip(norms[:len(a)], norms[len(a):])]
@@ -339,7 +323,7 @@ def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
         if r > TOL_RECON * s:
             errs.setdefault(row, NumericalError("principal square root failed to reconstruct its input"))
     settle(errs, errors)
-    return root if stacked else root[0]
+    return root.reshape(lead + a.shape[1:])
 
 
 def func_calc(fn: Callable[[np.ndarray], np.ndarray], a,

@@ -9,9 +9,12 @@ ambient index is kept outermost so block (p, q) of the realization is
 ``sum_j E_j[p, q] * A_j``, a plain linear read of the coefficients; it is
 built from the basis's table of nonzero entries, one scaled add per entry.
 
-A stack of T points of one level holds a ``(T, m, n, n)`` array.  The
-samplers draw stacks, one generator per row, and ``realize``, ``decode``
-and ``in_domain`` work on each point of a stack as they would on it alone.
+A stack of points of one level holds an ``(..., m, n, n)`` array, any
+leading shape including none, after the convention of
+:mod:`freemono.kernels`: ``realize``, ``decode``, ``in_domain``,
+``direct_sum`` and ``conjugate`` work on each point of a stack as they
+would on it alone and keep the leading shape.  The samplers draw a stack
+from an array of Rngs, one generator per row.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ class NCPoint:
 
     ``coeffs`` is given as any sequence of m square matrices of one size and
     kept as a read-only complex ``(m, n, n)`` array; ``coeffs[j]`` is A_j.
-    A stack of points (see the module docstring) holds ``(T, m, n, n)``;
+    A stack of points (see the module docstring) holds ``(..., m, n, n)``;
     stacks come from the samplers, ``decode`` and :func:`stack_points`.
     """
 
@@ -130,7 +133,7 @@ class NCPoint:
 
     def __getitem__(self, rows) -> "NCPoint":
         """Point ``rows`` of a stack, or the stack of the points an index array selects."""
-        if self.coeffs.ndim != 4:
+        if self.coeffs.ndim < 4:
             raise TypeError("only a stack of points can be indexed")
         return _point(self.system, self.coeffs[rows])
 
@@ -260,17 +263,15 @@ def decode(m, system: OpSysBasis, level: int, errors: dict | None = None) -> NCP
     """Invert ``realize`` on its image via the dual frame, extended complex-linearly.
 
     Raises :class:`NotInImageError` when the reassembly residual exceeds
-    ``1e-9 * (1 + ||m||)``.  A ``(T, n*k, n*k)`` stack decodes into a stack
-    of points; a matrix that is not finite or not in the image is handed to
-    :func:`~freemono.kernels.settle` and decodes to a finite stand-in.
+    ``1e-9 * (1 + ||m||)``.  A matrix that is not finite or not in the
+    image is a failed row and decodes to a finite stand-in.
     """
-    m, stacked = kernels.as_stack(m)
+    m, lead = kernels.as_stack(m)
+    m = finite_rows(m, errors)
     k, n = system.k, int(level)
     if m.shape[-1] != n * k:
         raise ValueError(f"matrix side {m.shape[-1]} does not equal level*k = {n * k}")
     errs = {}
-    if stacked:
-        m = finite_rows(m, errs)
     blocks = m.reshape(len(m), k, n, k, n)
     coeffs = np.empty((len(m), system.size, n, n), dtype=np.complex128)
     for j, dual in enumerate(system.dual_basis):
@@ -297,14 +298,12 @@ def decode(m, system: OpSysBasis, level: int, errors: dict | None = None) -> NCP
             errs.setdefault(row, NotInImageError(
                 f"matrix is not in the realization image (residual {r:.3e})"))
     settle(errs, errors)
-    return point if stacked else point[0]
+    return _point(system, coeffs.reshape(lead + coeffs.shape[1:]))
 
 
 def is_hermitian_point(point: NCPoint):
-    """True when every coefficient is Hermitian; for a stack, a boolean array per point."""
-    c = point.coeffs
-    herm = is_hermitian(c.reshape((-1,) + c.shape[-2:])).reshape(c.shape[:-2]).all(axis=-1)
-    return herm if c.ndim == 4 else bool(herm)
+    """True when every coefficient is Hermitian."""
+    return is_hermitian(point.coeffs).all(axis=-1)
 
 
 def order_leq(p: NCPoint, q: NCPoint, tol: float = kernels.TOL_PSD) -> bool:
@@ -312,7 +311,7 @@ def order_leq(p: NCPoint, q: NCPoint, tol: float = kernels.TOL_PSD) -> bool:
     _require_compatible(p, q)
     if not (is_hermitian_point(p) and is_hermitian_point(q)):
         raise ValueError("order is defined between Hermitian points only")
-    w = np.linalg.eigvalsh(hermitize(realize(q - p)))
+    w = kernels._eigvalsh(hermitize(realize(q - p)))
     return float(w[0]) >= -tol * (1.0 + max(abs(float(w[0])), abs(float(w[-1]))))
 
 
@@ -320,29 +319,26 @@ def direct_sum(p: NCPoint, q: NCPoint) -> NCPoint:
     """Coefficientwise block-diagonal sum; output level is the sum of levels."""
     if p.system.name != q.system.name:
         raise ValueError("direct sum requires points over the same system")
-    n, m = p.level, q.level
-    coeffs = []
-    for a, b in zip(p.coeffs, q.coeffs):
-        c = np.zeros((n + m, n + m), dtype=np.complex128)
-        c[:n, :n] = a
-        c[n:, n:] = b
-        coeffs.append(c)
-    return NCPoint(p.system, tuple(coeffs))
+    n = p.level
+    c = np.zeros(p.coeffs.shape[:-2] + (n + q.level,) * 2, dtype=np.complex128)
+    c[..., :n, :n] = p.coeffs
+    c[..., n:, n:] = q.coeffs
+    return _point(p.system, c)
 
 
 def conjugate(p: NCPoint, s) -> NCPoint:
-    """Coefficientwise similarity S^{-1} A_j S."""
-    s = as_matrix(s)
-    if s.shape[0] != p.level:
+    """Coefficientwise similarity S^{-1} A_j S; a stack of points takes one S or one per point."""
+    s, lead = kernels.as_stack(s)
+    if s.shape[-1] != p.level:
         raise ValueError("conjugating matrix must match the point's level")
-    s_inv = kernels.safe_inv(s)
-    return NCPoint(p.system, tuple(s_inv @ a @ s for a in p.coeffs))
+    s = s.reshape(lead + (1,) + s.shape[1:])  # broadcast over the coefficients
+    return _point(p.system, _check_finite(kernels.safe_inv(s) @ p.coeffs @ s))
 
 
 def identity_point(system: OpSysBasis, level: int) -> NCPoint:
     """The point realizing the identity matrix."""
-    eye = np.eye(level, dtype=np.complex128)
-    return NCPoint(system, tuple(c * eye for c in system.id_coeffs))
+    c = np.array(system.id_coeffs).reshape(-1, 1, 1)
+    return _point(system, c * np.eye(level, dtype=np.complex128))
 
 
 def shuffle_permutation(k: int, n: int, m: int) -> np.ndarray:
@@ -362,39 +358,32 @@ def shuffle_permutation(k: int, n: int, m: int) -> np.ndarray:
 
 
 def in_domain(point: NCPoint, domain: DomainSpec):
-    """Membership predicate; interval and cone slices shrink by ``TOL_PSD`` for openness.
-
-    For a stack, a boolean array with the answer for each point.
-    """
+    """Membership predicate; interval and cone slices shrink by ``TOL_PSD`` for openness."""
     tol = kernels.TOL_PSD
     if point.system.name != domain.system.name:
         raise ValueError("point and domain refer to different systems")
-    stacked = point.coeffs.ndim == 4
     if domain.kind == "full":
-        return np.ones(len(point.coeffs), dtype=bool) if stacked else True
+        return np.ones(point.coeffs.shape[:-3], dtype=bool)[()]
     inside = is_hermitian_point(point)
-    if stacked or inside:
-        w = np.linalg.eigvalsh(hermitize(realize(point)))
-        if domain.kind == "pd_cone":
-            inside = inside & (w[..., 0] > tol)
-        elif domain.kind == "spectral_interval":
-            inside = inside & (w[..., 0] > domain.a + tol) & (w[..., -1] < domain.b - tol)
-        else:
-            raise ValueError(f"unknown domain kind {domain.kind!r}")
-    return inside if stacked else bool(inside)
+    w = kernels._eigvalsh(hermitize(realize(point)))
+    if domain.kind == "pd_cone":
+        return inside & (w[..., 0] > tol)
+    if domain.kind == "spectral_interval":
+        return inside & (w[..., 0] > domain.a + tol) & (w[..., -1] < domain.b - tol)
+    raise ValueError(f"unknown domain kind {domain.kind!r}")
 
 
 # --------------------------------------------------------------------------
 # Samplers.  All are pure functions of their Rng argument: one Rng draws
-# one point, a sequence of them a stack, each row from its own generator
-# and with the draws that row would make alone.  A point takes its
-# uniforms in one ``random`` call (on Philox, ``random(a)`` then
+# one point, an array of them a stack of that shape, each row from its own
+# generator and with the draws that row would make alone.  A point takes
+# its uniforms in one ``random`` call (on Philox, ``random(a)`` then
 # ``random(b)`` equals ``random(a + b)``).
 
-def _generators(rng) -> tuple[list, bool]:
-    if isinstance(rng, Rng):
-        return [rng.generator()], False
-    return [r.generator() for r in rng], True
+def _generators(rng) -> tuple[list, tuple]:
+    # the generator of each Rng of ``rng`` in flat order, and the shape of ``rng``
+    rngs = np.asarray(rng, dtype=object)
+    return [r.generator() for r in rngs.flat], rngs.shape
 
 
 def _uniforms(gens: list, count: int) -> np.ndarray:
@@ -425,7 +414,7 @@ def _draw_in_domain(domain: DomainSpec, level: int, gens: list) -> NCPoint:
     g = _hermitian_point(system, level, u[:, :count])
     if np.isinf(a) and np.isinf(b):
         return g
-    w = np.linalg.eigvalsh(hermitize(realize(g)))
+    w = kernels._eigvalsh(hermitize(realize(g)))
     lo, hi = w[:, 0], w[:, -1]
     ident = identity_point(system, level)
     with np.errstate(over="ignore", invalid="ignore"):  # per-row scalars overflow silently
@@ -446,8 +435,10 @@ def _draw_in_domain(domain: DomainSpec, level: int, gens: list) -> NCPoint:
 
 
 def sample_point(domain: DomainSpec, level: int, rng: Rng, budget: int = 1000) -> NCPoint:
-    """Draw one point of the domain's level-n slice."""
-    gens, _ = _generators(rng)
+    """Draw one point of the domain's level-n slice from one Rng."""
+    if not isinstance(rng, Rng):
+        raise TypeError(f"sample_point draws from one Rng, not {type(rng).__name__}")
+    gens = [rng.generator()]
     for _ in range(budget):
         p = _draw_in_domain(domain, level, gens)
         if in_domain(p, domain)[0]:
@@ -482,11 +473,10 @@ def sample_ordered_pair(domain: DomainSpec, level: int, rng, t_scale: float = 1.
     """Draw Hermitian ``(P, Q)`` with both in the domain and ``P <= Q``.
 
     Q is P plus a scaled PSD Hermitian point; the scale is bisected down
-    until Q stays in the domain.  Given a sequence of Rngs, draws a stack
-    of pairs; a row that exhausts its budget is handed to
-    :func:`~freemono.kernels.settle` and gets zero points.
+    until Q stays in the domain.  A row that exhausts its budget is handed
+    to :func:`~freemono.kernels.settle` and gets zero points.
     """
-    gens, stacked = _generators(rng)
+    gens, lead = _generators(rng)
     system, count = domain.system, 2 * domain.system.size * level * level
     pq = np.zeros((2, len(gens), system.size, level, level), dtype=np.complex128)
     attempts = np.zeros(len(gens), dtype=int)
@@ -514,20 +504,17 @@ def sample_ordered_pair(domain: DomainSpec, level: int, rng, t_scale: float = 1.
         attempts[rows[~found]] += 1
         rows = rows[~found]
     settle(errs, errors)
-    a, b = _point(system, pq[0]), _point(system, pq[1])
-    return (a, b) if stacked else (a[0], b[0])
+    pq = pq.reshape((2,) + lead + pq.shape[2:])
+    return _point(system, pq[0]), _point(system, pq[1])
 
 
 def sample_halfplane(system: OpSysBasis, level: int, rng) -> NCPoint:
-    """Draw P = H + iK with K realizing a positive definite matrix.
-
-    Given a sequence of Rngs, draws a stack, one point per Rng.
-    """
-    gens, stacked = _generators(rng)
+    """Draw P = H + iK with K realizing a positive definite matrix."""
+    gens, lead = _generators(rng)
     count = 2 * system.size * level * level
     u = _uniforms(gens, 2 * count + 1)
     p = _hermitian_point(system, level, u[:, :count]) + 1j * _psd_point(system, level, u[:, count:])
-    return p if stacked else p[0]
+    return _point(system, p.coeffs.reshape(lead + p.coeffs.shape[1:]))
 
 
 # --------------------------------------------------------------------------

@@ -139,17 +139,17 @@ def pair_margin(f: FreeFunction, a: opsys.NCPoint, b: opsys.NCPoint,
                 errors: dict | None = None):
     """Scaled PSD margin of realize(f(b)) - realize(f(a)).
 
-    f is evaluated once, at the stack of A and B.  For stacks of pairs, the
-    margin of each pair; a pair that fails is handed to
-    :func:`~freemono.kernels.settle` with its first error, at A before B,
-    and its margin means nothing.
+    f is evaluated once, at the stack of A and B.  A pair that fails is
+    handed to :func:`~freemono.kernels.settle` with its first error, at A
+    before B, and its margin means nothing.
     """
     diff = _differences(f, stack_points(a, b), errors)
-    return scaled_min_eig(hermitize(diff if a.coeffs.ndim == 4 else diff[0]), errors)
+    return scaled_min_eig(hermitize(diff.reshape(a.coeffs.shape[:-3] + diff.shape[1:])), errors)
 
 
 def halfplane_margin(f: FreeFunction, p: opsys.NCPoint, errors: dict | None = None):
-    """Scaled PSD margin of Im realize(f(p)); for a stack, as :func:`pair_margin`."""
+    """Scaled PSD margin of Im realize(f(p)); a point that fails is handed on as by
+    :func:`pair_margin`."""
     return scaled_min_eig(imag_part(realize(eval_function(f, p, errors))), errors)
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import freemono
 import freemono.cli
@@ -20,6 +21,9 @@ from freemono.opsys import builtin_system, point_from_json, system_to_json
 from freemono.report import REPORT_SCHEMA
 from freemono.verifiers import pair_margin
 from freemono.freeexpr import catalog
+
+
+_HYPOTHESIS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
 
 def run_cli(*argv):
@@ -212,6 +216,27 @@ class TestParseCommand:
         code, _, err = run_cli("parse", "--expr", "X[1,", "--system", "block2")
         assert code == 2
         assert "offset 4" in err
+
+    @pytest.mark.parametrize("argv, offset", [
+        (("parse", "--expr", "X\u00b2"), 1),
+        (("parse", "--expr", "X[\u00b2,1]", "--system", "block2"), 2),
+        (("parse", "--expr", "X\u0661"), 1),
+        (("check", "--expr", "X\u00b2", "--system", "scalar", "--suite", "monotone"), 1),
+    ])
+    def test_non_ascii_digit_is_a_usage_error(self, argv, offset):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert f"unexpected character {argv[2][offset]!r} (offset {offset})" in err
+
+    @_HYPOTHESIS
+    @given(st.one_of(st.text(), st.text(alphabet="X1[],+-*()^.i sqrtinv\u00b2\u0661")))
+    @example("X\u00b2")
+    def test_any_expression_text_keeps_the_exit_code_contract(self, text):
+        # a parse is accepted or a usage error; a check ends with one of the four codes
+        assert run_cli("parse", "--expr", text)[0] in (0, 2)
+        code, _, _ = run_cli("check", "--expr", text, "--system", "scalar", "--suite", "monotone",
+                             "--levels", "1..1", "--trials", "1")
+        assert code in (0, 1, 2, 3)
 
 
 class TestCatalogCommand:

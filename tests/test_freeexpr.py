@@ -184,6 +184,19 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("X1 X1", SCALAR)
 
+    @pytest.mark.parametrize("text, system, pos", [
+        ("X\u00b2", SCALAR, 1),             # superscript two
+        ("X[\u00b2,1]", BLOCK2, 2),
+        ("X\u0661", SCALAR, 1),             # Arabic-Indic one, which int() reads as 1
+        ("2\u00b2*X1", SCALAR, 1),
+        ("\u0661*X1", SCALAR, 0),
+        ("X[1,\u0661]", BLOCK2, 4),
+    ])
+    def test_only_ascii_digits_are_digits(self, text, system, pos):
+        with pytest.raises(ParseError) as exc:
+            parse(text, system)
+        assert exc.value.pos == pos
+
 
 _NODES = get_args(FreeExpr)
 _LEAVES = (Var, Block, ScalarConst)

@@ -303,6 +303,12 @@ class TestSamplers:
         with pytest.raises(SamplingError):
             sample_point(dom, 2, Rng(84), budget=10)
 
+    @pytest.mark.parametrize("rngs", [[Rng(1), Rng(2), Rng(3)], (Rng(1),), 1])
+    def test_point_sampler_takes_one_rng(self, rngs):
+        # the point sampler has no stacked form: anything but one Rng is refused, not read as its first
+        with pytest.raises(TypeError, match="one Rng"):
+            sample_point(full_domain(builtin_system("scalar")), 2, rngs)
+
     def test_halfplane_sampler(self):
         for name in SYSTEMS:
             sys_ = builtin_system(name)
