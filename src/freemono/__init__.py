@@ -81,7 +81,6 @@ from .verifiers import (
 from .loewner1d import (
     SCALAR_CATALOG_NAMES,
     ScalarFunction,
-    check_1d_monotone,
     cross_check,
     loewner_matrix,
     pick_matrix,

@@ -20,7 +20,8 @@ Grammar::
     var     := "X" digits | "X[" digits "," digits "]"
     scalar  := decimal | decimal "i" | "i"
 
-Whitespace is insignificant between tokens; indices are 1-based.
+Whitespace is insignificant between tokens; indices are 1-based.  Parentheses,
+calls and unary minus nest at most 100 deep.
 """
 
 from __future__ import annotations
@@ -207,11 +208,15 @@ def _tokenize(text: str) -> list[_Token]:
 # --------------------------------------------------------------------------
 # Parser.
 
+_MAX_NESTING = 100  # the parser recurses once per level, so deep nesting needs a cap
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], system: OpSysBasis):
         self.tokens = tokens
         self.i = 0
         self.system = system
+        self.depth = 0
 
     @property
     def tok(self) -> _Token:
@@ -226,6 +231,15 @@ class _Parser:
         if self.tok.kind != kind:
             raise ParseError(f"expected {what}", self.tok.pos)
         return self.advance()
+
+    def nested(self, parse, pos: int) -> FreeExpr:
+        """``parse()`` one nesting level deeper, for the level opened at offset ``pos``."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self) -> FreeExpr:
         node = self.expr()
@@ -254,8 +268,7 @@ class _Parser:
 
     def unary(self) -> FreeExpr:
         if self.tok.kind == "minus":
-            self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary, self.advance().pos))
         return self.postfix()
 
     def postfix(self) -> FreeExpr:
@@ -279,13 +292,13 @@ class _Parser:
             return ScalarConst(t.value)
         if t.kind == "lparen":
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr, t.pos)
             self.expect("rparen", "')'")
             return node
         if t.kind in ("sqrt", "inv"):
             self.advance()
             self.expect("lparen", "'('")
-            node = self.expr()
+            node = self.nested(self.expr, t.pos)
             self.expect("rparen", "')'")
             return Sqrt(node) if t.kind == "sqrt" else Inv(node)
         if t.kind == "var":

@@ -161,14 +161,6 @@ def is_hermitian(a):
     return out.reshape(lead)[()]
 
 
-def require_hermitian(a) -> np.ndarray:
-    """Return the canonically symmetrized copy of A, or raise if not Hermitian."""
-    a = as_matrix(a)
-    if not is_hermitian(a):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return hermitize(a)
-
-
 def imag_part(a) -> np.ndarray:
     """Imaginary part (A - A*) / 2i, exactly Hermitian by construction."""
     a, lead = as_stack(a)
@@ -177,22 +169,9 @@ def imag_part(a) -> np.ndarray:
     return ((b + _ct(b)) / 2.0).reshape(lead + a.shape[1:])
 
 
-def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, u)`` with eigenvalues ``w`` ascending and ``u`` unitary so
-    that ``a = u @ diag(w) @ u*``.
-    """
-    a = require_hermitian(a)
-    try:
-        w, u = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
-    return w, u
-
-
-def _eigvalsh(a, errors: dict | None = None) -> np.ndarray:
-    """Ascending eigenvalues of each matrix of ``a``; a real ``a`` keeps the real solver.
+def _eigh(a, errors: dict | None = None, vectors: bool = False):
+    """Ascending eigenvalues of each matrix of ``a``, and with ``vectors`` also the
+    unitary eigenvectors, as ``(w, u)``; a real ``a`` keeps the real solver.
 
     When the call fails, the matrices are solved one by one, and each one
     whose solver does not converge is a failed row with an
@@ -200,27 +179,46 @@ def _eigvalsh(a, errors: dict | None = None) -> np.ndarray:
     """
     a = np.asarray(a)
     try:
-        return np.linalg.eigvalsh(a)
+        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError:
         flat = a.reshape((-1,) + a.shape[-2:])
-        w, errs = np.zeros(flat.shape[:-1]), {}
+        w, u, errs = np.zeros(flat.shape[:-1]), np.zeros(flat.shape, np.result_type(a, 1.0)), {}
         for row, m in enumerate(flat):
             try:
-                w[row] = np.linalg.eigvalsh(m)
+                w[row], u[row] = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), 0.0)
             except np.linalg.LinAlgError as exc:
                 errs[row] = EigensolverError(f"eigensolver did not converge: {exc}")
         settle(errs, errors)
-        return w.reshape(a.shape[:-1])
+        w = w.reshape(a.shape[:-1])
+        return (w, u.reshape(a.shape)) if vectors else w
+
+
+def herm_eig(a, errors: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix.
+
+    Returns ``(w, u)`` with eigenvalues ``w`` ascending and ``u`` unitary so
+    that ``hermitize(a) = u @ diag(w) @ u*``.  A matrix with a non-finite
+    entry, one that is not Hermitian within tolerance and one whose
+    eigensolver fails is a failed row.
+    """
+    a, lead = as_stack(a)
+    errs = {}
+    a = finite_rows(a, errs)
+    for row in np.flatnonzero(~is_hermitian(a)):
+        errs.setdefault(row, ValueError("matrix is not Hermitian within tolerance"))
+    w, u = _eigh(hermitize(a), errs, vectors=True)
+    settle(errs, errors)
+    return w.reshape(lead + w.shape[1:]), u.reshape(lead + u.shape[1:])
 
 
 def min_eig_h(a):
     """Minimum eigenvalue, input trusted to be Hermitian (no validation)."""
-    return _eigvalsh(a)[..., 0][()]
+    return _eigh(a)[..., 0][()]
 
 
 def scaled_min_eig(a, errors: dict | None = None):
     """min eig / (1 + ||A||) for Hermitian A, in one eigendecomposition."""
-    w = _eigvalsh(a, errors)
+    w = _eigh(a, errors)
     out = [r[0] / (1.0 + max(abs(r[0]), abs(r[-1]))) for r in w.reshape(-1, w.shape[-1]).tolist()]
     return np.array(out).reshape(w.shape[:-1])[()]
 
@@ -265,14 +263,14 @@ def _branch_cut(value) -> BranchCutError:
 
 def _roots_by_eigh(a: np.ndarray, scale: list, errs: dict, rows) -> np.ndarray:
     # Roots of Hermitian matrices from one stacked eigendecomposition.
-    w, u = np.linalg.eigh(hermitize(a))
+    failed = {}
+    w, u = _eigh(hermitize(a), failed, vectors=True)
     # Real spectrum: any eigenvalue at or below the branch tolerance
-    # sits on the closed negative ray.
+    # sits on the closed negative ray, as do the zeros of a failed row.
     cut = [i for i, (w0, s) in enumerate(zip(w[:, 0].tolist(), scale)) if w0 <= TOL_BRANCH * s]
-    if cut:
-        for i in cut:
-            errs[rows[i]] = _branch_cut(float(w[i, 0]))
-        w[cut] = 1.0
+    for i in cut:
+        errs[rows[i]] = failed.get(i, _branch_cut(float(w[i, 0])))
+    w[cut] = 1.0
     return (u * np.sqrt(w)[:, None, :]) @ _ct(u)
 
 
@@ -318,30 +316,39 @@ def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
         for want, roots in ((True, _roots_by_eigh), (False, _roots_by_schur)):
             rows = [row for row, h in enumerate(herm) if h == want]
             root[rows] = roots(a[rows], [scale[row] for row in rows], errs, rows)
-    resid = op_norm(root @ root - a).tolist()
+    overflowed = {}
+    resid = op_norm(finite_rows(root @ root - a, overflowed)).tolist()
     for row, (r, s) in enumerate(zip(resid, scale)):
-        if r > TOL_RECON * s:
+        if r > TOL_RECON * s or row in overflowed:
             errs.setdefault(row, NumericalError("principal square root failed to reconstruct its input"))
     settle(errs, errors)
     return root.reshape(lead + a.shape[1:])
 
 
 def func_calc(fn: Callable[[np.ndarray], np.ndarray], a,
-              domain: tuple[float, float] = (-np.inf, np.inf)) -> np.ndarray:
+              domain: tuple[float, float] = (-np.inf, np.inf),
+              errors: dict | None = None) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its eigenvalues.
 
-    ``fn`` must accept a vector of eigenvalues; the spectrum must lie in the
-    open interval ``domain``.
+    ``fn`` must map an array of eigenvalues to real values elementwise; each
+    matrix's spectrum must lie in the open interval ``domain``.  A matrix that
+    :func:`herm_eig` fails on, or with an eigenvalue outside ``domain``, is
+    a failed row and gets the zero matrix; ``fn`` sees the eigenvalues of
+    the other rows only.
     """
     lo, hi = domain
-    w, u = herm_eig(a)
-    bad = (w <= lo) | (w >= hi)
-    if bad.any():
-        raise SpectrumDomainError(
-            f"eigenvalue {float(w[bad][0])!r} outside the open interval ({lo}, {hi})"
-        )
-    vals = np.asarray(fn(w))
-    return hermitize((u * vals) @ u.conj().T)
+    a, lead = as_stack(a)
+    errs = {}
+    w, u = herm_eig(a, errs)
+    outside = (w <= lo) | (w >= hi)
+    for row in np.flatnonzero(outside.any(axis=1)):
+        errs.setdefault(row, SpectrumDomainError(
+            f"eigenvalue {float(w[row][outside[row]][0])!r} outside the open interval ({lo}, {hi})"))
+    ok = np.array([row not in errs for row in range(len(w))], dtype=bool)
+    vals = np.zeros_like(w)
+    vals[ok] = fn(w[ok])
+    settle(errs, errors)
+    return hermitize((u * vals[:, np.newaxis, :]) @ _ct(u)).reshape(lead + a.shape[1:])
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,8 @@ divided-difference (Loewner) matrices at real node sets, positivity of its
 Pick matrices at upper-half-plane configurations, and direct functional-
 calculus monotonicity on sampled Hermitian pairs.  For an operator monotone
 function all three agree; ``cross_check`` runs them side by side.
+Each check runs on the stacked engine of :mod:`freemono.verifiers`: one
+eigenvalue call, and for ``monotone_1d`` one functional calculus, per chunk.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .kernels import Rng, func_calc, hermitize, scaled_min_eig
+from .kernels import Rng, func_calc, hermitize, matrix_to_json, scaled_min_eig
 from .opsys import builtin_system, full_domain, sample_ordered_pair, spectral_interval
 from .report import CheckReport, ConsistencyReport
-from .verifiers import _one_by_one, _run_trials, _Trial
+from .verifiers import _differences, _row_trials, _run_trials
 
 MIN_NODE_GAP = 1e-8
 
@@ -133,32 +135,14 @@ def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng, interva
         errors = {}
         p, q = sample_ordered_pair(dom, level, [rng.split("monotone_1d", f.name, level, t)
                                                 for t in ts], errors=errors)
-        out = []
-        for i in range(len(ts)):  # in trial order, so the lowest trial's error is raised
-            if i in errors:
-                raise errors[i]
-            a, b = p.coeffs[i, 0], q.coeffs[i, 0]
-            fa = func_calc(f.real_rule, a, f.domain)
-            fb = func_calc(f.real_rule, b, f.domain)
-            margin = scaled_min_eig(hermitize(fb - fa))
-            witness = None
-            if margin < -tol:
-                witness = {
-                    "A": kernels.matrix_to_json(a),
-                    "B": kernels.matrix_to_json(b),
-                    "margin": margin,
-                }
-            out.append(_Trial(margin, witness))
-        return out
+        a, b = p.coeffs[:, 0], q.coeffs[:, 0]
+        diff = _differences(lambda x, e: func_calc(f.real_rule, x, f.domain, e),
+                            np.concatenate([a, b]), errors)
+        margins = scaled_min_eig(hermitize(diff), errors)
+        return _row_trials(margins, errors, tol,
+                           lambda i: {"A": matrix_to_json(a[i]), "B": matrix_to_json(b[i])})
 
     return _run_trials("monotone_1d", f.name, run, levels, trials, tol, rng)
-
-
-def check_1d_monotone(f: ScalarFunction, level: int = 2, trials: int = 200,
-                      tol: float = 1e-8, rng: Rng = Rng(0), interval=None) -> CheckReport:
-    """Sample Hermitian pairs A <= B with spectra in the interval and test
-    func_calc(f, A) <= func_calc(f, B)."""
-    return _monotone_matrix_report(f, (level,), trials, tol, rng, interval)
 
 
 # --------------------------------------------------------------------------
@@ -189,31 +173,24 @@ def cross_check(f: ScalarFunction, node_count: int = 5, node_sets: int = 100,
                 tol: float = 1e-8, rng: Rng = Rng(0)) -> ConsistencyReport:
     """Loewner-matrix, Pick-matrix and functional-calculus verdicts side by side."""
 
-    def loewner_trial(level, t):
-        gen = rng.split("loewner", f.name, t).generator()
-        nodes = _sample_nodes(gen, node_count, interval)
-        mat = loewner_matrix(f, nodes)
-        margin = scaled_min_eig(mat)
-        witness = None
-        if margin < -tol:
-            witness = {"nodes": [float(v) for v in nodes], "margin": margin}
-        return _Trial(margin, witness)
+    def loewner_run(level, ts):
+        nodes = [_sample_nodes(rng.split("loewner", f.name, t).generator(), node_count, interval)
+                 for t in ts]
+        errors = {}
+        margins = scaled_min_eig(np.stack([loewner_matrix(f, x) for x in nodes]), errors)
+        return _row_trials(margins, errors, tol, lambda i: {"nodes": nodes[i].tolist()})
 
-    def pick_trial(level, t):
-        gen = rng.split("pick", f.name, t).generator()
-        z = _sample_pick_points(gen, point_count)
-        mat = pick_matrix(f, z)
-        margin = scaled_min_eig(hermitize(mat))
-        witness = None
-        if margin < -tol:
-            witness = {"points": [[float(v.real), float(v.imag)] for v in z],
-                       "margin": margin}
-        return _Trial(margin, witness)
+    def pick_run(level, ts):
+        zs = [_sample_pick_points(rng.split("pick", f.name, t).generator(), point_count)
+              for t in ts]
+        errors = {}
+        margins = scaled_min_eig(hermitize(np.stack([pick_matrix(f, z) for z in zs])), errors)
+        return _row_trials(margins, errors, tol,
+                           lambda i: {"points": [[v.real, v.imag] for v in zs[i].tolist()]})
 
-    loewner_rep = _run_trials("loewner_psd", f.name, _one_by_one(loewner_trial),
-                              (node_count,), node_sets, tol, rng)
-    pick_rep = _run_trials("pick_psd", f.name, _one_by_one(pick_trial),
-                           (point_count,), pick_sets, tol, rng)
+    loewner_rep = _run_trials("loewner_psd", f.name, loewner_run, (node_count,), node_sets,
+                              tol, rng)
+    pick_rep = _run_trials("pick_psd", f.name, pick_run, (point_count,), pick_sets, tol, rng)
     mono_rep = _monotone_matrix_report(f, levels, pairs, tol, rng, interval)
     sides = {
         "loewner_psd": loewner_rep.verdict,

@@ -311,7 +311,7 @@ def order_leq(p: NCPoint, q: NCPoint, tol: float = kernels.TOL_PSD) -> bool:
     _require_compatible(p, q)
     if not (is_hermitian_point(p) and is_hermitian_point(q)):
         raise ValueError("order is defined between Hermitian points only")
-    w = kernels._eigvalsh(hermitize(realize(q - p)))
+    w = kernels._eigh(hermitize(realize(q - p)))
     return float(w[0]) >= -tol * (1.0 + max(abs(float(w[0])), abs(float(w[-1]))))
 
 
@@ -365,7 +365,7 @@ def in_domain(point: NCPoint, domain: DomainSpec):
     if domain.kind == "full":
         return np.ones(point.coeffs.shape[:-3], dtype=bool)[()]
     inside = is_hermitian_point(point)
-    w = kernels._eigvalsh(hermitize(realize(point)))
+    w = kernels._eigh(hermitize(realize(point)))
     if domain.kind == "pd_cone":
         return inside & (w[..., 0] > tol)
     if domain.kind == "spectral_interval":
@@ -414,7 +414,7 @@ def _draw_in_domain(domain: DomainSpec, level: int, gens: list) -> NCPoint:
     g = _hermitian_point(system, level, u[:, :count])
     if np.isinf(a) and np.isinf(b):
         return g
-    w = kernels._eigvalsh(hermitize(realize(g)))
+    w = kernels._eigh(hermitize(realize(g)))
     lo, hi = w[:, 0], w[:, -1]
     ident = identity_point(system, level)
     with np.errstate(over="ignore", invalid="ignore"):  # per-row scalars overflow silently

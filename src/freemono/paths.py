@@ -99,7 +99,7 @@ def _velocity_margin(u, diags, deltas, skew, t) -> float:
         base = (u * dl) @ u.conj().T
         x = (u * (d + t * dl)) @ u.conj().T
         bracket = skew @ x - x @ skew
-        w = np.linalg.eigvalsh(hermitize(base + bracket))
+        w = kernels._eigh(hermitize(base + bracket))
         worst = min(worst, float(w[0]))
     return worst
 
@@ -114,7 +114,7 @@ def _max_rotation(u, diags, deltas, khat, endpoints, floor) -> float:
     limit = 1e6
     for d, dl in zip(diags, deltas):
         a0 = hermitize((u * dl) @ u.conj().T) - floor * eye
-        w, v = np.linalg.eigh(a0)
+        w, v = kernels._eigh(a0, vectors=True)
         if w[0] <= 0.0:
             return 0.0
         isq = (v / np.sqrt(w)) @ v.conj().T
@@ -123,7 +123,7 @@ def _max_rotation(u, diags, deltas, khat, endpoints, floor) -> float:
         for t in endpoints:
             x = x0 + t * x1
             bracket = hermitize(khat @ x - x @ khat)
-            lam = float(np.linalg.eigvalsh(isq @ bracket @ isq)[0])
+            lam = float(kernels._eigh(isq @ bracket @ isq)[0])
             if lam < 0.0:
                 limit = min(limit, 1.0 / -lam)
     return limit

@@ -7,13 +7,14 @@ Trials derive their randomness from (master rng, check name, function,
 level, trial index), so results do not depend on the order trials run in.
 
 Trials run in one thread, one level at a time.  The monotone, local and
-half-plane checks run the trials of a level as stacks of up to
-``TRIAL_CHUNK`` points: they evaluate f once per chunk and take the
-margins of the whole chunk at once, and each trial gets the margin,
-witness or error it would get alone.  The monotone and half-plane checks
-also sample a chunk at once; the local check draws each trial's path
-alone and builds the chunk's path points as one stack.  The axioms,
-boundary and Schur-identity checks run their trials one by one.
+half-plane checks, and the three checks of :mod:`freemono.loewner1d`, run
+the trials of a level as stacks of up to ``TRIAL_CHUNK`` points: they
+evaluate f once per chunk and take the margins of the whole chunk at
+once, and each trial gets the margin, witness or error it would get alone
+(:func:`_row_trials`).  The monotone and half-plane checks also sample a
+chunk at once; the local check draws each trial's path alone and builds
+the chunk's path points as one stack.  The axioms, boundary and
+Schur-identity checks run their trials one by one.
 """
 
 from __future__ import annotations
@@ -118,16 +119,17 @@ def is_diagonal_type(system: opsys.OpSysBasis) -> bool:
 # --------------------------------------------------------------------------
 # Shared margin computations (also used to re-verify reported witnesses).
 
-def _differences(f: FreeFunction, ab: opsys.NCPoint, errors: dict | None) -> np.ndarray:
-    """realize(f(B)) - realize(f(A)) of each pair, ``ab`` being the stack of the As, then the Bs.
+def _differences(values, ab, errors: dict | None) -> np.ndarray:
+    """values(B) - values(A) of each pair, ``ab`` being the stack of the As, then the Bs.
 
-    f is evaluated once, at ``ab``.  A pair that fails is handed to
+    ``values(ab, failed)`` evaluates the whole stack at once and adds its
+    failed rows to the dict ``failed``.  A pair that fails is handed to
     :func:`~freemono.kernels.settle` with its first error, at A before B,
     and its difference means nothing.
     """
-    rows = len(ab.coeffs) // 2
     failed = {}
-    fab = realize(eval_function(f, ab, failed))
+    fab = values(ab, failed)
+    rows = len(fab) // 2
     first = {}
     for row, exc in sorted(failed.items()):  # the rows of A come first
         first.setdefault(row % rows, exc)
@@ -143,7 +145,7 @@ def pair_margin(f: FreeFunction, a: opsys.NCPoint, b: opsys.NCPoint,
     handed to :func:`~freemono.kernels.settle` with its first error, at A
     before B, and its margin means nothing.
     """
-    diff = _differences(f, stack_points(a, b), errors)
+    diff = _differences(lambda x, e: realize(eval_function(f, x, e)), stack_points(a, b), errors)
     return scaled_min_eig(hermitize(diff.reshape(a.coeffs.shape[:-3] + diff.shape[1:])), errors)
 
 
@@ -162,8 +164,8 @@ def _derivative_margins(f: FreeFunction, path_list: list, hs: list,
     """
     h = np.array(hs)
     ab = paths.path_points(path_list + path_list, np.concatenate([-h, h]))
-    der = _differences(f, ab, errors) / (2.0 * h)[:, np.newaxis, np.newaxis]
-    return scaled_min_eig(hermitize(der), errors)
+    der = _differences(lambda x, e: realize(eval_function(f, x, e)), ab, errors)
+    return scaled_min_eig(hermitize(der / (2.0 * h)[:, np.newaxis, np.newaxis]), errors)
 
 
 def local_margin(f: FreeFunction, witness: dict) -> float:

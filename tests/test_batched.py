@@ -1,12 +1,13 @@
 """The batched trial engine against a serial reference, bit for bit.
 
 ``check_monotone``, ``check_halfplane``, ``check_local_monotone`` and the
-``monotone_1d`` check of ``loewner1d`` run the trials of a level as
-stacks.  The reference here is the serial engine they replaced: samplers
-that draw one point at a time, two ``random`` calls per coefficient, path
-points built one at a time, and a loop that runs one trial after another
-through single-point evaluations and margins.  Every margin, witness and
-error text must come out the same, whatever the chunk size.
+three checks of ``loewner1d.cross_check`` (Loewner matrices, Pick matrices
+and ``monotone_1d``) run the trials of a level as stacks.  The reference
+here is the serial engine they replaced: samplers that draw one point at a
+time, two ``random`` calls per coefficient, path points built one at a
+time, and a loop that runs one trial after another through single-point
+evaluations and margins.  Every margin, witness and error text must come
+out the same, whatever the chunk size.
 """
 
 import contextlib
@@ -142,11 +143,29 @@ def _ref_monotone_1d(f, interval, level, r, tol):
     return _Trial(m, witness)
 
 
+def _ref_certificate(kind, f, interval, count, r, tol):
+    """The serial Loewner or Pick trial of ``cross_check``, on ``count`` nodes or points."""
+    gen = r.generator()
+    if kind == "loewner_psd":
+        nodes = loewner1d._sample_nodes(gen, count, interval)
+        margin = scaled_min_eig(loewner1d.loewner_matrix(f, nodes))
+        points = {"nodes": [float(v) for v in nodes]}
+    else:
+        z = loewner1d._sample_pick_points(gen, count)
+        margin = scaled_min_eig(hermitize(loewner1d.pick_matrix(f, z)))
+        points = {"points": [[float(v.real), float(v.imag)] for v in z]}
+    return _Trial(margin, {**points, "margin": margin} if margin < -tol else None)
+
+
 def _ref_trial(kind, f, dom, tol, rng, seen):
     """The serial loop's trial body; records each trial's (margin, witness) in ``seen``."""
 
     def trial(level, t):
         r = rng.split(kind, f.name, level, t)
+        if kind in ("loewner_psd", "pick_psd"):  # the level is the node or point count
+            seen.append(_ref_certificate(kind, f, dom, level,
+                                         rng.split(kind[:-4], f.name, t), tol))
+            return seen[-1]
         if kind == "monotone_1d":
             seen.append(_ref_monotone_1d(f, dom, level, r, tol))
             return seen[-1]
@@ -193,12 +212,25 @@ def _bits(trials):
 def _outcome(run):
     try:
         return run(), None
-    except (NumericalError, SpectrumDomainError) as exc:
+    except (NumericalError, SpectrumDomainError, ValueError) as exc:
         return None, (type(exc).__name__, str(exc))
 
 
+def _certificate_report(kind):
+    # cross_check's Loewner or Pick report, on levels[0] nodes or points
+    def batched(f, interval, levels, trials, tol, rng):
+        [count] = levels
+        reports = loewner1d.cross_check(f, count, trials, count, trials, levels=(1,), pairs=1,
+                                        interval=interval, tol=tol, rng=rng).reports
+        return reports[kind == "pick_psd"]
+
+    return batched
+
+
 # kind -> (the module whose _run_trials the check calls, its report's check
-# name, the batched check); ``dom`` is an interval (or None) for monotone_1d
+# name, the batched check); ``dom`` is an interval (or None) for the checks
+# of loewner1d, whose ``levels`` are the node or point count for the Loewner
+# and Pick checks
 CHECKS = {
     "monotone": (verifiers, "monotone", verifiers.check_monotone),
     "halfplane": (verifiers, "halfplane",
@@ -206,6 +238,8 @@ CHECKS = {
     "local": (verifiers, "local_monotone", verifiers.check_local_monotone),
     "monotone_1d": (loewner1d, "monotone_1d",
                     lambda f, dom, *opts: loewner1d._monotone_matrix_report(f, *opts, dom)),
+    "loewner_psd": (loewner1d, "loewner_psd", _certificate_report("loewner_psd")),
+    "pick_psd": (loewner1d, "pick_psd", _certificate_report("pick_psd")),
 }
 
 
@@ -218,7 +252,8 @@ def _compare(monkeypatch, kind, f, dom, levels, trials, tol=1e-8, seed=42):
     def spy(name, function, run, *rest):
         def recorded(level, ts):
             rows = run(level, ts)
-            seen.extend(rows)
+            if name == check:
+                seen.extend(rows)
             return rows
 
         return _run_trials(name, function, recorded, *rest)
@@ -293,6 +328,24 @@ class TestAgainstSerialReference:
         domain_error = interval == (-1.0, 1.0) and name in ("sqrt", "neg_inverse")
         assert (error is not None) == domain_error
         assert len(seen) == (0 if domain_error else 20)
+
+    @pytest.mark.parametrize("name", SCALAR_CATALOG_NAMES)
+    @pytest.mark.parametrize("count", [1, 5, 8])
+    def test_loewner_trials(self, monkeypatch, chunk, name, count):
+        f = scalar_catalog(name)
+        for interval, want in (((0.1, 10.0), None),
+                               ((-1.0, 1.0), "ValueError" if f.domain[0] == 0.0 else None),
+                               ((1.0, 1.0 + 1e-6), "SamplingError" if count > 1 else None)):
+            seen, error = _compare(monkeypatch, "loewner_psd", f, interval, (count,), 7)
+            assert (error and error[0]) == want
+            assert want or len(seen) == 7
+
+    @pytest.mark.parametrize("name", SCALAR_CATALOG_NAMES)
+    @pytest.mark.parametrize("count", [1, 5, 8])
+    def test_pick_trials(self, monkeypatch, chunk, name, count):
+        seen, error = _compare(monkeypatch, "pick_psd", scalar_catalog(name), (0.1, 10.0),
+                               (count,), 7)
+        assert error is None and len(seen) == 7
 
     def test_local_chunk_evaluates_once(self, monkeypatch):
         calls = []

@@ -126,6 +126,16 @@ class TestNonFinite:
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr == "freemono: evaluation failed: matrix entries must all be finite\n"
 
+    def test_square_root_residual_overflow_is_three(self, tmp_path):
+        # the root of diag(1e308, 1e308) is found, but squaring it back overflows
+        path = tmp_path / "huge-point.json"
+        path.write_text(json.dumps({"system": "scalar", "level": 2, "coeffs": [
+            {"n": 2, "entries": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]}]}))
+        code, out, err = run_cli("eval", "--function", "msqrt", "--point", str(path))
+        assert (code, out) == (3, "")
+        assert err == ("freemono: evaluation failed: "
+                       "principal square root failed to reconstruct its input\n")
+
     def test_non_finite_point_file_is_usage_error(self, tmp_path):
         path = tmp_path / "inf-point.json"
         path.write_text('{"system": "scalar", "level": 1, '
@@ -227,6 +237,22 @@ class TestParseCommand:
         code, out, err = run_cli(*argv)
         assert (code, out) == (2, "")
         assert f"unexpected character {argv[2][offset]!r} (offset {offset})" in err
+
+    @pytest.mark.parametrize("nest, offset", [
+        (lambda d: "(" * d + "X1" + ")" * d, 100),
+        (lambda d: "sqrt(" * d + "X1" + ")" * d, 500),
+        (lambda d: "X1+" + "-" * d + "X1", 103),
+    ], ids=["parentheses", "calls", "unary_minus"])
+    def test_nesting_is_capped_at_100(self, nest, offset):
+        # the offset is that of the 101st level
+        check = ("check", "--system", "scalar", "--suite", "monotone", "--levels", "1..1",
+                 "--trials", "1")
+        for argv in (("parse",), check):
+            code, out, err = run_cli(*argv, f"--expr={nest(100)}")
+            assert (code, err) == (0, "") and out
+            code, out, err = run_cli(*argv, f"--expr={nest(101)}")
+            assert (code, out) == (2, "")
+            assert f"nesting deeper than 100 levels (offset {offset})" in err
 
     @_HYPOTHESIS
     @given(st.one_of(st.text(), st.text(alphabet="X1[],+-*()^.i sqrtinv\u00b2\u0661")))

@@ -18,15 +18,16 @@ import pytest
 from freemono.cli import main
 from freemono.freeexpr import OutOfDomainError, catalog, eval_function
 from freemono.kernels import (
-    BranchCutError, EigensolverError, NonFiniteError, Rng, SingularMatrixError, as_matrix,
-    imag_part, is_hermitian, min_eig_h, op_norm, principal_sqrt, random_matrix, safe_inv,
-    scaled_min_eig,
+    BranchCutError, EigensolverError, NonFiniteError, Rng, SingularMatrixError,
+    SpectrumDomainError, as_matrix, func_calc, herm_eig, imag_part, is_hermitian, min_eig_h,
+    op_norm, principal_sqrt, random_matrix, safe_inv, scaled_min_eig,
 )
 from freemono.opsys import (
     NCPoint, NotInImageError, _point, builtin_system, conjugate, decode, direct_sum,
     full_domain, identity_point, in_domain, is_hermitian_point, order_leq, pd_cone, realize,
     sample_halfplane, sample_ordered_pair, sample_point, stack_points,
 )
+from freemono.paths import sample_path
 from freemono.verifiers import pair_margin
 
 SCALAR = builtin_system("scalar")
@@ -49,6 +50,12 @@ def _near_hermitian():
     m = _matrices("hermitian")
     m[1, 0, 2] += 1e-14
     m[3, 1, 0] += 1e-3j
+    return m
+
+
+def _spectra():
+    m = _matrices("pd")
+    m[4] = -m[4]  # outside the square root's domain
     return m
 
 
@@ -103,6 +110,7 @@ def _pairs():
 _NAN = np.array([[1.0, np.nan], [0.0, 1.0]])
 _RECT = np.ones((2, 3))
 _SKEW = np.array([[-1.0, 1.0], [0.0, -2.0]])  # not Hermitian; spectrum -1, -2
+_NOT_HERMITIAN = (ValueError, "matrix is not Hermitian within tolerance")
 _FINITE = (NonFiniteError, "matrix entries must all be finite")
 _SQUARE = (ValueError, "expected a square matrix, got shape (2, 3)")
 _SOLVER = (EigensolverError,
@@ -122,6 +130,12 @@ CASES = {
                 [(_NAN, (np.linalg.LinAlgError, "SVD did not converge"))]),
     "imag_part": (lambda x, e: imag_part(x), lambda: _matrices("ginibre"),
                   [(_NAN, _FINITE), (_RECT, _SQUARE)]),
+    "herm_eig": (lambda x, e: herm_eig(x, e), lambda: _near_hermitian()[[0, 1, 2, 4, 3, 5]],
+                 [(_NAN, _FINITE), (_RECT, _SQUARE), (_SKEW, _NOT_HERMITIAN)]),
+    "func_calc": (lambda x, e: func_calc(np.sqrt, x, (0, np.inf), e), _spectra,
+                  [(_NAN, _FINITE), (_RECT, _SQUARE), (_SKEW, _NOT_HERMITIAN),
+                   (np.diag([-1.0, 1.0]), (SpectrumDomainError,
+                                           "eigenvalue -1.0 outside the open interval (0, inf)"))]),
     "min_eig_h": (lambda x, e: min_eig_h(x), lambda: _matrices("hermitian"), [(_RECT, _SOLVER)]),
     "scaled_min_eig": (lambda x, e: scaled_min_eig(x, e), lambda: _matrices("hermitian"),
                        [(_RECT, _SOLVER)]),
@@ -142,7 +156,8 @@ CASES = {
     "pair_margin": (lambda x, e: pair_margin(catalog("inverse"), *x, e), _pairs,
                     [(_BAD_PAIR, _SINGULAR)]),
 }
-FAILING_ROW_4 = ("safe_inv", "principal_sqrt", "decode", "eval_function", "pair_margin")
+FAILING_ROW_4 = ("herm_eig", "func_calc", "safe_inv", "principal_sqrt", "decode",
+                 "eval_function", "pair_margin")
 
 
 def _reshape(x, lead):
@@ -169,6 +184,8 @@ def _one(x):
 
 def _bits(v):
     """The result's type, shape and bytes."""
+    if isinstance(v, tuple):
+        return tuple(map(_bits, v))
     if isinstance(v, NCPoint):
         return "NCPoint", v.coeffs.shape, v.coeffs.tobytes()
     a = np.asarray(v)
@@ -214,12 +231,21 @@ def test_one_calling_convention(case):
 # One eigenvalue helper: a LAPACK failure is a numerical failure (exit 3),
 # never the bare LinAlgError, a ValueError that the CLI reads as bad usage.
 
-@pytest.fixture
-def failing_eigvalsh(monkeypatch):
+def _fail(monkeypatch, solver):
     def fails(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+    monkeypatch.setattr(np.linalg, solver, fails)
+
+
+@pytest.fixture
+def failing_eigvalsh(monkeypatch):
+    _fail(monkeypatch, "eigvalsh")
+
+
+@pytest.fixture
+def failing_eigh(monkeypatch):
+    _fail(monkeypatch, "eigh")
 
 
 @pytest.mark.parametrize("call", [
@@ -234,10 +260,31 @@ def test_an_eigensolver_failure_is_an_eigensolver_error(failing_eigvalsh, call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: herm_eig(np.eye(2)),
+    lambda: func_calc(np.sqrt, np.eye(2), (0, np.inf)),
+    lambda: principal_sqrt(np.eye(2)),
+    lambda: sample_path(SCALAR, 2, Rng(41).generator(), [(0.1, 5.0)]),
+], ids=["herm_eig", "func_calc", "principal_sqrt", "sample_path"])
+def test_an_eigh_failure_is_an_eigensolver_error(failing_eigh, call):
+    with pytest.raises(EigensolverError, match="did not converge: Eigenvalues did not converge"):
+        call()
+
+
+def _check_exit_code(*argv):
+    return main(["check", *argv, "--levels", "1..1", "--trials", "2", "--out", os.devnull])
+
+
 def test_an_eigensolver_failure_in_sampling_exits_3(failing_eigvalsh):
-    code = main(["check", "--function", "identity", "--suite", "monotone", "--levels", "1..1",
-                 "--trials", "2", "--out", os.devnull])
-    assert code == 3
+    assert _check_exit_code("--function", "identity", "--suite", "monotone") == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("--function", "geometric_mean", "--suite", "monotone"),  # a Hermitian square root
+    ("--function", "msqrt", "--suite", "local"),  # a path's rotation bound
+], ids=["square_root", "path"])
+def test_an_eigh_failure_exits_3(failing_eigh, argv):
+    assert _check_exit_code(*argv) == 3
 
 
 # --------------------------------------------------------------------------

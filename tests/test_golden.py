@@ -26,6 +26,9 @@ GOLDEN = {
     "boundary": (("--suite", "boundary", *SQUARE), "54c3ac74c9ab7ae4"),
     "schur_identity": (("--suite", "schur_identity", *SMALL), "daaae5c1a08c9463"),
     "loewner1d": (("--suite", "loewner1d", *SMALL), "0a95638f93b8960c"),
+    # chunks of 100 trials, and three levels of monotone_1d
+    "loewner1d_levels_1_3": (("--suite", "loewner1d", "--levels", "1..3", "--trials", "100"),
+                             "63f54a566fe6bfe5"),
     "all": (("--suite", "all", *SMALL), "25a34eb461c252d1"),
     "geometric_mean": (("--suite", "equivalence", "--function", "geometric_mean",
                         "--levels", "1..3", "--trials", "30"), "f2ffb8c09817432d"),

@@ -5,7 +5,7 @@ from freemono.freeexpr import catalog, function_from_expr
 from freemono.kernels import Rng, hermitize, min_eig_h, op_norm
 from freemono.loewner1d import (
     SCALAR_CATALOG_NAMES,
-    check_1d_monotone,
+    _monotone_matrix_report,
     cross_check,
     loewner_matrix,
     pick_matrix,
@@ -113,21 +113,22 @@ class TestPickMatrix:
 
 
 class TestMonotone1d:
+    """The functional-calculus check that `cross_check` runs, at one level."""
+
     def test_linear_passes(self):
-        rep = check_1d_monotone(scalar_catalog("x"), level=2, trials=100,
-                                rng=Rng(5), interval=(0.1, 10.0))
+        rep = _monotone_matrix_report(scalar_catalog("x"), (2,), 100, 1e-8, Rng(5), (0.1, 10.0))
         assert rep.failures == 0
         assert rep.worst_margin >= -1e-12
 
     def test_sqrt_passes_levels(self):
         f = scalar_catalog("sqrt")
         for level in (2, 3, 4):
-            rep = check_1d_monotone(f, level=level, trials=100, rng=Rng(6))
+            rep = _monotone_matrix_report(f, (level,), 100, 1e-8, Rng(6), None)
             assert rep.failures == 0, level
 
     def test_square_witness_found(self):
-        rep = check_1d_monotone(scalar_catalog("square"), level=2, trials=400,
-                                rng=Rng(7), interval=(0.1, 10.0))
+        rep = _monotone_matrix_report(scalar_catalog("square"), (2,), 400, 1e-8, Rng(7),
+                                      (0.1, 10.0))
         assert rep.failures > 0
         assert rep.witness is not None
 
@@ -187,11 +188,11 @@ class TestDimensionOneReduction:
         for seed in range(100):
             rng = Rng(1000 + seed)
             a = check_local_monotone(sqrt_free, None, (2,), 10, 1e-8, rng)
-            b = check_1d_monotone(sqrt_1d, level=2, trials=10, rng=rng, interval=interval)
+            b = _monotone_matrix_report(sqrt_1d, (2,), 10, 1e-8, rng, interval)
             if a.verdict != b.verdict:
                 disagreements += 1
             a = check_local_monotone(square_free, None, (2,), 60, 1e-8, rng)
-            b = check_1d_monotone(square_1d, level=2, trials=150, rng=rng, interval=interval)
+            b = _monotone_matrix_report(square_1d, (2,), 150, 1e-8, rng, interval)
             if a.verdict != b.verdict:
                 disagreements += 1
         assert disagreements == 0
