@@ -50,7 +50,6 @@ from .opsys import (
     shuffle_permutation,
     spectral_interval,
     system_from_json,
-    system_to_json,
 )
 from .freeexpr import (
     CATALOG_NAMES,

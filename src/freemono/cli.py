@@ -9,10 +9,9 @@ exhausted sampling budget, or a value or margin that is not finite).
 
 Report documents contain no timestamps or host data unless ``--annotate``
 is given, so identical configurations produce byte-identical output.
-Trials run in one thread, and the monotone, local and half-plane checks
-and the three ``loewner1d`` checks run each level's trials as stacks (see
-:mod:`freemono.verifiers`); ``--jobs`` is still accepted and validated for
-existing scripts but has no effect.
+Trials run in one thread, and every check runs each level's trials as
+stacks (see :mod:`freemono.verifiers`); ``--jobs`` is still accepted and
+validated for existing scripts but has no effect.
 """
 
 from __future__ import annotations

@@ -21,7 +21,9 @@ Grammar::
     scalar  := decimal | decimal "i" | "i"
 
 Whitespace is insignificant between tokens; indices are 1-based.  Parentheses,
-calls and unary minus nest at most 100 deep.
+calls and unary minus nest at most 100 deep, and an expression's tree is at
+most 200 nodes deep (a chain of binary operators builds one level per
+operator).
 """
 
 from __future__ import annotations
@@ -209,6 +211,7 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser.
 
 _MAX_NESTING = 100  # the parser recurses once per level, so deep nesting needs a cap
+_MAX_HEIGHT = 200  # the printers and the compiler recurse once per level of the tree
 
 
 class _Parser:
@@ -217,6 +220,7 @@ class _Parser:
         self.i = 0
         self.system = system
         self.depth = 0
+        self.height = 0  # of the node the last parse method returned
 
     @property
     def tok(self) -> _Token:
@@ -241,6 +245,13 @@ class _Parser:
         self.depth -= 1
         return node
 
+    def grow(self, node: FreeExpr, height: int, pos: int) -> FreeExpr:
+        """``node``, over children at most ``height`` deep, made by the token at offset ``pos``."""
+        if height == _MAX_HEIGHT:
+            raise ParseError(f"expression tree deeper than {_MAX_HEIGHT} levels", pos)
+        self.height = height + 1
+        return node
+
     def parse(self) -> FreeExpr:
         node = self.expr()
         if self.tok.kind != "eof":
@@ -250,32 +261,30 @@ class _Parser:
     def expr(self) -> FreeExpr:
         node = self.term()
         while self.tok.kind in ("plus", "minus"):
-            op = self.advance().kind
-            rhs = self.term()
-            node = Add(node, rhs) if op == "plus" else Sub(node, rhs)
+            op, height = self.advance(), self.height
+            node = (Add if op.kind == "plus" else Sub)(node, self.term())
+            node = self.grow(node, max(height, self.height), op.pos)
         return node
 
     def term(self) -> FreeExpr:
         node = self.unary()
         while self.tok.kind == "star":
-            self.advance()
+            pos, height = self.advance().pos, self.height
             rhs = self.unary()
-            if isinstance(node, ScalarConst):
-                node = ScalarMul(node.value, rhs)
-            else:
-                node = Mul(node, rhs)
+            node = ScalarMul(node.value, rhs) if isinstance(node, ScalarConst) else Mul(node, rhs)
+            node = self.grow(node, max(height, self.height), pos)
         return node
 
     def unary(self) -> FreeExpr:
         if self.tok.kind == "minus":
-            return Neg(self.nested(self.unary, self.advance().pos))
+            pos = self.advance().pos
+            return self.grow(Neg(self.nested(self.unary, pos)), self.height, pos)
         return self.postfix()
 
     def postfix(self) -> FreeExpr:
         node = self.atom()
         if self.tok.kind == "powinv":
-            self.advance()
-            node = Inv(node)
+            node = self.grow(Inv(node), self.height, self.advance().pos)
         return node
 
     def _index(self, what: str) -> tuple[int, int]:
@@ -287,6 +296,7 @@ class _Parser:
 
     def atom(self) -> FreeExpr:
         t = self.tok
+        self.height = 1
         if t.kind == "scalar":
             self.advance()
             return ScalarConst(t.value)
@@ -300,7 +310,7 @@ class _Parser:
             self.expect("lparen", "'('")
             node = self.nested(self.expr, t.pos)
             self.expect("rparen", "')'")
-            return Sqrt(node) if t.kind == "sqrt" else Inv(node)
+            return self.grow(Sqrt(node) if t.kind == "sqrt" else Inv(node), self.height, t.pos)
         if t.kind == "var":
             self.advance()
             j = int(t.raw)

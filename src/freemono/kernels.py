@@ -383,59 +383,54 @@ class Rng:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def ginibre_from_uniforms(u: np.ndarray, n: int) -> np.ndarray:
-    """n-by-n Ginibre matrices, one per 2 n^2 uniform doubles along the last axis of ``u``.
-
-    Box-Muller: the first n^2 uniforms give the radii, the others the
-    angles; cosines make the real parts and sines the imaginary parts.
-    """
-    r = np.sqrt(-2.0 * np.log(1.0 - u[..., : n * n]))  # 1 - u in (0, 1]: keeps log() finite
-    angle = 2.0 * np.pi * u[..., n * n:]
-    return (r * np.cos(angle) + 1j * (r * np.sin(angle))).reshape(u.shape[:-1] + (n, n))
+def _generators(rng) -> tuple[list, tuple]:
+    # the generator of each Rng of ``rng`` in flat order, and the shape of ``rng``
+    rngs = np.asarray(rng, dtype=object)
+    return [r.generator() for r in rngs.flat], rngs.shape
 
 
-def draw_ginibre(gen: np.random.Generator, n: int) -> np.ndarray:
-    return ginibre_from_uniforms(gen.random(2 * n * n), n)
+def _uniforms(gens: list, count: int) -> np.ndarray:
+    return np.stack([gen.random(count) for gen in gens])
 
 
-def draw_hermitian(gen: np.random.Generator, n: int) -> np.ndarray:
-    return hermitize(draw_ginibre(gen, n))
+def _haar(g: np.ndarray) -> np.ndarray:
+    # QR of Ginibre draws with each R diagonal's phases folded in (Haar)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., np.newaxis, :]
 
 
-def draw_psd(gen: np.random.Generator, n: int) -> np.ndarray:
-    g = draw_ginibre(gen, n)
-    return g.conj().T @ g
-
-
-def draw_pd(gen: np.random.Generator, n: int, shift: float = 0.1) -> np.ndarray:
-    return draw_psd(gen, n) + shift * np.eye(n)
-
-
-def draw_unitary(gen: np.random.Generator, n: int) -> np.ndarray:
-    # QR of a Ginibre draw with the R diagonal's phases folded in (Haar).
-    q, r = np.linalg.qr(draw_ginibre(gen, n))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
-_DRAWS = {
-    "ginibre": draw_ginibre,
-    "hermitian": draw_hermitian,
-    "psd": draw_psd,
-    "pd": draw_pd,
-    "unitary": draw_unitary,
+# kind -> the matrices it makes of a stack of Ginibre draws
+_FROM_GINIBRE = {
+    "ginibre": lambda g: g,
+    "hermitian": hermitize,
+    "psd": lambda g: _ct(g) @ g,
+    "pd": lambda g: _ct(g) @ g + 0.1 * np.eye(g.shape[-1]),
+    "unitary": _haar,
 }
 
 
-def random_matrix(kind: str, n: int, rng: Rng) -> np.ndarray:
-    """Draw one matrix of the named kind; pure function of ``(kind, n, rng)``."""
+def matrix_from_uniforms(kind: str, u: np.ndarray, n: int) -> np.ndarray:
+    """n-by-n matrices of the named kind, one per 2 n^2 uniform doubles along the last axis of ``u``.
+
+    Box-Muller makes a Ginibre matrix of them, and the kind is made of that: the
+    first n^2 uniforms give the radii, the others the angles; cosines make
+    the real parts and sines the imaginary parts.
+    """
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., : n * n]))  # 1 - u in (0, 1]: keeps log() finite
+    angle = 2.0 * np.pi * u[..., n * n:]
+    g = (r * np.cos(angle) + 1j * (r * np.sin(angle))).reshape(u.shape[:-1] + (n, n))
+    return _FROM_GINIBRE[kind](g)
+
+
+def random_matrix(kind: str, n: int, rng) -> np.ndarray:
+    """Draw one matrix of the named kind from one Rng, or a stack from an array of them."""
     if n < 1:
         raise ValueError("matrix size must be at least 1")
-    try:
-        draw = _DRAWS[kind]
-    except KeyError:
-        raise ValueError(f"unknown random matrix kind {kind!r}") from None
-    return draw(rng.generator(), n)
+    if kind not in _FROM_GINIBRE:
+        raise ValueError(f"unknown random matrix kind {kind!r}")
+    gens, lead = _generators(rng)
+    return matrix_from_uniforms(kind, _uniforms(gens, 2 * n * n), n).reshape(lead + (n, n))
 
 
 # --------------------------------------------------------------------------

@@ -5,8 +5,9 @@ divided-difference (Loewner) matrices at real node sets, positivity of its
 Pick matrices at upper-half-plane configurations, and direct functional-
 calculus monotonicity on sampled Hermitian pairs.  For an operator monotone
 function all three agree; ``cross_check`` runs them side by side.
-Each check runs on the stacked engine of :mod:`freemono.verifiers`: one
-eigenvalue call, and for ``monotone_1d`` one functional calculus, per chunk.
+Each check runs its trials as stacks on the engine that every check of
+:mod:`freemono.verifiers` shares: one eigenvalue call, and for
+``monotone_1d`` one functional calculus, per chunk.
 """
 
 from __future__ import annotations

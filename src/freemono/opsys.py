@@ -28,8 +28,9 @@ import numpy as np
 from . import kernels
 from .kernels import (
     NonFiniteError,
-    Rng,
     SamplingError,
+    _generators,
+    _uniforms,
     as_matrix,
     finite_rows,
     hermitize,
@@ -380,20 +381,10 @@ def in_domain(point: NCPoint, domain: DomainSpec):
 # its uniforms in one ``random`` call (on Philox, ``random(a)`` then
 # ``random(b)`` equals ``random(a + b)``).
 
-def _generators(rng) -> tuple[list, tuple]:
-    # the generator of each Rng of ``rng`` in flat order, and the shape of ``rng``
-    rngs = np.asarray(rng, dtype=object)
-    return [r.generator() for r in rngs.flat], rngs.shape
-
-
-def _uniforms(gens: list, count: int) -> np.ndarray:
-    return np.stack([gen.random(count) for gen in gens])
-
-
 def _hermitian_point(system: OpSysBasis, level: int, u: np.ndarray) -> NCPoint:
     # a stack of Hermitian draws from 2 n^2 uniforms per coefficient and row
     u = u.reshape(len(u), system.size, 2 * level * level)
-    return _point(system, hermitize(kernels.ginibre_from_uniforms(u, level)))
+    return _point(system, kernels.matrix_from_uniforms("hermitian", u, level))
 
 
 def _psd_point(system: OpSysBasis, level: int, u: np.ndarray) -> NCPoint:
@@ -434,16 +425,34 @@ def _draw_in_domain(domain: DomainSpec, level: int, gens: list) -> NCPoint:
     return g * alpha + ident * beta
 
 
-def sample_point(domain: DomainSpec, level: int, rng: Rng, budget: int = 1000) -> NCPoint:
-    """Draw one point of the domain's level-n slice from one Rng."""
-    if not isinstance(rng, Rng):
-        raise TypeError(f"sample_point draws from one Rng, not {type(rng).__name__}")
-    gens = [rng.generator()]
-    for _ in range(budget):
-        p = _draw_in_domain(domain, level, gens)
-        if in_domain(p, domain)[0]:
-            return p[0]
-    raise SamplingError(f"could not draw a point of {domain.kind} within {budget} attempts")
+def _redraw(attempt, rows: int, budget: int, exhausted: str, errors: dict | None):
+    """The rejection loop of every sampler: ``attempt(live, k)`` makes try k of the rows
+    ``live`` still drawing and returns the mask it accepts, until no row is left or each
+    has had ``budget`` tries; a row left gets ``SamplingError(exhausted)``, handed to settle.
+    """
+    live = np.arange(rows)
+    for k in range(budget):
+        if not live.size:
+            break
+        live = live[~attempt(live, k)]
+    settle({row: SamplingError(exhausted) for row in live}, errors)
+
+
+def sample_point(domain: DomainSpec, level: int, rng, budget: int = 1000,
+                 errors: dict | None = None) -> NCPoint:
+    """Draw a point of the domain's level-n slice; a row out of budget gets the zero point."""
+    gens, lead = _generators(rng)
+    coeffs = np.zeros((len(gens), domain.system.size, level, level), dtype=np.complex128)
+
+    def attempt(rows, k):
+        p = _draw_in_domain(domain, level, [gens[i] for i in rows])
+        inside = in_domain(p, domain)
+        coeffs[rows[inside]] = p.coeffs[inside]
+        return inside
+
+    _redraw(attempt, len(gens), budget,
+            f"could not draw a point of {domain.kind} within {budget} attempts", errors)
+    return _point(domain.system, coeffs.reshape(lead + coeffs.shape[1:]))
 
 
 def _bisect(domain: DomainSpec, p: NCPoint, h: NCPoint, t: np.ndarray):
@@ -479,15 +488,8 @@ def sample_ordered_pair(domain: DomainSpec, level: int, rng, t_scale: float = 1.
     gens, lead = _generators(rng)
     system, count = domain.system, 2 * domain.system.size * level * level
     pq = np.zeros((2, len(gens), system.size, level, level), dtype=np.complex128)
-    attempts = np.zeros(len(gens), dtype=int)
-    rows = np.arange(len(gens))  # the rows still drawing
-    errs = {}
-    while True:
-        for row in rows[attempts[rows] >= budget]:
-            errs[row] = SamplingError(f"ordered-pair sampling budget ({budget}) exhausted")
-        rows = rows[attempts[rows] < budget]
-        if not rows.size:
-            break
+
+    def attempt(rows, k):
         p = _draw_in_domain(domain, level, [gens[i] for i in rows])
         inside = np.flatnonzero(in_domain(p, domain))
         found = np.zeros(len(rows), dtype=bool)
@@ -501,9 +503,10 @@ def sample_ordered_pair(domain: DomainSpec, level: int, rng, t_scale: float = 1.
             found[done] = True
             pq[0, rows[done]] = p.coeffs[hit]
             pq[1, rows[done]] = q[hit]
-        attempts[rows[~found]] += 1
-        rows = rows[~found]
-    settle(errs, errors)
+        return found
+
+    _redraw(attempt, len(gens), budget, f"ordered-pair sampling budget ({budget}) exhausted",
+            errors)
     pq = pq.reshape((2,) + lead + pq.shape[2:])
     return _point(system, pq[0]), _point(system, pq[1])
 
@@ -539,15 +542,6 @@ def point_from_json(doc: dict, system: OpSysBasis | None = None) -> NCPoint:
     if point.level != int(doc["level"]):
         raise ValueError("point JSON level does not match its coefficients")
     return point
-
-
-def system_to_json(system: OpSysBasis) -> dict:
-    return {
-        "k": system.k,
-        "basis": [kernels.matrix_to_json(e) for e in system.basis],
-        "id_coeffs": [float(c) for c in system.id_coeffs],
-        "name": system.name,
-    }
 
 
 def system_from_json(doc: dict) -> OpSysBasis:

@@ -142,7 +142,7 @@ def sample_path(system: OpSysBasis, level: int, gen: np.random.Generator,
     d = system.size
     if len(ranges) != d:
         raise ValueError("need one spectral range per coordinate")
-    u = kernels.draw_unitary(gen, n)
+    u = kernels.matrix_from_uniforms("unitary", gen.random(2 * n * n), n)
     spread = bool(gen.random() < 0.5)
     diags, deltas = [], []
     eps = np.inf
@@ -166,7 +166,7 @@ def sample_path(system: OpSysBasis, level: int, gen: np.random.Generator,
         room = np.minimum(dvals - lo - 0.02 * width, hi - 0.02 * width - dvals)
         eps = min(eps, float(np.min(room / dl)))
     eps *= 0.9
-    k0 = kernels.draw_ginibre(gen, n)
+    k0 = kernels.matrix_from_uniforms("ginibre", gen.random(2 * n * n), n)
     khat = (k0 - k0.conj().T) / 2.0
     nrm = kernels.op_norm(khat)
     if nrm > 1e-12:

@@ -6,15 +6,14 @@ identity checks) and fails a trial when its margin drops below ``-tol``.
 Trials derive their randomness from (master rng, check name, function,
 level, trial index), so results do not depend on the order trials run in.
 
-Trials run in one thread, one level at a time.  The monotone, local and
-half-plane checks, and the three checks of :mod:`freemono.loewner1d`, run
-the trials of a level as stacks of up to ``TRIAL_CHUNK`` points: they
-evaluate f once per chunk and take the margins of the whole chunk at
-once, and each trial gets the margin, witness or error it would get alone
-(:func:`_row_trials`).  The monotone and half-plane checks also sample a
-chunk at once; the local check draws each trial's path alone and builds
-the chunk's path points as one stack.  The axioms, boundary and
-Schur-identity checks run their trials one by one.
+Trials run in one thread, one level at a time.  Every check here, and the
+three checks of :mod:`freemono.loewner1d`, run the trials of a level as
+stacks of up to ``TRIAL_CHUNK`` points: they sample the chunk at once,
+evaluate f once per chunk (the boundary check at A and its six shifts in
+one stack) and take the margins of the whole chunk at once, and each trial
+gets the margin, witness or error it would get alone (:func:`_row_trials`,
+:func:`_retry_trials`).  The local check draws each trial's path alone and
+builds the chunk's path points as one stack.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ import numpy as np
 from . import kernels, opsys, paths
 from .freeexpr import CodomainError, FreeFunction, OutOfDomainError, catalog, eval_function
 from .kernels import (
-    NumericalError, Rng, SamplingError, SingularMatrixError, hermitize, imag_part,
-    min_eig_h, op_norm, scaled_min_eig, settle,
+    NumericalError, Rng, SingularMatrixError, _ct, hermitize, imag_part, op_norm, scaled_min_eig,
+    settle,
 )
 from .opsys import (
     DomainSpec,
@@ -84,11 +83,6 @@ def _run_trials(check, function, run, levels, trials, tol, rng) -> CheckReport:
     )
 
 
-def _one_by_one(trial):
-    """The ``run`` of :func:`_run_trials` that calls ``trial(level, t)`` for each index in turn."""
-    return lambda level, ts: [trial(level, t) for t in ts]
-
-
 def _row_trials(margins, errors: dict, tol: float, points) -> list:
     """The :class:`_Trial` of each row of a stacked check, as a trial run alone would end.
 
@@ -109,6 +103,34 @@ def _row_trials(margins, errors: dict, tol: float, points) -> list:
     return out
 
 
+def _retry_trials(rs: list, draw, retry: tuple, exhausted: str, tol: float) -> list:
+    """The :class:`_Trial` of each trial i at its first try that meets no error of the types ``retry``.
+
+    Try k of trial i draws from ``rs[i].split("attempt", k)``, up to 100 tries.
+    ``draw(rngs, failed)`` makes one try of a stack of trials, one per Rng: it
+    adds each failed row's first error to ``failed`` and returns the rows'
+    margins and ``witness(j)``, row j's witness.  Any other error, and
+    ``SamplingError(exhausted)`` for a trial out of tries, is raised, the
+    lowest trial's first.
+    """
+    out, errs = [None] * len(rs), {}
+
+    def attempt(rows, k):
+        failed = {}
+        margins, witness = draw([rs[i].split("attempt", k) for i in rows], failed)
+        done = np.array([not isinstance(failed.get(j), retry) for j in range(len(rows))])
+        for j in np.flatnonzero(done):
+            if j in failed:
+                errs[rows[j]] = failed[j]
+            else:
+                out[rows[j]] = _Trial(margins[j], witness(j) if margins[j] < -tol else None)
+        return done
+
+    opsys._redraw(attempt, len(rs), 100, exhausted, errs)
+    settle(errs, None)
+    return out
+
+
 def is_diagonal_type(system: opsys.OpSysBasis) -> bool:
     """True for systems whose basis is diagonal matrix units (commuting tuples)."""
     if system.size != system.k:
@@ -118,6 +140,14 @@ def is_diagonal_type(system: opsys.OpSysBasis) -> bool:
 
 # --------------------------------------------------------------------------
 # Shared margin computations (also used to re-verify reported witnesses).
+
+def _settle_by_row(failed: dict, rows: int, errors: dict | None):
+    """Settle the errors of a stack of blocks of ``rows`` rows by row, at its earliest block."""
+    first = {}
+    for row, exc in sorted(failed.items()):
+        first.setdefault(row % rows, exc)
+    settle(first, errors)
+
 
 def _differences(values, ab, errors: dict | None) -> np.ndarray:
     """values(B) - values(A) of each pair, ``ab`` being the stack of the As, then the Bs.
@@ -130,10 +160,7 @@ def _differences(values, ab, errors: dict | None) -> np.ndarray:
     failed = {}
     fab = values(ab, failed)
     rows = len(fab) // 2
-    first = {}
-    for row, exc in sorted(failed.items()):  # the rows of A come first
-        first.setdefault(row % rows, exc)
-    settle(first, errors)
+    _settle_by_row(failed, rows, errors)
     return fab[rows:] - fab[:rows]
 
 
@@ -235,39 +262,33 @@ def check_free_axioms(f: FreeFunction, domain: DomainSpec | None = None,
     """Direct-sum and similarity residuals of f on sampled domain points."""
     dom = domain or f.domain
 
-    def trial(level, t):
-        r = rng.split("axioms", f.name, level, t)
-        for attempt in range(100):
-            rr = r.split("attempt", attempt)
-            x = sample_point(dom, level, rr.split("x"))
-            y = sample_point(dom, level, rr.split("y"))
-            u = kernels.random_matrix("unitary", level, rr.split("u"))
-            try:
-                fx = eval_function(f, x)
-                fy = eval_function(f, y)
-                fxy = eval_function(f, direct_sum(x, y))
-                fu = eval_function(f, conjugate(x, u))
-            except (OutOfDomainError, CodomainError):
-                continue
-            break
-        else:
-            raise SamplingError("axiom check found no evaluable sample in 100 attempts")
-        res_ds = op_norm(realize(fxy) - realize(direct_sum(fx, fy)))
-        res_sim = op_norm(realize(conjugate(fx, u)) - realize(fu))
-        scale = 1.0 + op_norm(realize(fx))
-        margin = -max(res_ds, res_sim) / scale
-        witness = None
-        if margin < -tol:
-            witness = {
-                "X": point_to_json(x),
-                "Y": point_to_json(y),
-                "unitary": kernels.matrix_to_json(u),
-                "residual_direct_sum": float(res_ds / scale),
-                "residual_similarity": float(res_sim / scale),
-            }
-        return _Trial(margin, witness)
+    def run(level, ts):
+        def draw(rngs, failed):
+            rows = len(rngs)
+            x = sample_point(dom, level, [r.split("x") for r in rngs], errors=failed)
+            y = sample_point(dom, level, [r.split("y") for r in rngs], errors=failed)
+            u = kernels.random_matrix("unitary", level, [r.split("u") for r in rngs])
+            at_n, at_2n = {}, {}
+            fs = eval_function(f, stack_points(x, y, conjugate(x, u)), at_n)
+            fxy = eval_function(f, direct_sum(x, y), at_2n)
+            # a row's first error, in the order fx, fy, fxy, fu
+            _settle_by_row({r: e for r, e in at_n.items() if r < 2 * rows}, rows, failed)
+            settle(at_2n, failed)
+            _settle_by_row({r: e for r, e in at_n.items() if r >= 2 * rows}, rows, failed)
+            fx, fy, fu = fs[:rows], fs[rows:2 * rows], fs[2 * rows:]
+            scale = 1.0 + op_norm(realize(fx))
+            ds = (op_norm(realize(fxy) - realize(direct_sum(fx, fy))) / scale).tolist()
+            sim = (op_norm(realize(conjugate(fx, u)) - realize(fu)) / scale).tolist()
+            return [-max(a, b) for a, b in zip(ds, sim)], lambda j: {
+                "X": point_to_json(x[j]), "Y": point_to_json(y[j]),
+                "unitary": kernels.matrix_to_json(u[j]),
+                "residual_direct_sum": ds[j], "residual_similarity": sim[j]}
 
-    return _run_trials("free_axioms", f.name, _one_by_one(trial), levels, trials, tol, rng)
+        return _retry_trials([rng.split("axioms", f.name, level, t) for t in ts], draw,
+                             (OutOfDomainError, CodomainError),
+                             "axiom check found no evaluable sample in 100 attempts", tol)
+
+    return _run_trials("free_axioms", f.name, run, levels, trials, tol, rng)
 
 
 def _path_ranges(domain: DomainSpec, count: int) -> list:
@@ -321,35 +342,30 @@ def check_boundary_continuity(f: FreeFunction, domain: DomainSpec | None = None,
     """
     dom = domain or f.domain
 
-    def trial(level, t):
-        r = rng.split("boundary", f.name, level, t)
-        a = sample_point(dom, level, r)
+    def run(level, ts):
+        errors, failed, rows = {}, {}, len(ts)
+        a = sample_point(dom, level, [rng.split("boundary", f.name, level, t) for t in ts],
+                         errors=errors)
         ident = identity_point(f.in_system, level)
-        try:
-            base = realize(eval_function(f, a))
-            denom = 1.0 + op_norm(base)
-            ratios = []
-            for eps in BOUNDARY_EPS_GRID:
-                val = realize(eval_function(f, a + (1j * eps) * ident))
-                ratios.append(op_norm(val - base) / denom)
-        except (OutOfDomainError, CodomainError) as exc:
-            return _Trial(OUT_OF_DOMAIN_MARGIN, {"A": point_to_json(a), "error": str(exc)})
-        c = ratios[0] / BOUNDARY_EPS_GRID[0]
-        margin = min(
-            (10.0 * c * eps + 1e-14 - rr) / (10.0 * c * eps + 1e-14)
-            for eps, rr in zip(BOUNDARY_EPS_GRID, ratios)
-        )
-        witness = None
-        if margin < -tol:
-            witness = {
-                "A": point_to_json(a),
-                "rate": float(c),
-                "ratios": [[float(e), float(rr)] for e, rr in zip(BOUNDARY_EPS_GRID, ratios)],
-                "margin": margin,
-            }
-        return _Trial(margin, witness)
+        # f at A, then at A + i eps I for each eps from large to small, as one stack
+        vals = realize(eval_function(
+            f, stack_points(a, *(a + (1j * eps) * ident for eps in BOUNDARY_EPS_GRID)), failed))
+        _settle_by_row(failed, rows, errors)
+        base = vals[:rows]
+        denom = 1.0 + op_norm(base)
+        ratios = op_norm(vals[rows:].reshape((-1,) + base.shape) - base) / denom
+        rates = ratios[0] / BOUNDARY_EPS_GRID[0]
+        margins = [
+            min((10.0 * c * eps + 1e-14 - rr) / (10.0 * c * eps + 1e-14)
+                for eps, rr in zip(BOUNDARY_EPS_GRID, ratios[:, i]))
+            for i, c in enumerate(rates)
+        ]
+        return _row_trials(margins, errors, tol, lambda i: {"A": point_to_json(a[i]), **(
+            {} if i in errors else {  # an error witness names A only
+                "rate": float(rates[i]),
+                "ratios": [[e, float(rr)] for e, rr in zip(BOUNDARY_EPS_GRID, ratios[:, i])]})})
 
-    return _run_trials("boundary_continuity", f.name, _one_by_one(trial), levels, trials, tol, rng)
+    return _run_trials("boundary_continuity", f.name, run, levels, trials, tol, rng)
 
 
 def check_schur_im_identity(levels=(1, 2, 3), trials: int = 500, tol: float = 1e-10,
@@ -364,41 +380,25 @@ def check_schur_im_identity(levels=(1, 2, 3), trials: int = 500, tol: float = 1e
     schur = catalog("schur_complement")
     sys2 = schur.in_system
 
-    def trial(level, t):
-        r = rng.split("schur_im_identity", level, t)
-        n = level
-        for attempt in range(100):
-            p = sample_halfplane(sys2, n, r.split("attempt", attempt))
+    def run(n, ts):
+        def draw(rngs, failed):
+            p = sample_halfplane(sys2, n, rngs)
             m = realize(p)
-            blocks = m.reshape(2, n, 2, n)
-            try:
-                w = -kernels.safe_inv(blocks[1, :, 1, :].conj().T) @ blocks[0, :, 1, :].conj().T
-                fp = eval_function(schur, p)
-            except (SingularMatrixError, OutOfDomainError, CodomainError):
-                continue
-            break
-        else:
-            raise SamplingError("no half-plane sample with invertible X22 in 100 attempts")
-        v = np.vstack([np.eye(n, dtype=np.complex128), w])
-        rhs = v.conj().T @ imag_part(m) @ v
-        imf = imag_part(realize(fp))
-        scale = 1.0 + op_norm(m) ** 2
-        resid = op_norm(imf - rhs)
-        margin = -resid / scale
-        im_margin = min_eig_h(imf)
-        if im_margin <= 0.0:
-            margin = min(margin, -1.0)
-        witness = None
-        if margin < -tol:
-            witness = {
-                "X": point_to_json(p),
-                "residual": float(resid / scale),
-                "im_margin": float(im_margin),
-            }
-        return _Trial(margin, witness)
+            blocks = m.reshape(-1, 2, n, 2, n)
+            w = -kernels.safe_inv(_ct(blocks[:, 1, :, 1, :]), failed) @ _ct(blocks[:, 0, :, 1, :])
+            imf = imag_part(realize(eval_function(schur, p, failed)))
+            v = np.concatenate([np.broadcast_to(np.eye(n, dtype=np.complex128), w.shape), w], axis=1)
+            scale = [1.0 + x ** 2 for x in op_norm(m).tolist()]
+            resid = (op_norm(imf - _ct(v) @ imag_part(m) @ v) / scale).tolist()
+            im = kernels._eigh(imf, failed)[:, 0].tolist()  # fails only after the try is accepted
+            return [min(-r, -1.0) if i <= 0.0 else -r for r, i in zip(resid, im)], lambda j: {
+                "X": point_to_json(p[j]), "residual": resid[j], "im_margin": im[j]}
 
-    return _run_trials("schur_im_identity", "schur_complement", _one_by_one(trial),
-                       levels, trials, tol, rng)
+        return _retry_trials([rng.split("schur_im_identity", n, t) for t in ts], draw,
+                             (SingularMatrixError, OutOfDomainError, CodomainError),
+                             "no half-plane sample with invertible X22 in 100 attempts", tol)
+
+    return _run_trials("schur_im_identity", "schur_complement", run, levels, trials, tol, rng)
 
 
 def equivalence_report(f: FreeFunction, domain: DomainSpec | None = None,

@@ -1,11 +1,11 @@
 """The batched trial engine against a serial reference, bit for bit.
 
-``check_monotone``, ``check_halfplane``, ``check_local_monotone`` and the
-three checks of ``loewner1d.cross_check`` (Loewner matrices, Pick matrices
-and ``monotone_1d``) run the trials of a level as stacks.  The reference
-here is the serial engine they replaced: samplers that draw one point at a
-time, two ``random`` calls per coefficient, path points built one at a
-time, and a loop that runs one trial after another through single-point
+Every check of ``verifiers`` and the three checks of ``loewner1d.cross_check``
+(Loewner matrices, Pick matrices and ``monotone_1d``) run the trials of a
+level as stacks.  The reference here is the serial engine they replaced:
+samplers that draw one point or matrix at a time, two ``random`` calls per
+coefficient, path points built one at a time, a rejection loop per trial,
+and a loop that runs one trial after another through single-point
 evaluations and margins.  Every margin, witness and error text must come
 out the same, whatever the chunk size.
 """
@@ -23,16 +23,19 @@ from freemono import cli, loewner1d, paths, verifiers
 from freemono.freeexpr import CATALOG_NAMES, CodomainError, OutOfDomainError, catalog
 from freemono.freeexpr import eval_function, function_from_expr
 from freemono.kernels import (
-    NumericalError, Rng, SamplingError, SpectrumDomainError, func_calc, hermitize, matrix_to_json,
+    NumericalError, Rng, SamplingError, SingularMatrixError, SpectrumDomainError, func_calc,
+    hermitize, imag_part, matrix_to_json, min_eig_h, op_norm, random_matrix, safe_inv,
     scaled_min_eig,
 )
 from freemono.loewner1d import SCALAR_CATALOG_NAMES, ScalarFunction, scalar_catalog
 from freemono.opsys import (
-    NCPoint, builtin_system, full_domain, identity_point, in_domain, pd_cone, point_to_json,
-    realize, sample_halfplane, sample_ordered_pair, spectral_interval,
+    NCPoint, builtin_system, conjugate, direct_sum, full_domain, identity_point, in_domain, pd_cone,
+    point_to_json, realize, sample_halfplane, sample_ordered_pair, sample_point, spectral_interval,
 )
 from freemono.report import OUT_OF_DOMAIN_MARGIN
-from freemono.verifiers import _one_by_one, _run_trials, _Trial, halfplane_margin, pair_margin
+from freemono.verifiers import (
+    BOUNDARY_EPS_GRID, _run_trials, _Trial, halfplane_margin, pair_margin,
+)
 
 SCALAR = builtin_system("scalar")
 BLOCK2 = builtin_system("block2")
@@ -42,19 +45,43 @@ DIAG2 = builtin_system("diagonal(2)")
 # from P to Q is bisected many times before Q fits.
 NARROW = spectral_interval(SCALAR, 1.0, 1.0 + 1.5e-7)
 ERROR_WITNESS = "sqrt(X1 - 2)*sqrt(X1 - 2) + inv(X1 - 1)"
+# A point sampler accepts a candidate of TINY with probability 0.003 (its
+# openness margin leaves a sliver of the interval), so a budget of 1000 runs
+# out about one time in 20.
+TINY = spectral_interval(SCALAR, 0.0, 4.0096e-8)
 
 
 # --------------------------------------------------------------------------
 # The serial reference: one point, one trial at a time.
 
-def _ref_hermitian(gen, n):
+def _ref_ginibre(gen, n):
     half = n * n
     u1 = 1.0 - gen.random(half)
     u2 = gen.random(half)
     r = np.sqrt(-2.0 * np.log(u1))
     z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
-    g = (z[:half] + 1j * z[half:]).reshape(n, n)
+    return (z[:half] + 1j * z[half:]).reshape(n, n)
+
+
+def _ref_hermitian(gen, n):
+    g = _ref_ginibre(gen, n)
     return (g + g.conj().T) / 2.0
+
+
+def _ref_psd(gen, n):
+    g = _ref_ginibre(gen, n)
+    return g.conj().T @ g
+
+
+def _ref_unitary(gen, n):
+    q, r = np.linalg.qr(_ref_ginibre(gen, n))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+# kind -> one matrix of that kind from one generator
+_REF_MATRICES = {"ginibre": _ref_ginibre, "hermitian": _ref_hermitian, "psd": _ref_psd,
+                 "pd": lambda gen, n: _ref_psd(gen, n) + 0.1 * np.eye(n), "unitary": _ref_unitary}
 
 
 def _ref_hermitian_point(system, level, gen):
@@ -88,6 +115,15 @@ def _ref_draw_in_domain(domain, level, gen):
     target = width * (0.3 + 0.4 * float(gen.random()))
     alpha = target / max(hi - lo, 1e-9)
     return alpha * g + (start - alpha * lo) * ident
+
+
+def _ref_sample_point(domain, level, rng, budget=1000):
+    gen = rng.generator()
+    for _ in range(budget):
+        p = _ref_draw_in_domain(domain, level, gen)
+        if in_domain(p, domain):
+            return p
+    raise SamplingError(f"could not draw a point of {domain.kind} within {budget} attempts")
 
 
 def _ref_sample_ordered_pair(domain, level, rng, budget=1000, stats=None):
@@ -157,6 +193,103 @@ def _ref_certificate(kind, f, interval, count, r, tol):
     return _Trial(margin, {**points, "margin": margin} if margin < -tol else None)
 
 
+def _ref_axioms(f, dom, level, r, tol):
+    for attempt in range(100):
+        rr = r.split("attempt", attempt)
+        x = _ref_sample_point(dom, level, rr.split("x"))
+        y = _ref_sample_point(dom, level, rr.split("y"))
+        u = _ref_unitary(rr.split("u").generator(), level)
+        try:
+            fx = eval_function(f, x)
+            fy = eval_function(f, y)
+            fxy = eval_function(f, direct_sum(x, y))
+            fu = eval_function(f, conjugate(x, u))
+        except (OutOfDomainError, CodomainError):
+            continue
+        break
+    else:
+        raise SamplingError("axiom check found no evaluable sample in 100 attempts")
+    res_ds = op_norm(realize(fxy) - realize(direct_sum(fx, fy)))
+    res_sim = op_norm(realize(conjugate(fx, u)) - realize(fu))
+    scale = 1.0 + op_norm(realize(fx))
+    margin = -max(res_ds, res_sim) / scale
+    witness = None
+    if margin < -tol:
+        witness = {
+            "X": point_to_json(x),
+            "Y": point_to_json(y),
+            "unitary": matrix_to_json(u),
+            "residual_direct_sum": float(res_ds / scale),
+            "residual_similarity": float(res_sim / scale),
+        }
+    return _Trial(margin, witness)
+
+
+def _ref_boundary(f, dom, level, r, tol):
+    a = _ref_sample_point(dom, level, r)
+    ident = identity_point(f.in_system, level)
+    try:
+        base = realize(eval_function(f, a))
+        denom = 1.0 + op_norm(base)
+        ratios = []
+        for eps in BOUNDARY_EPS_GRID:
+            val = realize(eval_function(f, a + (1j * eps) * ident))
+            ratios.append(op_norm(val - base) / denom)
+    except (OutOfDomainError, CodomainError) as exc:
+        return _Trial(OUT_OF_DOMAIN_MARGIN, {"A": point_to_json(a), "error": str(exc)})
+    c = ratios[0] / BOUNDARY_EPS_GRID[0]
+    margin = min(
+        (10.0 * c * eps + 1e-14 - rr) / (10.0 * c * eps + 1e-14)
+        for eps, rr in zip(BOUNDARY_EPS_GRID, ratios)
+    )
+    witness = None
+    if margin < -tol:
+        witness = {
+            "A": point_to_json(a),
+            "rate": float(c),
+            "ratios": [[float(e), float(rr)] for e, rr in zip(BOUNDARY_EPS_GRID, ratios)],
+            "margin": margin,
+        }
+    return _Trial(margin, witness)
+
+
+def _ref_schur_identity(schur, dom, n, r, tol):
+    for attempt in range(100):
+        p = _ref_sample_halfplane(schur.in_system, n, r.split("attempt", attempt))
+        m = realize(p)
+        blocks = m.reshape(2, n, 2, n)
+        try:
+            w = -safe_inv(blocks[1, :, 1, :].conj().T) @ blocks[0, :, 1, :].conj().T
+            fp = eval_function(schur, p)
+        except (SingularMatrixError, OutOfDomainError, CodomainError):
+            continue
+        break
+    else:
+        raise SamplingError("no half-plane sample with invertible X22 in 100 attempts")
+    v = np.vstack([np.eye(n, dtype=np.complex128), w])
+    rhs = v.conj().T @ imag_part(m) @ v
+    imf = imag_part(realize(fp))
+    scale = 1.0 + op_norm(m) ** 2
+    resid = op_norm(imf - rhs)
+    margin = -resid / scale
+    im_margin = min_eig_h(imf)
+    if im_margin <= 0.0:
+        margin = min(margin, -1.0)
+    witness = None
+    if margin < -tol:
+        witness = {
+            "X": point_to_json(p),
+            "residual": float(resid / scale),
+            "im_margin": float(im_margin),
+        }
+    return _Trial(margin, witness)
+
+
+# kind -> the serial body of a check whose trials retry or catch their own errors
+RETRIED = {"axioms": _ref_axioms, "boundary": _ref_boundary,
+           "schur_im_identity": _ref_schur_identity}
+
+
 def _ref_trial(kind, f, dom, tol, rng, seen):
     """The serial loop's trial body; records each trial's (margin, witness) in ``seen``."""
 
@@ -168,6 +301,11 @@ def _ref_trial(kind, f, dom, tol, rng, seen):
             return seen[-1]
         if kind == "monotone_1d":
             seen.append(_ref_monotone_1d(f, dom, level, r, tol))
+            return seen[-1]
+        if kind in RETRIED:
+            if kind == "schur_im_identity":  # one function: its name is not a tag
+                r = rng.split(kind, level, t)
+            seen.append(RETRIED[kind](f, dom, level, r, tol))
             return seen[-1]
         if kind == "local":
             path = paths.sample_path(f.in_system, level, r.generator(),
@@ -240,6 +378,10 @@ CHECKS = {
                     lambda f, dom, *opts: loewner1d._monotone_matrix_report(f, *opts, dom)),
     "loewner_psd": (loewner1d, "loewner_psd", _certificate_report("loewner_psd")),
     "pick_psd": (loewner1d, "pick_psd", _certificate_report("pick_psd")),
+    "axioms": (verifiers, "free_axioms", verifiers.check_free_axioms),
+    "boundary": (verifiers, "boundary_continuity", verifiers.check_boundary_continuity),
+    "schur_im_identity": (verifiers, "schur_im_identity",
+                       lambda f, dom, *opts: verifiers.check_schur_im_identity(*opts)),
 }
 
 
@@ -262,9 +404,9 @@ def _compare(monkeypatch, kind, f, dom, levels, trials, tol=1e-8, seed=42):
     report, error = _outcome(lambda: batched(f, dom, levels, trials, tol, rng))
     monkeypatch.setattr(module, "_run_trials", _run_trials)
     ref_seen = []
+    trial = _ref_trial(kind, f, dom, tol, rng, ref_seen)
     ref_report, ref_error = _outcome(lambda: _run_trials(
-        check, f.name, _one_by_one(_ref_trial(kind, f, dom, tol, rng, ref_seen)),
-        levels, trials, tol, rng))
+        check, f.name, lambda level, ts: [trial(level, t) for t in ts], levels, trials, tol, rng))
     assert error == ref_error
     if ref_error is None:
         assert json.dumps(report.to_json()) == json.dumps(ref_report.to_json())
@@ -347,6 +489,42 @@ class TestAgainstSerialReference:
                                (count,), 7)
         assert error is None and len(seen) == 7
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @pytest.mark.parametrize("kind", ["axioms", "boundary"])
+    def test_axioms_and_boundary_levels_1_to_3(self, monkeypatch, chunk, kind, name):
+        f = catalog(name)
+        seen, error = _compare(monkeypatch, kind, f, f.domain, (1, 2, 3), 4)
+        assert error is None and len(seen) == 12
+
+    def test_schur_identity_levels_1_to_4(self, monkeypatch, chunk):
+        seen, error = _compare(monkeypatch, "schur_im_identity", catalog("schur_complement"), None,
+                               (1, 2, 3, 4), 6)
+        assert error is None and len(seen) == 24
+
+    def test_axiom_trials_redraw_until_every_evaluation_succeeds(self, monkeypatch, chunk):
+        # most samples of the pd cone leave sqrt's domain: trials take several tries
+        f = function_from_expr("expr", "sqrt(X1 - 0.5)", SCALAR)
+        seen, error = _compare(monkeypatch, "axioms", f, f.domain, (1, 2), 12)
+        assert error is None and len(seen) == 24
+
+    def test_an_axiom_trial_exhausts_its_tries(self, monkeypatch, chunk):
+        f = function_from_expr("expr", "sqrt(X1 - 3)", SCALAR)
+        _, error = _compare(monkeypatch, "axioms", f, f.domain, (1, 2), 5)
+        assert error == ("SamplingError", "axiom check found no evaluable sample in 100 attempts")
+
+    def test_boundary_error_rows_mixed_with_good_rows(self, monkeypatch, chunk):
+        f = function_from_expr("expr", "sqrt(X1 - 0.5)", SCALAR)
+        seen, error = _compare(monkeypatch, "boundary", f, f.domain, (1, 2), 12)
+        errors = [t for t in seen if t.witness and "error" in t.witness]
+        assert error is None and 0 < len(errors) < len(seen)
+        assert all(set(t.witness) == {"A", "error"} for t in errors)
+
+    def test_boundary_witness_carries_rate_and_ratios(self, monkeypatch, chunk):
+        # A near the pole at 0.5: f(A + i eps I) overshoots the rate line
+        f = function_from_expr("expr", "inv(X1 - 0.5)", SCALAR)
+        seen, error = _compare(monkeypatch, "boundary", f, f.domain, (1, 2), 12)
+        assert error is None and any(t.witness and "rate" in t.witness for t in seen)
+
     def test_local_chunk_evaluates_once(self, monkeypatch):
         calls = []
 
@@ -392,6 +570,36 @@ class TestSamplersBitForBit:
             p = sample_halfplane(system, level, rngs)
             for i, r in enumerate(rngs):
                 assert p[i].coeffs.tobytes() == _ref_sample_halfplane(system, level, r).coeffs.tobytes()
+
+    @pytest.mark.parametrize("domain", [
+        pd_cone(BLOCK2), full_domain(DIAG2), spectral_interval(SCALAR, -1.0, 1.0), TINY,
+    ], ids=lambda d: d.kind)
+    def test_points(self, domain):
+        # on TINY the budget of 300 runs out for some rows: a row error among good rows
+        rngs = [Rng(11).split(t) for t in range(8)]
+        for level in (1, 2, 3):
+            errors = {}
+            p = sample_point(domain, level, rngs, budget=300, errors=errors)
+            for i, r in enumerate(rngs):
+                if i in errors:
+                    assert isinstance(errors[i], SamplingError) and not p[i].coeffs.any()
+                    with pytest.raises(SamplingError, match="within 300 attempts"):
+                        _ref_sample_point(domain, level, r, budget=300)
+                else:
+                    want = _ref_sample_point(domain, level, r, budget=300)
+                    assert p[i].coeffs.tobytes() == want.coeffs.tobytes()
+            if domain is TINY and level == 1:
+                assert 0 < len(errors) < len(rngs)
+
+    @pytest.mark.parametrize("kind", list(_REF_MATRICES))
+    def test_random_matrices(self, kind):
+        rngs = [Rng(12).split(t) for t in range(6)]
+        for n in (1, 2, 3, 5):
+            stack = random_matrix(kind, n, rngs)
+            for i, r in enumerate(rngs):
+                want = _REF_MATRICES[kind](r.generator(), n)
+                assert stack[i].tobytes() == want.tobytes()
+                assert random_matrix(kind, n, r).tobytes() == want.tobytes()
 
     def test_exhausted_budget_is_a_row_error(self):
         hopeless = spectral_interval(SCALAR, 0.0, 1e-8)  # narrower than the openness margin
@@ -478,3 +686,34 @@ class TestFirstErrorWins:
         assert code == cli.EXIT_NUMERICAL
         assert doc["numerical_failures"] == [
             {"check": "monotone", "function": "expr", "error": self.CASES[seed]}]
+
+
+# Every level-1 point of TINY lies in (1e-8, 1.0024e-8); scaled by 1e12 it
+# lies in (10000, 10024).  STAGED leaves sqrt's domain below 10010 and
+# overflows (NonFiniteError) above about 10015, so each evaluation of an
+# axiom try is retried, raised or good, by where its point falls.
+STAGED = ("sqrt(1000000000000 * X1 - 10010) + 0 * (1" + "0" * 308
+          + " * (0.00017943 * (1000000000000 * X1)))")
+
+
+class TestAxiomErrorOrder:
+    # seed -> the error of two level-1 trials, and how each trial ends alone
+    # (o: out of domain, !: raised, .: good), one item per try:
+    CASES = {
+        # trial 0 [fx o, fy !: redrawn], [fx o], [fx o], [y !]; trial 1 ends with fx ! at try 2
+        57: "SamplingError",
+        # trial 0 [fx o], [fx o, fy !: redrawn], [good]; trial 1 ends with x ! at try 2
+        36: "SamplingError",
+        # trial 0 [fy o], [fx ., fy !]; trial 1 ends with x ! at try 0, before trial 0 does
+        10: "NonFiniteError",
+        # trial 0 [y !] with a good x; trial 1 is good
+        37: "SamplingError",
+        # trial 0 is good at try 3; trial 1 [fx !, fy o, fxy o]: fx comes before fxy
+        16: "NonFiniteError",
+    }
+
+    @pytest.mark.parametrize("seed", CASES)
+    def test_the_lowest_trials_first_error_is_raised(self, monkeypatch, chunk, seed):
+        f = function_from_expr("expr", STAGED, SCALAR)
+        _, error = _compare(monkeypatch, "axioms", f, TINY, (1,), 2, seed=seed)
+        assert error is not None and error[0] == self.CASES[seed]

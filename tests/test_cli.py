@@ -17,11 +17,22 @@ from hypothesis import example, given, settings, strategies as st
 import freemono
 import freemono.cli
 from freemono.cli import main
-from freemono.opsys import builtin_system, point_from_json, system_to_json
+from freemono.opsys import point_from_json
 from freemono.report import REPORT_SCHEMA
 from freemono.verifiers import pair_margin
 from freemono.freeexpr import catalog
 
+
+def _m(*rows):
+    # the matrix JSON of the given rows
+    return {"n": len(rows),
+            "entries": [[[complex(v).real, complex(v).imag] for v in row] for row in rows]}
+
+
+SCALAR_JSON = {"k": 1, "basis": [_m([1])], "id_coeffs": [1.0], "name": "scalar"}
+BLOCK2_JSON = {"k": 2, "basis": [_m([1, 0], [0, 0]), _m([0, 0], [0, 1]), _m([0, 1], [1, 0]),
+                                 _m([0, 1j], [-1j, 0])],
+               "id_coeffs": [1.0, 1.0, 0.0, 0.0], "name": "block2"}
 
 _HYPOTHESIS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -145,8 +156,7 @@ class TestNonFinite:
 
     def test_non_finite_system_file_is_usage_error(self, tmp_path):
         path = tmp_path / "sys.json"
-        doc = system_to_json(builtin_system("scalar"))
-        path.write_text(json.dumps(doc).replace("1.0", "1e999", 1))
+        path.write_text(json.dumps(SCALAR_JSON).replace("1.0", "1e999", 1))
         code, _, err = run_cli("parse", "--expr", "X1", "--system", str(path))
         assert code == 2 and "finite" in err
 
@@ -254,6 +264,20 @@ class TestParseCommand:
             assert (code, out) == (2, "")
             assert f"nesting deeper than 100 levels (offset {offset})" in err
 
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_operator_chains_are_capped_at_200_levels(self, op):
+        # a chain of binary operators builds one tree level per operator; the
+        # 200th operator (offset 599) would make the tree 201 levels deep
+        check = ("check", "--system", "scalar", "--suite", "monotone", "--levels", "1..1",
+                 "--trials", "1")
+        for argv in (("parse",), check):
+            code, out, err = run_cli(*argv, "--expr=X1" + f"{op}X1" * 199)
+            assert (code, err) == (0, "") and out
+            code, out, err = run_cli(*argv, "--expr=X1" + f"{op}X1" * 1500)
+            assert (code, out) == (2, "")
+            assert "Traceback" not in err
+            assert "expression tree deeper than 200 levels (offset 599)" in err
+
     @_HYPOTHESIS
     @given(st.one_of(st.text(), st.text(alphabet="X1[],+-*()^.i sqrtinv\u00b2\u0661")))
     @example("X\u00b2")
@@ -358,8 +382,7 @@ class TestDocuments:
 
 class TestUserSystems:
     def test_system_json_file(self, tmp_path):
-        sys_doc = system_to_json(builtin_system("block2"))
-        sys_doc["name"] = "my_block2"
+        sys_doc = {**BLOCK2_JSON, "name": "my_block2"}
         path = tmp_path / "sys.json"
         path.write_text(json.dumps(sys_doc))
         code, out, _ = run_cli("parse", "--expr", "X[2,1]", "--system", str(path))

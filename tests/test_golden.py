@@ -45,7 +45,18 @@ GOLDEN = {
     # every trial of every check fails, so the report keeps a witness of each check
     "inverse_levels_1_4": (("--suite", "equivalence", "--function", "inverse",
                             "--levels", "1..4", "--trials", "40"), "45fd0a032034d4cd"),
+    # most axiom trials redraw their sample many times before every evaluation succeeds
+    "axioms_redraws": (("--suite", "axioms", "--expr", "sqrt(X1 - 0.5)", "--system", "scalar",
+                        *SMALL), "615726a0cf19edb2"),
+    # no sample is evaluable, so a trial exhausts its 100 attempts: a numerical failure
+    "axioms_exhausted": (("--suite", "axioms", "--expr", "sqrt(X1 - 3)", "--system", "scalar",
+                          *SMALL), "29161a1a7a3222e1"),
+    # boundary trials whose evaluation leaves the domain, mixed with good ones
+    "boundary_error_witness": (("--suite", "boundary", "--expr", "sqrt(X1 - 0.5)",
+                                "--system", "scalar", *SMALL), "0aa991aaa55e4fa8"),
 }
+# the exit codes of the cases that reach a redraw or error path
+EXIT_CODES = {"axioms_redraws": 0, "axioms_exhausted": 3, "boundary_error_witness": 1}
 
 
 @pytest.mark.parametrize("name", GOLDEN)
@@ -53,6 +64,8 @@ def test_report_bytes(name):
     argv, prefix = GOLDEN[name]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        main(["check", *argv, "--seed", "42"])
+        code = main(["check", *argv, "--seed", "42"])
     assert err.getvalue() == ""
+    if name in EXIT_CODES:
+        assert code == EXIT_CODES[name]
     assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == prefix

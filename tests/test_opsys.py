@@ -31,7 +31,6 @@ from freemono.opsys import (
     shuffle_permutation,
     spectral_interval,
     system_from_json,
-    system_to_json,
 )
 
 SYSTEMS = ("scalar", "diagonal(2)", "diagonal(3)", "block2")
@@ -303,11 +302,16 @@ class TestSamplers:
         with pytest.raises(SamplingError):
             sample_point(dom, 2, Rng(84), budget=10)
 
-    @pytest.mark.parametrize("rngs", [[Rng(1), Rng(2), Rng(3)], (Rng(1),), 1])
-    def test_point_sampler_takes_one_rng(self, rngs):
-        # the point sampler has no stacked form: anything but one Rng is refused, not read as its first
-        with pytest.raises(TypeError, match="one Rng"):
-            sample_point(full_domain(builtin_system("scalar")), 2, rngs)
+    def test_point_sampler_takes_the_shape_of_its_rngs(self):
+        # one Rng draws one point, an array of them a stack of that shape
+        dom = pd_cone(builtin_system("diagonal(2)"))
+        rngs = [[Rng(1), Rng(2), Rng(3)], [Rng(4), Rng(5), Rng(6)]]
+        stack = sample_point(dom, 2, rngs)
+        assert stack.coeffs.shape == (2, 3, 2, 2, 2)
+        for i, row in enumerate(rngs):
+            for j, r in enumerate(row):
+                np.testing.assert_array_equal(stack.coeffs[i, j], sample_point(dom, 2, r).coeffs)
+        assert sample_point(dom, 2, (Rng(1),)).coeffs.shape == (1, 2, 2, 2)
 
     def test_halfplane_sampler(self):
         for name in SYSTEMS:
@@ -349,8 +353,12 @@ class TestJsonEncodings:
 
     def test_system_round_trip(self):
         sys_ = builtin_system("block2")
-        doc = json.loads(json.dumps(system_to_json(sys_)))
-        back = system_from_json(doc)
+        basis = ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]])
+        doc = {"k": 2, "basis": [{"n": 2, "entries": [[[complex(v).real, complex(v).imag]
+                                                       for v in row] for row in e]}
+                                 for e in basis],
+               "id_coeffs": [1.0, 1.0, 0.0, 0.0], "name": "block2"}
+        back = system_from_json(json.loads(json.dumps(doc)))
         assert back.name == sys_.name and back.k == sys_.k
         for a, b in zip(sys_.basis, back.basis):
             np.testing.assert_array_equal(a, b)

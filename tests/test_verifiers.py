@@ -13,7 +13,6 @@ from freemono.opsys import (
     sample_ordered_pair,
 )
 from freemono.verifiers import (
-    _one_by_one,
     _run_trials,
     _Trial,
     check_boundary_continuity,
@@ -263,10 +262,10 @@ class TestMarginProperties:
 class TestTrialRunner:
     @staticmethod
     def _run(margins):
-        def trial(level, t):
-            return _Trial(margins[t], {"t": t})
+        def run(level, ts):
+            return [_Trial(margins[t], {"t": t}) for t in ts]
 
-        return _run_trials("monotone", "f", _one_by_one(trial), (1,), len(margins), 1e-8, Rng(0))
+        return _run_trials("monotone", "f", run, (1,), len(margins), 1e-8, Rng(0))
 
     def test_worst_margin_and_witness(self):
         rep = self._run([0.5, -2.0, -1.0, -2.0])
