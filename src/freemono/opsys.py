@@ -312,8 +312,7 @@ def order_leq(p: NCPoint, q: NCPoint, tol: float = kernels.TOL_PSD) -> bool:
     _require_compatible(p, q)
     if not (is_hermitian_point(p) and is_hermitian_point(q)):
         raise ValueError("order is defined between Hermitian points only")
-    w = kernels._eigh(hermitize(realize(q - p)))
-    return float(w[0]) >= -tol * (1.0 + max(abs(float(w[0])), abs(float(w[-1]))))
+    return bool(kernels.scaled_min_eig(hermitize(realize(q - p))) >= -tol)
 
 
 def direct_sum(p: NCPoint, q: NCPoint) -> NCPoint:

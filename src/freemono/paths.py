@@ -17,6 +17,11 @@ of functions that are merely scalar-monotone.  K is scaled as large as the
 positivity of the velocity allows: the bracket is linear in t, so its
 minimum eigenvalue is concave in t and positivity on an interval follows
 from positivity at the endpoints.
+
+A :class:`CommutingPath` holds one path or a stack: ``unitary`` and ``skew``
+are ``(..., n, n)``, ``diags`` and ``deltas`` ``(..., d, n)``, ``eps`` is
+``(...)``.  ``sample_path`` draws one path from one Rng and a stack from an
+array of them, each row as it would be drawn alone.
 """
 
 from __future__ import annotations
@@ -39,143 +44,132 @@ VELOCITY_FLOOR = 0.05
 class CommutingPath:
     system: OpSysBasis
     unitary: np.ndarray
-    diags: tuple
-    deltas: tuple
+    diags: np.ndarray
+    deltas: np.ndarray
     skew: np.ndarray
-    eps: float
+    eps: np.ndarray
 
-    @property
-    def level(self) -> int:
-        return self.unitary.shape[0]
+    def __getitem__(self, rows) -> CommutingPath:
+        return CommutingPath(self.system, self.unitary[rows], self.diags[rows], self.deltas[rows],
+                             self.skew[rows], np.asarray(self.eps)[rows])
 
-    def point(self, t: float) -> NCPoint:
-        return path_points([self], [t])[0]
+    def point(self, t) -> NCPoint:
+        return path_points(self, t)
 
-    def velocity_margin(self, t: float) -> float:
+    def velocity_margin(self, t):
         """Smallest eigenvalue, over coordinates, of the path velocity at t."""
-        return _velocity_margin(self.unitary, self.diags, self.deltas, self.skew, t)
+        skew = self.skew[..., np.newaxis, :, :]
+        x = _coordinates(self.unitary, self.diags + t * self.deltas)
+        bracket = skew @ x - x @ skew
+        w = kernels._eigh(hermitize(_coordinates(self.unitary, self.deltas) + bracket))
+        return w[..., 0].min(axis=-1)[()]
 
     def to_witness(self) -> dict:
         return {
             "system": self.system.name,
             "unitary": kernels.matrix_to_json(self.unitary),
-            "diags": [[float(x) for x in d] for d in self.diags],
-            "deltas": [[float(x) for x in d] for d in self.deltas],
+            "diags": self.diags.tolist(),
+            "deltas": self.deltas.tolist(),
             "skew": kernels.matrix_to_json(self.skew),
             "eps": float(self.eps),
         }
 
 
-def path_points(paths, ts) -> NCPoint:
-    """The stack of ``paths[i].point(ts[i])``, for paths of one system and level.
+def _coordinates(u, values) -> np.ndarray:
+    """U diag(values_i) U* for each coordinate i: ``(..., d, n, n)`` from ``(..., d, n)``."""
+    u = u[..., np.newaxis, :, :]
+    return (u * values[..., np.newaxis, :]) @ _ct(u)
+
+
+def path_points(path: CommutingPath, ts) -> NCPoint:
+    """The points of ``path`` at ``ts``, which broadcasts against its leading shape.
 
     The rotations R(t) come from one stacked ``expm``, which runs the same
     algorithm on each matrix as a call on that matrix alone.
     """
-    ts = np.asarray(ts, dtype=float)
-    u = np.stack([p.unitary for p in paths])[:, np.newaxis]
-    r = scipy.linalg.expm(ts[:, np.newaxis, np.newaxis] * np.stack([p.skew for p in paths]))
-    r = r[:, np.newaxis]
-    spectra = np.array([p.diags for p in paths]) + ts[:, np.newaxis, np.newaxis] * np.array(
-        [p.deltas for p in paths])
-    base = (u * spectra[:, :, np.newaxis, :]) @ _ct(u)
-    return _point(paths[0].system, _check_finite(hermitize(r @ base @ _ct(r))))
+    t = np.asarray(ts, dtype=float)[..., np.newaxis, np.newaxis]
+    r = scipy.linalg.expm(t * path.skew)[..., np.newaxis, :, :]
+    base = _coordinates(path.unitary, path.diags + t * path.deltas)
+    return _point(path.system, _check_finite(hermitize(r @ base @ _ct(r))))
 
 
 def path_from_witness(system: OpSysBasis, doc: dict) -> CommutingPath:
     return CommutingPath(
         system=system,
         unitary=kernels.matrix_from_json(doc["unitary"]),
-        diags=tuple(np.asarray(d, dtype=float) for d in doc["diags"]),
-        deltas=tuple(np.asarray(d, dtype=float) for d in doc["deltas"]),
+        diags=np.asarray(doc["diags"], dtype=float),
+        deltas=np.asarray(doc["deltas"], dtype=float),
         skew=kernels.matrix_from_json(doc["skew"]),
         eps=float(doc["eps"]),
     )
 
 
-def _velocity_margin(u, diags, deltas, skew, t) -> float:
-    worst = np.inf
-    for d, dl in zip(diags, deltas):
-        base = (u * dl) @ u.conj().T
-        x = (u * (d + t * dl)) @ u.conj().T
-        bracket = skew @ x - x @ skew
-        w = kernels._eigh(hermitize(base + bracket))
-        worst = min(worst, float(w[0]))
-    return worst
-
-
-def _max_rotation(u, diags, deltas, khat, endpoints, floor) -> float:
-    # Largest kappa keeping every velocity above the floor.  Per coordinate
-    # and endpoint the constraint is mineig(A0 + kappa*C) >= 0 with
-    # A0 = U diag(Delta) U* - floor*I > 0, whose exact boundary is
+def _max_rotation(u, diags, deltas, khat, eps, floor) -> np.ndarray:
+    # Per row, the largest kappa keeping every velocity above the floor.
+    # Per coordinate and endpoint the constraint is mineig(A0 + kappa*C) >= 0
+    # with A0 = U diag(Delta) U* - floor*I > 0, whose exact boundary is
     # 1 / (-mineig(A0^{-1/2} C A0^{-1/2})).
-    n = u.shape[0]
-    eye = np.eye(n)
-    limit = 1e6
-    for d, dl in zip(diags, deltas):
-        a0 = hermitize((u * dl) @ u.conj().T) - floor * eye
-        w, v = kernels._eigh(a0, vectors=True)
-        if w[0] <= 0.0:
-            return 0.0
-        isq = (v / np.sqrt(w)) @ v.conj().T
-        x0 = (u * d) @ u.conj().T
-        x1 = (u * dl) @ u.conj().T
-        for t in endpoints:
-            x = x0 + t * x1
-            bracket = hermitize(khat @ x - x @ khat)
-            lam = float(kernels._eigh(isq @ bracket @ isq)[0])
-            if lam < 0.0:
-                limit = min(limit, 1.0 / -lam)
-    return limit
+    x0, x1 = _coordinates(u, diags), _coordinates(u, deltas)
+    a0 = hermitize(x1) - floor[:, np.newaxis, np.newaxis, np.newaxis] * np.eye(u.shape[-1])
+    w, v = kernels._eigh(a0, vectors=True)
+    isq = ((v / np.sqrt(w)[..., np.newaxis, :]) @ _ct(v))[:, :, np.newaxis]
+    t = np.stack([-eps, eps], axis=-1)[:, np.newaxis, :, np.newaxis, np.newaxis]
+    x = x0[:, :, np.newaxis] + t * x1[:, :, np.newaxis]  # (rows, d, endpoint, n, n)
+    k = khat[:, np.newaxis, np.newaxis]
+    lam = kernels._eigh(isq @ hermitize(k @ x - x @ k) @ isq)[..., 0]
+    bound = np.divide(1.0, -lam, out=np.full_like(lam, np.inf), where=lam < 0.0)
+    return np.minimum(bound.min(axis=(1, 2)), 1e6)
 
 
-def sample_path(system: OpSysBasis, level: int, gen: np.random.Generator,
-                ranges) -> CommutingPath:
-    """Draw a commuting path whose joint spectrum stays inside ``ranges``.
+def sample_path(system: OpSysBasis, level: int, rng, ranges) -> CommutingPath:
+    """Draw a commuting path whose joint spectrum stays inside ``ranges``, from one
+    Rng, or a stack of them from an array of Rngs.
 
     ``ranges`` gives one finite open interval per coordinate; the rotation
     strength is pushed to a random fraction of the largest value keeping
     every coordinate's velocity above ``VELOCITY_FLOOR`` times the smallest
     diagonal velocity entry, across the whole band |t| <= eps.
     """
-    n = int(level)
-    d = system.size
+    n, d = int(level), system.size
     if len(ranges) != d:
         raise ValueError("need one spectral range per coordinate")
-    u = kernels.matrix_from_uniforms("unitary", gen.random(2 * n * n), n)
-    spread = bool(gen.random() < 0.5)
-    diags, deltas = [], []
-    eps = np.inf
-    for lo, hi in ranges:
-        lo, hi = float(lo), float(hi)
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError("path ranges must be finite nonempty intervals")
-        width = hi - lo
-        if spread:
-            # Bimodal eigenvalues: large spectral ratios make rotation
-            # obstructions visible while staying inside the range.
-            side = gen.random(n) < 0.5
-            dvals = np.where(side,
-                             lo + width * (0.08 + 0.10 * gen.random(n)),
-                             lo + width * (0.82 + 0.10 * gen.random(n)))
-        else:
-            dvals = lo + width * (0.1 + 0.8 * gen.random(n))
-        dl = 0.3 + 0.7 * gen.random(n)
-        diags.append(dvals)
-        deltas.append(dl)
-        room = np.minimum(dvals - lo - 0.02 * width, hi - 0.02 * width - dvals)
-        eps = min(eps, float(np.min(room / dl)))
-    eps *= 0.9
-    k0 = kernels.matrix_from_uniforms("ginibre", gen.random(2 * n * n), n)
-    khat = (k0 - k0.conj().T) / 2.0
-    nrm = kernels.op_norm(khat)
-    if nrm > 1e-12:
-        khat = khat / nrm
-        floor = VELOCITY_FLOOR * min(float(np.min(dl)) for dl in deltas)
-        kappa = _max_rotation(u, diags, deltas, khat, (-eps, eps), floor)
-        # Bias toward the feasibility boundary: weakly rotated paths cannot
-        # expose order violations of merely scalar-monotone functions.
-        skew = (0.75 + 0.25 * float(gen.random())) * kappa * khat
-    else:
-        skew = np.zeros((n, n), dtype=np.complex128)
-    return CommutingPath(system, u, tuple(diags), tuple(deltas), skew, eps)
+    lo, hi = np.asarray(ranges, dtype=float).T[..., np.newaxis]
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
+        raise ValueError("path ranges must be finite nonempty intervals")
+    width = hi - lo
+    # Each row takes every uniform it may use in one call: 2n^2 for U, the
+    # spread coin, 4n per coordinate, 2n^2 for K's direction and K's scale.
+    # A spread row reads side, low, high and delta per coordinate, any other
+    # row only the first 2dn values, a spectrum and delta per coordinate; K
+    # starts right after what the row read.
+    gens, lead = kernels._generators(rng)
+    nn = n * n
+    u = kernels._uniforms(gens, 4 * nn + 4 * d * n + 2)
+    unitary = kernels.matrix_from_uniforms("unitary", u[:, :2 * nn], n)
+    spread = u[:, 2 * nn] < 0.5
+    wide = u[:, 2 * nn + 1:][:, :4 * d * n].reshape(-1, d, 4, n)
+    plain = u[:, 2 * nn + 1:][:, :2 * d * n].reshape(-1, d, 2, n)
+    # Bimodal eigenvalues: large spectral ratios make rotation obstructions
+    # visible while staying inside the range.
+    bimodal = np.where(wide[:, :, 0] < 0.5, lo + width * (0.08 + 0.10 * wide[:, :, 1]),
+                       lo + width * (0.82 + 0.10 * wide[:, :, 2]))
+    s = spread[:, np.newaxis, np.newaxis]
+    diags = np.where(s, bimodal, lo + width * (0.1 + 0.8 * plain[:, :, 0]))
+    deltas = 0.3 + 0.7 * np.where(s, wide[:, :, 3], plain[:, :, 1])
+    room = np.minimum(diags - lo - 0.02 * width, hi - 0.02 * width - diags)
+    eps = (room / deltas).min(axis=(1, 2)) * 0.9
+    start = 2 * nn + 1 + d * n * np.where(spread, 4, 2)
+    tail = np.take_along_axis(u, start[:, np.newaxis] + np.arange(2 * nn + 1), axis=1)
+    k0 = kernels.matrix_from_uniforms("ginibre", tail[:, :-1], n)
+    khat = (k0 - _ct(k0)) / 2.0
+    nrm = kernels.op_norm(khat)[:, np.newaxis, np.newaxis]
+    turn = nrm > 1e-12
+    khat = khat / np.where(turn, nrm, 1.0)
+    kappa = _max_rotation(unitary, diags, deltas, khat, eps,
+                          VELOCITY_FLOOR * deltas.min(axis=(1, 2)))
+    # Bias toward the feasibility boundary: weakly rotated paths cannot
+    # expose order violations of merely scalar-monotone functions.
+    skew = np.where(turn, ((0.75 + 0.25 * tail[:, -1]) * kappa)[:, np.newaxis, np.newaxis] * khat,
+                    0.0)
+    return CommutingPath(system, *(a.reshape(lead + a.shape[1:])
+                                   for a in (unitary, diags, deltas, skew)), eps.reshape(lead)[()])

@@ -12,13 +12,15 @@ stacks of up to ``TRIAL_CHUNK`` points: they sample the chunk at once,
 evaluate f once per chunk (the boundary check at A and its six shifts in
 one stack) and take the margins of the whole chunk at once, and each trial
 gets the margin, witness or error it would get alone (:func:`_row_trials`,
-:func:`_retry_trials`).  The local check draws each trial's path alone and
-builds the chunk's path points as one stack.
+:func:`_retry_trials`).  The local check draws the chunk's commuting paths
+as one stack and builds their points as one stack.  Only the trial the
+report keeps builds its witness JSON.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +53,7 @@ TRIAL_CHUNK = 256  # trials of one level run as one stack; bounds the memory of 
 @dataclass(frozen=True)
 class _Trial:
     margin: float
-    witness: dict | None = None
+    witness: Callable[[], dict] | None = None  # builds the trial's witness
 
 
 def _run_trials(check, function, run, levels, trials, tol, rng) -> CheckReport:
@@ -77,7 +79,7 @@ def _run_trials(check, function, run, levels, trials, tol, rng) -> CheckReport:
         trials=int(trials),
         failures=failures,
         worst_margin=float(worst.margin),
-        witness=worst.witness if failures else None,
+        witness=worst.witness() if failures else None,
         seed=rng.seed,
         tol=float(tol),
     )
@@ -95,11 +97,12 @@ def _row_trials(margins, errors: dict, tol: float, points) -> list:
         exc = errors.get(i)
         if exc is None:
             margin = float(margin)
-            out.append(_Trial(margin, {**points(i), "margin": margin} if margin < -tol else None))
+            extra = {"margin": margin} if margin < -tol else None
         elif isinstance(exc, (OutOfDomainError, CodomainError)):
-            out.append(_Trial(OUT_OF_DOMAIN_MARGIN, {**points(i), "error": str(exc)}))
+            margin, extra = OUT_OF_DOMAIN_MARGIN, {"error": str(exc)}
         else:
             raise exc
+        out.append(_Trial(margin, extra and (lambda i=i, extra=extra: {**points(i), **extra})))
     return out
 
 
@@ -123,7 +126,8 @@ def _retry_trials(rs: list, draw, retry: tuple, exhausted: str, tol: float) -> l
             if j in failed:
                 errs[rows[j]] = failed[j]
             else:
-                out[rows[j]] = _Trial(margins[j], witness(j) if margins[j] < -tol else None)
+                out[rows[j]] = _Trial(margins[j],
+                                      (lambda j=j: witness(j)) if margins[j] < -tol else None)
         return done
 
     opsys._redraw(attempt, len(rs), 100, exhausted, errs)
@@ -182,15 +186,15 @@ def halfplane_margin(f: FreeFunction, p: opsys.NCPoint, errors: dict | None = No
     return scaled_min_eig(imag_part(realize(eval_function(f, p, errors))), errors)
 
 
-def _derivative_margins(f: FreeFunction, path_list: list, hs: list,
+def _derivative_margins(f: FreeFunction, path: paths.CommutingPath, h: np.ndarray,
                         errors: dict | None = None) -> np.ndarray:
-    """Scaled PSD margin of (f(path(h)) - f(path(-h))) / 2h for each path and its step h.
+    """Scaled PSD margin of (f(path(h)) - f(path(-h))) / 2h for each row of a stack
+    of paths and its step h.
 
     f is evaluated once, at the stack of every path's point at -h, then at
     +h; errors are handed on as by :func:`pair_margin`, at -h before +h.
     """
-    h = np.array(hs)
-    ab = paths.path_points(path_list + path_list, np.concatenate([-h, h]))
+    ab = stack_points(paths.path_points(path, np.stack([-h, h])))
     der = _differences(lambda x, e: realize(eval_function(f, x, e)), ab, errors)
     return scaled_min_eig(hermitize(der / (2.0 * h)[:, np.newaxis, np.newaxis]), errors)
 
@@ -198,7 +202,7 @@ def _derivative_margins(f: FreeFunction, path_list: list, hs: list,
 def local_margin(f: FreeFunction, witness: dict) -> float:
     """Recompute the finite-difference derivative margin from a witness."""
     path = paths.path_from_witness(f.in_system, witness["path"])
-    return float(_derivative_margins(f, [path], [float(witness["h"])])[0])
+    return float(_derivative_margins(f, path[np.newaxis], np.array([float(witness["h"])]))[0])
 
 
 # --------------------------------------------------------------------------
@@ -320,13 +324,12 @@ def check_local_monotone(f: FreeFunction, domain: DomainSpec | None = None,
 
     def run(level, ts):
         errors = {}
-        path_list = [paths.sample_path(f.in_system, level,
-                                       rng.split("local", f.name, level, t).generator(), ranges)
-                     for t in ts]
-        hs = [min(LOCAL_STEP, 0.5 * path.eps) for path in path_list]
-        margins = _derivative_margins(f, path_list, hs, errors)
+        path = paths.sample_path(f.in_system, level,
+                                 [rng.split("local", f.name, level, t) for t in ts], ranges)
+        hs = np.minimum(LOCAL_STEP, 0.5 * path.eps)
+        margins = _derivative_margins(f, path, hs, errors)
         return _row_trials(margins, errors, tol,
-                           lambda i: {"path": path_list[i].to_witness(), "h": hs[i]})
+                           lambda i: {"path": path[i].to_witness(), "h": float(hs[i])})
 
     return _run_trials("local_monotone", f.name, run, levels, trials, tol, rng)
 

@@ -3,10 +3,10 @@
 Every check of ``verifiers`` and the three checks of ``loewner1d.cross_check``
 (Loewner matrices, Pick matrices and ``monotone_1d``) run the trials of a
 level as stacks.  The reference here is the serial engine they replaced:
-samplers that draw one point or matrix at a time, two ``random`` calls per
-coefficient, path points built one at a time, a rejection loop per trial,
-and a loop that runs one trial after another through single-point
-evaluations and margins.  Every margin, witness and error text must come
+samplers that draw one point, matrix or commuting path at a time, two
+``random`` calls per coefficient, path points built one at a time, a
+rejection loop per trial, and a loop that runs one trial after another
+through single-point evaluations and margins.  Every margin, witness and error text must come
 out the same, whatever the chunk size.
 """
 
@@ -40,6 +40,7 @@ from freemono.verifiers import (
 SCALAR = builtin_system("scalar")
 BLOCK2 = builtin_system("block2")
 DIAG2 = builtin_system("diagonal(2)")
+DIAG3 = builtin_system("diagonal(3)")
 
 # A narrow interval: candidates are rejected near its ends, and the step
 # from P to Q is bisected many times before Q fits.
@@ -161,6 +162,64 @@ def _ref_point(path, t):
         base = (u * (d + t * dl)) @ u.conj().T
         coeffs.append(hermitize(r @ base @ r.conj().T))
     return NCPoint(path.system, tuple(coeffs))
+
+
+def _ref_max_rotation(u, diags, deltas, khat, endpoints, floor):
+    n = u.shape[0]
+    eye = np.eye(n)
+    limit = 1e6
+    for d, dl in zip(diags, deltas):
+        a0 = hermitize((u * dl) @ u.conj().T) - floor * eye
+        w, v = np.linalg.eigh(a0)
+        if w[0] <= 0.0:
+            return 0.0
+        isq = (v / np.sqrt(w)) @ v.conj().T
+        x0 = (u * d) @ u.conj().T
+        x1 = (u * dl) @ u.conj().T
+        for t in endpoints:
+            x = x0 + t * x1
+            bracket = hermitize(khat @ x - x @ khat)
+            lam = float(np.linalg.eigvalsh(isq @ bracket @ isq)[0])
+            if lam < 0.0:
+                limit = min(limit, 1.0 / -lam)
+    return limit
+
+
+def _ref_sample_path(system, level, rng, ranges):
+    # one path from one generator, one coordinate at a time
+    gen = rng.generator()
+    n = int(level)
+    u = _ref_unitary(gen, n)
+    spread = bool(gen.random() < 0.5)
+    diags, deltas = [], []
+    eps = np.inf
+    for lo, hi in ranges:
+        lo, hi = float(lo), float(hi)
+        width = hi - lo
+        if spread:
+            side = gen.random(n) < 0.5
+            dvals = np.where(side,
+                             lo + width * (0.08 + 0.10 * gen.random(n)),
+                             lo + width * (0.82 + 0.10 * gen.random(n)))
+        else:
+            dvals = lo + width * (0.1 + 0.8 * gen.random(n))
+        dl = 0.3 + 0.7 * gen.random(n)
+        diags.append(dvals)
+        deltas.append(dl)
+        room = np.minimum(dvals - lo - 0.02 * width, hi - 0.02 * width - dvals)
+        eps = min(eps, float(np.min(room / dl)))
+    eps *= 0.9
+    k0 = _ref_ginibre(gen, n)
+    khat = (k0 - k0.conj().T) / 2.0
+    nrm = op_norm(khat)
+    if nrm > 1e-12:
+        khat = khat / nrm
+        floor = paths.VELOCITY_FLOOR * min(float(np.min(dl)) for dl in deltas)
+        kappa = _ref_max_rotation(u, diags, deltas, khat, (-eps, eps), floor)
+        skew = (0.75 + 0.25 * float(gen.random())) * kappa * khat
+    else:
+        skew = np.zeros((n, n), dtype=np.complex128)
+    return paths.CommutingPath(system, u, np.array(diags), np.array(deltas), skew, eps)
 
 
 def _ref_monotone_1d(f, interval, level, r, tol):
@@ -308,8 +367,8 @@ def _ref_trial(kind, f, dom, tol, rng, seen):
             seen.append(RETRIED[kind](f, dom, level, r, tol))
             return seen[-1]
         if kind == "local":
-            path = paths.sample_path(f.in_system, level, r.generator(),
-                                     verifiers._path_ranges(dom, f.in_system.size))
+            path = _ref_sample_path(f.in_system, level, r,
+                                    verifiers._path_ranges(dom, f.in_system.size))
             h = min(verifiers.LOCAL_STEP, 0.5 * path.eps)
             points = {"path": path.to_witness(), "h": h}
 
@@ -342,6 +401,17 @@ def _ref_trial(kind, f, dom, tol, rng, seen):
 
 # --------------------------------------------------------------------------
 # Comparison.
+
+def _built(trial):
+    # the trial with its witness built, as the serial reference records it
+    return _Trial(trial.margin, trial.witness and trial.witness())
+
+
+def _builder(trial):
+    # the serial trial with its witness as a builder, as _run_trials takes it
+    witness = trial.witness
+    return _Trial(trial.margin, witness and (lambda: witness))
+
 
 def _bits(trials):
     return [(struct.pack("<d", t.margin), json.dumps(t.witness)) for t in trials]
@@ -395,7 +465,7 @@ def _compare(monkeypatch, kind, f, dom, levels, trials, tol=1e-8, seed=42):
         def recorded(level, ts):
             rows = run(level, ts)
             if name == check:
-                seen.extend(rows)
+                seen.extend(_built(r) for r in rows)
             return rows
 
         return _run_trials(name, function, recorded, *rest)
@@ -406,7 +476,8 @@ def _compare(monkeypatch, kind, f, dom, levels, trials, tol=1e-8, seed=42):
     ref_seen = []
     trial = _ref_trial(kind, f, dom, tol, rng, ref_seen)
     ref_report, ref_error = _outcome(lambda: _run_trials(
-        check, f.name, lambda level, ts: [trial(level, t) for t in ts], levels, trials, tol, rng))
+        check, f.name, lambda level, ts: [_builder(trial(level, t)) for t in ts], levels, trials,
+        tol, rng))
     assert error == ref_error
     if ref_error is None:
         assert json.dumps(report.to_json()) == json.dumps(ref_report.to_json())
@@ -536,6 +607,17 @@ class TestAgainstSerialReference:
         verifiers.check_local_monotone(catalog("geometric_mean"), levels=(3,), trials=5, rng=Rng(4))
         assert calls == [10]  # the five points at -h, then the five at +h
 
+    def test_local_chunk_samples_its_paths_once(self, monkeypatch, chunk):
+        calls, sample = [], paths.sample_path
+
+        def spy(system, level, rng, ranges):
+            calls.append(len(rng))
+            return sample(system, level, rng, ranges)
+
+        monkeypatch.setattr(paths, "sample_path", spy)
+        verifiers.check_local_monotone(catalog("geometric_mean"), levels=(2, 3), trials=5, rng=Rng(4))
+        assert calls == {1: [1] * 10, 3: [3, 2, 3, 2], 256: [5, 5]}[chunk]
+
     def test_narrow_interval_rejects_and_bisects(self):
         # the draws the comparisons above make on NARROW: some candidates are
         # rejected, and most steps from P to Q are halved many times
@@ -600,6 +682,26 @@ class TestSamplersBitForBit:
                 want = _REF_MATRICES[kind](r.generator(), n)
                 assert stack[i].tobytes() == want.tobytes()
                 assert random_matrix(kind, n, r).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("domain", [
+        pd_cone(SCALAR), full_domain(DIAG2), spectral_interval(DIAG3, 0.5, float("inf")),
+        spectral_interval(SCALAR, float("-inf"), -0.5), spectral_interval(DIAG3, -1.0, 1.0),
+    ], ids=lambda d: f"{d.kind}-{d.system.name}-{getattr(d, 'a', '')}-{getattr(d, 'b', '')}")
+    def test_paths(self, domain):
+        # 256 rows per level: spread and non-spread rows, which draw unequal counts, mix
+        ranges = verifiers._path_ranges(domain, domain.system.size)
+        rngs = [Rng(13).split(t) for t in range(256)]
+        for level in (1, 2, 3, 4, 5):
+            stack = paths.sample_path(domain.system, level, rngs, ranges)
+            for i, r in enumerate(rngs):
+                got, want = stack[i], _ref_sample_path(domain.system, level, r, ranges)
+                for name in ("unitary", "diags", "deltas", "skew"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert float(got.eps) == want.eps
+                assert json.dumps(got.to_witness()) == json.dumps(want.to_witness())
+                if i < 8:
+                    alone = paths.sample_path(domain.system, level, r, ranges)
+                    assert json.dumps(alone.to_witness()) == json.dumps(want.to_witness())
 
     def test_exhausted_budget_is_a_row_error(self):
         hopeless = spectral_interval(SCALAR, 0.0, 1e-8)  # narrower than the openness margin

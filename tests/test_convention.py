@@ -264,7 +264,7 @@ def test_an_eigensolver_failure_is_an_eigensolver_error(failing_eigvalsh, call):
     lambda: herm_eig(np.eye(2)),
     lambda: func_calc(np.sqrt, np.eye(2), (0, np.inf)),
     lambda: principal_sqrt(np.eye(2)),
-    lambda: sample_path(SCALAR, 2, Rng(41).generator(), [(0.1, 5.0)]),
+    lambda: sample_path(SCALAR, 2, Rng(41), [(0.1, 5.0)]),
 ], ids=["herm_eig", "func_calc", "principal_sqrt", "sample_path"])
 def test_an_eigh_failure_is_an_eigensolver_error(failing_eigh, call):
     with pytest.raises(EigensolverError, match="did not converge: Eigenvalues did not converge"):

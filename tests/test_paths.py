@@ -15,8 +15,7 @@ LEVELS = (1, 2, 3, 4)
 def _paths(seeds=range(60)):
     for seed in seeds:
         for level in LEVELS:
-            gen = Rng(seed).split("path", level).generator()
-            yield sample_path(DIAG2, level, gen, RANGES)
+            yield sample_path(DIAG2, level, Rng(seed).split("path", level), RANGES)
 
 
 def _band(path):
@@ -52,8 +51,7 @@ class TestCommutingPath:
                     np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_ranges(self):
-        gen = Rng(0).generator()
         with pytest.raises(ValueError):
-            sample_path(DIAG2, 2, gen, RANGES[:1])
+            sample_path(DIAG2, 2, Rng(0), RANGES[:1])
         with pytest.raises(ValueError):
-            sample_path(DIAG2, 2, gen, ((0.1, 5.0), (0.1, np.inf)))
+            sample_path(DIAG2, 2, Rng(0), ((0.1, 5.0), (0.1, np.inf)))

@@ -1,6 +1,10 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
+from freemono import cli, verifiers
 from freemono.freeexpr import OutOfDomainError, catalog, eval_function, function_from_expr
 from freemono.kernels import NumericalError, Rng, hermitize, min_eig_h, op_norm, random_matrix
 from freemono.opsys import (
@@ -9,6 +13,7 @@ from freemono.opsys import (
     conjugate,
     full_domain,
     point_from_json,
+    point_to_json,
     realize,
     sample_ordered_pair,
 )
@@ -263,7 +268,7 @@ class TestTrialRunner:
     @staticmethod
     def _run(margins):
         def run(level, ts):
-            return [_Trial(margins[t], {"t": t}) for t in ts]
+            return [_Trial(margins[t], lambda t=t: {"t": t}) for t in ts]
 
         return _run_trials("monotone", "f", run, (1,), len(margins), 1e-8, Rng(0))
 
@@ -271,6 +276,20 @@ class TestTrialRunner:
         rep = self._run([0.5, -2.0, -1.0, -2.0])
         assert (rep.failures, rep.worst_margin, rep.witness) == (3, -2.0, {"t": 1})
         assert self._run([0.5, -1e-9]).witness is None
+
+    def test_only_the_kept_witness_is_built(self, monkeypatch):
+        # several of the 50 trials fail, and the report keeps one witness: its A and B
+        calls = []
+
+        def spy(point):
+            calls.append(point)
+            return point_to_json(point)
+
+        monkeypatch.setattr(verifiers, "point_to_json", spy)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["check", "--function", "square", "--suite", "monotone",
+                             "--levels", "2..2", "--trials", "50"])
+        assert code == cli.EXIT_VIOLATION and len(calls) == 2
 
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
     @pytest.mark.parametrize("margins", [[None, -1.0], [-1.0, None], [None]])
