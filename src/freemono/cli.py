@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -62,13 +63,12 @@ class _Options(NamedTuple):
 # run(f, o) receives as f; o is an _Options.  Each run looks its check up in
 # this module's namespace when it is called, so a patched check takes effect.
 _SUITES = {
-    "equivalence": [("equivalence", None, lambda f, o: equivalence_report(f, None, *o))],
-    "axioms": [("free_axioms", None, lambda f, o: check_free_axioms(f, None, *o))],
-    "monotone": [("monotone", None, lambda f, o: check_monotone(f, None, *o))],
+    "equivalence": [("equivalence", None, lambda f, o: equivalence_report(f, *o))],
+    "axioms": [("free_axioms", None, lambda f, o: check_free_axioms(f, *o))],
+    "monotone": [("monotone", None, lambda f, o: check_monotone(f, *o))],
     "halfplane": [("halfplane", None, lambda f, o: check_halfplane(f, *o))],
-    "local": [("local_monotone", None, lambda f, o: check_local_monotone(f, None, *o))],
-    "boundary": [("boundary_continuity", None,
-                  lambda f, o: check_boundary_continuity(f, None, *o))],
+    "local": [("local_monotone", None, lambda f, o: check_local_monotone(f, *o))],
+    "boundary": [("boundary_continuity", None, lambda f, o: check_boundary_continuity(f, *o))],
     "schur_identity": [("schur_im_identity", "schur_complement",
                         lambda f, o: check_schur_im_identity(*o))],
     "loewner1d": [("cross_check_1d", name, lambda f, o, name=name: cross_check(
@@ -196,6 +196,8 @@ def _run_check(args) -> int:
         raise _UsageError("--trials must be at least 1")
     if not args.tol > 0:
         raise _UsageError("--tol must be positive")
+    if not math.isfinite(args.tol):
+        raise _UsageError("--tol must be finite")
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
     opts = _Options(levels, args.trials, args.tol, Rng(args.seed))

@@ -462,13 +462,12 @@ class FreeFunction:
 
 
 def function_from_expr(name: str, text: str, in_system: OpSysBasis,
-                       out_system: OpSysBasis | None = None,
                        domain: DomainSpec | None = None) -> FreeFunction:
-    """Wrap a single expression as a scalar-valued free function."""
-    out = out_system or builtin_system("scalar")
-    dom = domain or opsys.pd_cone(in_system)
+    """Wrap a single expression as a scalar-valued free function over ``domain``,
+    the pd cone by default."""
     expr = parse(text, in_system)
-    return FreeFunction(name, in_system, out, ((expr,),), dom, text)
+    return FreeFunction(name, in_system, builtin_system("scalar"), ((expr,),),
+                        domain or opsys.pd_cone(in_system), text)
 
 
 def eval_function(f: FreeFunction, point: NCPoint, errors: dict | None = None) -> NCPoint:
@@ -578,5 +577,4 @@ def catalog(name: str) -> FreeFunction:
         text, sys_name = _CATALOG[name]
     except KeyError:
         raise ValueError(f"unknown catalog function {name!r}") from None
-    in_sys = builtin_system(sys_name)
-    return function_from_expr(name, text, in_sys, domain=opsys.pd_cone(in_sys))
+    return function_from_expr(name, text, builtin_system(sys_name))

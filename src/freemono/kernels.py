@@ -139,7 +139,7 @@ def op_norm(a):
 def _frobenius(a: np.ndarray) -> np.ndarray:
     # ``np.linalg.norm`` of each matrix of a stack, to the bit: the same two
     # BLAS dot products over the real and the imaginary parts in row-major order
-    flat = np.ascontiguousarray(a).reshape(len(a), -1)
+    flat = np.ascontiguousarray(a).reshape(len(a), a.shape[-2] * a.shape[-1])
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
@@ -309,8 +309,8 @@ def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
     scale = (1.0 + op_norm(a)).tolist()
     norms = _frobenius(np.concatenate([a - _ct(a), a])).tolist()
     herm = [d <= 1e-13 * (1.0 + m) for d, m in zip(norms[:len(a)], norms[len(a):])]
-    if all(herm) or not any(herm):  # one path for the whole stack
-        root = (_roots_by_eigh if herm[0] else _roots_by_schur)(a, scale, errs, range(len(a)))
+    if all(herm) or not any(herm):  # the whole stack, an empty one too, goes uncopied
+        root = (_roots_by_eigh if all(herm) else _roots_by_schur)(a, scale, errs, range(len(a)))
     else:
         root = np.empty_like(a)
         for want, roots in ((True, _roots_by_eigh), (False, _roots_by_schur)):
@@ -390,7 +390,7 @@ def _generators(rng) -> tuple[list, tuple]:
 
 
 def _uniforms(gens: list, count: int) -> np.ndarray:
-    return np.stack([gen.random(count) for gen in gens])
+    return np.reshape([gen.random(count) for gen in gens], (len(gens), count))
 
 
 def _haar(g: np.ndarray) -> np.ndarray:

@@ -54,6 +54,8 @@ class OpSysBasis:
     id_coeffs: tuple
 
     def __post_init__(self):
+        if self.k < 1 or len(self.basis) == 0:
+            raise ValueError("a system needs k >= 1 and a nonempty basis")
         mats = []
         for e in self.basis:
             e = as_matrix(e)
@@ -68,6 +70,8 @@ class OpSysBasis:
             raise ValueError("id_coeffs length must equal the basis size")
         object.__setattr__(self, "basis", tuple(mats))
         object.__setattr__(self, "id_coeffs", tuple(float(c) for c in self.id_coeffs))
+        if not np.isfinite(self.id_coeffs).all():
+            raise ValueError("id_coeffs must be finite")
         gram = self._gram()
         if np.linalg.matrix_rank(gram) < len(mats):
             raise ValueError("basis elements are not linearly independent over the reals")
@@ -380,6 +384,9 @@ def in_domain(point: NCPoint, domain: DomainSpec):
 # its uniforms in one ``random`` call (on Philox, ``random(a)`` then
 # ``random(b)`` equals ``random(a + b)``).
 
+SAMPLE_BUDGET = 1000  # tries of a rejection sampler's row before it gets a SamplingError
+
+
 def _hermitian_point(system: OpSysBasis, level: int, u: np.ndarray) -> NCPoint:
     # a stack of Hermitian draws from 2 n^2 uniforms per coefficient and row
     u = u.reshape(len(u), system.size, 2 * level * level)
@@ -437,8 +444,7 @@ def _redraw(attempt, rows: int, budget: int, exhausted: str, errors: dict | None
     settle({row: SamplingError(exhausted) for row in live}, errors)
 
 
-def sample_point(domain: DomainSpec, level: int, rng, budget: int = 1000,
-                 errors: dict | None = None) -> NCPoint:
+def sample_point(domain: DomainSpec, level: int, rng, errors: dict | None = None) -> NCPoint:
     """Draw a point of the domain's level-n slice; a row out of budget gets the zero point."""
     gens, lead = _generators(rng)
     coeffs = np.zeros((len(gens), domain.system.size, level, level), dtype=np.complex128)
@@ -449,8 +455,8 @@ def sample_point(domain: DomainSpec, level: int, rng, budget: int = 1000,
         coeffs[rows[inside]] = p.coeffs[inside]
         return inside
 
-    _redraw(attempt, len(gens), budget,
-            f"could not draw a point of {domain.kind} within {budget} attempts", errors)
+    _redraw(attempt, len(gens), SAMPLE_BUDGET,
+            f"could not draw a point of {domain.kind} within {SAMPLE_BUDGET} attempts", errors)
     return _point(domain.system, coeffs.reshape(lead + coeffs.shape[1:]))
 
 
@@ -476,8 +482,7 @@ def _bisect(domain: DomainSpec, p: NCPoint, h: NCPoint, t: np.ndarray):
     return found, q_out
 
 
-def sample_ordered_pair(domain: DomainSpec, level: int, rng, t_scale: float = 1.0,
-                        budget: int = 1000, errors: dict | None = None):
+def sample_ordered_pair(domain: DomainSpec, level: int, rng, errors: dict | None = None):
     """Draw Hermitian ``(P, Q)`` with both in the domain and ``P <= Q``.
 
     Q is P plus a scaled PSD Hermitian point; the scale is bisected down
@@ -497,15 +502,15 @@ def sample_ordered_pair(domain: DomainSpec, level: int, rng, t_scale: float = 1.
             h = _psd_point(system, level, u[:, :-1])
             if inside.size < len(rows):
                 p = p[inside]
-            hit, q = _bisect(domain, p, h, t_scale * (0.2 + 0.8 * u[:, -1]))
+            hit, q = _bisect(domain, p, h, 0.2 + 0.8 * u[:, -1])
             done = inside[hit]
             found[done] = True
             pq[0, rows[done]] = p.coeffs[hit]
             pq[1, rows[done]] = q[hit]
         return found
 
-    _redraw(attempt, len(gens), budget, f"ordered-pair sampling budget ({budget}) exhausted",
-            errors)
+    _redraw(attempt, len(gens), SAMPLE_BUDGET,
+            f"ordered-pair sampling budget ({SAMPLE_BUDGET}) exhausted", errors)
     pq = pq.reshape((2,) + lead + pq.shape[2:])
     return _point(system, pq[0]), _point(system, pq[1])
 

@@ -20,8 +20,10 @@ from positivity at the endpoints.
 
 A :class:`CommutingPath` holds one path or a stack: ``unitary`` and ``skew``
 are ``(..., n, n)``, ``diags`` and ``deltas`` ``(..., d, n)``, ``eps`` is
-``(...)``.  ``sample_path`` draws one path from one Rng and a stack from an
-array of them, each row as it would be drawn alone.
+``(...)``.  ``sample_path`` draws one path in a domain from one Rng and a
+stack from an array of them, each row as it would be drawn alone.  This
+module alone chooses, from the domain, the window every coordinate's
+spectrum stays in.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import scipy.linalg
 
 from . import kernels
 from .kernels import _ct, hermitize
-from .opsys import NCPoint, OpSysBasis, _check_finite, _point
+from .opsys import DomainSpec, NCPoint, OpSysBasis, _check_finite, _point
 
 # Lower bound on every coordinate's velocity, as a fraction of the smallest
 # diagonal velocity entry, over the whole band |t| <= eps.
@@ -121,21 +123,37 @@ def _max_rotation(u, diags, deltas, khat, eps, floor) -> np.ndarray:
     return np.minimum(bound.min(axis=(1, 2)), 1e6)
 
 
-def sample_path(system: OpSysBasis, level: int, rng, ranges) -> CommutingPath:
-    """Draw a commuting path whose joint spectrum stays inside ``ranges``, from one
-    Rng, or a stack of them from an array of Rngs.
+def _window(domain: DomainSpec) -> tuple:
+    """The finite open interval every coordinate's spectrum of a path in ``domain`` stays in."""
+    if domain.kind == "pd_cone":
+        # Wide spectra: large eigenvalue ratios make rotation obstructions visible.
+        return 0.1, 5.0
+    if domain.kind == "full":
+        return -2.0, 2.0
+    if domain.kind != "spectral_interval":
+        raise ValueError(f"local paths are not defined over a {domain.kind!r} domain")
+    a, b = domain.a, domain.b
+    if np.isinf(a) and np.isinf(b):
+        return -2.0, 2.0
+    if np.isinf(b):
+        return a, a + 6.0
+    if np.isinf(a):
+        return b - 6.0, b
+    return a, b
 
-    ``ranges`` gives one finite open interval per coordinate; the rotation
-    strength is pushed to a random fraction of the largest value keeping
-    every coordinate's velocity above ``VELOCITY_FLOOR`` times the smallest
-    diagonal velocity entry, across the whole band |t| <= eps.
+
+def sample_path(domain: DomainSpec, level: int, rng) -> CommutingPath:
+    """Draw a commuting path in ``domain`` from one Rng, or a stack of them from
+    an array of Rngs.
+
+    Every coordinate's spectrum stays inside the domain's :func:`_window`; the
+    rotation strength is pushed to a random fraction of the largest value
+    keeping every coordinate's velocity above ``VELOCITY_FLOOR`` times the
+    smallest diagonal velocity entry, across the whole band |t| <= eps.
     """
+    system = domain.system
     n, d = int(level), system.size
-    if len(ranges) != d:
-        raise ValueError("need one spectral range per coordinate")
-    lo, hi = np.asarray(ranges, dtype=float).T[..., np.newaxis]
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
-        raise ValueError("path ranges must be finite nonempty intervals")
+    lo, hi = _window(domain)
     width = hi - lo
     # Each row takes every uniform it may use in one call: 2n^2 for U, the
     # spread coin, 4n per coordinate, 2n^2 for K's direction and K's scale.

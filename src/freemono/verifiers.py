@@ -5,6 +5,8 @@ most negative eigenvalue for order checks, minus the relative residual for
 identity checks) and fails a trial when its margin drops below ``-tol``.
 Trials derive their randomness from (master rng, check name, function,
 level, trial index), so results do not depend on the order trials run in.
+A check of one function f takes ``(f, levels, trials, tol, rng)`` and
+samples in f's own domain, ``f.domain``.
 
 Trials run in one thread, one level at a time.  Every check here, and the
 three checks of :mod:`freemono.loewner1d`, run the trials of a level as
@@ -32,7 +34,6 @@ from .kernels import (
     settle,
 )
 from .opsys import (
-    DomainSpec,
     conjugate,
     direct_sum,
     identity_point,
@@ -208,16 +209,14 @@ def local_margin(f: FreeFunction, witness: dict) -> float:
 # --------------------------------------------------------------------------
 # Checks.
 
-def check_monotone(f: FreeFunction, domain: DomainSpec | None = None,
-                   levels=(1, 2, 3), trials: int = 100, tol: float = 1e-8,
+def check_monotone(f: FreeFunction, levels=(1, 2, 3), trials: int = 100, tol: float = 1e-8,
                    rng: Rng = Rng(0)) -> CheckReport:
-    """Sample ordered pairs in the domain and test f(A) <= f(B)."""
-    dom = domain or f.domain
+    """Sample ordered pairs in f's domain and test f(A) <= f(B)."""
 
     def run(level, ts):
         errors = {}
         rngs = [rng.split("monotone", f.name, level, t) for t in ts]
-        a, b = sample_ordered_pair(dom, level, rngs, errors=errors)
+        a, b = sample_ordered_pair(f.domain, level, rngs, errors=errors)
         margins = pair_margin(f, a, b, errors)
         return _row_trials(margins, errors, tol,
                            lambda i: {"A": point_to_json(a[i]), "B": point_to_json(b[i])})
@@ -225,14 +224,12 @@ def check_monotone(f: FreeFunction, domain: DomainSpec | None = None,
     return _run_trials("monotone", f.name, run, levels, trials, tol, rng)
 
 
-def find_counterexample(f: FreeFunction, domain: DomainSpec | None = None,
-                        level: int = 2, budget: int = 1000, tol: float = 1e-8,
+def find_counterexample(f: FreeFunction, level: int = 2, budget: int = 1000, tol: float = 1e-8,
                         rng: Rng = Rng(0)) -> dict | None:
-    """Return the first sampled ordered pair violating monotonicity, if any."""
-    dom = domain or f.domain
+    """Return the first ordered pair sampled in f's domain that violates monotonicity, if any."""
     for t in range(budget):
         r = rng.split("counterexample", f.name, level, t)
-        a, b = sample_ordered_pair(dom, level, r)
+        a, b = sample_ordered_pair(f.domain, level, r)
         try:
             margin = pair_margin(f, a, b)
         except (OutOfDomainError, CodomainError):
@@ -260,17 +257,15 @@ def check_halfplane(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,
     return _run_trials("halfplane", f.name, run, levels, trials, tol, rng)
 
 
-def check_free_axioms(f: FreeFunction, domain: DomainSpec | None = None,
-                      levels=(1, 2, 3), trials: int = 200, tol: float = 1e-9,
+def check_free_axioms(f: FreeFunction, levels=(1, 2, 3), trials: int = 200, tol: float = 1e-9,
                       rng: Rng = Rng(0)) -> CheckReport:
-    """Direct-sum and similarity residuals of f on sampled domain points."""
-    dom = domain or f.domain
+    """Direct-sum and similarity residuals of f on points sampled in its domain."""
 
     def run(level, ts):
         def draw(rngs, failed):
             rows = len(rngs)
-            x = sample_point(dom, level, [r.split("x") for r in rngs], errors=failed)
-            y = sample_point(dom, level, [r.split("y") for r in rngs], errors=failed)
+            x = sample_point(f.domain, level, [r.split("x") for r in rngs], errors=failed)
+            y = sample_point(f.domain, level, [r.split("y") for r in rngs], errors=failed)
             u = kernels.random_matrix("unitary", level, [r.split("u") for r in rngs])
             at_n, at_2n = {}, {}
             fs = eval_function(f, stack_points(x, y, conjugate(x, u)), at_n)
@@ -295,37 +290,17 @@ def check_free_axioms(f: FreeFunction, domain: DomainSpec | None = None,
     return _run_trials("free_axioms", f.name, run, levels, trials, tol, rng)
 
 
-def _path_ranges(domain: DomainSpec, count: int) -> list:
-    if domain.kind == "pd_cone":
-        # Wide spectra: large eigenvalue ratios make rotation obstructions visible.
-        return [(0.1, 5.0)] * count
-    if domain.kind == "full":
-        return [(-2.0, 2.0)] * count
-    if domain.kind == "spectral_interval":
-        a, b = domain.a, domain.b
-        if np.isinf(a) and np.isinf(b):
-            return [(-2.0, 2.0)] * count
-        if np.isinf(b):
-            return [(a, a + 6.0)] * count
-        if np.isinf(a):
-            return [(b - 6.0, b)] * count
-        return [(a, b)] * count
-    raise ValueError(f"local paths are not defined over a {domain.kind!r} domain")
-
-
-def check_local_monotone(f: FreeFunction, domain: DomainSpec | None = None,
-                         levels=(1, 2, 3), trials: int = 100, tol: float = 1e-8,
-                         rng: Rng = Rng(0)) -> CheckReport:
-    """Finite-difference derivative of f along commuting paths with pd velocity."""
+def check_local_monotone(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,
+                         tol: float = 1e-8, rng: Rng = Rng(0)) -> CheckReport:
+    """Finite-difference derivative of f along commuting paths with pd velocity,
+    drawn in f's domain."""
     if not is_diagonal_type(f.in_system):
         raise ValueError("local monotonicity needs a scalar or diagonal input system")
-    dom = domain or f.domain
-    ranges = _path_ranges(dom, f.in_system.size)
 
     def run(level, ts):
         errors = {}
-        path = paths.sample_path(f.in_system, level,
-                                 [rng.split("local", f.name, level, t) for t in ts], ranges)
+        path = paths.sample_path(f.domain, level,
+                                 [rng.split("local", f.name, level, t) for t in ts])
         hs = np.minimum(LOCAL_STEP, 0.5 * path.eps)
         margins = _derivative_margins(f, path, hs, errors)
         return _row_trials(margins, errors, tol,
@@ -334,20 +309,18 @@ def check_local_monotone(f: FreeFunction, domain: DomainSpec | None = None,
     return _run_trials("local_monotone", f.name, run, levels, trials, tol, rng)
 
 
-def check_boundary_continuity(f: FreeFunction, domain: DomainSpec | None = None,
-                              levels=(1, 2, 3), trials: int = 50, tol: float = 1e-8,
-                              rng: Rng = Rng(0)) -> CheckReport:
+def check_boundary_continuity(f: FreeFunction, levels=(1, 2, 3), trials: int = 50,
+                              tol: float = 1e-8, rng: Rng = Rng(0)) -> CheckReport:
     """Approach a Hermitian interior point vertically and test for linear decay.
 
     The decay rate is calibrated at the largest epsilon; a trial fails when
     some smaller epsilon overshoots that line by more than a factor of 10,
     or when an evaluation leaves the domain of definition.
     """
-    dom = domain or f.domain
 
     def run(level, ts):
         errors, failed, rows = {}, {}, len(ts)
-        a = sample_point(dom, level, [rng.split("boundary", f.name, level, t) for t in ts],
+        a = sample_point(f.domain, level, [rng.split("boundary", f.name, level, t) for t in ts],
                          errors=errors)
         ident = identity_point(f.in_system, level)
         # f at A, then at A + i eps I for each eps from large to small, as one stack
@@ -404,20 +377,18 @@ def check_schur_im_identity(levels=(1, 2, 3), trials: int = 500, tol: float = 1e
     return _run_trials("schur_im_identity", "schur_complement", run, levels, trials, tol, rng)
 
 
-def equivalence_report(f: FreeFunction, domain: DomainSpec | None = None,
-                       levels=(1, 2, 3), trials: int = 100, tol: float = 1e-8,
-                       rng: Rng = Rng(0)) -> ConsistencyReport:
+def equivalence_report(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,
+                       tol: float = 1e-8, rng: Rng = Rng(0)) -> ConsistencyReport:
     """Run the monotone, local (where applicable) and half-plane checks.
 
     The verdicts must agree for a genuine free function; disagreement points
     at a toolkit or tolerance defect, not at the mathematics.
     """
-    dom = domain or f.domain
-    mono = check_monotone(f, dom, levels, trials, tol, rng)
+    mono = check_monotone(f, levels, trials, tol, rng)
     reports = [mono]
     sides = {"monotone": mono.verdict}
     if is_diagonal_type(f.in_system):
-        loc = check_local_monotone(f, dom, levels, trials, tol, rng)
+        loc = check_local_monotone(f, levels, trials, tol, rng)
         reports.append(loc)
         sides["local"] = loc.verdict
     hp = check_halfplane(f, levels, trials, tol, rng)

@@ -11,6 +11,7 @@ out the same, whatever the chunk size.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import struct
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from freemono import cli, loewner1d, paths, verifiers
+from freemono import cli, loewner1d, opsys, paths, verifiers
 from freemono.freeexpr import CATALOG_NAMES, CodomainError, OutOfDomainError, catalog
 from freemono.freeexpr import eval_function, function_from_expr
 from freemono.kernels import (
@@ -368,7 +369,7 @@ def _ref_trial(kind, f, dom, tol, rng, seen):
             return seen[-1]
         if kind == "local":
             path = _ref_sample_path(f.in_system, level, r,
-                                    verifiers._path_ranges(dom, f.in_system.size))
+                                    [paths._window(dom)] * f.in_system.size)
             h = min(verifiers.LOCAL_STEP, 0.5 * path.eps)
             points = {"path": path.to_witness(), "h": h}
 
@@ -435,21 +436,26 @@ def _certificate_report(kind):
     return batched
 
 
+def _over(check):
+    # the check of f run over the domain ``dom``
+    return lambda f, dom, *opts: check(dataclasses.replace(f, domain=dom), *opts)
+
+
 # kind -> (the module whose _run_trials the check calls, its report's check
 # name, the batched check); ``dom`` is an interval (or None) for the checks
 # of loewner1d, whose ``levels`` are the node or point count for the Loewner
 # and Pick checks
 CHECKS = {
-    "monotone": (verifiers, "monotone", verifiers.check_monotone),
+    "monotone": (verifiers, "monotone", _over(verifiers.check_monotone)),
     "halfplane": (verifiers, "halfplane",
                   lambda f, dom, *opts: verifiers.check_halfplane(f, *opts)),
-    "local": (verifiers, "local_monotone", verifiers.check_local_monotone),
+    "local": (verifiers, "local_monotone", _over(verifiers.check_local_monotone)),
     "monotone_1d": (loewner1d, "monotone_1d",
                     lambda f, dom, *opts: loewner1d._monotone_matrix_report(f, *opts, dom)),
     "loewner_psd": (loewner1d, "loewner_psd", _certificate_report("loewner_psd")),
     "pick_psd": (loewner1d, "pick_psd", _certificate_report("pick_psd")),
-    "axioms": (verifiers, "free_axioms", verifiers.check_free_axioms),
-    "boundary": (verifiers, "boundary_continuity", verifiers.check_boundary_continuity),
+    "axioms": (verifiers, "free_axioms", _over(verifiers.check_free_axioms)),
+    "boundary": (verifiers, "boundary_continuity", _over(verifiers.check_boundary_continuity)),
     "schur_im_identity": (verifiers, "schur_im_identity",
                        lambda f, dom, *opts: verifiers.check_schur_im_identity(*opts)),
 }
@@ -610,9 +616,9 @@ class TestAgainstSerialReference:
     def test_local_chunk_samples_its_paths_once(self, monkeypatch, chunk):
         calls, sample = [], paths.sample_path
 
-        def spy(system, level, rng, ranges):
+        def spy(domain, level, rng):
             calls.append(len(rng))
-            return sample(system, level, rng, ranges)
+            return sample(domain, level, rng)
 
         monkeypatch.setattr(paths, "sample_path", spy)
         verifiers.check_local_monotone(catalog("geometric_mean"), levels=(2, 3), trials=5, rng=Rng(4))
@@ -656,12 +662,13 @@ class TestSamplersBitForBit:
     @pytest.mark.parametrize("domain", [
         pd_cone(BLOCK2), full_domain(DIAG2), spectral_interval(SCALAR, -1.0, 1.0), TINY,
     ], ids=lambda d: d.kind)
-    def test_points(self, domain):
+    def test_points(self, monkeypatch, domain):
         # on TINY the budget of 300 runs out for some rows: a row error among good rows
+        monkeypatch.setattr(opsys, "SAMPLE_BUDGET", 300)
         rngs = [Rng(11).split(t) for t in range(8)]
         for level in (1, 2, 3):
             errors = {}
-            p = sample_point(domain, level, rngs, budget=300, errors=errors)
+            p = sample_point(domain, level, rngs, errors=errors)
             for i, r in enumerate(rngs):
                 if i in errors:
                     assert isinstance(errors[i], SamplingError) and not p[i].coeffs.any()
@@ -689,10 +696,10 @@ class TestSamplersBitForBit:
     ], ids=lambda d: f"{d.kind}-{d.system.name}-{getattr(d, 'a', '')}-{getattr(d, 'b', '')}")
     def test_paths(self, domain):
         # 256 rows per level: spread and non-spread rows, which draw unequal counts, mix
-        ranges = verifiers._path_ranges(domain, domain.system.size)
+        ranges = [paths._window(domain)] * domain.system.size
         rngs = [Rng(13).split(t) for t in range(256)]
         for level in (1, 2, 3, 4, 5):
-            stack = paths.sample_path(domain.system, level, rngs, ranges)
+            stack = paths.sample_path(domain, level, rngs)
             for i, r in enumerate(rngs):
                 got, want = stack[i], _ref_sample_path(domain.system, level, r, ranges)
                 for name in ("unitary", "diags", "deltas", "skew"):
@@ -700,17 +707,18 @@ class TestSamplersBitForBit:
                 assert float(got.eps) == want.eps
                 assert json.dumps(got.to_witness()) == json.dumps(want.to_witness())
                 if i < 8:
-                    alone = paths.sample_path(domain.system, level, r, ranges)
+                    alone = paths.sample_path(domain, level, r)
                     assert json.dumps(alone.to_witness()) == json.dumps(want.to_witness())
 
-    def test_exhausted_budget_is_a_row_error(self):
+    def test_exhausted_budget_is_a_row_error(self, monkeypatch):
         hopeless = spectral_interval(SCALAR, 0.0, 1e-8)  # narrower than the openness margin
+        monkeypatch.setattr(opsys, "SAMPLE_BUDGET", 5)
         errors = {}
-        a, b = sample_ordered_pair(hopeless, 1, [Rng(1), Rng(2)], budget=5, errors=errors)
+        a, b = sample_ordered_pair(hopeless, 1, [Rng(1), Rng(2)], errors=errors)
         assert sorted(errors) == [0, 1] and isinstance(errors[0], SamplingError)
         assert not a.coeffs.any() and not b.coeffs.any()
         with pytest.raises(SamplingError, match=r"budget \(5\) exhausted"):
-            sample_ordered_pair(hopeless, 1, Rng(1), budget=5)
+            sample_ordered_pair(hopeless, 1, Rng(1))
 
 
 # --------------------------------------------------------------------------
@@ -778,7 +786,7 @@ class TestFirstErrorWins:
     def test_cli_reports_it_as_a_numerical_failure(self, monkeypatch, seed):
         check = cli.check_monotone
         monkeypatch.setattr(cli, "check_monotone",
-                            lambda f, dom, *o: check(f, INTERVAL, *o))
+                            lambda f, *o: check(dataclasses.replace(f, domain=INTERVAL), *o))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(["check", "--expr", OVERFLOW, "--system", "scalar", "--suite",

@@ -160,6 +160,13 @@ class TestNonFinite:
         code, _, err = run_cli("parse", "--expr", "X1", "--system", str(path))
         assert code == 2 and "finite" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "1e400"])
+    def test_non_finite_tol_is_usage_error(self, tol):
+        code, out, err = run_cli("check", "--function", "square", "--suite", "monotone",
+                                 "--levels", "1..1", "--trials", "2", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err == "freemono: --tol must be finite\n"
+
     def test_nan_margin_is_numerical_failure(self, monkeypatch):
         monkeypatch.setattr(freemono.verifiers, "pair_margin",
                             lambda f, a, b, errors=None: np.full(len(a.coeffs), np.nan))
@@ -394,6 +401,20 @@ class TestUserSystems:
                              "--trials", "20", "--seed", "4",
                              "--out", str(tmp_path / "r.json"))
         assert code == 0
+
+    @pytest.mark.parametrize("doc, why", [
+        ({"name": "z", "k": 0, "basis": [], "id_coeffs": []}, "k >= 1 and a nonempty basis"),
+        ({**SCALAR_JSON, "id_coeffs": [float("inf")]}, "id_coeffs must be finite"),
+    ], ids=["empty", "infinite_id_coeffs"])
+    @pytest.mark.parametrize("suite", ["monotone", "halfplane", "axioms", "boundary",
+                                       "equivalence"])
+    def test_degenerate_system_file_is_usage_error(self, tmp_path, doc, why, suite):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))  # an infinite coefficient is written as Infinity
+        code, out, err = run_cli("check", "--expr", "1", "--system", str(path), "--suite", suite,
+                                 "--levels", "1..1", "--trials", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("freemono: bad system JSON") and why in err
 
 
 class TestSuiteTable:

@@ -221,10 +221,26 @@ def test_one_calling_convention(case):
     assert _bits(shaped) == _bits(_reshape(flat, (2, 3)))
     assert _errors(shaped_errors) == _errors(flat_errors)
     assert list(flat_errors) == ([4] if case in FAILING_ROW_4 else [])
+    # an empty stack is the flat stack's first zero rows
+    empty_errors = {}
+    empty = call(_row(stack, slice(0, 0)), empty_errors)
+    assert _bits(empty) == _bits(_row(flat, slice(0, 0))) and empty_errors == {}
     # a non-finite, non-square or otherwise bad single input raises what it raised
     # when single inputs had a path of their own
     for x, want in bad:
         assert _outcome(call, x) == want
+
+
+@pytest.mark.parametrize("draw, shape", [
+    (lambda rngs: random_matrix("unitary", 2, rngs), (0, 2, 2)),
+    (lambda rngs: sample_point(pd_cone(DIAG2), 2, rngs).coeffs, (0, 2, 2, 2)),
+    (lambda rngs: sample_ordered_pair(pd_cone(DIAG2), 2, rngs)[1].coeffs, (0, 2, 2, 2)),
+    (lambda rngs: sample_halfplane(BLOCK2, 2, rngs).coeffs, (0, 4, 2, 2)),
+    (lambda rngs: sample_path(pd_cone(DIAG2), 2, rngs).diags, (0, 2, 2)),
+], ids=["random_matrix", "sample_point", "sample_ordered_pair", "sample_halfplane",
+        "sample_path"])
+def test_no_rngs_draw_an_empty_stack(draw, shape):
+    assert draw(np.empty(0, dtype=object)).shape == shape
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +280,7 @@ def test_an_eigensolver_failure_is_an_eigensolver_error(failing_eigvalsh, call):
     lambda: herm_eig(np.eye(2)),
     lambda: func_calc(np.sqrt, np.eye(2), (0, np.inf)),
     lambda: principal_sqrt(np.eye(2)),
-    lambda: sample_path(SCALAR, 2, Rng(41), [(0.1, 5.0)]),
+    lambda: sample_path(pd_cone(SCALAR), 2, Rng(41)),
 ], ids=["herm_eig", "func_calc", "principal_sqrt", "sample_path"])
 def test_an_eigh_failure_is_an_eigensolver_error(failing_eigh, call):
     with pytest.raises(EigensolverError, match="did not converge: Eigenvalues did not converge"):

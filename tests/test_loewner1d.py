@@ -155,19 +155,19 @@ class TestAmyLocal:
     checked by the ``local`` check's derivative margin."""
 
     def test_geometric_mean_passes(self):
-        rep = check_local_monotone(catalog("geometric_mean"), None, (2,), 200, 1e-8, Rng(10))
+        rep = check_local_monotone(catalog("geometric_mean"), (2,), 200, 1e-8, Rng(10))
         assert rep.failures == 0
 
     def test_coordinate_projection_positive(self):
         proj = function_from_expr("first_coordinate", "X1", DIAG2, domain=pd_cone(DIAG2))
-        rep = check_local_monotone(proj, None, (2,), 50, 1e-8, Rng(11))
+        rep = check_local_monotone(proj, (2,), 50, 1e-8, Rng(11))
         assert rep.failures == 0
         assert rep.worst_margin > 0
 
     def test_product_fails(self):
         prod = function_from_expr("coordinate_product", "X1*X2", DIAG2,
                                   domain=pd_cone(DIAG2))
-        rep = check_local_monotone(prod, None, (2,), 300, 1e-8, Rng(12))
+        rep = check_local_monotone(prod, (2,), 300, 1e-8, Rng(12))
         assert rep.failures > 0
         again = local_margin(prod, rep.witness)
         assert again == rep.witness["margin"]
@@ -187,11 +187,11 @@ class TestDimensionOneReduction:
         disagreements = 0
         for seed in range(100):
             rng = Rng(1000 + seed)
-            a = check_local_monotone(sqrt_free, None, (2,), 10, 1e-8, rng)
+            a = check_local_monotone(sqrt_free, (2,), 10, 1e-8, rng)
             b = _monotone_matrix_report(sqrt_1d, (2,), 10, 1e-8, rng, interval)
             if a.verdict != b.verdict:
                 disagreements += 1
-            a = check_local_monotone(square_free, None, (2,), 60, 1e-8, rng)
+            a = check_local_monotone(square_free, (2,), 60, 1e-8, rng)
             b = _monotone_matrix_report(square_1d, (2,), 150, 1e-8, rng, interval)
             if a.verdict != b.verdict:
                 disagreements += 1

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from freemono.kernels import Rng, op_norm
-from freemono.opsys import builtin_system
+from freemono.opsys import DomainSpec, builtin_system, pd_cone
 from freemono.paths import VELOCITY_FLOOR, path_from_witness, sample_path
 
 DIAG2 = builtin_system("diagonal(2)")
-RANGES = ((0.1, 5.0), (0.1, 5.0))
+RANGES = ((0.1, 5.0), (0.1, 5.0))  # the pd cone's window, once per coordinate
 LEVELS = (1, 2, 3, 4)
 
 
 def _paths(seeds=range(60)):
     for seed in seeds:
         for level in LEVELS:
-            yield sample_path(DIAG2, level, Rng(seed).split("path", level), RANGES)
+            yield sample_path(pd_cone(DIAG2), level, Rng(seed).split("path", level))
 
 
 def _band(path):
@@ -50,8 +50,6 @@ class TestCommutingPath:
                 for a, b in zip(again.point(t).coeffs, path.point(t).coeffs):
                     np.testing.assert_array_equal(a, b)
 
-    def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError):
-            sample_path(DIAG2, 2, Rng(0), RANGES[:1])
-        with pytest.raises(ValueError):
-            sample_path(DIAG2, 2, Rng(0), ((0.1, 5.0), (0.1, np.inf)))
+    def test_rejects_a_domain_kind_without_paths(self):
+        with pytest.raises(ValueError, match="not defined over a 'half_plane' domain"):
+            sample_path(DomainSpec("half_plane", DIAG2), 2, Rng(0))
