@@ -4,7 +4,8 @@ Subcommands: ``check`` (run a verification suite and emit a report
 document), ``eval`` (evaluate a function at a point), ``parse`` (parse an
 expression), ``catalog`` (list the built-in functions).  Exit codes:
 0 = all checks passed, 1 = a violation was witnessed, 2 = usage or
-configuration error, 3 = numerical failure (eigensolver non-convergence, an
+configuration error (an unwritable ``--out`` among them, found before any
+work), 3 = numerical failure (eigensolver non-convergence, an
 exhausted sampling budget, or a value or margin that is not finite).
 
 Report documents contain no timestamps or host data unless ``--annotate``
@@ -112,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--suite", required=True, choices=SUITES)
     check.add_argument("--levels", default="1..3", help="level range A..B (within 1..8)")
     check.add_argument("--trials", type=int, default=100)
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=int, default=0, help="0 <= SEED < 2^64")
     check.add_argument("--tol", type=float, default=1e-8)
     check.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility; trials always run in one thread")
@@ -183,9 +184,23 @@ def _resolve_function(args) -> FreeFunction:
     raise _UsageError("this suite needs --function or --expr")
 
 
+def _check_out(out: str | None):
+    """Reject an ``--out`` path that cannot take a file, before any work is done."""
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise _UsageError(f"--out {out!r} is a directory")
+    if not path.parent.is_dir():
+        raise _UsageError(f"--out {out!r}: no directory {str(path.parent)!r}")
+
+
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -200,6 +215,8 @@ def _run_check(args) -> int:
         raise _UsageError("--tol must be finite")
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
+    if not 0 <= args.seed < 2**64:
+        raise _UsageError("--seed must be in [0, 2^64)")
     opts = _Options(levels, args.trials, args.tol, Rng(args.seed))
     units = _SUITES[args.suite]
     f = _resolve_function(args) if any(name is None for _, name, _ in units) else None
@@ -296,6 +313,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
+        _check_out(args.out)
         if args.command == "check":
             return _run_check(args)
         if args.command == "eval":

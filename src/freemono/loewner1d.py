@@ -6,8 +6,11 @@ Pick matrices at upper-half-plane configurations, and direct functional-
 calculus monotonicity on sampled Hermitian pairs.  For an operator monotone
 function all three agree; ``cross_check`` runs them side by side.
 Each check runs its trials as stacks on the engine that every check of
-:mod:`freemono.verifiers` shares: one eigenvalue call, and for
-``monotone_1d`` one functional calculus, per chunk.
+:mod:`freemono.verifiers` shares: per chunk, one draw of its nodes, points
+or pairs through ``opsys._redraw``, one build of its matrices (for
+``monotone_1d`` one functional calculus) and one eigenvalue call.
+``loewner_matrix`` and ``pick_matrix`` take ``(..., c)`` nodes or points,
+one vector or a stack, and give ``(..., c, c)`` matrices.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import kernels
-from .kernels import Rng, func_calc, hermitize, matrix_to_json, scaled_min_eig
-from .opsys import builtin_system, full_domain, sample_ordered_pair, spectral_interval
+from .kernels import (
+    Rng, _generators, _uniforms, func_calc, hermitize, matrix_to_json, scaled_min_eig, settle,
+)
+from .opsys import _redraw, builtin_system, full_domain, sample_ordered_pair, spectral_interval
 from .report import CheckReport, ConsistencyReport
 from .verifiers import _differences, _row_trials, _run_trials
 
@@ -81,44 +85,40 @@ def scalar_catalog(name: str) -> ScalarFunction:
 # Certificate matrices.
 
 def loewner_matrix(f: ScalarFunction, nodes) -> np.ndarray:
-    """Divided-difference matrix at strictly increasing interior nodes.
+    """Divided-difference matrices ``(..., c, c)`` at strictly increasing interior nodes
+    ``(..., c)``, one vector or a stack.
 
     Off-diagonal entries are (f(x_i) - f(x_j)) / (x_i - x_j); the diagonal
     carries the closed-form derivative.  Positive semidefiniteness is the
     classical certificate of monotonicity at that node count.
     """
     x = np.asarray(nodes, dtype=float)
-    if x.ndim != 1 or x.size < 1:
+    if x.ndim < 1 or x.shape[-1] < 1:
         raise ValueError("nodes must be a nonempty vector")
-    gaps = np.diff(x)
-    if np.any(gaps < MIN_NODE_GAP):
+    if np.any(np.diff(x) < MIN_NODE_GAP):
         raise ValueError(f"nodes must increase with gaps of at least {MIN_NODE_GAP:g}")
     a, b = f.domain
-    if x[0] <= a or x[-1] >= b:
+    if np.any(x[..., 0] <= a) or np.any(x[..., -1] >= b):
         raise ValueError(f"nodes must lie inside the open interval ({a}, {b})")
     fx = np.asarray(f.real_rule(x), dtype=float)
-    n = x.size
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = (fx[i] - fx[j]) / (x[i] - x[j]) if i != j else 0.0
-    np.fill_diagonal(out, np.asarray(f.deriv_rule(x), dtype=float))
+    n = x.shape[-1]  # the diagonal divides 0 by 1; the derivative replaces it
+    out = (fx[..., :, None] - fx[..., None, :]) / (x[..., :, None] - x[..., None, :] + np.eye(n))
+    out[..., range(n), range(n)] = np.asarray(f.deriv_rule(x), dtype=float)
     return out
 
 
 def pick_matrix(f: ScalarFunction, points) -> np.ndarray:
-    """Pick kernel matrix (f(z_i) - conj f(z_j)) / (z_i - conj z_j) on the half-plane."""
+    """Pick kernel matrices ``(..., c, c)`` of entries (f(z_i) - conj f(z_j)) / (z_i - conj z_j)
+    at half-plane points ``(..., c)``, one vector or a stack."""
     z = np.asarray(points, dtype=complex)
-    if z.ndim != 1 or z.size < 1:
+    if z.ndim < 1 or z.shape[-1] < 1:
         raise ValueError("points must be a nonempty vector")
     if np.any(z.imag <= 0):
         raise ValueError("points must have strictly positive imaginary part")
-    for i in range(z.size):
-        for j in range(i + 1, z.size):
-            if abs(z[i] - z[j]) < MIN_NODE_GAP:
-                raise ValueError("points must be pairwise distinct")
+    if np.any(np.abs(z[..., :, None] - z[..., None, :]) + np.eye(z.shape[-1]) < MIN_NODE_GAP):
+        raise ValueError("points must be pairwise distinct")
     fz = np.asarray(f.complex_rule(z), dtype=complex)
-    return (fz[:, None] - fz[None, :].conj()) / (z[:, None] - z[None, :].conj())
+    return (fz[..., :, None] - fz[..., None, :].conj()) / (z[..., :, None] - z[..., None, :].conj())
 
 
 # --------------------------------------------------------------------------
@@ -149,49 +149,48 @@ def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng, interva
 # --------------------------------------------------------------------------
 # Cross-check of the three certificates.
 
-def _sample_nodes(gen, count, interval):
-    a, b = interval
-    for _ in range(100):
-        x = np.sort(a + (b - a) * gen.random(count))
-        if count < 2 or np.min(np.diff(x)) >= 1e-6:
-            return x
-    raise kernels.SamplingError("could not draw well-separated nodes")
-
-
-def _sample_pick_points(gen, count):
-    for _ in range(100):
-        z = (-3.0 + 6.0 * gen.random(count)) + 1j * (0.1 + 2.9 * gen.random(count))
-        ok = all(abs(z[i] - z[j]) >= 1e-6
-                 for i in range(count) for j in range(i + 1, count))
-        if ok:
-            return z
-    raise kernels.SamplingError("could not draw well-separated half-plane points")
-
-
 def cross_check(f: ScalarFunction, node_count: int = 5, node_sets: int = 100,
                 point_count: int = 5, pick_sets: int = 100,
                 levels=(2, 3, 4), pairs: int = 200, interval=(0.1, 10.0),
                 tol: float = 1e-8, rng: Rng = Rng(0)) -> ConsistencyReport:
     """Loewner-matrix, Pick-matrix and functional-calculus verdicts side by side."""
 
-    def loewner_run(level, ts):
-        nodes = [_sample_nodes(rng.split("loewner", f.name, t).generator(), node_count, interval)
-                 for t in ts]
-        errors = {}
-        margins = scaled_min_eig(np.stack([loewner_matrix(f, x) for x in nodes]), errors)
-        return _row_trials(margins, errors, tol, lambda i: {"nodes": nodes[i].tolist()})
+    def certificate_run(tag, width, draw, exhausted, build, witness):
+        # The trials of one certificate.  A chunk's rows draw together, each row
+        # up to 100 tries of draw(u), u its width uniforms, until the entries lie
+        # 1e-6 apart; then their matrices are built in one call.
+        def run(level, ts):
+            gens, _ = _generators([rng.split(tag, f.name, t) for t in ts])
+            errors = {}
+            x = draw(np.zeros((len(gens), width)))  # of the stack's shape; accepted tries overwrite
 
-    def pick_run(level, ts):
-        zs = [_sample_pick_points(rng.split("pick", f.name, t).generator(), point_count)
-              for t in ts]
-        errors = {}
-        margins = scaled_min_eig(hermitize(np.stack([pick_matrix(f, z) for z in zs])), errors)
-        return _row_trials(margins, errors, tol,
-                           lambda i: {"points": [[v.real, v.imag] for v in zs[i].tolist()]})
+            def attempt(rows, k):
+                v = draw(_uniforms([gens[i] for i in rows], width))
+                # |v_i - v_j|, and 1 on the diagonal
+                gaps = np.abs(v[:, :, None] - v[:, None, :]) + np.eye(v.shape[1])
+                ok = np.all(gaps >= 1e-6, axis=(1, 2))
+                x[rows[ok]] = v[ok]
+                return ok
 
-    loewner_rep = _run_trials("loewner_psd", f.name, loewner_run, (node_count,), node_sets,
-                              tol, rng)
-    pick_rep = _run_trials("pick_psd", f.name, pick_run, (point_count,), pick_sets, tol, rng)
+            _redraw(attempt, len(gens), 100, exhausted, errors)
+            if errors:  # a lower trial's ValueError comes before the first trial out of tries
+                build(x[:min(errors)])
+                settle(errors, None)
+            margins = scaled_min_eig(build(x), errors)
+            return _row_trials(margins, errors, tol, lambda i: witness(x[i].tolist()))
+
+        return run
+
+    a, b = interval
+    loewner_rep = _run_trials("loewner_psd", f.name, certificate_run(
+        "loewner", node_count, lambda u: np.sort(a + (b - a) * u, axis=1),
+        "could not draw well-separated nodes", lambda x: loewner_matrix(f, x),
+        lambda x: {"nodes": x}), (node_count,), node_sets, tol, rng)
+    pick_rep = _run_trials("pick_psd", f.name, certificate_run(
+        "pick", 2 * point_count,
+        lambda u: (-3.0 + 6.0 * u[:, :point_count]) + 1j * (0.1 + 2.9 * u[:, point_count:]),
+        "could not draw well-separated half-plane points", lambda z: hermitize(pick_matrix(f, z)),
+        lambda z: {"points": [[v.real, v.imag] for v in z]}), (point_count,), pick_sets, tol, rng)
     mono_rep = _monotone_matrix_report(f, levels, pairs, tol, rng, interval)
     sides = {
         "loewner_psd": loewner_rep.verdict,

@@ -239,15 +239,51 @@ def _ref_monotone_1d(f, interval, level, r, tol):
     return _Trial(m, witness)
 
 
+def _ref_sample_nodes(gen, count, interval):
+    a, b = interval
+    for _ in range(100):
+        x = np.sort(a + (b - a) * gen.random(count))
+        if count < 2 or np.min(np.diff(x)) >= 1e-6:
+            return x
+    raise SamplingError("could not draw well-separated nodes")
+
+
+def _ref_sample_pick_points(gen, count):
+    for _ in range(100):
+        z = (-3.0 + 6.0 * gen.random(count)) + 1j * (0.1 + 2.9 * gen.random(count))
+        ok = all(abs(z[i] - z[j]) >= 1e-6
+                 for i in range(count) for j in range(i + 1, count))
+        if ok:
+            return z
+    raise SamplingError("could not draw well-separated half-plane points")
+
+
+def _ref_loewner_matrix(f, x):
+    if x.ndim != 1 or x.size < 1:
+        raise ValueError("nodes must be a nonempty vector")
+    if np.any(np.diff(x) < loewner1d.MIN_NODE_GAP):
+        raise ValueError(f"nodes must increase with gaps of at least {loewner1d.MIN_NODE_GAP:g}")
+    a, b = f.domain
+    if x[0] <= a or x[-1] >= b:
+        raise ValueError(f"nodes must lie inside the open interval ({a}, {b})")
+    fx = np.asarray(f.real_rule(x), dtype=float)
+    out = np.empty((x.size, x.size))
+    for i in range(x.size):
+        for j in range(x.size):
+            out[i, j] = (fx[i] - fx[j]) / (x[i] - x[j]) if i != j else 0.0
+    np.fill_diagonal(out, np.asarray(f.deriv_rule(x), dtype=float))
+    return out
+
+
 def _ref_certificate(kind, f, interval, count, r, tol):
     """The serial Loewner or Pick trial of ``cross_check``, on ``count`` nodes or points."""
     gen = r.generator()
     if kind == "loewner_psd":
-        nodes = loewner1d._sample_nodes(gen, count, interval)
-        margin = scaled_min_eig(loewner1d.loewner_matrix(f, nodes))
+        nodes = _ref_sample_nodes(gen, count, interval)
+        margin = scaled_min_eig(_ref_loewner_matrix(f, nodes))
         points = {"nodes": [float(v) for v in nodes]}
     else:
-        z = loewner1d._sample_pick_points(gen, count)
+        z = _ref_sample_pick_points(gen, count)
         margin = scaled_min_eig(hermitize(loewner1d.pick_matrix(f, z)))
         points = {"points": [[float(v.real), float(v.imag)] for v in z]}
     return _Trial(margin, {**points, "margin": margin} if margin < -tol else None)
@@ -558,6 +594,8 @@ class TestAgainstSerialReference:
             seen, error = _compare(monkeypatch, "loewner_psd", f, interval, (count,), 7)
             assert (error and error[0]) == want
             assert want or len(seen) == 7
+            if want == "SamplingError":
+                assert error[1] == "could not draw well-separated nodes"
 
     @pytest.mark.parametrize("name", SCALAR_CATALOG_NAMES)
     @pytest.mark.parametrize("count", [1, 5, 8])
@@ -565,6 +603,30 @@ class TestAgainstSerialReference:
         seen, error = _compare(monkeypatch, "pick_psd", scalar_catalog(name), (0.1, 10.0),
                                (count,), 7)
         assert error is None and len(seen) == 7
+
+    @pytest.mark.parametrize("kind, interval, stuck, want", [
+        # the stuck trials draw points that coincide, so they run out of tries
+        ("pick_psd", (0.1, 10.0), (2, 5), ("SamplingError",
+                                           "could not draw well-separated half-plane points")),
+        # every trial's nodes leave sqrt's domain, unless its draw is stuck on equal nodes
+        ("loewner_psd", (-2.0, -1.0), (0, 4), ("SamplingError",
+                                               "could not draw well-separated nodes")),
+        ("loewner_psd", (-2.0, -1.0), (3, 4), (
+            "ValueError", "nodes must lie inside the open interval (0.0, inf)")),
+    ], ids=["pick", "loewner_stuck_first", "loewner_domain_first"])
+    def test_the_lowest_failing_certificate_trial_raises(self, monkeypatch, chunk, kind, interval,
+                                                         stuck, want):
+        f = scalar_catalog("sqrt")
+        stuck = {Rng(42).split(kind[:-4], f.name, t) for t in stuck}
+        generator = Rng.generator
+
+        class Stuck:  # a draw that repeats one value, so no try is ever well separated
+            def random(self, count):
+                return np.full(count, 0.5)
+
+        monkeypatch.setattr(Rng, "generator", lambda r: Stuck() if r in stuck else generator(r))
+        _, error = _compare(monkeypatch, kind, f, interval, (5,), 7)
+        assert error == want
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     @pytest.mark.parametrize("kind", ["axioms", "boundary"])

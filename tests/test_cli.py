@@ -100,6 +100,48 @@ class TestExitCodes:
                                "--suite", "local", "--trials", "5")
         assert code == 2
 
+    # command -> its argv, given a point file; every command takes --out
+    COMMANDS = {
+        "check": lambda point: ("check", "--function", "square", "--suite", "monotone",
+                                "--levels", "2..2", "--trials", "50", "--seed", "7"),
+        "eval": lambda point: ("eval", "--function", "msqrt", "--point", point),
+        "parse": lambda point: ("parse", "--expr", "X1"),
+        "catalog": lambda point: ("catalog",),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("target", ["directory", "missing_directory"])
+    def test_unwritable_out_is_a_usage_error_before_any_trial(self, monkeypatch, tmp_path,
+                                                              pd_point, command, target):
+        ran = []
+        monkeypatch.setattr(freemono.cli, "check_monotone", lambda *a: ran.append(a))
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "r.json"
+        code, stdout, err = run_cli(*self.COMMANDS[command](pd_point), "--out", str(out))
+        assert (code, stdout, ran) == (2, "", [])
+        assert err.startswith(f"freemono: --out {str(out)!r}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_failed_write_is_a_usage_error(self, monkeypatch, tmp_path, pd_point, command):
+        def fails(self, text):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", fails)
+        out = str(tmp_path / "r.json")
+        code, stdout, err = run_cli(*self.COMMANDS[command](pd_point), "--out", out)
+        assert (code, stdout) == (2, "")
+        assert err == f"freemono: cannot write --out {out!r}: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551617"])
+    def test_seed_outside_64_bits_is_a_usage_error(self, seed):
+        code, out, err = run_cli("check", "--function", "identity", "--suite", "monotone",
+                                 "--levels", "1..1", "--trials", "1", "--seed", seed)
+        assert (code, out, err) == (2, "", "freemono: --seed must be in [0, 2^64)\n")
+
+    def test_largest_seed_is_accepted(self):
+        code, out, _ = run_cli("check", "--function", "identity", "--suite", "monotone",
+                               "--levels", "1..1", "--trials", "1", "--seed", str(2**64 - 1))
+        assert code == 0 and json.loads(out)["config"]["seed"] == 2**64 - 1
+
 
 class TestNonFinite:
     BIG = "9" * 300

@@ -22,6 +22,7 @@ from freemono.kernels import (
     SpectrumDomainError, as_matrix, func_calc, herm_eig, imag_part, is_hermitian, min_eig_h,
     op_norm, principal_sqrt, random_matrix, safe_inv, scaled_min_eig,
 )
+from freemono.loewner1d import loewner_matrix, pick_matrix, scalar_catalog
 from freemono.opsys import (
     NCPoint, NotInImageError, _point, builtin_system, conjugate, decode, direct_sum,
     full_domain, identity_point, in_domain, is_hermitian_point, order_leq, pd_cone, realize,
@@ -107,6 +108,16 @@ def _pairs():
     return _point(SCALAR, c), b
 
 
+def _nodes():
+    # strictly increasing positive nodes, 4 a row
+    return np.cumsum(0.1 + np.abs(_matrices("ginibre", 4)[:, 0]), axis=-1)
+
+
+def _upper_points():
+    z = _matrices("ginibre", 4)[:, 0]
+    return z.real + 1j * (0.1 + np.abs(z.imag))
+
+
 _NAN = np.array([[1.0, np.nan], [0.0, 1.0]])
 _RECT = np.ones((2, 3))
 _SKEW = np.array([[-1.0, 1.0], [0.0, -2.0]])  # not Hermitian; spectrum -1, -2
@@ -119,6 +130,8 @@ _COND = "condition estimate exceeds 1e12; inverse not trusted"
 _SINGULAR = (OutOfDomainError, f"singular inverse: {_COND}")
 _X22_ZERO = NCPoint(BLOCK2, (np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))))
 _BAD_PAIR = (NCPoint(SCALAR, (np.zeros((2, 2)),)), identity_point(SCALAR, 2))
+_SQRT = scalar_catalog("sqrt")
+_GAPS = (ValueError, "nodes must increase with gaps of at least 1e-08")
 
 # id -> (call(x, errors), stack of ROWS inputs, [(bad single input, its error type
 # and message)]).  ``errors`` is None or a dict for the routines that hand failed
@@ -155,6 +168,17 @@ CASES = {
                       _schur_points, [(_X22_ZERO, _SINGULAR)]),
     "pair_margin": (lambda x, e: pair_margin(catalog("inverse"), *x, e), _pairs,
                     [(_BAD_PAIR, _SINGULAR)]),
+    "loewner_matrix": (lambda x, e: loewner_matrix(_SQRT, x), _nodes,
+                       [(np.array([1.0, 1.0 + 1e-9, 2.0]), _GAPS), (np.array([2.0, 1.0]), _GAPS),
+                        (np.array([-1.0, 1.0]), (
+                            ValueError, "nodes must lie inside the open interval (0.0, inf)")),
+                        (np.array([]), (ValueError, "nodes must be a nonempty vector"))]),
+    "pick_matrix": (lambda x, e: pick_matrix(_SQRT, x), _upper_points,
+                    [(np.array([1 + 1j, 2 + 1j, 1 + 1j]), (
+                        ValueError, "points must be pairwise distinct")),
+                     (np.array([1 + 1j, 1 - 1j]), (
+                         ValueError, "points must have strictly positive imaginary part")),
+                     (np.array([]), (ValueError, "points must be a nonempty vector"))]),
 }
 FAILING_ROW_4 = ("herm_eig", "func_calc", "safe_inv", "principal_sqrt", "decode",
                  "eval_function", "pair_margin")

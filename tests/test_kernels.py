@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import freemono
 from freemono.kernels import (
     TOL_HERM,
     BranchCutError,
@@ -218,6 +222,22 @@ class TestRng:
     def test_split_deterministic(self):
         assert Rng(4).split("a", 1) == Rng(4).split("a", 1)
         assert Rng(4).split("a", 1) != Rng(4).split("a", 2)
+
+    def test_only_kernels_generators_makes_generators(self):
+        # every sampler draws through kernels._generators, so a change to how
+        # rows are drawn (one counter-based stream per chunk) has one place to go
+        def calls(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                        and child.func.attr == "generator"):
+                    yield scope
+                named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                yield from calls(child, scope + (child.name,) if named else scope)
+
+        src = Path(freemono.__file__).parent
+        found = [(path.stem, *scope) for path in sorted(src.glob("*.py"))
+                 for scope in calls(ast.parse(path.read_text()), ())]
+        assert found == [("kernels", "_generators")]
 
 
 class TestSafeInv:
