@@ -5,7 +5,8 @@ document), ``eval`` (evaluate a function at a point), ``parse`` (parse an
 expression), ``catalog`` (list the built-in functions).  Exit codes:
 0 = all checks passed, 1 = a violation was witnessed, 2 = usage or
 configuration error (an unwritable ``--out`` among them, found before any
-work), 3 = numerical failure (eigensolver non-convergence, an
+work, and a ``--system`` or ``--point`` file that cannot be read or
+decoded), 3 = numerical failure (eigensolver non-convergence, an
 exhausted sampling budget, or a value or margin that is not finite).
 
 Report documents contain no timestamps or host data unless ``--annotate``
@@ -18,6 +19,7 @@ validated for existing scripts but has no effect.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -151,18 +153,25 @@ def _parse_levels(text: str) -> tuple:
     return tuple(range(lo, hi + 1))
 
 
+@contextlib.contextmanager
+def _input_file(what: str, path: str):
+    """Make any failure to read or decode the input file ``path`` a usage error."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        raise _UsageError(f"{what} {path!r}: {exc}") from exc
+
+
 def _resolve_system(text: str):
     try:
         return builtin_system(text)
     except ValueError:
         pass
     path = Path(text)
-    if path.exists():
-        try:
-            return system_from_json(json.loads(path.read_text()))
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise _UsageError(f"bad system JSON {text!r}: {exc}") from exc
-    raise _UsageError(f"unknown system {text!r}")
+    if not path.exists():
+        raise _UsageError(f"unknown system {text!r}")
+    with _input_file("bad system JSON", text):
+        return system_from_json(json.loads(path.read_text()))
 
 
 def _resolve_function(args) -> FreeFunction:
@@ -266,18 +275,14 @@ def _run_check(args) -> int:
 
 
 def _run_eval(args) -> int:
-    try:
+    with _input_file("bad point file", args.point):
         doc = json.loads(Path(args.point).read_text())
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise _UsageError(f"bad point file {args.point!r}: {exc}") from exc
     if args.expr and not args.system and isinstance(doc, dict) and "system" in doc:
         # the point file names its system; no inference ambiguity for eval
         args.system = str(doc["system"])
     f = _resolve_function(args)
-    try:
+    with _input_file("bad point file", args.point):
         point = point_from_json(doc, f.in_system)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _UsageError(f"bad point file {args.point!r}: {exc}") from exc
     try:
         value = eval_function(f, point)
     except (OutOfDomainError, CodomainError, NumericalError) as exc:

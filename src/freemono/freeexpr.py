@@ -461,13 +461,11 @@ class FreeFunction:
         object.__setattr__(self, "roots", roots)
 
 
-def function_from_expr(name: str, text: str, in_system: OpSysBasis,
-                       domain: DomainSpec | None = None) -> FreeFunction:
-    """Wrap a single expression as a scalar-valued free function over ``domain``,
-    the pd cone by default."""
+def function_from_expr(name: str, text: str, in_system: OpSysBasis) -> FreeFunction:
+    """Wrap a single expression as a scalar-valued free function over the pd cone."""
     expr = parse(text, in_system)
     return FreeFunction(name, in_system, builtin_system("scalar"), ((expr,),),
-                        domain or opsys.pd_cone(in_system), text)
+                        opsys.pd_cone(in_system), text)
 
 
 def eval_function(f: FreeFunction, point: NCPoint, errors: dict | None = None) -> NCPoint:

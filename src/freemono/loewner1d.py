@@ -23,7 +23,7 @@ import numpy as np
 from .kernels import (
     Rng, _generators, _uniforms, func_calc, hermitize, matrix_to_json, scaled_min_eig, settle,
 )
-from .opsys import _redraw, builtin_system, full_domain, sample_ordered_pair, spectral_interval
+from .opsys import _redraw, builtin_system, sample_ordered_pair, spectral_interval
 from .report import CheckReport, ConsistencyReport
 from .verifiers import _differences, _row_trials, _run_trials
 
@@ -32,12 +32,13 @@ MIN_NODE_GAP = 1e-8
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """Scalar function with real, complex (principal-branch) and derivative rules."""
+    """Scalar function on the open interval ``domain``: a NumPy ``rule`` that maps a
+    float array to its values and a complex array to its principal-branch values,
+    and a ``deriv_rule`` for real arguments."""
 
     name: str
     domain: tuple
-    real_rule: Callable
-    complex_rule: Callable
+    rule: Callable
     deriv_rule: Callable
 
 
@@ -45,29 +46,16 @@ _INF = float("inf")
 
 _SCALAR_CATALOG = {
     "x": ScalarFunction(
-        "x", (-_INF, _INF),
-        lambda x: np.asarray(x, dtype=float),
-        lambda z: np.asarray(z, dtype=complex),
-        lambda x: np.ones_like(np.asarray(x, dtype=float))),
+        "x", (-_INF, _INF), lambda x: x, lambda x: np.ones_like(np.asarray(x, dtype=float))),
     "sqrt": ScalarFunction(
-        "sqrt", (0.0, _INF),
-        lambda x: np.sqrt(np.asarray(x, dtype=float)),
-        lambda z: np.sqrt(np.asarray(z, dtype=complex)),
-        lambda x: 0.5 / np.sqrt(np.asarray(x, dtype=float))),
+        "sqrt", (0.0, _INF), np.sqrt, lambda x: 0.5 / np.sqrt(np.asarray(x, dtype=float))),
     "neg_inverse": ScalarFunction(
-        "neg_inverse", (0.0, _INF),
-        lambda x: -1.0 / np.asarray(x, dtype=float),
-        lambda z: -1.0 / np.asarray(z, dtype=complex),
+        "neg_inverse", (0.0, _INF), lambda x: -1.0 / x,
         lambda x: 1.0 / np.asarray(x, dtype=float) ** 2),
     "square": ScalarFunction(
-        "square", (-_INF, _INF),
-        lambda x: np.asarray(x, dtype=float) ** 2,
-        lambda z: np.asarray(z, dtype=complex) ** 2,
-        lambda x: 2.0 * np.asarray(x, dtype=float)),
+        "square", (-_INF, _INF), lambda x: x ** 2, lambda x: 2.0 * np.asarray(x, dtype=float)),
     "cube": ScalarFunction(
-        "cube", (-_INF, _INF),
-        lambda x: np.asarray(x, dtype=float) ** 3,
-        lambda z: np.asarray(z, dtype=complex) ** 3,
+        "cube", (-_INF, _INF), lambda x: x ** 3,
         lambda x: 3.0 * np.asarray(x, dtype=float) ** 2),
 }
 
@@ -100,7 +88,7 @@ def loewner_matrix(f: ScalarFunction, nodes) -> np.ndarray:
     a, b = f.domain
     if np.any(x[..., 0] <= a) or np.any(x[..., -1] >= b):
         raise ValueError(f"nodes must lie inside the open interval ({a}, {b})")
-    fx = np.asarray(f.real_rule(x), dtype=float)
+    fx = np.asarray(f.rule(x), dtype=float)
     n = x.shape[-1]  # the diagonal divides 0 by 1; the derivative replaces it
     out = (fx[..., :, None] - fx[..., None, :]) / (x[..., :, None] - x[..., None, :] + np.eye(n))
     out[..., range(n), range(n)] = np.asarray(f.deriv_rule(x), dtype=float)
@@ -117,7 +105,7 @@ def pick_matrix(f: ScalarFunction, points) -> np.ndarray:
         raise ValueError("points must have strictly positive imaginary part")
     if np.any(np.abs(z[..., :, None] - z[..., None, :]) + np.eye(z.shape[-1]) < MIN_NODE_GAP):
         raise ValueError("points must be pairwise distinct")
-    fz = np.asarray(f.complex_rule(z), dtype=complex)
+    fz = np.asarray(f.rule(z), dtype=complex)
     return (fz[..., :, None] - fz[..., None, :].conj()) / (z[..., :, None] - z[..., None, :].conj())
 
 
@@ -126,18 +114,14 @@ def pick_matrix(f: ScalarFunction, points) -> np.ndarray:
 
 def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng, interval) -> CheckReport:
     a, b = interval if interval is not None else f.domain
-    scalar_sys = builtin_system("scalar")
-    if np.isinf(a) and np.isinf(b):
-        dom = full_domain(scalar_sys)
-    else:
-        dom = spectral_interval(scalar_sys, a, b)
+    dom = spectral_interval(builtin_system("scalar"), a, b)
 
     def run(level, ts):
         errors = {}
         p, q = sample_ordered_pair(dom, level, [rng.split("monotone_1d", f.name, level, t)
                                                 for t in ts], errors=errors)
         a, b = p.coeffs[:, 0], q.coeffs[:, 0]
-        diff = _differences(lambda x, e: func_calc(f.real_rule, x, f.domain, e),
+        diff = _differences(lambda x, e: func_calc(f.rule, x, f.domain, e),
                             np.concatenate([a, b]), errors)
         margins = scaled_min_eig(hermitize(diff), errors)
         return _row_trials(margins, errors, tol,

@@ -196,26 +196,31 @@ def _require_compatible(p: NCPoint, q: NCPoint):
 
 @dataclass(frozen=True, eq=False)
 class DomainSpec:
-    """Free domain descriptor, closed under direct sums and unitary conjugation."""
+    """The free domain of the Hermitian points whose realization has its spectrum in
+    the open interval ``(a, b)``; closed under direct sums and unitary conjugation.
 
-    kind: str  # full | pd_cone | spectral_interval
+    The full domain is (-inf, inf) and the positive-definite cone is (0, inf).
+    """
+
     system: OpSysBasis
     a: float = float("-inf")
     b: float = float("inf")
 
+    def __post_init__(self):
+        if not self.a < self.b:
+            raise ValueError("interval endpoints must satisfy a < b")
+
 
 def full_domain(system: OpSysBasis) -> DomainSpec:
-    return DomainSpec("full", system)
+    return DomainSpec(system)
 
 
 def pd_cone(system: OpSysBasis) -> DomainSpec:
-    return DomainSpec("pd_cone", system)
+    return DomainSpec(system, 0.0)
 
 
 def spectral_interval(system: OpSysBasis, a: float, b: float) -> DomainSpec:
-    if not a < b:
-        raise ValueError("interval endpoints must satisfy a < b")
-    return DomainSpec("spectral_interval", system, float(a), float(b))
+    return DomainSpec(system, float(a), float(b))
 
 
 # --------------------------------------------------------------------------
@@ -362,19 +367,12 @@ def shuffle_permutation(k: int, n: int, m: int) -> np.ndarray:
 
 
 def in_domain(point: NCPoint, domain: DomainSpec):
-    """Membership predicate; interval and cone slices shrink by ``TOL_PSD`` for openness."""
+    """Membership predicate; the interval shrinks by ``TOL_PSD`` at each end for openness."""
     tol = kernels.TOL_PSD
     if point.system.name != domain.system.name:
         raise ValueError("point and domain refer to different systems")
-    if domain.kind == "full":
-        return np.ones(point.coeffs.shape[:-3], dtype=bool)[()]
-    inside = is_hermitian_point(point)
     w = kernels._eigh(hermitize(realize(point)))
-    if domain.kind == "pd_cone":
-        return inside & (w[..., 0] > tol)
-    if domain.kind == "spectral_interval":
-        return inside & (w[..., 0] > domain.a + tol) & (w[..., -1] < domain.b - tol)
-    raise ValueError(f"unknown domain kind {domain.kind!r}")
+    return is_hermitian_point(point) & (w[..., 0] > domain.a + tol) & (w[..., -1] < domain.b - tol)
 
 
 # --------------------------------------------------------------------------
@@ -405,7 +403,7 @@ def _psd_point(system: OpSysBasis, level: int, u: np.ndarray) -> NCPoint:
 def _draw_in_domain(domain: DomainSpec, level: int, gens: list) -> NCPoint:
     """A stack of candidate points, one per generator; the caller tests membership."""
     system = domain.system
-    a, b = {"full": (-np.inf, np.inf), "pd_cone": (0.0, np.inf)}.get(domain.kind, (domain.a, domain.b))
+    a, b = domain.a, domain.b
     count = 2 * system.size * level * level
     u = _uniforms(gens, count + int(np.isfinite(a)) + int(np.isfinite(b)))
     g = _hermitian_point(system, level, u[:, :count])
@@ -456,7 +454,8 @@ def sample_point(domain: DomainSpec, level: int, rng, errors: dict | None = None
         return inside
 
     _redraw(attempt, len(gens), SAMPLE_BUDGET,
-            f"could not draw a point of {domain.kind} within {SAMPLE_BUDGET} attempts", errors)
+            f"could not draw a point with spectrum in ({domain.a}, {domain.b}) "
+            f"within {SAMPLE_BUDGET} attempts", errors)
     return _point(domain.system, coeffs.reshape(lead + coeffs.shape[1:]))
 
 

@@ -125,20 +125,15 @@ def _max_rotation(u, diags, deltas, khat, eps, floor) -> np.ndarray:
 
 def _window(domain: DomainSpec) -> tuple:
     """The finite open interval every coordinate's spectrum of a path in ``domain`` stays in."""
-    if domain.kind == "pd_cone":
-        # Wide spectra: large eigenvalue ratios make rotation obstructions visible.
-        return 0.1, 5.0
-    if domain.kind == "full":
-        return -2.0, 2.0
-    if domain.kind != "spectral_interval":
-        raise ValueError(f"local paths are not defined over a {domain.kind!r} domain")
     a, b = domain.a, domain.b
     if np.isinf(a) and np.isinf(b):
         return -2.0, 2.0
+    # A half-line gets wide spectra: large eigenvalue ratios make rotation
+    # obstructions visible.
     if np.isinf(b):
-        return a, a + 6.0
+        return a + 0.1, a + 5.0
     if np.isinf(a):
-        return b - 6.0, b
+        return b - 5.0, b - 0.1
     return a, b
 
 

@@ -53,6 +53,11 @@ ERROR_WITNESS = "sqrt(X1 - 2)*sqrt(X1 - 2) + inv(X1 - 1)"
 TINY = spectral_interval(SCALAR, 0.0, 4.0096e-8)
 
 
+def _domain_id(d):
+    # a test id naming a domain by its system and interval
+    return f"{d.system.name}-{d.a}-{d.b}"
+
+
 # --------------------------------------------------------------------------
 # The serial reference: one point, one trial at a time.
 
@@ -100,13 +105,11 @@ def _ref_psd_point(system, level, gen):
 def _ref_draw_in_domain(domain, level, gen):
     system = domain.system
     g = _ref_hermitian_point(system, level, gen)
-    if domain.kind == "full":
+    a, b = domain.a, domain.b
+    if np.isinf(a) and np.isinf(b):
         return g
     w = np.linalg.eigvalsh(hermitize(realize(g)))
     lo, hi = float(w[0]), float(w[-1])
-    a, b = (0.0, float("inf")) if domain.kind == "pd_cone" else (domain.a, domain.b)
-    if np.isinf(a) and np.isinf(b):
-        return g
     ident = identity_point(system, level)
     if np.isinf(b):
         return g + (a + 0.1 + 0.9 * float(gen.random()) - lo) * ident
@@ -125,7 +128,8 @@ def _ref_sample_point(domain, level, rng, budget=1000):
         p = _ref_draw_in_domain(domain, level, gen)
         if in_domain(p, domain):
             return p
-    raise SamplingError(f"could not draw a point of {domain.kind} within {budget} attempts")
+    raise SamplingError(f"could not draw a point with spectrum in ({domain.a}, {domain.b}) "
+                        f"within {budget} attempts")
 
 
 def _ref_sample_ordered_pair(domain, level, rng, budget=1000, stats=None):
@@ -230,8 +234,8 @@ def _ref_monotone_1d(f, interval, level, r, tol):
     else:
         dom = spectral_interval(SCALAR, a, b)
     p, q = _ref_sample_ordered_pair(dom, level, r)
-    fa = func_calc(f.real_rule, p.coeffs[0], f.domain)
-    fb = func_calc(f.real_rule, q.coeffs[0], f.domain)
+    fa = func_calc(f.rule, p.coeffs[0], f.domain)
+    fb = func_calc(f.rule, q.coeffs[0], f.domain)
     m = scaled_min_eig(hermitize(fb - fa))
     witness = None
     if m < -tol:
@@ -266,7 +270,7 @@ def _ref_loewner_matrix(f, x):
     a, b = f.domain
     if x[0] <= a or x[-1] >= b:
         raise ValueError(f"nodes must lie inside the open interval ({a}, {b})")
-    fx = np.asarray(f.real_rule(x), dtype=float)
+    fx = np.asarray(f.rule(x), dtype=float)
     out = np.empty((x.size, x.size))
     for i in range(x.size):
         for j in range(x.size):
@@ -553,7 +557,7 @@ class TestAgainstSerialReference:
         ("schur_complement", spectral_interval(BLOCK2, 0.2, 3.0)),
         ("schur_complement", full_domain(BLOCK2)),
         ("geometric_mean", spectral_interval(DIAG2, 0.1, 0.2)),
-    ], ids=lambda v: getattr(v, "kind", v))
+    ], ids=lambda v: v if isinstance(v, str) else _domain_id(v))
     def test_monotone_domains(self, monkeypatch, chunk, name, domain):
         seen, error = _compare(monkeypatch, "monotone", catalog(name), domain, (1, 2, 3), 7)
         assert error is None and len(seen) == 21
@@ -703,7 +707,7 @@ class TestSamplersBitForBit:
         pd_cone(BLOCK2), full_domain(SCALAR), spectral_interval(DIAG2, -1.0, 1.0),
         spectral_interval(BLOCK2, 0.5, float("inf")), spectral_interval(SCALAR, float("-inf"), 0.0),
         NARROW,
-    ], ids=lambda d: d.kind)
+    ], ids=_domain_id)
     def test_ordered_pairs(self, domain):
         rngs = [Rng(9).split(t) for t in range(6)]
         for level in (1, 2, 3):
@@ -723,7 +727,7 @@ class TestSamplersBitForBit:
 
     @pytest.mark.parametrize("domain", [
         pd_cone(BLOCK2), full_domain(DIAG2), spectral_interval(SCALAR, -1.0, 1.0), TINY,
-    ], ids=lambda d: d.kind)
+    ], ids=_domain_id)
     def test_points(self, monkeypatch, domain):
         # on TINY the budget of 300 runs out for some rows: a row error among good rows
         monkeypatch.setattr(opsys, "SAMPLE_BUDGET", 300)
@@ -734,8 +738,9 @@ class TestSamplersBitForBit:
             for i, r in enumerate(rngs):
                 if i in errors:
                     assert isinstance(errors[i], SamplingError) and not p[i].coeffs.any()
-                    with pytest.raises(SamplingError, match="within 300 attempts"):
+                    with pytest.raises(SamplingError, match="within 300 attempts") as alone:
                         _ref_sample_point(domain, level, r, budget=300)
+                    assert str(errors[i]) == str(alone.value)
                 else:
                     want = _ref_sample_point(domain, level, r, budget=300)
                     assert p[i].coeffs.tobytes() == want.coeffs.tobytes()
@@ -755,7 +760,7 @@ class TestSamplersBitForBit:
     @pytest.mark.parametrize("domain", [
         pd_cone(SCALAR), full_domain(DIAG2), spectral_interval(DIAG3, 0.5, float("inf")),
         spectral_interval(SCALAR, float("-inf"), -0.5), spectral_interval(DIAG3, -1.0, 1.0),
-    ], ids=lambda d: f"{d.kind}-{d.system.name}-{getattr(d, 'a', '')}-{getattr(d, 'b', '')}")
+    ], ids=_domain_id)
     def test_paths(self, domain):
         # 256 rows per level: spread and non-spread rows, which draw unequal counts, mix
         ranges = [paths._window(domain)] * domain.system.size
@@ -829,8 +834,7 @@ class TestFirstErrorWins:
     # The same for monotone_1d, with a function defined on (0, 2.5e-8) only:
     #   seed 16: trial 0 SamplingError (sampling), trial 1 SpectrumDomainError (func_calc)
     #   seed 36: trial 0 SpectrumDomainError (func_calc), trial 2 SamplingError (sampling)
-    NARROW_1D = ScalarFunction("narrow", (0.0, 2.5e-8), lambda x: np.asarray(x, dtype=float),
-                               None, None)
+    NARROW_1D = ScalarFunction("narrow", (0.0, 2.5e-8), lambda x: x, None)
     CASES_1D = {16: "SamplingError", 36: "SpectrumDomainError"}
 
     @pytest.mark.parametrize("seed", CASES_1D)

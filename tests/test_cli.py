@@ -459,6 +459,54 @@ class TestUserSystems:
         assert err.startswith("freemono: bad system JSON") and why in err
 
 
+BIG = 10 ** 400  # a JSON integer that overflows a float
+MALFORMED_SYSTEMS = {
+    "list_id_coeffs": {**SCALAR_JSON, "id_coeffs": [[1]]},
+    "top_level_array": [SCALAR_JSON],
+    "huge_id_coeff": {**SCALAR_JSON, "id_coeffs": [BIG]},
+    "huge_basis_entry": {**SCALAR_JSON, "basis": [{"n": 1, "entries": [[[BIG, 0]]]}]},
+}
+
+
+class TestMalformedInputFiles:
+    """A system or point file that cannot be read or decoded is a usage error."""
+
+    def _assert_usage_error(self, argv, what):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"freemono: {what}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["parse", "--expr", "X1"],
+        ["check", "--expr", "X1", "--suite", "monotone", "--levels", "1..1", "--trials", "2"],
+    ], ids=["parse", "check"])
+    def test_system_path_that_is_a_directory(self, tmp_path, argv):
+        self._assert_usage_error(argv + ["--system", str(tmp_path)], "bad system JSON")
+
+    @pytest.mark.parametrize("doc", MALFORMED_SYSTEMS.values(), ids=MALFORMED_SYSTEMS)
+    def test_malformed_system_file(self, tmp_path, doc):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        self._assert_usage_error(["parse", "--expr", "X1", "--system", str(path)],
+                                 "bad system JSON")
+
+    @pytest.mark.parametrize("argv, what", [
+        (["parse", "--expr", "X1", "--system"], "bad system JSON"),
+        (["eval", "--function", "identity", "--point"], "bad point file"),
+    ], ids=["system", "point"])
+    def test_deeply_nested_file(self, tmp_path, argv, what):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)  # deeper than the JSON decoder recurses
+        self._assert_usage_error(argv + [str(path)], what)
+
+    def test_point_file_with_a_huge_integer(self, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(
+            {"system": "scalar", "level": 1, "coeffs": [{"n": 1, "entries": [[[BIG, 0]]]}]}))
+        self._assert_usage_error(["eval", "--function", "identity", "--point", str(path)],
+                                 "bad point file")
+
+
 class TestSuiteTable:
     def test_suite_all_runs_every_unit_in_order(self):
         code, out, _ = run_cli("check", "--suite", "all", "--trials", "2",

@@ -253,6 +253,29 @@ class TestDomains:
         sys_ = builtin_system("block2")
         assert not in_domain(0.0 * identity_point(sys_, 2), pd_cone(sys_))
 
+    def test_named_domains_are_open_intervals(self):
+        sys_ = builtin_system("scalar")
+        for dom, want in ((full_domain(sys_), (-np.inf, np.inf)), (pd_cone(sys_), (0.0, np.inf)),
+                          (spectral_interval(sys_, -1, 6), (-1.0, 6.0))):
+            assert (dom.a, dom.b) == want and dom.system is sys_
+
+    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (1.0, 1.0), (np.nan, 1.0), (0.0, np.nan)])
+    def test_empty_or_nan_interval_is_rejected(self, a, b):
+        sys_ = builtin_system("scalar")
+        for make in (DomainSpec, spectral_interval):
+            with pytest.raises(ValueError, match="a < b"):
+                make(sys_, a, b)
+
+    @pytest.mark.parametrize("make", [
+        full_domain, pd_cone, lambda s: spectral_interval(s, -1.0, 6.0),
+    ], ids=["full", "pd_cone", "interval"])
+    def test_every_domain_requires_a_hermitian_point(self, make):
+        # the Hermitian part has spectrum {1.5, 2.5}, inside each interval
+        sys_ = builtin_system("scalar")
+        p = NCPoint(sys_, (_mat([[2.0, 1.0], [0.0, 2.0]]),))
+        assert not in_domain(p, make(sys_))
+        assert in_domain(NCPoint(sys_, (_mat([[2.0, 0.5], [0.5, 2.0]]),)), make(sys_))
+
     @pytest.mark.parametrize("kind", ["full", "pd_cone", "interval"])
     def test_closed_under_sums_and_conjugation(self, kind):
         sys_ = builtin_system("block2")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from freemono.kernels import Rng, op_norm
-from freemono.opsys import DomainSpec, builtin_system, pd_cone
+from freemono.opsys import builtin_system, pd_cone, spectral_interval
 from freemono.paths import VELOCITY_FLOOR, path_from_witness, sample_path
 
 DIAG2 = builtin_system("diagonal(2)")
@@ -50,6 +50,13 @@ class TestCommutingPath:
                 for a, b in zip(again.point(t).coeffs, path.point(t).coeffs):
                     np.testing.assert_array_equal(a, b)
 
-    def test_rejects_a_domain_kind_without_paths(self):
-        with pytest.raises(ValueError, match="not defined over a 'half_plane' domain"):
-            sample_path(DomainSpec("half_plane", DIAG2), 2, Rng(0))
+    @pytest.mark.parametrize("a, b, window", [
+        (0.5, np.inf, (0.6, 5.5)), (-np.inf, -0.5, (-5.5, -0.6)),
+    ])
+    def test_half_line_gets_the_pd_cone_window(self, a, b, window):
+        # (a, inf) gets (a + 0.1, a + 5.0), as the pd cone (0, inf) gets (0.1, 5.0)
+        stack = sample_path(spectral_interval(DIAG2, a, b), 3,
+                            [Rng(7).split("path", t) for t in range(200)])
+        for t in (-1.0, 0.0, 1.0):
+            w = np.linalg.eigvalsh(stack.point(t * stack.eps).coeffs)
+            assert window[0] < w.min() and w.max() < window[1]
