@@ -165,11 +165,11 @@ def _input_file(what: str, path: str):
 def _resolve_system(text: str):
     try:
         return builtin_system(text)
-    except ValueError:
-        pass
+    except ValueError as exc:
+        unknown = exc
     path = Path(text)
-    if not path.exists():
-        raise _UsageError(f"unknown system {text!r}")
+    if not path.exists():  # neither a built-in system nor a file: say why not the first
+        raise _UsageError(str(unknown)) from unknown
     with _input_file("bad system JSON", text):
         return system_from_json(json.loads(path.read_text()))
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 TOL_HERM = 1e-12
 TOL_PSD = 1e-8
@@ -245,54 +245,83 @@ def safe_inv(a, errors: dict | None = None) -> np.ndarray:
 
 
 def _sqrt_triu(t: np.ndarray) -> np.ndarray:
-    # Triangular square-root recurrence; diagonal entries fix the branch.
-    n = t.shape[0]
+    # The Bjorck-Hammarling recurrence for the square roots of a stack of upper
+    # triangular matrices, one superdiagonal at a time: each entry needs only
+    # entries of lower superdiagonals.  The diagonal fixes the branch.  Entry
+    # (i, j) needs the inner product s[i, i+1:j] @ s[i+1:j, j]; for a whole
+    # superdiagonal, x and y are views of those rows and columns, and x @ y is
+    # the stack's 1-by-k times k-by-1 matmuls.  The views keep each matrix's
+    # own strides, so BLAS sums each product as it does for one matrix: a
+    # contiguous copy of the operands would change the rounding.
+    rows, n = len(t), t.shape[-1]
+    t = t.reshape(rows, n * n)
     s = np.zeros_like(t)
-    np.fill_diagonal(s, np.sqrt(np.diag(t)))
+    root = np.sqrt(t[:, ::n + 1])
+    s[:, ::n + 1] = root
+    den = (root[:, :, None] + root[:, None, :]).reshape(rows, n * n)  # s[i, i] + s[j, j]
+    b = s.itemsize
+    row_steps, col_steps = (n * n * b, (n + 1) * b, 0, b), (n * n * b, (n + 1) * b, n * b, b)
     for off in range(1, n):
-        for i in range(n - off):
-            j = i + off
-            acc = t[i, j] - s[i, i + 1:j] @ s[i + 1:j, j]
-            s[i, j] = acc / (s[i, i] + s[j, j])
-    return s
+        m, k = n - off, off - 1
+        diag = slice(off, off + m * (n + 1), n + 1)  # the entries (i, i + off)
+        x = np.ndarray((rows, m, 1, k), s.dtype, s, b, row_steps)  # starts at s[0, 1]
+        y = np.ndarray((rows, m, k, 1), s.dtype, s, (n + off) * b, col_steps)  # at s[1, off]
+        s[:, diag] = (t[:, diag] - (x @ y)[..., 0, 0]) / den[:, diag]
+    return s.reshape(rows, n, n)
 
 
 def _branch_cut(value) -> BranchCutError:
     return BranchCutError(f"eigenvalue {value} within {TOL_BRANCH:g} of the closed ray (-inf, 0]")
 
 
-def _roots_by_eigh(a: np.ndarray, scale: list, errs: dict, rows) -> np.ndarray:
+def _roots_by_eigh(a: np.ndarray, scale: np.ndarray, errs: dict, rows) -> np.ndarray:
     # Roots of Hermitian matrices from one stacked eigendecomposition.
     failed = {}
     w, u = _eigh(hermitize(a), failed, vectors=True)
     # Real spectrum: any eigenvalue at or below the branch tolerance
     # sits on the closed negative ray, as do the zeros of a failed row.
-    cut = [i for i, (w0, s) in enumerate(zip(w[:, 0].tolist(), scale)) if w0 <= TOL_BRANCH * s]
+    cut = np.flatnonzero(w[:, 0] <= TOL_BRANCH * scale).tolist()
     for i in cut:
         errs[rows[i]] = failed.get(i, _branch_cut(float(w[i, 0])))
     w[cut] = 1.0
     return (u * np.sqrt(w)[:, None, :]) @ _ct(u)
 
 
-def _roots_by_schur(a: np.ndarray, scale: list, errs: dict, rows) -> np.ndarray:
-    # Roots of general matrices, one Schur decomposition each: SciPy's
-    # stacked call loops over the stack in Python and takes twice as long.
-    root = np.empty_like(a)
+def _no_sort(value):
+    return None
+
+
+def _schur_failed(info: int) -> EigensolverError:
+    # the text ``scipy.linalg.schur`` gives a failed ``gees`` without sorting
+    why = (f"illegal value in {-info}-th argument of internal gees" if info < 0
+           else "Schur form not found. Possibly ill-conditioned.")
+    return EigensolverError(f"Schur triangularization failed: {why}")
+
+
+def _roots_by_schur(a: np.ndarray, scale: np.ndarray, errs: dict, rows) -> np.ndarray:
+    # Roots of general matrices.  Only LAPACK's complex Schur form runs once
+    # per matrix: ``zgees`` with its default workspace.  That gives what
+    # ``scipy.linalg.schur`` gives, without the workspace query it makes per
+    # matrix, as long as LAPACK's reduction runs unblocked (through n = 129
+    # with OpenBLAS); a larger matrix can differ in the last bits.  The
+    # branch-cut test, the triangular recurrence and the back-transform each
+    # run once over the stack; a failed row runs on the identity.
+    gees, = scipy.linalg.lapack.get_lapack_funcs(("gees",), (a,))
+    t, z = np.empty_like(a), np.empty_like(a)
+    failed = {}
     for i, m in enumerate(a):
-        try:
-            t, z = scipy.linalg.schur(m, output="complex")
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            errs[rows[i]] = EigensolverError(f"Schur triangularization failed: {exc}")
-            root[i] = np.eye(len(m))
-            continue
-        w = np.diag(t)
-        dist = np.where(w.real > 0.0, np.abs(w), np.abs(w.imag))
-        if np.any(dist <= TOL_BRANCH * scale[i]):
-            errs[rows[i]] = _branch_cut(w[np.argmin(dist)])
-            root[i] = np.eye(len(m))
-            continue
-        root[i] = z @ _sqrt_triu(t) @ z.conj().T
-    return root
+        t[i], _, _, z[i], _, info = gees(_no_sort, m)
+        if info:
+            failed[i] = _schur_failed(info)
+    w = np.diagonal(t, axis1=1, axis2=2)
+    dist = np.abs(np.where(w.real > 0.0, w, w.imag))  # to the closed ray (-inf, 0]
+    cut = (dist <= TOL_BRANCH * scale[:, None]).any(axis=1)
+    bad = sorted(failed.keys() | set(np.flatnonzero(cut).tolist()))
+    for i in bad:
+        errs[rows[i]] = failed.get(i) or _branch_cut(w[i, np.argmin(dist[i])])
+    if bad:  # a failed row runs on the identity, whose root is the identity
+        t[bad] = z[bad] = np.eye(a.shape[-1])
+    return z @ _sqrt_triu(t) @ _ct(z)
 
 
 def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
@@ -306,7 +335,7 @@ def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
     a, lead = as_stack(a)
     errs = {}
     a = finite_rows(a, errs)
-    scale = (1.0 + op_norm(a)).tolist()
+    scale = 1.0 + op_norm(a)
     norms = _frobenius(np.concatenate([a - _ct(a), a])).tolist()
     herm = [d <= 1e-13 * (1.0 + m) for d, m in zip(norms[:len(a)], norms[len(a):])]
     if all(herm) or not any(herm):  # the whole stack, an empty one too, goes uncopied
@@ -315,12 +344,13 @@ def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
         root = np.empty_like(a)
         for want, roots in ((True, _roots_by_eigh), (False, _roots_by_schur)):
             rows = [row for row, h in enumerate(herm) if h == want]
-            root[rows] = roots(a[rows], [scale[row] for row in rows], errs, rows)
+            root[rows] = roots(a[rows], scale[rows], errs, rows)
     overflowed = {}
-    resid = op_norm(finite_rows(root @ root - a, overflowed)).tolist()
-    for row, (r, s) in enumerate(zip(resid, scale)):
-        if r > TOL_RECON * s or row in overflowed:
-            errs.setdefault(row, NumericalError("principal square root failed to reconstruct its input"))
+    resid = op_norm(finite_rows(root @ root - a, overflowed))
+    failed = resid > TOL_RECON * scale
+    failed[list(overflowed)] = True
+    for row in np.flatnonzero(failed).tolist():
+        errs.setdefault(row, NumericalError("principal square root failed to reconstruct its input"))
     settle(errs, errors)
     return root.reshape(lead + a.shape[1:])
 

@@ -226,15 +226,20 @@ def spectral_interval(system: OpSysBasis, a: float, b: float) -> DomainSpec:
 # --------------------------------------------------------------------------
 # Built-in systems.
 
+DIAGONAL_MAX = 64  # the most slots of a diagonal(d) system: it holds d dense d-by-d units
+
+
 def builtin_system(name: str) -> OpSysBasis:
-    """scalar | diagonal(d) | block2."""
+    """scalar | diagonal(d) for 1 <= d <= ``DIAGONAL_MAX`` | block2."""
     if name == "scalar":
         return OpSysBasis("scalar", 1, (np.eye(1),), (1.0,))
-    m = re.fullmatch(r"diagonal\((\d+)\)", name)
+    m = re.fullmatch(r"diagonal\(([0-9]+)\)", name)
     if m:
         d = int(m.group(1))
         if d < 1:
             raise ValueError("diagonal system needs at least one slot")
+        if d > DIAGONAL_MAX:
+            raise ValueError(f"diagonal system has at most {DIAGONAL_MAX} slots, got {d}")
         units = []
         for j in range(d):
             e = np.zeros((d, d), dtype=np.complex128)

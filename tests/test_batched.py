@@ -14,19 +14,22 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import struct
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 from freemono import cli, loewner1d, opsys, paths, verifiers
 from freemono.freeexpr import CATALOG_NAMES, CodomainError, OutOfDomainError, catalog
 from freemono.freeexpr import eval_function, function_from_expr
 from freemono.kernels import (
-    NumericalError, Rng, SamplingError, SingularMatrixError, SpectrumDomainError, func_calc,
-    hermitize, imag_part, matrix_to_json, min_eig_h, op_norm, random_matrix, safe_inv,
-    scaled_min_eig,
+    TOL_BRANCH, TOL_RECON, BranchCutError, EigensolverError, NumericalError, Rng, SamplingError,
+    SingularMatrixError, SpectrumDomainError, func_calc, hermitize, imag_part, matrix_to_json,
+    min_eig_h, op_norm, principal_sqrt, random_matrix, safe_inv, scaled_min_eig,
 )
 from freemono.loewner1d import SCALAR_CATALOG_NAMES, ScalarFunction, scalar_catalog
 from freemono.opsys import (
@@ -786,6 +789,128 @@ class TestSamplersBitForBit:
         assert not a.coeffs.any() and not b.coeffs.any()
         with pytest.raises(SamplingError, match=r"budget \(5\) exhausted"):
             sample_ordered_pair(hopeless, 1, Rng(1))
+
+
+# --------------------------------------------------------------------------
+# Square roots of non-Hermitian stacks against the per-matrix Schur method.
+
+def _ref_sqrt_triu(t):
+    # the Bjorck-Hammarling recurrence for one upper triangular matrix, entry by entry
+    n = t.shape[0]
+    s = np.zeros_like(t)
+    np.fill_diagonal(s, np.sqrt(np.diag(t)))
+    for off in range(1, n):
+        for i in range(n - off):
+            j = i + off
+            acc = t[i, j] - s[i, i + 1:j] @ s[i + 1:j, j]
+            s[i, j] = acc / (s[i, i] + s[j, j])
+    return s
+
+
+def _takes_schur(m):
+    # whether principal_sqrt takes a matrix's root by a Schur form, not by eigh
+    return np.linalg.norm(m - m.conj().T) > 1e-13 * (1.0 + np.linalg.norm(m))
+
+
+def _ref_principal_sqrt(m):
+    # One matrix: a Hermitian one through principal_sqrt alone (its eigh path),
+    # any other through scipy.linalg.schur and _ref_sqrt_triu, with the errors
+    # of the kernel.
+    if not _takes_schur(m):
+        return principal_sqrt(m)
+    scale = 1.0 + op_norm(m)
+    t, z = scipy.linalg.schur(m, output="complex")
+    w = np.diag(t)
+    dist = np.where(w.real > 0.0, np.abs(w), np.abs(w.imag))
+    if np.any(dist <= TOL_BRANCH * scale):
+        nearest = w[np.argmin(dist)]
+        raise BranchCutError(f"eigenvalue {nearest} within 1e-10 of the closed ray (-inf, 0]")
+    root = z @ _ref_sqrt_triu(t) @ z.conj().T
+    if op_norm(root @ root - m) > TOL_RECON * scale:
+        raise NumericalError("principal square root failed to reconstruct its input")
+    return root
+
+
+def _mixed_rows(n, count, rng):
+    # non-Hermitian rows (half-plane, shifted Ginibre, one eigenvalue on the
+    # branch cut) among Hermitian ones (positive definite, negative definite)
+    def row(kind, r):
+        if kind == "halfplane":
+            h, k = random_matrix("hermitian", n, r.split(0)), random_matrix("pd", n, r.split(1))
+            return h + 1j * k
+        if kind == "ginibre":
+            return random_matrix("ginibre", n, r) + (2.0 + 2.0j) * np.sqrt(n) * np.eye(n)
+        if kind == "cut":
+            u = random_matrix("unitary", n, r.split(0))
+            tri = np.triu(random_matrix("ginibre", n, r.split(1)), 1) + np.diag(1.0 + np.arange(n))
+            tri[0, 0] = -1.0 + 1e-11j
+            return u @ tri @ u.conj().T
+        return (1.0 if kind == "pd" else -1.0) * random_matrix("pd", n, r)
+
+    kinds = ("halfplane", "pd", "cut", "ginibre", "nd")
+    return [row(kinds[i % len(kinds)], rng.split(i)) for i in range(count)]
+
+
+class TestStackedSchurRoots:
+    """principal_sqrt on a stack is, row for row, the per-matrix Schur method."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_rows_match_the_per_matrix_method_bit_for_bit(self, n):
+        eye = np.eye(n, dtype=np.complex128)
+        cut = 0
+        for count in (0, 1, 2, 5, 40):
+            rows = _mixed_rows(n, count, Rng(31).split(n, count))
+            errors = {}
+            got = principal_sqrt(np.reshape(rows, (count, n, n)), errors)
+            assert got.shape == (count, n, n)
+            failing = set()
+            for i, m in enumerate(rows):
+                try:
+                    want = _ref_principal_sqrt(m)
+                except (BranchCutError, NumericalError) as exc:
+                    failing.add(i)
+                    assert (type(errors[i]), str(errors[i])) == (type(exc), str(exc))
+                    if isinstance(exc, BranchCutError) and _takes_schur(m):
+                        cut += 1
+                        assert got[i].tobytes() == eye.tobytes()  # the identity stand-in
+                else:
+                    assert got[i].tobytes() == want.tobytes()
+            assert set(errors) == failing
+        assert cut >= 9  # every stack of 5 or 40 rows has non-Hermitian branch-cut rows
+
+    @pytest.mark.parametrize("info, why", [
+        (2, "Schur form not found. Possibly ill-conditioned."),
+        (-2, "illegal value in 2-th argument of internal gees"),
+    ], ids=["no_convergence", "illegal_argument"])
+    def test_a_failed_schur_form_is_a_row_error_with_scipys_text(self, monkeypatch, info, why):
+        lapack_funcs = scipy.linalg.lapack.get_lapack_funcs
+
+        def marked_fails(names, arrays):  # a matrix with 7 in its corner gets ``info``
+            [gees] = lapack_funcs(names, arrays)
+
+            def run(select, m, **options):
+                *out, got = gees(select, m, **options)
+                return (*out, info if m[0, 0] == 7.0 else got)
+            return (run,)
+
+        rows = _mixed_rows(3, 3, Rng(32))[:1] * 3
+        rows[1] = rows[1].copy()
+        rows[1][0, 0] = 7.0
+        want = [principal_sqrt(m) for m in rows]
+        monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", marked_fails)
+        monkeypatch.setattr(sys.modules[scipy.linalg.schur.__module__], "get_lapack_funcs",
+                            marked_fails)
+        with pytest.raises((scipy.linalg.LinAlgError, ValueError), match=re.escape(why)) as scipys:
+            scipy.linalg.schur(rows[1], output="complex")
+        text = f"Schur triangularization failed: {scipys.value}"
+        errors = {}
+        got = principal_sqrt(np.stack(rows), errors)
+        assert list(errors) == [1] and type(errors[1]) is EigensolverError
+        assert str(errors[1]) == text == f"Schur triangularization failed: {why}"
+        assert got[1].tobytes() == np.eye(3, dtype=np.complex128).tobytes()
+        assert got[0].tobytes() == want[0].tobytes() and got[2].tobytes() == want[2].tobytes()
+        with pytest.raises(EigensolverError, match=re.escape(text)):
+            principal_sqrt(rows[1])
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -17,10 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 import freemono
 import freemono.cli
 from freemono.cli import main
-from freemono.opsys import point_from_json
+from freemono.opsys import DIAGONAL_MAX, builtin_system, point_from_json
 from freemono.report import REPORT_SCHEMA
 from freemono.verifiers import pair_margin
-from freemono.freeexpr import catalog
+from freemono.freeexpr import CATALOG_NAMES, catalog
 
 
 def _m(*rows):
@@ -459,6 +460,44 @@ class TestUserSystems:
         assert err.startswith("freemono: bad system JSON") and why in err
 
 
+class TestDiagonalBound:
+    """diagonal(d) is built for 1 <= d <= DIAGONAL_MAX; a larger d is a usage error."""
+
+    WHY = f"diagonal system has at most {DIAGONAL_MAX} slots, got "
+
+    def test_the_bound_is_64(self):
+        assert DIAGONAL_MAX == 64
+        assert builtin_system("diagonal(64)").size == 64
+        with pytest.raises(ValueError, match=re.escape(self.WHY + "65")):
+            builtin_system("diagonal(65)")
+
+    def test_the_slot_count_takes_ascii_digits_only(self):
+        name = "diagonal(\u0661)"
+        code, out, err = run_cli("parse", "--expr", "X1", "--system", name)
+        assert (code, out, err) == (2, "", f"freemono: unknown operator system {name!r}\n")
+
+    @pytest.mark.parametrize("d", ["65", "99999999"])
+    @pytest.mark.parametrize("command", ["check", "parse", "eval_expr", "eval_point"])
+    def test_a_larger_diagonal_is_a_usage_error(self, tmp_path, command, d):
+        name = f"diagonal({d})"
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps(
+            {"system": name, "level": 1, "coeffs": [{"n": 1, "entries": [[[1.0, 0.0]]]}]}))
+        argv = {
+            "check": ("check", "--expr", "X1", "--system", name, "--suite", "monotone",
+                      "--levels", "1..1", "--trials", "1"),
+            "parse": ("parse", "--expr", "X1", "--system", name),
+            "eval_expr": ("eval", "--expr", "X1", "--point", str(point)),  # the file names it
+            "eval_point": ("eval", "--function", "identity", "--point", str(point)),
+        }[command]
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        if command == "eval_point":  # identity is over scalar: the point names another system
+            assert err.startswith("freemono: bad point file")
+        else:
+            assert err == f"freemono: {self.WHY}{d}\n"
+
+
 BIG = 10 ** 400  # a JSON integer that overflows a float
 MALFORMED_SYSTEMS = {
     "list_id_coeffs": {**SCALAR_JSON, "id_coeffs": [[1]]},
@@ -505,6 +544,117 @@ class TestMalformedInputFiles:
             {"system": "scalar", "level": 1, "coeffs": [{"n": 1, "entries": [[[BIG, 0]]]}]}))
         self._assert_usage_error(["eval", "--function", "identity", "--point", str(path)],
                                  "bad point file")
+
+
+# What the argv fuzz draws from: a few valid values of each flag, and values
+# that must be usage errors.  Levels and trials stay tiny when they are valid.
+_SYSTEM_FILES = {
+    "valid.json": json.dumps(BLOCK2_JSON),
+    "empty.json": json.dumps({"name": "z", "k": 0, "basis": [], "id_coeffs": []}),
+    "non_finite.json": json.dumps({**SCALAR_JSON, "id_coeffs": [float("inf")]}),
+    "malformed.json": json.dumps([SCALAR_JSON]),
+    "not_json.json": "{",
+}
+_POINT_FILES = {
+    "scalar_point.json": {"system": "scalar", "level": 1,
+                          "coeffs": [{"n": 1, "entries": [[[4.0, 0.0]]]}]},
+    "block2_point.json": {"system": "block2", "level": 1,
+                          "coeffs": [{"n": 1, "entries": [[[v, 0.0]]]} for v in (2, 3, 0, 0)]},
+    "huge_diagonal_point.json": {"system": "diagonal(99999999)", "level": 1,
+                                 "coeffs": [{"n": 1, "entries": [[[1.0, 0.0]]]}]},
+    "zero_level_point.json": {"system": "scalar", "level": 0, "coeffs": []},
+}
+
+
+def _mostly(valid, invalid):
+    # a valid value five times in six, so that many runs get past the usage checks
+    return st.integers(0, 5).flatmap(lambda k: st.sampled_from(valid if k else invalid))
+
+
+_FUNCTIONS = _mostly(CATALOG_NAMES, ["nope"])
+_EXPRS = _mostly(["X1", "X1*X1", "inv(X1)", "sqrt(X1)", "X1 - X2", "X[1,2]", "0*X1",
+                  "X[1,1] - X[1,2]*inv(X[2,2])*X[2,1]"], ["X1 +", "1e400*X1", "X\u00b2"])
+_SYSTEMS = _mostly(["scalar", "block2", "diagonal(2)", "diagonal(3)", "valid.json"],
+                   ["diagonal(0)", "diagonal(65)", "diagonal(99999999)", "nope", "missing.json",
+                    ".", *_SYSTEM_FILES])
+_FLAGS = {
+    "--suite": _mostly(freemono.cli.SUITES, ["nope"]),
+    "--levels": _mostly(["1..1", "1..2", "2"], ["0..1", "2..1", "1..9", "a", ""]),
+    "--trials": _mostly(["1", "2"], ["0", "-1", "x"]),
+    "--seed": _mostly(["0", "42", "7", str(2**64 - 1)], [str(2**64), "-1", "x"]),
+    "--tol": _mostly(["1e-8", "0.5"], ["0", "-1", "inf", "nan", "1e400", "x"]),
+    "--jobs": _mostly(["1", "2"], ["0"]),
+}
+_OUTS = _mostly(["report.json"], [".", "missing/report.json"])
+_POINTS = _mostly(["scalar_point.json", "block2_point.json"],
+                  ["huge_diagonal_point.json", "zero_level_point.json", "missing.json",
+                   "not_json.json"])
+
+
+@st.composite
+def _argv(draw):
+    # One argv over the real flag grammar; its file names are resolved in the
+    # test's input directory.  --levels and --trials are always given: their
+    # defaults would make a long run.
+    command = draw(st.sampled_from(["check"] * 6 + ["eval", "parse", "catalog"]))
+    argv = [command]
+    if command == "check":
+        for flag in ("--suite", "--levels", "--trials"):
+            argv += [flag, draw(_FLAGS[flag])]
+        for flag in draw(st.lists(st.sampled_from(["--seed", "--tol", "--jobs"]), unique=True)):
+            argv += [flag, draw(_FLAGS[flag])]
+    if command in ("check", "eval"):
+        source = draw(_mostly(["function", "expr"], ["both", "neither"]))
+        if source in ("function", "both"):
+            argv += ["--function", draw(_FUNCTIONS)]
+        if source in ("expr", "both"):
+            argv += ["--expr", draw(_EXPRS)]
+    if command == "parse":
+        argv += ["--expr", draw(_EXPRS)]
+    if command != "catalog" and draw(_mostly([True], [False])):
+        argv += ["--system", draw(_SYSTEMS)]
+    if command == "eval":
+        argv += ["--point", draw(_POINTS)]
+    if draw(st.booleans()):
+        argv += ["--out", draw(_OUTS)]
+    return argv
+
+
+class TestArgvContract:
+    """Whole argv lists keep the exit-code contract."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("argv")
+        for name, text in _SYSTEM_FILES.items():
+            (path / name).write_text(text)
+        for name, doc in _POINT_FILES.items():
+            (path / name).write_text(json.dumps(doc))
+        return path
+
+    @_HYPOTHESIS
+    @given(argv=_argv())
+    @example(argv=["check", "--suite", "monotone", "--levels", "1..1", "--trials", "1",
+                   "--expr", "X1", "--system", "diagonal(99999999)"])
+    @example(argv=["eval", "--expr", "X1", "--point", "huge_diagonal_point.json"])
+    @example(argv=["check", "--suite", "monotone", "--levels", "2..2", "--trials", "2",
+                   "--seed", "3", "--function", "square", "--out", "report.json"])
+    @example(argv=["check", "--suite", "all", "--levels", "1..1", "--trials", "1"])
+    def test_any_argv_keeps_the_exit_code_contract(self, inputs, argv):
+        # the code is one of 0-3 and stderr holds no traceback; a usage error
+        # writes nothing to stdout, and a violation comes with a failing report
+        (inputs / "report.json").unlink(missing_ok=True)
+        files = ("--point", "--out", "--system")
+        code, out, err = run_cli(*(
+            str(inputs / a) if i and argv[i - 1] in files and (a.endswith(".json") or a == ".")
+            else a for i, a in enumerate(argv)))
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
+        if code == 1:
+            written = (inputs / "report.json").read_text() if "--out" in argv else out
+            assert argv[0] == "check" and json.loads(written)["verdict"] == "fail"
 
 
 class TestSuiteTable:

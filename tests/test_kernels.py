@@ -240,6 +240,22 @@ class TestRng:
         assert found == [("kernels", "_generators")]
 
 
+def test_src_takes_no_schur_form_from_scipy_linalg_schur():
+    # a Schur form comes from LAPACK's gees, one call per matrix: the
+    # scipy.linalg.schur wrapper adds a workspace query, a second gees call
+    def name(node):
+        if isinstance(node, ast.Attribute):
+            return f"{name(node.value)}.{node.attr}"
+        return getattr(node, "id", "")
+
+    src = Path(freemono.__file__).parent
+    found = [(path.stem, node.lineno) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and name(node.func).split(".")[-1] == "schur"
+             or isinstance(node, ast.ImportFrom) and any(a.name == "schur" for a in node.names)]
+    assert found == []
+
+
 class TestSafeInv:
     def test_inverse(self):
         a = np.array([[2.0, 0.0], [0.0, 4.0]])
