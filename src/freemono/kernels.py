@@ -274,13 +274,25 @@ def _branch_cut(value) -> BranchCutError:
     return BranchCutError(f"eigenvalue {value} within {TOL_BRANCH:g} of the closed ray (-inf, 0]")
 
 
-def _roots_by_eigh(a: np.ndarray, scale: np.ndarray, errs: dict, rows) -> np.ndarray:
+def _near_cut(a: np.ndarray, dist: np.ndarray, bound: np.ndarray) -> list:
+    # The rows of ``a`` with a distance in ``dist`` (one or more per row) at
+    # most TOL_BRANCH * (1 + ||A||) from the closed ray (-inf, 0].  ``bound``
+    # is at least 1 + ||A|| for each row, so only the rows within it need
+    # their operator norm.
+    near = np.flatnonzero((dist <= TOL_BRANCH * bound[:, None]).any(axis=1))
+    if not near.size:
+        return []
+    scale = 1.0 + op_norm(a[near])
+    return near[(dist[near] <= TOL_BRANCH * scale[:, None]).any(axis=1)].tolist()
+
+
+def _roots_by_eigh(a: np.ndarray, bound: np.ndarray, errs: dict, rows) -> np.ndarray:
     # Roots of Hermitian matrices from one stacked eigendecomposition.
     failed = {}
     w, u = _eigh(hermitize(a), failed, vectors=True)
     # Real spectrum: any eigenvalue at or below the branch tolerance
     # sits on the closed negative ray, as do the zeros of a failed row.
-    cut = np.flatnonzero(w[:, 0] <= TOL_BRANCH * scale).tolist()
+    cut = _near_cut(a, w[:, :1], bound)
     for i in cut:
         errs[rows[i]] = failed.get(i, _branch_cut(float(w[i, 0])))
     w[cut] = 1.0
@@ -298,7 +310,7 @@ def _schur_failed(info: int) -> EigensolverError:
     return EigensolverError(f"Schur triangularization failed: {why}")
 
 
-def _roots_by_schur(a: np.ndarray, scale: np.ndarray, errs: dict, rows) -> np.ndarray:
+def _roots_by_schur(a: np.ndarray, bound: np.ndarray, errs: dict, rows) -> np.ndarray:
     # Roots of general matrices.  Only LAPACK's complex Schur form runs once
     # per matrix: ``zgees`` with its default workspace.  That gives what
     # ``scipy.linalg.schur`` gives, without the workspace query it makes per
@@ -315,8 +327,7 @@ def _roots_by_schur(a: np.ndarray, scale: np.ndarray, errs: dict, rows) -> np.nd
             failed[i] = _schur_failed(info)
     w = np.diagonal(t, axis1=1, axis2=2)
     dist = np.abs(np.where(w.real > 0.0, w, w.imag))  # to the closed ray (-inf, 0]
-    cut = (dist <= TOL_BRANCH * scale[:, None]).any(axis=1)
-    bad = sorted(failed.keys() | set(np.flatnonzero(cut).tolist()))
+    bad = sorted(failed.keys() | set(_near_cut(a, dist, bound)))
     for i in bad:
         errs[rows[i]] = failed.get(i) or _branch_cut(w[i, np.argmin(dist[i])])
     if bad:  # a failed row runs on the identity, whose root is the identity
@@ -335,21 +346,30 @@ def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
     a, lead = as_stack(a)
     errs = {}
     a = finite_rows(a, errs)
-    scale = 1.0 + op_norm(a)
-    norms = _frobenius(np.concatenate([a - _ct(a), a])).tolist()
+    norms = _frobenius(np.concatenate([a - _ct(a), a]))
+    # The tolerances scale with 1 + ||A||, which is at most 1 + ||A||_F; twice
+    # that leaves room for rounding.  Only a row whose decision lies within
+    # that bound needs its operator norm, so each decision is the same.
+    bound = 2.0 * (1.0 + norms[len(a):])
+    norms = norms.tolist()
     herm = [d <= 1e-13 * (1.0 + m) for d, m in zip(norms[:len(a)], norms[len(a):])]
     if all(herm) or not any(herm):  # the whole stack, an empty one too, goes uncopied
-        root = (_roots_by_eigh if all(herm) else _roots_by_schur)(a, scale, errs, range(len(a)))
+        root = (_roots_by_eigh if all(herm) else _roots_by_schur)(a, bound, errs, range(len(a)))
     else:
         root = np.empty_like(a)
         for want, roots in ((True, _roots_by_eigh), (False, _roots_by_schur)):
             rows = [row for row, h in enumerate(herm) if h == want]
-            root[rows] = roots(a[rows], scale[rows], errs, rows)
+            root[rows] = roots(a[rows], bound[rows], errs, rows)
     overflowed = {}
-    resid = op_norm(finite_rows(root @ root - a, overflowed))
-    failed = resid > TOL_RECON * scale
-    failed[list(overflowed)] = True
-    for row in np.flatnonzero(failed).tolist():
+    resid = finite_rows(root @ root - a, overflowed)
+    # ||R|| <= ||R||_F, and the tolerance TOL_RECON * (1 + ||A||) is at least
+    # TOL_RECON: a residual under half of that passes without operator norms.
+    unsure = np.flatnonzero(_frobenius(resid) > 0.5 * TOL_RECON)
+    failed = set(overflowed)
+    if unsure.size:
+        r, m = np.split(op_norm(np.concatenate([resid[unsure], a[unsure]])), 2)
+        failed.update(unsure[r > TOL_RECON * (1.0 + m)].tolist())
+    for row in sorted(failed):
         errs.setdefault(row, NumericalError("principal square root failed to reconstruct its input"))
     settle(errs, errors)
     return root.reshape(lead + a.shape[1:])

@@ -832,22 +832,33 @@ def _ref_principal_sqrt(m):
 
 
 def _mixed_rows(n, count, rng):
-    # non-Hermitian rows (half-plane, shifted Ginibre, one eigenvalue on the
-    # branch cut) among Hermitian ones (positive definite, negative definite)
+    # Non-Hermitian rows among Hermitian ones (positive and negative definite):
+    # half-plane and shifted Ginibre rows, a large one (its residual needs
+    # the operator norm), one with an eigenvalue on the branch cut, one with
+    # an eigenvalue just outside the cut's tolerance, and an ill-conditioned
+    # one whose root can fail to reconstruct it.
     def row(kind, r):
         if kind == "halfplane":
             h, k = random_matrix("hermitian", n, r.split(0)), random_matrix("pd", n, r.split(1))
             return h + 1j * k
         if kind == "ginibre":
             return random_matrix("ginibre", n, r) + (2.0 + 2.0j) * np.sqrt(n) * np.eye(n)
-        if kind == "cut":
+        if kind == "large":
+            return 1e6 * (random_matrix("ginibre", n, r) + (2.0 + 2.0j) * np.sqrt(n) * np.eye(n))
+        if kind == "ill":  # a cluster of eigenvalues near the cut under a large triangle
+            u = random_matrix("unitary", n, r.split(0))
+            tri = 1e3 * np.triu(random_matrix("ginibre", n, r.split(1)), 1)
+            tri += np.diag((-1e-6 + 2e-6j) * (1.0 + 1e-3 * np.arange(n)))
+            return u @ tri @ u.conj().T
+        if kind in ("cut", "near"):
             u = random_matrix("unitary", n, r.split(0))
             tri = np.triu(random_matrix("ginibre", n, r.split(1)), 1) + np.diag(1.0 + np.arange(n))
-            tri[0, 0] = -1.0 + 1e-11j
+            tri[0, 0] = -1.0
+            tri[0, 0] += 1j * (0.5 if kind == "cut" else 1.5) * TOL_BRANCH * (1.0 + op_norm(tri))
             return u @ tri @ u.conj().T
         return (1.0 if kind == "pd" else -1.0) * random_matrix("pd", n, r)
 
-    kinds = ("halfplane", "pd", "cut", "ginibre", "nd")
+    kinds = ("halfplane", "pd", "cut", "ginibre", "nd", "near", "large", "ill")
     return [row(kinds[i % len(kinds)], rng.split(i)) for i in range(count)]
 
 
@@ -857,7 +868,7 @@ class TestStackedSchurRoots:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_rows_match_the_per_matrix_method_bit_for_bit(self, n):
         eye = np.eye(n, dtype=np.complex128)
-        cut = 0
+        cut = recon = 0
         for count in (0, 1, 2, 5, 40):
             rows = _mixed_rows(n, count, Rng(31).split(n, count))
             errors = {}
@@ -873,10 +884,12 @@ class TestStackedSchurRoots:
                     if isinstance(exc, BranchCutError) and _takes_schur(m):
                         cut += 1
                         assert got[i].tobytes() == eye.tobytes()  # the identity stand-in
+                    recon += isinstance(exc, NumericalError)
                 else:
                     assert got[i].tobytes() == want.tobytes()
             assert set(errors) == failing
-        assert cut >= 9  # every stack of 5 or 40 rows has non-Hermitian branch-cut rows
+        assert cut >= 6  # every stack of 5 or 40 rows has non-Hermitian branch-cut rows
+        assert recon >= (n > 1)  # and from n = 2 an ill-conditioned row fails to reconstruct
 
     @pytest.mark.parametrize("info, why", [
         (2, "Schur form not found. Possibly ill-conditioned."),
