@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -404,7 +405,10 @@ def func_calc(fn: Callable[[np.ndarray], np.ndarray], a,
 # --------------------------------------------------------------------------
 # Reproducible randomness: a counter-based generator addressed by
 # (seed, stream), with Gaussians drawn through Box-Muller so the byte
-# stream is identical on every platform.
+# stream is identical on every platform.  Philox4x64-10 is a pure function
+# of (key, counter), so one bit generator serves every row: a row is its
+# key and the number of uint64s its stream has given, and a draw sets the
+# bit generator to that place in the row's stream.
 
 def _mix(*parts) -> int:
     h = hashlib.blake2b(digest_size=8)
@@ -429,18 +433,46 @@ class Rng:
         return Rng(self.seed, _mix(self.stream, *tags))
 
     def generator(self) -> np.random.Generator:
+        """The reference stream of this Rng: the samplers draw its bits, in its order."""
         key = (self.seed & _MASK64) | ((self.stream & _MASK64) << 64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
+# The one bit generator every row draws through, and the state a draw sets
+# on it (plain ints, which the state setter reads faster than uint64 arrays).
+# One per process, since building a Philox costs several times a row's draw.
+# A draw holds _DRAW_LOCK, not the bit generator's own lock, which
+# Generator.random takes and which is not reentrant.  Every draw sets the
+# whole state, so no draw sees another's.
+_PHILOX = np.random.Philox(key=0)
+_DRAW = np.random.Generator(_PHILOX)
+_DRAW_LOCK = threading.Lock()
+_DRAW_STATE = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": (0, 0)},
+               "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def _generators(rng) -> tuple[list, tuple]:
-    # the generator of each Rng of ``rng`` in flat order, and the shape of ``rng``
+    # the stream of each Rng of ``rng`` in flat order, as [Philox key, uint64s
+    # drawn so far], and the shape of ``rng``
     rngs = np.asarray(rng, dtype=object)
-    return [r.generator() for r in rngs.flat], rngs.shape
+    return [[(r.seed & _MASK64, r.stream & _MASK64), 0] for r in rngs.flat], rngs.shape
 
 
-def _uniforms(gens: list, count: int) -> np.ndarray:
-    return np.reshape([gen.random(count) for gen in gens], (len(gens), count))
+def _uniforms(rows: list, count: int) -> np.ndarray:
+    """The next ``count`` uniform doubles of each row's stream, one row per line;
+    the bits ``Rng.generator().random`` gives at the same place."""
+    out = np.empty((len(rows), count))
+    with _DRAW_LOCK:
+        for i, row in enumerate(rows):
+            key, drawn = row
+            # NumPy's Philox makes block c (4 uint64s) at counter c + 1, and
+            # buffer_pos 4 drops any buffered block
+            _DRAW_STATE["state"]["counter"][0] = drawn // 4
+            _DRAW_STATE["state"]["key"] = key
+            _PHILOX.state = _DRAW_STATE
+            out[i] = _DRAW.random(drawn % 4 + count)[drawn % 4:]
+            row[1] = drawn + count
+    return out
 
 
 def _haar(g: np.ndarray) -> np.ndarray:

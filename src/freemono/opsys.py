@@ -14,7 +14,7 @@ leading shape including none, after the convention of
 :mod:`freemono.kernels`: ``realize``, ``decode``, ``in_domain``,
 ``direct_sum`` and ``conjugate`` work on each point of a stack as they
 would on it alone and keep the leading shape.  The samplers draw a stack
-from an array of Rngs, one generator per row.
+from an array of Rngs, each row drawing its own Rng's stream.
 """
 
 from __future__ import annotations
@@ -383,9 +383,9 @@ def in_domain(point: NCPoint, domain: DomainSpec):
 # --------------------------------------------------------------------------
 # Samplers.  All are pure functions of their Rng argument: one Rng draws
 # one point, an array of them a stack of that shape, each row from its own
-# generator and with the draws that row would make alone.  A point takes
-# its uniforms in one ``random`` call (on Philox, ``random(a)`` then
-# ``random(b)`` equals ``random(a + b)``).
+# Rng's stream (kernels._uniforms) and with the draws that row would make
+# alone.  A point takes its uniforms in one draw (on Philox, drawing a then
+# b uniforms equals drawing a + b).
 
 SAMPLE_BUDGET = 1000  # tries of a rejection sampler's row before it gets a SamplingError
 
@@ -406,7 +406,7 @@ def _psd_point(system: OpSysBasis, level: int, u: np.ndarray) -> NCPoint:
 
 
 def _draw_in_domain(domain: DomainSpec, level: int, gens: list) -> NCPoint:
-    """A stack of candidate points, one per generator; the caller tests membership."""
+    """A stack of candidate points, one per row stream; the caller tests membership."""
     system = domain.system
     a, b = domain.a, domain.b
     count = 2 * system.size * level * level

@@ -28,8 +28,8 @@ from freemono.freeexpr import CATALOG_NAMES, CodomainError, OutOfDomainError, ca
 from freemono.freeexpr import eval_function, function_from_expr
 from freemono.kernels import (
     TOL_BRANCH, TOL_RECON, BranchCutError, EigensolverError, NumericalError, Rng, SamplingError,
-    SingularMatrixError, SpectrumDomainError, func_calc, hermitize, imag_part, matrix_to_json,
-    min_eig_h, op_norm, principal_sqrt, random_matrix, safe_inv, scaled_min_eig,
+    SingularMatrixError, SpectrumDomainError, _generators, func_calc, hermitize, imag_part,
+    matrix_to_json, min_eig_h, op_norm, principal_sqrt, random_matrix, safe_inv, scaled_min_eig,
 )
 from freemono.loewner1d import SCALAR_CATALOG_NAMES, ScalarFunction, scalar_catalog
 from freemono.opsys import (
@@ -625,13 +625,23 @@ class TestAgainstSerialReference:
                                                          stuck, want):
         f = scalar_catalog("sqrt")
         stuck = {Rng(42).split(kind[:-4], f.name, t) for t in stuck}
-        generator = Rng.generator
+        keys = {row[0] for row in _generators(list(stuck))[0]}
+        generator, uniforms = Rng.generator, loewner1d._uniforms
 
-        class Stuck:  # a draw that repeats one value, so no try is ever well separated
+        # a stuck trial's draw repeats one value, so no try is ever well separated;
+        # the serial reference draws through Rng.generator, the batched side through
+        # loewner1d._uniforms
+        class Stuck:
             def random(self, count):
                 return np.full(count, 0.5)
 
+        def stuck_uniforms(rows, count):
+            u = uniforms(rows, count)
+            u[[row[0] in keys for row in rows]] = 0.5
+            return u
+
         monkeypatch.setattr(Rng, "generator", lambda r: Stuck() if r in stuck else generator(r))
+        monkeypatch.setattr(loewner1d, "_uniforms", stuck_uniforms)
         _, error = _compare(monkeypatch, kind, f, interval, (5,), 7)
         assert error == want
 

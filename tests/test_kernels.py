@@ -1,4 +1,6 @@
 import ast
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,8 @@ from freemono.kernels import (
     Rng,
     SingularMatrixError,
     SpectrumDomainError,
+    _generators,
+    _uniforms,
     func_calc,
     herm_eig,
     hermitize,
@@ -223,21 +227,90 @@ class TestRng:
         assert Rng(4).split("a", 1) == Rng(4).split("a", 1)
         assert Rng(4).split("a", 1) != Rng(4).split("a", 2)
 
-    def test_only_kernels_generators_makes_generators(self):
-        # every sampler draws through kernels._generators, so a change to how
-        # rows are drawn (one counter-based stream per chunk) has one place to go
+    def test_one_philox_draws_every_row(self):
+        # every sampler draws through kernels._uniforms on the one module-level
+        # Philox; Rng.generator builds the reference stream and nothing in src calls it
         def calls(node, scope):
             for child in ast.iter_child_nodes(node):
                 if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                        and child.func.attr == "generator"):
-                    yield scope
+                        and child.func.attr in ("Philox", "Generator", "generator")):
+                    yield scope + (child.func.attr,)
                 named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                 yield from calls(child, scope + (child.name,) if named else scope)
 
         src = Path(freemono.__file__).parent
-        found = [(path.stem, *scope) for path in sorted(src.glob("*.py"))
-                 for scope in calls(ast.parse(path.read_text()), ())]
-        assert found == [("kernels", "_generators")]
+        found = sorted((path.stem, *scope) for path in sorted(src.glob("*.py"))
+                       for scope in calls(ast.parse(path.read_text()), ()))
+        assert found == [("kernels", "Generator"), ("kernels", "Philox"),
+                         ("kernels", "Rng", "generator", "Generator"),
+                         ("kernels", "Rng", "generator", "Philox")]
+
+
+def _reference_draws(rngs, plan):
+    # what NumPy's Philox gives, one generator per row: each step of ``plan``
+    # is (rows, count)
+    gens = [r.generator() for r in rngs]
+    return [np.reshape([gens[i].random(count) for i in rows], (len(rows), count))
+            for rows, count in plan]
+
+
+def _draws(rngs, plan):
+    streams, _ = _generators(rngs)
+    return [_uniforms([streams[i] for i in rows], count) for rows, count in plan]
+
+
+def _plan(rs, rows, steps):
+    # random row subsets in random order, with counts 0..40 (so offsets that
+    # are not multiples of 4), and some empty stacks
+    return [(rs.permutation(rows)[:rs.integers(0, rows + 1)].tolist(), int(rs.integers(0, 41)))
+            for _ in range(steps)]
+
+
+class TestDraws:
+    EDGES = (0, 1, 2**63, 2**64 - 1, 2**64, -1)  # the last two wrap to 0 and 2**64 - 1
+
+    def test_rows_draw_the_reference_stream_bit_for_bit(self):
+        rs = np.random.default_rng(20261019)
+
+        def word():  # a seed or stream: random 64 bits, or an edge one time in five
+            if rs.random() < 0.2:
+                return int(rs.choice(self.EDGES))
+            return int(rs.integers(2**64, dtype=np.uint64))
+
+        for _ in range(300):
+            rngs = [Rng(word(), word()) for _ in range(int(rs.integers(0, 7)))]
+            plan = _plan(rs, len(rngs), 6)
+            for got, want in zip(_draws(rngs, plan), _reference_draws(rngs, plan)):
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_threads_drawing_at_once_get_the_serial_draws(self):
+        # the one Philox is shared, so a draw must not see another thread's state
+        rs = np.random.default_rng(5)
+        plan = _plan(rs, 6, 200)
+        rngs = [[Rng(seed, stream) for stream in range(6)] for seed in range(4)]
+        want = [_draws(r, plan) for r in rngs]
+        got = [None] * len(rngs)
+
+        def run(t):
+            got[t] = _draws(rngs[t], plan)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,), daemon=True)
+                       for t in range(len(rngs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for g, w in zip(got, want):
+            assert g is not None
+            for a, b in zip(g, w):
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_src_takes_no_schur_form_from_scipy_linalg_schur():
