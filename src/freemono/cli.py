@@ -141,13 +141,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_levels(text: str) -> tuple:
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-    elif re.fullmatch(r"\d+", text):
-        lo = hi = int(text)
-    else:
-        raise _UsageError(f"bad --levels value {text!r}; expected A..B")
+    m = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)  # ASCII digits only
+    bad = _UsageError(f"bad --levels value {text!r}; expected A..B")
+    if m is None:
+        raise bad
+    try:
+        lo, hi = int(m[1]), int(m[2] or m[1])
+    except ValueError as exc:  # int() refuses more than 4,300 digits
+        raise bad from exc
     if not (1 <= lo <= hi <= 8):
         raise _UsageError("levels must satisfy 1 <= A <= B <= 8")
     return tuple(range(lo, hi + 1))

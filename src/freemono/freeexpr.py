@@ -214,6 +214,14 @@ _MAX_NESTING = 100  # the parser recurses once per level, so deep nesting needs 
 _MAX_HEIGHT = 200  # the printers and the compiler recurse once per level of the tree
 
 
+def _index_value(raw: str, top: int) -> tuple[str, int]:
+    """The ASCII digits ``raw`` without leading zeros, and their value, or 0
+    when it is above ``top``: ``int`` refuses more than 4,300 digits, and an
+    index that long is out of range anyway."""
+    digits = raw.lstrip("0") or "0"
+    return digits, int(digits) if len(digits) <= len(str(top)) else 0
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], system: OpSysBasis):
         self.tokens = tokens
@@ -287,12 +295,12 @@ class _Parser:
             node = self.grow(Inv(node), self.height, self.advance().pos)
         return node
 
-    def _index(self, what: str) -> tuple[int, int]:
+    def _index(self, what: str) -> tuple[str, int, int]:
         t = self.tok
         if t.kind != "scalar" or not (t.raw.isascii() and t.raw.isdigit()):
             raise ParseError(f"expected a {what} index", t.pos)
         self.advance()
-        return int(t.raw), t.pos
+        return *_index_value(t.raw, self.system.k), t.pos
 
     def atom(self) -> FreeExpr:
         t = self.tok
@@ -313,22 +321,22 @@ class _Parser:
             return self.grow(Sqrt(node) if t.kind == "sqrt" else Inv(node), self.height, t.pos)
         if t.kind == "var":
             self.advance()
-            j = int(t.raw)
+            digits, j = _index_value(t.raw, self.system.size)
             if not 1 <= j <= self.system.size:
                 raise ParseError(
-                    f"variable X{j} out of range for system {self.system.name!r}", t.pos)
+                    f"variable X{digits} out of range for system {self.system.name!r}", t.pos)
             return Var(j)
         if t.kind == "xname":
             self.advance()
             self.expect("lbrack", "'['")
-            p, ppos = self._index("block row")
+            ptext, p, ppos = self._index("block row")
             self.expect("comma", "','")
-            q, qpos = self._index("block column")
+            qtext, q, qpos = self._index("block column")
             self.expect("rbrack", "']'")
             k = self.system.k
             if not (1 <= p <= k and 1 <= q <= k):
                 raise ParseError(
-                    f"block ({p},{q}) out of range for system {self.system.name!r}",
+                    f"block ({ptext},{qtext}) out of range for system {self.system.name!r}",
                     ppos if not 1 <= p <= k else qpos)
             return Block(p, q)
         raise ParseError(f"unexpected token {t.kind!r}", t.pos)

@@ -17,6 +17,10 @@ error is raised.
 Tolerance convention: a comparison at tolerance ``t`` against a matrix
 ``A`` is made relative to ``t * (1 + ||A||)``, with ``||.||`` the operator
 (spectral) norm.
+
+Only NumPy is imported when the module loads.  SciPy's LAPACK bindings are
+imported by the square root of a non-Hermitian stack, the one routine that
+needs them, so a process that takes no such root never loads SciPy.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg.lapack
 
 TOL_HERM = 1e-12
 TOL_PSD = 1e-8
@@ -319,6 +322,8 @@ def _roots_by_schur(a: np.ndarray, bound: np.ndarray, errs: dict, rows) -> np.nd
     # with OpenBLAS); a larger matrix can differ in the last bits.  The
     # branch-cut test, the triangular recurrence and the back-transform each
     # run once over the stack; a failed row runs on the identity.
+    import scipy.linalg.lapack  # here, not at module level: see the module docstring
+
     gees, = scipy.linalg.lapack.get_lapack_funcs(("gees",), (a,))
     t, z = np.empty_like(a), np.empty_like(a)
     failed = {}
@@ -526,8 +531,17 @@ def matrix_to_json(a) -> dict:
     }
 
 
+def _json_int(doc: dict, key: str) -> int:
+    """``doc[key]``, which must be a JSON integer: a float, a string or a
+    boolean is a ``ValueError``, not a number to truncate."""
+    value = doc[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(doc: dict) -> np.ndarray:
-    n = int(doc["n"])
+    n = _json_int(doc, "n")
     if n < 1:
         raise ValueError("matrix size must be at least 1")
     entries = doc["entries"]

@@ -547,7 +547,7 @@ def point_from_json(doc: dict, system: OpSysBasis | None = None) -> NCPoint:
         raise ValueError(f"point JSON names system {name!r}, expected {system.name!r}")
     coeffs = tuple(kernels.matrix_from_json(c) for c in doc["coeffs"])
     point = NCPoint(system, coeffs)
-    if point.level != int(doc["level"]):
+    if point.level != kernels._json_int(doc, "level"):
         raise ValueError("point JSON level does not match its coefficients")
     return point
 
@@ -555,7 +555,7 @@ def point_from_json(doc: dict, system: OpSysBasis | None = None) -> NCPoint:
 def system_from_json(doc: dict) -> OpSysBasis:
     return OpSysBasis(
         name=doc["name"],
-        k=int(doc["k"]),
+        k=kernels._json_int(doc, "k"),
         basis=tuple(kernels.matrix_from_json(e) for e in doc["basis"]),
         id_coeffs=tuple(float(c) for c in doc["id_coeffs"]),
     )

@@ -23,7 +23,8 @@ are ``(..., n, n)``, ``diags`` and ``deltas`` ``(..., d, n)``, ``eps`` is
 ``(...)``.  ``sample_path`` draws one path in a domain from one Rng and a
 stack from an array of them, each row as it would be drawn alone.  This
 module alone chooses, from the domain, the window every coordinate's
-spectrum stays in.
+spectrum stays in.  Sampling a path needs NumPy alone; ``path_points``
+imports SciPy for ``expm`` at the first rotation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
 from .kernels import _ct, hermitize
@@ -89,6 +89,8 @@ def path_points(path: CommutingPath, ts) -> NCPoint:
     The rotations R(t) come from one stacked ``expm``, which runs the same
     algorithm on each matrix as a call on that matrix alone.
     """
+    import scipy.linalg  # here, not at module level: see the module docstring
+
     t = np.asarray(ts, dtype=float)[..., np.newaxis, np.newaxis]
     r = scipy.linalg.expm(t * path.skew)[..., np.newaxis, :, :]
     base = _coordinates(path.unitary, path.diags + t * path.deltas)

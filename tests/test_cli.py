@@ -77,6 +77,19 @@ class TestExitCodes:
         assert doc["verdict"] == "fail"
         assert doc["reports"][0]["witness"] is not None
 
+    @pytest.mark.parametrize("levels", [
+        "0" * 4400 + "1..2",  # int() refuses more than 4,300 digits
+        "1.." + "0" * 4400 + "2",
+        "\u0661..\u0662",  # Arabic-Indic digits
+        "1..\u0662",
+        "\u0662",
+    ])
+    def test_a_bad_levels_value_is_a_usage_error(self, levels):
+        code, out, err = run_cli("check", "--function", "square", "--suite", "monotone",
+                                 "--levels", levels)
+        assert (code, out) == (2, "")
+        assert err == f"freemono: bad --levels value {levels!r}; expected A..B\n"
+
     def test_usage_is_two(self):
         assert run_cli("check", "--suite", "monotone")[0] == 2
         assert run_cli("check", "--suite", "bogus")[0] == 2
@@ -239,6 +252,21 @@ class TestEval:
         code, _, _ = run_cli("eval", "--function", "identity", "--point", "/nope.json")
         assert code == 2
 
+    @pytest.mark.parametrize("doc, why", [
+        ({"level": 1.9}, "'level' must be an integer, got 1.9"),
+        ({"level": "1"}, "'level' must be an integer, got '1'"),
+        ({"level": True}, "'level' must be an integer, got True"),
+        ({"coeffs": [{"n": True, "entries": [[[4.0, 0.0]]]}]}, "'n' must be an integer, got True"),
+        ({"coeffs": [{"n": 1.0, "entries": [[[4.0, 0.0]]]}]}, "'n' must be an integer, got 1.0"),
+    ], ids=["float_level", "string_level", "bool_level", "bool_n", "float_n"])
+    def test_a_size_that_is_not_a_json_integer_is_a_usage_error(self, tmp_path, doc, why):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"system": "scalar", "level": 1,
+                                    "coeffs": [{"n": 1, "entries": [[[4.0, 0.0]]]}], **doc}))
+        code, out, err = run_cli("eval", "--function", "msqrt", "--point", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("freemono: bad point file") and err.endswith(why + "\n")
+
     def test_level_zero_point_is_usage_error(self, tmp_path):
         path = tmp_path / "level-zero.json"
         path.write_text(json.dumps(
@@ -297,6 +325,27 @@ class TestParseCommand:
         code, out, err = run_cli(*argv)
         assert (code, out) == (2, "")
         assert f"unexpected character {argv[2][offset]!r} (offset {offset})" in err
+
+    @pytest.mark.parametrize("expr, why", [
+        ("X" + "1" * 5000, f"variable X{'1' * 5000} out of range for system 'block2' (offset 0)"),
+        ("X1 + X" + "0" * 5000 + "5", "variable X5 out of range for system 'block2' (offset 5)"),
+        ("X[1," + "0" * 5000 + "3]", "block (1,3) out of range for system 'block2' (offset 4)"),
+    ], ids=["long_variable", "zeros_variable", "zeros_block"])
+    def test_a_long_index_is_out_of_range(self, expr, why):
+        # int() refuses more than 4,300 digits; an index that long is out of range
+        for argv, prefix in ((("parse", "--expr", expr, "--system", "block2"), ""),
+                             (("check", "--expr", expr, "--system", "block2", "--suite",
+                               "monotone", "--levels", "1..1", "--trials", "1"),
+                              "bad expression: ")):
+            code, out, err = run_cli(*argv)
+            assert (code, out, err) == (2, "", f"freemono: {prefix}{why}\n")
+
+    def test_leading_zeros_do_not_count_in_an_index(self):
+        zeros = "0" * 5000
+        code, out, err = run_cli("parse", "--expr", f"X{zeros}1 + X[{zeros}2,1]",
+                                 "--system", "block2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["canonical"] == "X1 + X[2,1]"
 
     @pytest.mark.parametrize("nest, offset", [
         (lambda d: "(" * d + "X1" + ")" * d, 100),
@@ -437,6 +486,16 @@ class TestUserSystems:
         path.write_text(json.dumps(sys_doc))
         code, out, _ = run_cli("parse", "--expr", "X[2,1]", "--system", str(path))
         assert code == 0
+
+    @pytest.mark.parametrize("k, why", [(2.9, "got 2.9"), (2.0, "got 2.0"), ("2", "got '2'"),
+                                        (True, "got True")])
+    def test_a_k_that_is_not_a_json_integer_is_a_usage_error(self, tmp_path, k, why):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({**BLOCK2_JSON, "k": k}))
+        code, out, err = run_cli("parse", "--expr", "X[2,1]", "--system", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("freemono: bad system JSON")
+        assert err.endswith(f"'k' must be an integer, {why}\n")
 
     def test_expr_check_with_named_system(self, tmp_path):
         code, _, _ = run_cli("check", "--expr", "X1 + X2", "--system", "diagonal(2)",
@@ -640,6 +699,9 @@ class TestArgvContract:
     @example(argv=["check", "--suite", "monotone", "--levels", "2..2", "--trials", "2",
                    "--seed", "3", "--function", "square", "--out", "report.json"])
     @example(argv=["check", "--suite", "all", "--levels", "1..1", "--trials", "1"])
+    @example(argv=["check", "--function", "square", "--suite", "monotone",
+                   "--levels", "0" * 4400 + "1..2"])
+    @example(argv=["parse", "--system", "block2", "--expr", "X" + "1" * 5000])
     def test_any_argv_keeps_the_exit_code_contract(self, inputs, argv):
         # the code is one of 0-3 and stderr holds no traceback; a usage error
         # writes nothing to stdout, and a violation comes with a failing report

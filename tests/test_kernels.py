@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 import threading
 from pathlib import Path
@@ -355,6 +356,11 @@ class TestMatrixJson:
     def test_size_zero_rejected(self):
         with pytest.raises(ValueError, match="matrix size must be at least 1"):
             matrix_from_json({"n": 0, "entries": []})
+
+    @pytest.mark.parametrize("n", [True, 1.0, 1.9, "1", None])
+    def test_size_must_be_a_json_integer(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"'n' must be an integer, got {n!r}")):
+            matrix_from_json({"n": n, "entries": [[[1.0, 0.0]]]})
 
 
 def _svd_is_hermitian(a):
