@@ -15,8 +15,9 @@ evaluate f once per chunk (the boundary check at A and its six shifts in
 one stack) and take the margins of the whole chunk at once, and each trial
 gets the margin, witness or error it would get alone (:func:`_row_trials`,
 :func:`_retry_trials`).  The local check draws the chunk's commuting paths
-as one stack and builds their points as one stack.  Only the trial the
-report keeps builds its witness JSON.
+as one stack and evaluates f once, at their stacked block points, for the
+exact derivatives (:func:`_derivative_margins`).  Only the trial the report
+keeps builds its witness JSON.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .kernels import (
     settle,
 )
 from .opsys import (
-    conjugate,
     direct_sum,
     identity_point,
     point_to_json,
@@ -47,7 +47,6 @@ from .opsys import (
 from .report import OUT_OF_DOMAIN_MARGIN, CheckReport, ConsistencyReport
 
 BOUNDARY_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-LOCAL_STEP = 1e-4  # finite-difference half-step of the local check, capped by the path's eps
 TRIAL_CHUNK = 256  # trials of one level run as one stack; bounds the memory of a large --trials
 
 
@@ -187,23 +186,27 @@ def halfplane_margin(f: FreeFunction, p: opsys.NCPoint, errors: dict | None = No
     return scaled_min_eig(imag_part(realize(eval_function(f, p, errors))), errors)
 
 
-def _derivative_margins(f: FreeFunction, path: paths.CommutingPath, h: np.ndarray,
+def _derivative_margins(f: FreeFunction, path: paths.CommutingPath,
                         errors: dict | None = None) -> np.ndarray:
-    """Scaled PSD margin of (f(path(h)) - f(path(-h))) / 2h for each row of a stack
-    of paths and its step h.
+    """Scaled PSD margin of Df(X)[H] for each row of a stack of paths, X and H
+    being the path's point and velocity at t = 0.
 
-    f is evaluated once, at the stack of every path's point at -h, then at
-    +h; errors are handed on as by :func:`pair_margin`, at -h before +h.
+    f is evaluated once, at the stack of block points ``[[X, H], [0, X]]``
+    (:meth:`~freemono.paths.CommutingPath.point`).  A free function respects
+    direct sums and similarities, so its value there is
+    ``[[f(X), Df(X)[H]], [0, f(X)]]``: the upper-right corner is the exact
+    derivative.  A row that fails is handed on as by :func:`pair_margin`.
     """
-    ab = stack_points(paths.path_points(path, np.stack([-h, h])))
-    der = _differences(lambda x, e: realize(eval_function(f, x, e)), ab, errors)
-    return scaled_min_eig(hermitize(der / (2.0 * h)[:, np.newaxis, np.newaxis]), errors)
+    fx = eval_function(f, path.point(), errors)
+    n = path.unitary.shape[-1]
+    der = realize(opsys._point(f.out_system, fx.coeffs[..., :n, n:]))
+    return scaled_min_eig(hermitize(der), errors)
 
 
 def local_margin(f: FreeFunction, witness: dict) -> float:
-    """Recompute the finite-difference derivative margin from a witness."""
+    """Recompute the derivative margin from a witness."""
     path = paths.path_from_witness(f.in_system, witness["path"])
-    return float(_derivative_margins(f, path[np.newaxis], np.array([float(witness["h"])]))[0])
+    return float(_derivative_margins(f, path[np.newaxis])[0])
 
 
 # --------------------------------------------------------------------------
@@ -267,8 +270,14 @@ def check_free_axioms(f: FreeFunction, levels=(1, 2, 3), trials: int = 200, tol:
             x = sample_point(f.domain, level, [r.split("x") for r in rngs], errors=failed)
             y = sample_point(f.domain, level, [r.split("y") for r in rngs], errors=failed)
             u = kernels.random_matrix("unitary", level, [r.split("u") for r in rngs])
+            # opsys.conjugate(p, u), with each U inverted once for both x and fx
+            inv, s = kernels.safe_inv(u)[:, np.newaxis], u[:, np.newaxis]
+
+            def similar(p):
+                return opsys._point(p.system, opsys._check_finite(inv @ p.coeffs @ s))
+
             at_n, at_2n = {}, {}
-            fs = eval_function(f, stack_points(x, y, conjugate(x, u)), at_n)
+            fs = eval_function(f, stack_points(x, y, similar(x)), at_n)
             fxy = eval_function(f, direct_sum(x, y), at_2n)
             # a row's first error, in the order fx, fy, fxy, fu
             _settle_by_row({r: e for r, e in at_n.items() if r < 2 * rows}, rows, failed)
@@ -277,7 +286,7 @@ def check_free_axioms(f: FreeFunction, levels=(1, 2, 3), trials: int = 200, tol:
             fx, fy, fu = fs[:rows], fs[rows:2 * rows], fs[2 * rows:]
             scale = 1.0 + op_norm(realize(fx))
             ds = (op_norm(realize(fxy) - realize(direct_sum(fx, fy))) / scale).tolist()
-            sim = (op_norm(realize(conjugate(fx, u)) - realize(fu)) / scale).tolist()
+            sim = (op_norm(realize(similar(fx)) - realize(fu)) / scale).tolist()
             return [-max(a, b) for a, b in zip(ds, sim)], lambda j: {
                 "X": point_to_json(x[j]), "Y": point_to_json(y[j]),
                 "unitary": kernels.matrix_to_json(u[j]),
@@ -292,8 +301,8 @@ def check_free_axioms(f: FreeFunction, levels=(1, 2, 3), trials: int = 200, tol:
 
 def check_local_monotone(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,
                          tol: float = 1e-8, rng: Rng = Rng(0)) -> CheckReport:
-    """Finite-difference derivative of f along commuting paths with pd velocity,
-    drawn in f's domain."""
+    """Derivative Df(X)[H] of f at commuting tuples X in f's domain, along
+    positive-definite velocities H tangent to them (:func:`_derivative_margins`)."""
     if not is_diagonal_type(f.in_system):
         raise ValueError("local monotonicity needs a scalar or diagonal input system")
 
@@ -301,10 +310,8 @@ def check_local_monotone(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,
         errors = {}
         path = paths.sample_path(f.domain, level,
                                  [rng.split("local", f.name, level, t) for t in ts])
-        hs = np.minimum(LOCAL_STEP, 0.5 * path.eps)
-        margins = _derivative_margins(f, path, hs, errors)
-        return _row_trials(margins, errors, tol,
-                           lambda i: {"path": path[i].to_witness(), "h": float(hs[i])})
+        margins = _derivative_margins(f, path, errors)
+        return _row_trials(margins, errors, tol, lambda i: {"path": path[i].to_witness()})
 
     return _run_trials("local_monotone", f.name, run, levels, trials, tol, rng)
 

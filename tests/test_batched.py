@@ -4,8 +4,8 @@ Every check of ``verifiers`` and the three checks of ``loewner1d.cross_check``
 (Loewner matrices, Pick matrices and ``monotone_1d``) run the trials of a
 level as stacks.  The reference here is the serial engine they replaced:
 samplers that draw one point, matrix or commuting path at a time, two
-``random`` calls per coefficient, path points built one at a time, a
-rejection loop per trial, and a loop that runs one trial after another
+``random`` calls per coefficient, a path's block point built one entry at
+a time, a rejection loop per trial, and a loop that runs one trial after another
 through single-point evaluations and margins.  Every margin, witness and error text must come
 out the same, whatever the chunk size.
 """
@@ -162,17 +162,25 @@ def _ref_sample_halfplane(system, level, rng):
     return h + 1j * _ref_psd_point(system, level, gen)
 
 
-def _ref_point(path, t):
-    u = path.unitary
-    r = scipy.linalg.expm(t * path.skew)
+def _ref_point(path):
+    # one coordinate at a time: [[X, H], [0, X]] with X and H the path's point
+    # and velocity at t = 0
+    u, k = path.unitary, path.skew
+    n = u.shape[0]
     coeffs = []
     for d, dl in zip(path.diags, path.deltas):
-        base = (u * (d + t * dl)) @ u.conj().T
-        coeffs.append(hermitize(r @ base @ r.conj().T))
+        x = hermitize((u * d) @ u.conj().T)
+        h = hermitize((u * dl) @ u.conj().T + (k @ x - x @ k))
+        c = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+        for i in range(n):
+            for j in range(n):
+                c[i, j] = c[n + i, n + j] = x[i, j]
+                c[i, n + j] = h[i, j]
+        coeffs.append(c)
     return NCPoint(path.system, tuple(coeffs))
 
 
-def _ref_max_rotation(u, diags, deltas, khat, endpoints, floor):
+def _ref_max_rotation(u, diags, deltas, khat, floor):
     n = u.shape[0]
     eye = np.eye(n)
     limit = 1e6
@@ -182,14 +190,11 @@ def _ref_max_rotation(u, diags, deltas, khat, endpoints, floor):
         if w[0] <= 0.0:
             return 0.0
         isq = (v / np.sqrt(w)) @ v.conj().T
-        x0 = (u * d) @ u.conj().T
-        x1 = (u * dl) @ u.conj().T
-        for t in endpoints:
-            x = x0 + t * x1
-            bracket = hermitize(khat @ x - x @ khat)
-            lam = float(np.linalg.eigvalsh(isq @ bracket @ isq)[0])
-            if lam < 0.0:
-                limit = min(limit, 1.0 / -lam)
+        x = (u * d) @ u.conj().T
+        bracket = hermitize(khat @ x - x @ khat)
+        lam = float(np.linalg.eigvalsh(isq @ bracket @ isq)[0])
+        if lam < 0.0:
+            limit = min(limit, 1.0 / -lam)
     return limit
 
 
@@ -200,7 +205,6 @@ def _ref_sample_path(system, level, rng, ranges):
     u = _ref_unitary(gen, n)
     spread = bool(gen.random() < 0.5)
     diags, deltas = [], []
-    eps = np.inf
     for lo, hi in ranges:
         lo, hi = float(lo), float(hi)
         width = hi - lo
@@ -214,20 +218,17 @@ def _ref_sample_path(system, level, rng, ranges):
         dl = 0.3 + 0.7 * gen.random(n)
         diags.append(dvals)
         deltas.append(dl)
-        room = np.minimum(dvals - lo - 0.02 * width, hi - 0.02 * width - dvals)
-        eps = min(eps, float(np.min(room / dl)))
-    eps *= 0.9
     k0 = _ref_ginibre(gen, n)
     khat = (k0 - k0.conj().T) / 2.0
     nrm = op_norm(khat)
     if nrm > 1e-12:
         khat = khat / nrm
         floor = paths.VELOCITY_FLOOR * min(float(np.min(dl)) for dl in deltas)
-        kappa = _ref_max_rotation(u, diags, deltas, khat, (-eps, eps), floor)
+        kappa = _ref_max_rotation(u, diags, deltas, khat, floor)
         skew = (0.75 + 0.25 * float(gen.random())) * kappa * khat
     else:
         skew = np.zeros((n, n), dtype=np.complex128)
-    return paths.CommutingPath(system, u, np.array(diags), np.array(deltas), skew, eps)
+    return paths.CommutingPath(system, u, np.array(diags), np.array(deltas), skew)
 
 
 def _ref_monotone_1d(f, interval, level, r, tol):
@@ -413,13 +414,14 @@ def _ref_trial(kind, f, dom, tol, rng, seen):
         if kind == "local":
             path = _ref_sample_path(f.in_system, level, r,
                                     [paths._window(dom)] * f.in_system.size)
-            h = min(verifiers.LOCAL_STEP, 0.5 * path.eps)
-            points = {"path": path.to_witness(), "h": h}
+            points = {"path": path.to_witness()}
 
             def margin():
-                fa = eval_function(f, _ref_point(path, -h))
-                fb = eval_function(f, _ref_point(path, h))
-                return scaled_min_eig(hermitize((realize(fb) - realize(fa)) / (2.0 * h)))
+                # the upper-right corner of f at the block point is Df(X)[H]
+                fx = eval_function(f, _ref_point(path))
+                n = path.unitary.shape[0]
+                der = NCPoint(fx.system, tuple(c[:n, n:] for c in fx.coeffs))
+                return scaled_min_eig(hermitize(realize(der)))
         elif kind == "monotone":
             a, b = _ref_sample_ordered_pair(dom, level, r)
             points = {"A": point_to_json(a), "B": point_to_json(b)}
@@ -690,7 +692,7 @@ class TestAgainstSerialReference:
 
         monkeypatch.setattr(verifiers, "eval_function", spy)
         verifiers.check_local_monotone(catalog("geometric_mean"), levels=(3,), trials=5, rng=Rng(4))
-        assert calls == [10]  # the five points at -h, then the five at +h
+        assert calls == [5]  # the five block points
 
     def test_local_chunk_samples_its_paths_once(self, monkeypatch, chunk):
         calls, sample = [], paths.sample_path
@@ -784,7 +786,6 @@ class TestSamplersBitForBit:
                 got, want = stack[i], _ref_sample_path(domain.system, level, r, ranges)
                 for name in ("unitary", "diags", "deltas", "skew"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-                assert float(got.eps) == want.eps
                 assert json.dumps(got.to_witness()) == json.dumps(want.to_witness())
                 if i < 8:
                     alone = paths.sample_path(domain, level, r)

@@ -1,5 +1,5 @@
-"""SciPy loads at the first non-Hermitian square root or path rotation, not
-when freemono loads: a command that needs neither never imports it."""
+"""SciPy loads at the first non-Hermitian square root, not when freemono
+loads: a command that needs none never imports it."""
 
 import ast
 import json
@@ -17,16 +17,19 @@ from freemono.opsys import builtin_system, pd_cone
 
 SRC = Path(freemono.__file__).resolve().parent
 
-# Run in a fresh interpreter: three commands that reach neither SciPy call
-# site, then one call of each.  Prints whether SciPy was loaded before the
-# calls and the bytes of both results.
+# Run in a fresh interpreter: four commands that take no non-Hermitian square
+# root (a local check of a function without sqrt among them), then a root and
+# a path's block point.  Prints whether SciPy was loaded before the calls and
+# the bytes of both results.
 SCRIPT = """
 import contextlib, io, json, sys
 import freemono, freemono.cli
 from freemono.cli import main
 argvs = (["catalog"], ["parse", "--expr", "sqrt(X1)", "--system", "scalar"],
          ["check", "--function", "schur_complement", "--suite", "equivalence",
-          "--levels", "1..2", "--trials", "4"])
+          "--levels", "1..2", "--trials", "4"],
+         ["check", "--function", "inverse", "--suite", "local", "--levels", "1..2",
+          "--trials", "4"])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in argvs]
 loaded = "scipy" in sys.modules
@@ -37,11 +40,11 @@ print(json.dumps({"codes": codes, "loaded": loaded,
 
 
 def _results():
-    # a non-Hermitian square root, and the points of a sampled path
+    # a non-Hermitian square root, and the block point of a sampled path
     a = random_matrix("ginibre", 4, Rng(3)) + 3j * np.eye(4)
     path = paths.sample_path(pd_cone(builtin_system("diagonal(2)")), 3,
                              Rng(5).split("path", 3))
-    return principal_sqrt(a), paths.path_points(path, 0.5 * path.eps).coeffs
+    return principal_sqrt(a), path.point().coeffs
 
 
 def _module_level(node):
@@ -61,13 +64,13 @@ def test_no_module_imports_scipy_when_it_loads():
     assert found == []
 
 
-def test_commands_without_a_schur_root_or_a_rotation_never_load_scipy():
+def test_commands_without_a_schur_root_never_load_scipy():
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(Path(__file__).parent)])}
     proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["codes"] == [0, 0, 0]
+    assert doc["codes"] == [0, 0, 0, 1]  # inverse fails its local check
     assert doc["loaded"] is False
     assert doc["results"] == [r.tobytes().hex() for r in _results()]

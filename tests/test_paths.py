@@ -18,37 +18,45 @@ def _paths(seeds=range(60)):
             yield sample_path(pd_cone(DIAG2), level, Rng(seed).split("path", level))
 
 
-def _band(path):
-    return (-path.eps, 0.0, path.eps)
+def _blocks(path):
+    # the point X and the velocity H: the diagonal and upper-right blocks of path.point()
+    c, n = path.point().coeffs, path.unitary.shape[-1]
+    return c[..., :n, :n], c[..., :n, n:]
 
 
 class TestCommutingPath:
+    def test_block_point_is_upper_triangular_with_x_twice(self):
+        for path in _paths(range(10)):
+            c, n = path.point().coeffs, path.unitary.shape[-1]
+            assert c.shape == (2, 2 * n, 2 * n)
+            np.testing.assert_array_equal(c[:, n:, n:], c[:, :n, :n])
+            assert not c[:, n:, :n].any()
+
     def test_coordinates_commute(self):
         for path in _paths():
-            for t in _band(path):
-                x, y = path.point(t).coeffs
-                assert op_norm(x @ y - y @ x) <= 1e-12 * (1 + op_norm(x) * op_norm(y))
+            x, y = _blocks(path)[0]
+            assert op_norm(x @ y - y @ x) <= 1e-12 * (1 + op_norm(x) * op_norm(y))
 
     def test_spectrum_stays_in_range(self):
         for path in _paths():
-            for t in _band(path):
-                for coeff, (lo, hi) in zip(path.point(t).coeffs, RANGES):
-                    w = np.linalg.eigvalsh(coeff)
-                    assert lo < w[0] and w[-1] < hi
+            for coeff, (lo, hi) in zip(_blocks(path)[0], RANGES):
+                w = np.linalg.eigvalsh(coeff)
+                assert lo < w[0] and w[-1] < hi
 
     def test_velocity_above_floor(self):
         for path in _paths():
             floor = VELOCITY_FLOOR * min(float(np.min(dl)) for dl in path.deltas)
-            for t in _band(path):
-                assert path.velocity_margin(t) >= floor * (1.0 - 1e-9)
+            for h in _blocks(path)[1]:
+                np.testing.assert_array_equal(h, h.conj().T)
+                assert np.linalg.eigvalsh(h)[0] >= floor * (1.0 - 1e-9)
 
     def test_witness_round_trip(self):
         for path in _paths(range(10)):
-            again = path_from_witness(DIAG2, json.loads(json.dumps(path.to_witness())))
-            assert again.eps == path.eps
-            for t in _band(path):
-                for a, b in zip(again.point(t).coeffs, path.point(t).coeffs):
-                    np.testing.assert_array_equal(a, b)
+            doc = json.loads(json.dumps(path.to_witness()))
+            assert set(doc) == {"system", "unitary", "diags", "deltas", "skew"}
+            again = path_from_witness(DIAG2, doc)
+            for a, b in zip(again.point().coeffs, path.point().coeffs):
+                np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("a, b, window", [
         (0.5, np.inf, (0.6, 5.5)), (-np.inf, -0.5, (-5.5, -0.6)),
@@ -57,6 +65,5 @@ class TestCommutingPath:
         # (a, inf) gets (a + 0.1, a + 5.0), as the pd cone (0, inf) gets (0.1, 5.0)
         stack = sample_path(spectral_interval(DIAG2, a, b), 3,
                             [Rng(7).split("path", t) for t in range(200)])
-        for t in (-1.0, 0.0, 1.0):
-            w = np.linalg.eigvalsh(stack.point(t * stack.eps).coeffs)
-            assert window[0] < w.min() and w.max() < window[1]
+        w = np.linalg.eigvalsh(_blocks(stack)[0])
+        assert window[0] < w.min() and w.max() < window[1]

@@ -4,9 +4,11 @@ import io
 import numpy as np
 import pytest
 
-from freemono import cli, verifiers
+from freemono import cli, paths, verifiers
 from freemono.freeexpr import OutOfDomainError, catalog, eval_function, function_from_expr
-from freemono.kernels import NumericalError, Rng, hermitize, min_eig_h, op_norm, random_matrix
+from freemono.kernels import (
+    NumericalError, Rng, hermitize, min_eig_h, op_norm, random_matrix, scaled_min_eig,
+)
 from freemono.opsys import (
     NCPoint,
     builtin_system,
@@ -35,6 +37,7 @@ from freemono.verifiers import (
 
 SCALAR = builtin_system("scalar")
 BLOCK2 = builtin_system("block2")
+DIAG2 = builtin_system("diagonal(2)")
 
 
 def _point(system, *scalars):
@@ -168,6 +171,33 @@ class TestLocalMonotone:
         with pytest.raises(OutOfDomainError) as exc:
             local_margin(f, rep.witness)
         assert str(exc.value) == rep.witness["error"]
+
+    @pytest.mark.parametrize("f, closed_form", [
+        (catalog("identity"), lambda x, h, xi: h[0]),
+        (catalog("square"), lambda x, h, xi: x[0] @ h[0] + h[0] @ x[0]),
+        (catalog("inverse"), lambda x, h, xi: -xi[0] @ h[0] @ xi[0]),
+        (catalog("neg_inverse"), lambda x, h, xi: xi[0] @ h[0] @ xi[0]),
+        (function_from_expr("product", "X1*X2", DIAG2),
+         lambda x, h, xi: h[0] @ x[1] + x[0] @ h[1]),
+    ], ids=["identity", "square", "inverse", "neg_inverse", "product"])
+    def test_corner_is_the_closed_form_derivative(self, monkeypatch, f, closed_form):
+        # the upper-right corner of the evaluation at [[X, H], [0, X]] is Df(X)[H]
+        values = []
+
+        def spy(f, point, errors=None):
+            values.append(eval_function(f, point, errors))
+            return values[-1]
+
+        monkeypatch.setattr(verifiers, "eval_function", spy)
+        for level in (1, 2, 3, 4):
+            path = paths.sample_path(f.domain, level, [Rng(30).split(level, t) for t in range(50)])
+            margins = verifiers._derivative_margins(f, path)
+            c, n = path.point().coeffs, level
+            x, h = c[..., :n, :n], c[..., :n, n:]
+            for i, value in enumerate(values.pop().coeffs):
+                want = closed_form(x[i], h[i], np.linalg.inv(x[i]))
+                assert op_norm(value[0, :n, n:] - want) <= 1e-12 * op_norm(want)
+                assert margins[i] == scaled_min_eig(hermitize(value[0, :n, n:]))
 
     def test_rejects_block_systems(self):
         with pytest.raises(ValueError):
