@@ -51,6 +51,13 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+# The most --trials a check takes.  A check keeps every trial's result, and
+# a failing trial keeps its chunk's points for the witness, so memory grows
+# with the count: `check --function inverse --suite equivalence --levels
+# 1..8` peaked at 278 MB with 20,000 trials (about 11 KB a trial), so about
+# 1.2 GB at this limit.
+TRIALS_MAX = 100_000
+
 
 class _Options(NamedTuple):
     """Options of one check run, in the order the checks take them."""
@@ -114,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--system", help="input system name or system JSON path")
     check.add_argument("--suite", required=True, choices=SUITES)
     check.add_argument("--levels", default="1..3", help="level range A..B (within 1..8)")
-    check.add_argument("--trials", type=int, default=100)
+    check.add_argument("--trials", type=int, default=100, help=f"1 <= TRIALS <= {TRIALS_MAX}")
     check.add_argument("--seed", type=int, default=0, help="0 <= SEED < 2^64")
     check.add_argument("--tol", type=float, default=1e-8)
     check.add_argument("--jobs", type=int, default=1,
@@ -219,6 +226,8 @@ def _run_check(args) -> int:
     levels = _parse_levels(args.levels)
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
+    if args.trials > TRIALS_MAX:
+        raise _UsageError(f"--trials must be at most {TRIALS_MAX}")
     if not args.tol > 0:
         raise _UsageError("--tol must be positive")
     if not math.isfinite(args.tol):
@@ -312,10 +321,12 @@ def _run_catalog(args) -> int:
     return EXIT_PASS
 
 
+_PARSER = _build_parser()  # argparse keeps no state between parse_args calls
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:

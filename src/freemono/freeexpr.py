@@ -28,6 +28,7 @@ operator).
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field, fields
 from typing import Union
@@ -577,8 +578,13 @@ _CATALOG = {
 CATALOG_NAMES = tuple(_CATALOG)
 
 
+@functools.cache
 def catalog(name: str) -> FreeFunction:
-    """Look up a named free function; all entries map into the scalar system."""
+    """Look up a named free function; all entries map into the scalar system.
+
+    Parsed and compiled at its first use, then shared: each call with one
+    name returns the same frozen function.
+    """
     try:
         text, sys_name = _CATALOG[name]
     except KeyError:

@@ -230,22 +230,49 @@ def scaled_min_eig(a, errors: dict | None = None):
 def safe_inv(a, errors: dict | None = None) -> np.ndarray:
     """Matrix inverse guarded by a condition estimate.
 
-    A matrix with a non-finite entry or a condition estimate above
-    ``COND_LIMIT`` is a failed row and gets the identity.
+    A matrix with a non-finite entry or a condition estimate (the ratio of
+    its extreme singular values) above ``COND_LIMIT`` is a failed row and
+    gets the identity.  The singular values are taken only for the rows
+    the certificate ``||A||_F ||inv(A)||_F <= COND_LIMIT / 16`` leaves
+    unsettled, and for every row when some row is exactly singular.
     """
     a, lead = as_stack(a)
     errs = {}
     a = finite_rows(a, errs)
-    sv = np.linalg.svd(a, compute_uv=False)
-    bad = [row for row, (lo, hi) in enumerate(zip(sv[:, -1].tolist(), sv[:, 0].tolist()))
-           if lo <= 0.0 or not math.isfinite(hi) or hi / lo > COND_LIMIT]
-    if bad:
-        for row in bad:
-            errs[row] = SingularMatrixError("condition estimate exceeds 1e12; inverse not trusted")
+    try:
+        inv = np.linalg.inv(a)  # one matrix at a time: a row's bits do not depend on the others
+        flat = np.concatenate([a, inv]).reshape(2, len(a), a.shape[-1] ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.vecdot(flat, flat).real  # the squared Frobenius norms
+            kappa = norms[0] * norms[1]
+    except np.linalg.LinAlgError:  # an exactly singular row
+        inv, kappa = None, np.full(len(a), np.inf)
+    # The certificate: kappa_F = ||A||_F ||inv(A)||_F >= ||A|| ||inv(A)||, the
+    # ratio the SVD test bounds; ``kappa`` is its square.  The computed
+    # inverse X solves A X = I + E, with ||E|| <= c n u ||A||_F ||X||_F for LU
+    # with partial pivoting and a modest growth factor (u = 2^-53; Higham,
+    # "Accuracy and Stability of Numerical Algorithms", sec. 14.3).  For
+    # n <= 16 and a computed kappa_F <= COND_LIMIT / 16 that is under 1/2
+    # unless c exceeds 4000, and then ||inv(A)|| <= 2 ||X||: the true ratio is
+    # below COND_LIMIT / 8 (the norms round by a few u).  The computed
+    # singular values are off by a few n u ||A||, so the computed ratio is
+    # still below COND_LIMIT and the row passes the SVD test.  Every other
+    # row takes that test: a non-finite kappa_F is no certificate, and a norm
+    # whose squares underflow comes with an inverse whose squares overflow.
+    unsure = np.flatnonzero(~(kappa <= (COND_LIMIT / 16) ** 2))
+    bad = []
+    if unsure.size:
+        sv = np.linalg.svd(a[unsure], compute_uv=False)
+        bad = [row for row, lo, hi in zip(unsure.tolist(), sv[:, -1].tolist(), sv[:, 0].tolist())
+               if lo <= 0.0 or not math.isfinite(hi) or hi / lo > COND_LIMIT]
+    for row in bad:
+        errs[row] = SingularMatrixError("condition estimate exceeds 1e12; inverse not trusted")
+    settle(errs, errors)
+    if bad or inv is None:  # a failed row is inverted as the identity
         a = a.copy()
         a[bad] = np.eye(a.shape[-1])
-    settle(errs, errors)
-    return np.linalg.inv(a).reshape(lead + a.shape[1:])
+        inv = np.linalg.inv(a)
+    return inv.reshape(lead + a.shape[1:])
 
 
 def _sqrt_triu(t: np.ndarray) -> np.ndarray:
@@ -410,17 +437,25 @@ def func_calc(fn: Callable[[np.ndarray], np.ndarray], a,
 # --------------------------------------------------------------------------
 # Reproducible randomness: a counter-based generator addressed by
 # (seed, stream), with Gaussians drawn through Box-Muller so the byte
-# stream is identical on every platform.  Philox4x64-10 is a pure function
+# stream is identical on every platform.  A substream's stream is the
+# BLAKE2b digest of its parent's stream and its tags, each part's repr
+# followed by a 0x1f separator.  BLAKE2b hashes a stream of bytes, so a
+# hash copied after a shared prefix gives each trial of a chunk the digest
+# it would get alone (``Rng.split_each``).  Philox4x64-10 is a pure function
 # of (key, counter), so one bit generator serves every row: a row is its
 # key and the number of uint64s its stream has given, and a draw sets the
 # bit generator to that place in the row's stream.
 
-def _mix(*parts) -> int:
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        h.update(repr(part).encode())
-        h.update(b"\x1f")
+def _tagged(parts) -> bytes:
+    return b"".join(repr(part).encode() + b"\x1f" for part in parts)
+
+
+def _digest(h) -> int:
     return int.from_bytes(h.digest(), "little")
+
+
+def _mix(*parts) -> int:
+    return _digest(hashlib.blake2b(_tagged(parts), digest_size=8))
 
 
 @dataclass(frozen=True)
@@ -436,6 +471,16 @@ class Rng:
 
     def split(self, *tags) -> "Rng":
         return Rng(self.seed, _mix(self.stream, *tags))
+
+    def split_each(self, ts, *tags) -> list:
+        """``[self.split(*tags, t) for t in ts]``, hashing the shared prefix once."""
+        prefix = hashlib.blake2b(_tagged((self.stream, *tags)), digest_size=8)
+        out = []
+        for t in ts:
+            h = prefix.copy()
+            h.update(repr(t).encode() + b"\x1f")  # _tagged((t,))
+            out.append(Rng(self.seed, _digest(h)))
+        return out
 
     def generator(self) -> np.random.Generator:
         """The reference stream of this Rng: the samplers draw its bits, in its order."""

@@ -118,8 +118,8 @@ def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng, interva
 
     def run(level, ts):
         errors = {}
-        p, q = sample_ordered_pair(dom, level, [rng.split("monotone_1d", f.name, level, t)
-                                                for t in ts], errors=errors)
+        p, q = sample_ordered_pair(dom, level, rng.split_each(ts, "monotone_1d", f.name, level),
+                                   errors=errors)
         a, b = p.coeffs[:, 0], q.coeffs[:, 0]
         diff = _differences(lambda x, e: func_calc(f.rule, x, f.domain, e),
                             np.concatenate([a, b]), errors)
@@ -144,7 +144,7 @@ def cross_check(f: ScalarFunction, node_count: int = 5, node_sets: int = 100,
         # up to 100 tries of draw(u), u its width uniforms, until the entries lie
         # 1e-6 apart; then their matrices are built in one call.
         def run(level, ts):
-            gens, _ = _generators([rng.split(tag, f.name, t) for t in ts])
+            gens, _ = _generators(rng.split_each(ts, tag, f.name))
             errors = {}
             x = draw(np.zeros((len(gens), width)))  # of the stack's shape; accepted tries overwrite
 

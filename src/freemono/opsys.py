@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -95,7 +95,9 @@ class OpSysBasis:
     def dual_basis(self) -> np.ndarray:
         """Dual frame under <A, B> = Re tr(A* B): tr(F_i E_j) = delta_ij."""
         inv = np.linalg.inv(self._gram())
-        return np.einsum("ij,jkl->ikl", inv, np.stack(self.basis))
+        dual = np.einsum("ij,jkl->ikl", inv, np.stack(self.basis))
+        dual.setflags(write=False)
+        return dual
 
     @cached_property
     def terms(self) -> tuple:
@@ -229,8 +231,13 @@ def spectral_interval(system: OpSysBasis, a: float, b: float) -> DomainSpec:
 DIAGONAL_MAX = 64  # the most slots of a diagonal(d) system: it holds d dense d-by-d units
 
 
+@lru_cache(maxsize=128)  # bounded: "diagonal(02)" is a name of its own
 def builtin_system(name: str) -> OpSysBasis:
-    """scalar | diagonal(d) for 1 <= d <= ``DIAGONAL_MAX`` | block2."""
+    """scalar | diagonal(d) for 1 <= d <= ``DIAGONAL_MAX`` | block2.
+
+    Built and validated at its first use, then shared: each call with one
+    name returns the same frozen system, whose arrays are read-only.
+    """
     if name == "scalar":
         return OpSysBasis("scalar", 1, (np.eye(1),), (1.0,))
     m = re.fullmatch(r"diagonal\(([0-9]+)\)", name)

@@ -218,7 +218,7 @@ def check_monotone(f: FreeFunction, levels=(1, 2, 3), trials: int = 100, tol: fl
 
     def run(level, ts):
         errors = {}
-        rngs = [rng.split("monotone", f.name, level, t) for t in ts]
+        rngs = rng.split_each(ts, "monotone", f.name, level)
         a, b = sample_ordered_pair(f.domain, level, rngs, errors=errors)
         margins = pair_margin(f, a, b, errors)
         return _row_trials(margins, errors, tol,
@@ -252,8 +252,7 @@ def check_halfplane(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,
 
     def run(level, ts):
         errors = {}
-        p = sample_halfplane(f.in_system, level,
-                             [rng.split("halfplane", f.name, level, t) for t in ts])
+        p = sample_halfplane(f.in_system, level, rng.split_each(ts, "halfplane", f.name, level))
         margins = halfplane_margin(f, p, errors)
         return _row_trials(margins, errors, tol, lambda i: {"P": point_to_json(p[i])})
 
@@ -292,7 +291,7 @@ def check_free_axioms(f: FreeFunction, levels=(1, 2, 3), trials: int = 200, tol:
                 "unitary": kernels.matrix_to_json(u[j]),
                 "residual_direct_sum": ds[j], "residual_similarity": sim[j]}
 
-        return _retry_trials([rng.split("axioms", f.name, level, t) for t in ts], draw,
+        return _retry_trials(rng.split_each(ts, "axioms", f.name, level), draw,
                              (OutOfDomainError, CodomainError),
                              "axiom check found no evaluable sample in 100 attempts", tol)
 
@@ -308,8 +307,7 @@ def check_local_monotone(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,
 
     def run(level, ts):
         errors = {}
-        path = paths.sample_path(f.domain, level,
-                                 [rng.split("local", f.name, level, t) for t in ts])
+        path = paths.sample_path(f.domain, level, rng.split_each(ts, "local", f.name, level))
         margins = _derivative_margins(f, path, errors)
         return _row_trials(margins, errors, tol, lambda i: {"path": path[i].to_witness()})
 
@@ -327,7 +325,7 @@ def check_boundary_continuity(f: FreeFunction, levels=(1, 2, 3), trials: int = 5
 
     def run(level, ts):
         errors, failed, rows = {}, {}, len(ts)
-        a = sample_point(f.domain, level, [rng.split("boundary", f.name, level, t) for t in ts],
+        a = sample_point(f.domain, level, rng.split_each(ts, "boundary", f.name, level),
                          errors=errors)
         ident = identity_point(f.in_system, level)
         # f at A, then at A + i eps I for each eps from large to small, as one stack
@@ -377,7 +375,7 @@ def check_schur_im_identity(levels=(1, 2, 3), trials: int = 500, tol: float = 1e
             return [min(-r, -1.0) if i <= 0.0 else -r for r, i in zip(resid, im)], lambda j: {
                 "X": point_to_json(p[j]), "residual": resid[j], "im_margin": im[j]}
 
-        return _retry_trials([rng.split("schur_im_identity", n, t) for t in ts], draw,
+        return _retry_trials(rng.split_each(ts, "schur_im_identity", n), draw,
                              (SingularMatrixError, OutOfDomainError, CodomainError),
                              "no half-plane sample with invertible X22 in 100 attempts", tol)
 

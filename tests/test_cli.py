@@ -156,6 +156,64 @@ class TestExitCodes:
                                "--levels", "1..1", "--trials", "1", "--seed", str(2**64 - 1))
         assert code == 0 and json.loads(out)["config"]["seed"] == 2**64 - 1
 
+    @pytest.mark.parametrize("trials", [str(freemono.cli.TRIALS_MAX + 1), "99999999999999999999"])
+    def test_trials_above_the_limit_is_a_usage_error_before_any_trial(self, monkeypatch, trials):
+        ran = []
+        monkeypatch.setattr(freemono.cli, "equivalence_report", lambda *a: ran.append(a))
+        code, out, err = run_cli("check", "--function", "msqrt", "--suite", "equivalence",
+                                 "--levels", "1..2", "--trials", trials)
+        assert (code, out, ran) == (2, "", [])
+        assert err == f"freemono: --trials must be at most {freemono.cli.TRIALS_MAX}\n"
+
+    def test_the_trials_limit_is_accepted(self, monkeypatch):
+        ran, original = [], freemono.cli.check_monotone
+
+        def one_trial(f, levels, trials, tol, rng):
+            ran.append(trials)
+            return original(f, levels, 1, tol, rng)
+
+        monkeypatch.setattr(freemono.cli, "check_monotone", one_trial)
+        code, _, _ = run_cli("check", "--function", "identity", "--suite", "monotone",
+                             "--levels", "1..1", "--trials", str(freemono.cli.TRIALS_MAX))
+        assert freemono.cli.TRIALS_MAX >= 10**5
+        assert code == 0 and ran == [freemono.cli.TRIALS_MAX]
+
+
+class TestOneParser:
+    """``main`` builds its argument parser once, when ``cli`` loads, and reuses it."""
+
+    VALID = ("check", "--function", "identity", "--suite", "monotone", "--levels", "1..2",
+             "--trials", "3", "--seed", "5")
+    BEFORE = {
+        "usage_error": ("check", "--function", "identity", "--suite", "monotone",
+                        "--trials", "0"),
+        "bad_choice": ("check", "--suite", "bogus"),
+        "unknown_flag": ("check", "--suite", "monotone", "--bogus", "1"),
+        "check_help": ("check", "--help"),
+        "help": ("--help",),
+        "no_command": (),
+    }
+
+    def test_main_builds_no_parser(self, monkeypatch):
+        def no_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(freemono.cli, "_build_parser", no_parser)
+        assert run_cli("catalog")[0] == 0
+        assert run_cli(*self.VALID)[0] == 0
+
+    @pytest.mark.parametrize("before", BEFORE)
+    def test_each_call_gives_what_it_gives_alone(self, monkeypatch, before):
+        sequence = [self.BEFORE[before], self.VALID, self.BEFORE[before], ("catalog",),
+                    self.VALID]
+        shared = [run_cli(*argv) for argv in sequence]
+        alone = []
+        for argv in sequence:
+            monkeypatch.setattr(freemono.cli, "_PARSER", freemono.cli._build_parser())
+            alone.append(run_cli(*argv))
+        assert shared == alone
+        assert [code for code, _, _ in shared[:2]] == [0 if "help" in before else 2, 0]
+
 
 class TestNonFinite:
     BIG = "9" * 300
@@ -639,7 +697,7 @@ _SYSTEMS = _mostly(["scalar", "block2", "diagonal(2)", "diagonal(3)", "valid.jso
 _FLAGS = {
     "--suite": _mostly(freemono.cli.SUITES, ["nope"]),
     "--levels": _mostly(["1..1", "1..2", "2"], ["0..1", "2..1", "1..9", "a", ""]),
-    "--trials": _mostly(["1", "2"], ["0", "-1", "x"]),
+    "--trials": _mostly(["1", "2"], ["0", "-1", "x", "99999999999999999999"]),
     "--seed": _mostly(["0", "42", "7", str(2**64 - 1)], [str(2**64), "-1", "x"]),
     "--tol": _mostly(["1e-8", "0.5"], ["0", "-1", "inf", "nan", "1e400", "x"]),
     "--jobs": _mostly(["1", "2"], ["0"]),

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import fields
 from typing import get_args
 
@@ -368,8 +369,31 @@ class TestCatalog:
         np.testing.assert_allclose(out.coeffs[0], 2 * a, atol=1e-13)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            catalog("harmonic_mean")
+        for _ in range(2):  # a failed lookup is not remembered
+            with pytest.raises(ValueError, match="unknown catalog function"):
+                catalog("harmonic_mean")
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_one_shared_function_per_name(self, name):
+        f = catalog(name)
+        assert catalog(name) is f
+        assert f.in_system is opsys.builtin_system(f.in_system.name)
+        assert f.out_system is opsys.builtin_system("scalar")
+
+    def test_a_caller_cannot_change_a_shared_function(self):
+        f = catalog("schur_complement")
+        program, roots, root = f.program, f.roots, f.grid[0][0]
+        for field in ("name", "text", "grid", "program", "domain"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(f, field, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            root.left = Var(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.domain.a = -1.0
+        other = dataclasses.replace(f, name="renamed")
+        assert other is not f and other.name == "renamed"
+        assert catalog("schur_complement") is f and f.name == "schur_complement"
+        assert (f.program, f.roots, f.grid[0][0]) == (program, roots, root)
 
     def test_geometric_mean_symmetry(self):
         gm = catalog("geometric_mean")

@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import math
 import re
 import sys
 import threading
@@ -6,16 +8,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import freemono
+from freemono import kernels
 from freemono.kernels import (
+    COND_LIMIT,
     TOL_HERM,
     BranchCutError,
     EigensolverError,
     Rng,
+    NonFiniteError,
     SingularMatrixError,
     SpectrumDomainError,
     _generators,
+    _mix,
     _uniforms,
     func_calc,
     herm_eig,
@@ -247,6 +254,53 @@ class TestRng:
                          ("kernels", "Rng", "generator", "Philox")]
 
 
+def _mix_two_updates(*parts) -> int:
+    # the stream digest as first written: two updates per part
+    h = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        h.update(repr(part).encode())
+        h.update(b"\x1f")
+    return int.from_bytes(h.digest(), "little")
+
+
+_EDGE_TAGS = [0, -1, 2**64, 2**200, -(2**200), "", "\u00e9", "\u65e5\u672c", "a\x1fb", "\x1f",
+              "monotone", 1.5]
+_TAG = st.one_of(st.sampled_from(_EDGE_TAGS), st.integers(), st.text())
+
+
+class TestStreamPrefix:
+    """``Rng.split_each`` hashes a chunk's shared prefix once, with the digests of ``split``."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1),
+           tags=st.lists(_TAG, max_size=4), ts=st.lists(_TAG, max_size=6))
+    def test_split_each_is_split_per_trial(self, seed, stream, tags, ts):
+        rng = Rng(seed, stream)
+        assert rng.split_each(ts, *tags) == [rng.split(*tags, t) for t in ts]
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(parts=st.lists(_TAG, max_size=6))
+    def test_one_update_is_the_two_update_digest(self, parts):
+        assert _mix(*parts) == _mix_two_updates(*parts)
+
+    @pytest.mark.parametrize("tag", _EDGE_TAGS)
+    def test_edge_tags(self, tag):
+        rng = Rng(42, 2**64 - 1)
+        assert rng.split_each(range(3), tag) == [rng.split(tag, t) for t in range(3)]
+        assert rng.split_each([tag, tag], "x", tag) == [rng.split("x", tag, tag)] * 2
+        assert _mix(tag, "x", tag) == _mix_two_updates(tag, "x", tag)
+
+    def test_no_trials(self):
+        assert Rng(1).split_each([], "monotone", "square", 2) == []
+        assert Rng(1).split_each(range(0)) == []
+
+    def test_a_chunk_of_a_level(self):
+        # what the checks pass: a range of trial indices after the tags
+        rng = Rng(7).split("attempt", 3)
+        assert rng.split_each(range(256, 512), "monotone", "square", 2) == [
+            rng.split("monotone", "square", 2, t) for t in range(256, 512)]
+
+
 def _reference_draws(rngs, plan):
     # what NumPy's Philox gives, one generator per row: each step of ``plan``
     # is (rows, count)
@@ -330,6 +384,55 @@ def test_src_takes_no_schur_form_from_scipy_linalg_schur():
     assert found == []
 
 
+def _svd_rule_inv(a, errors=None):
+    # safe_inv as it was before the certificate: the singular values of every row
+    a, lead = kernels.as_stack(a)
+    errs = {}
+    a = kernels.finite_rows(a, errs)
+    sv = np.linalg.svd(a, compute_uv=False)
+    bad = [row for row, (lo, hi) in enumerate(zip(sv[:, -1].tolist(), sv[:, 0].tolist()))
+           if lo <= 0.0 or not math.isfinite(hi) or hi / lo > COND_LIMIT]
+    if bad:
+        for row in bad:
+            errs[row] = SingularMatrixError("condition estimate exceeds 1e12; inverse not trusted")
+        a = a.copy()
+        a[bad] = np.eye(a.shape[-1])
+    kernels.settle(errs, errors)
+    return np.linalg.inv(a).reshape(lead + a.shape[1:])
+
+
+def _outcome(inv, a):
+    # the bits of inv(a), or the type and text of what it raises
+    try:
+        return inv(a).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+
+
+def _with_singular_values(s, seed):
+    u, v = (random_matrix("unitary", len(s), Rng(seed).split(side)) for side in "uv")
+    return (u * np.asarray(s)) @ v.conj().T
+
+
+N = 3
+_ROWS = {  # name -> a 3-by-3 matrix; the band rows have kappa_2 near COND_LIMIT
+    **{f"well{i}": random_matrix("ginibre", N, Rng(11).split(i)) + 3.0 * np.eye(N)
+       for i in range(4)},
+    "diagonal": np.diag([2.0, 4.0, 8.0]).astype(complex),
+    "band_1e11": _with_singular_values([1.0, 0.5, 1e-11], 1),
+    "just_under": _with_singular_values([1.0, 0.3, 1.01e-12], 2),
+    "just_over": _with_singular_values([1.0, 0.3, 0.99e-12], 3),
+    "just_under_large": _with_singular_values([3e5, 1.0, 3e5 * 1.01e-12], 4),
+    "just_over_large": _with_singular_values([3e5, 1.0, 3e5 * 0.99e-12], 5),
+    "near_singular": np.diag([1.0, 1.0, 1e-15]).astype(complex),
+    "exactly_singular": np.array([[1, 2, 0], [2, 4, 0], [0, 0, 1]], dtype=complex),
+    "zero": np.zeros((N, N), dtype=complex),
+    "nan": np.where(np.eye(N) > 0, np.nan, 0.0).astype(complex),
+    "inf": np.full((N, N), np.inf, dtype=complex),
+}
+_BAND = ("band_1e11", "just_under", "just_over", "just_under_large", "just_over_large")
+
+
 class TestSafeInv:
     def test_inverse(self):
         a = np.array([[2.0, 0.0], [0.0, 4.0]])
@@ -342,6 +445,79 @@ class TestSafeInv:
     def test_near_singular(self):
         with pytest.raises(SingularMatrixError):
             safe_inv(np.diag([1.0, 1e-15]))
+
+    def test_the_band_rows_straddle_the_limit(self):
+        for name in _BAND:
+            sv = np.linalg.svd(_ROWS[name], compute_uv=False)
+            kappa = sv[0] / sv[-1]
+            assert COND_LIMIT / 16 < kappa < 2 * COND_LIMIT
+            assert (kappa > COND_LIMIT) == name.startswith("just_over"), name
+
+    @pytest.mark.parametrize("name", _ROWS)
+    def test_each_row_alone_as_the_svd_rule(self, name):
+        a = _ROWS[name]
+        assert _outcome(safe_inv, a) == _outcome(_svd_rule_inv, a)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mixed_stacks_as_the_svd_rule(self, seed):
+        # a random selection of the rows, in random order, with repeats: the
+        # same bits and the same row errors as the SVD rule, and each row
+        # what it gets alone
+        rs = np.random.default_rng(seed)
+        names = list(_ROWS)
+        picked = [names[i] for i in rs.integers(0, len(names), size=rs.integers(1, 12))]
+        a = np.stack([_ROWS[name] for name in picked])
+        errors, ref_errors = {}, {}
+        out, ref = safe_inv(a, errors), _svd_rule_inv(a, ref_errors)
+        assert out.tobytes() == ref.tobytes()
+        assert {row: (type(e), str(e)) for row, e in errors.items()} == {
+            row: (type(e), str(e)) for row, e in ref_errors.items()}
+        for row, name in enumerate(picked):
+            alone = _outcome(safe_inv, _ROWS[name])
+            assert alone == (out[row].tobytes() if row not in errors
+                             else (type(errors[row]), str(errors[row])))
+        assert _outcome(safe_inv, a) == _outcome(_svd_rule_inv, a)
+        lead = a.reshape((1, len(a), N, N))
+        assert safe_inv(lead, {}).tobytes() == out.tobytes() and safe_inv(lead, {}).shape == lead.shape
+
+    def test_empty_stack(self):
+        a = np.zeros((0, N, N), dtype=complex)
+        errors = {}
+        out = safe_inv(a, errors)
+        assert out.shape == (0, N, N) and errors == {}
+        assert out.tobytes() == _svd_rule_inv(a).tobytes()
+
+    def test_errors_of_the_failed_rows(self):
+        names = ["well0", "just_over", "nan", "exactly_singular", "just_under", "zero"]
+        errors = {}
+        out = safe_inv(np.stack([_ROWS[name] for name in names]), errors)
+        assert {row: type(e) for row, e in errors.items()} == {
+            1: SingularMatrixError, 2: NonFiniteError, 3: SingularMatrixError,
+            5: SingularMatrixError}
+        for row in errors:
+            np.testing.assert_array_equal(out[row], np.eye(N))
+
+    def test_only_uncertified_rows_take_an_svd(self, monkeypatch):
+        well = np.stack([random_matrix("ginibre", 4, Rng(12).split(t)) + 4.0 * np.eye(4)
+                         for t in range(256)])
+        mixed = np.stack([_ROWS[name] for name in
+                          ("well0", "just_under", "well1", "just_over", "diagonal", "nan")])
+        svd, calls = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        safe_inv(well)
+        safe_inv(well[0])
+        safe_inv(well[:0])
+        assert calls == []  # a well-conditioned stack takes no SVD
+        safe_inv(mixed, {})
+        assert calls == [(2, N, N)]  # the two band rows; the NaN row inverts the identity
+        calls.clear()
+        safe_inv(np.stack([_ROWS["well0"], _ROWS["exactly_singular"]]), {})
+        assert calls == [(2, N, N)]  # an exactly singular row: every row takes the test
 
 
 class TestMatrixJson:

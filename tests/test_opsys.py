@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -64,8 +65,34 @@ class TestBuiltinSystems:
         np.testing.assert_array_equal(ident, np.eye(2))
 
     def test_unknown(self):
-        with pytest.raises(ValueError):
-            builtin_system("octonions")
+        for _ in range(2):  # a failed lookup is not remembered
+            with pytest.raises(ValueError, match="unknown operator system"):
+                builtin_system("octonions")
+
+    @pytest.mark.parametrize("name", ["scalar", "block2", "diagonal(1)", "diagonal(2)",
+                                      "diagonal(64)"])
+    def test_one_shared_system_per_name(self, name):
+        assert builtin_system(name) is builtin_system(name)
+
+    @pytest.mark.parametrize("name", ["scalar", "block2", "diagonal(3)"])
+    def test_a_caller_cannot_change_the_shared_system(self, name):
+        sys_ = builtin_system(name)
+        basis, dual = [e.copy() for e in sys_.basis], sys_.dual_basis.copy()
+        terms, id_coeffs = sys_.terms, sys_.id_coeffs
+        for arr in (*sys_.basis, sys_.dual_basis):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 7.0
+        for field in ("name", "basis", "dual_basis", "terms"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sys_, field, None)
+        other = dataclasses.replace(sys_, name="renamed")
+        assert other is not sys_ and other.name == "renamed"
+        assert builtin_system(name) is sys_ and sys_.name == name
+        for e, before in zip(sys_.basis, basis, strict=True):
+            np.testing.assert_array_equal(e, before)
+        np.testing.assert_array_equal(sys_.dual_basis, dual)
+        assert (sys_.terms, sys_.id_coeffs) == (terms, id_coeffs)
 
 
 class TestRealize:
