@@ -19,6 +19,7 @@ from an array of Rngs, each row drawing its own Rng's stream.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -75,8 +76,7 @@ class OpSysBasis:
         gram = self._gram()
         if np.linalg.matrix_rank(gram) < len(mats):
             raise ValueError("basis elements are not linearly independent over the reals")
-        ident = sum(c * e for c, e in zip(self.id_coeffs, self.basis))
-        if op_norm(ident - np.eye(self.k)) > 1e-12 * (1.0 + np.sqrt(self.k)):
+        if self.identity_defect > 1e-12 * (1.0 + np.sqrt(self.k)):
             raise ValueError("id_coeffs do not combine the basis into the identity")
 
     @property
@@ -98,6 +98,19 @@ class OpSysBasis:
         dual = np.einsum("ij,jkl->ikl", inv, np.stack(self.basis))
         dual.setflags(write=False)
         return dual
+
+    @cached_property
+    def identity_defect(self) -> float:
+        """``||sum_j c_j E_j - I||`` as computed; exactly 0.0 for the built-in systems."""
+        ident = sum(c * e for c, e in zip(self.id_coeffs, self.basis))
+        return float(op_norm(ident - np.eye(self.k)))
+
+    @cached_property
+    def basis_norms(self) -> np.ndarray:
+        """The Frobenius norm of each basis element."""
+        norms = np.array([np.linalg.norm(e) for e in self.basis])
+        norms.setflags(write=False)
+        return norms
 
     @cached_property
     def terms(self) -> tuple:
@@ -393,6 +406,14 @@ def in_domain(point: NCPoint, domain: DomainSpec):
 # Rng's stream (kernels._uniforms) and with the draws that row would make
 # alone.  A point takes its uniforms in one draw (on Philox, drawing a then
 # b uniforms equals drawing a + b).
+#
+# A try of a rejection sampler draws each row's uniforms once, and realizes
+# and decomposes all its Hermitian draws as one stack: P's, and for an
+# ordered pair also the PD step H's.  A candidate is a shift or a positive
+# scaling of its draw, so bounds on its spectrum follow from its draw's
+# (:func:`_bounds`), and ``in_domain`` decides only the rows those bounds
+# leave open.  A pair's row rejected at P gives back its H draw, so its
+# next try draws what a sampler that draws H only after accepting P draws.
 
 SAMPLE_BUDGET = 1000  # tries of a rejection sampler's row before it gets a SamplingError
 
@@ -403,27 +424,89 @@ def _hermitian_point(system: OpSysBasis, level: int, u: np.ndarray) -> NCPoint:
     return _point(system, kernels.matrix_from_uniforms("hermitian", u, level))
 
 
-def _psd_point(system: OpSysBasis, level: int, u: np.ndarray) -> NCPoint:
-    # Shift a Hermitian draw until its realization clears margin >= 0.1;
-    # the shift takes the last uniform of each row.
-    g = _hermitian_point(system, level, u[:, :-1])
-    margin = kernels.min_eig_h(hermitize(realize(g)))
-    shift = np.where(-margin > 0.0, -margin, 0.0) + 0.1 + 0.9 * u[:, -1]
-    return g + identity_point(system, level) * shift
-
-
-def _draw_in_domain(domain: DomainSpec, level: int, gens: list) -> NCPoint:
-    """A stack of candidate points, one per row stream; the caller tests membership."""
-    system = domain.system
-    a, b = domain.a, domain.b
-    count = 2 * system.size * level * level
-    u = _uniforms(gens, count + int(np.isfinite(a)) + int(np.isfinite(b)))
-    g = _hermitian_point(system, level, u[:, :count])
-    if np.isinf(a) and np.isinf(b):
-        return g
+def _decomposed(system: OpSysBasis, level: int, *blocks: np.ndarray):
+    # The Hermitian draws of each block of uniform rows, as one stack in block
+    # order, and the least and greatest eigenvalues of their realizations, from
+    # one stacked decomposition: (draws, lo, hi).
+    g = _hermitian_point(system, level, np.concatenate(blocks))
     w = kernels._eigh(hermitize(realize(g)))
-    lo, hi = w[:, 0], w[:, -1]
-    ident = identity_point(system, level)
+    return g, w[:, 0], w[:, -1]
+
+
+def _bounds(g: NCPoint, lo, hi, beta, alpha=1.0) -> tuple:
+    """Certified bounds ``(lower, upper)`` on the extreme eigenvalues that
+    :func:`in_domain` computes for ``alpha G + beta I``, as the samplers build
+    it from the Hermitian draws G whose realizations have the computed extreme
+    eigenvalues ``lo`` and ``hi``; ``alpha >= 0`` and ``beta`` are per row."""
+    # Let u = 2^-53, N = n k, m the basis size and sigma(X) = sum_j ||E_j||_F
+    # ||X_j||_F, which bounds ||realize(X)||_F.  ``realize`` and ``hermitize``
+    # round each entry by at most (m + 4) u times the sum of the magnitudes of
+    # its terms, so by (m + 4) u sigma(X) in norm, and the eigenvalues LAPACK
+    # computes for a Hermitian M are the exact ones of M + E with ||E|| <=
+    # p(N) u ||M|| (Higham, "Accuracy and Stability of Numerical Algorithms",
+    # ch. 19, for the Householder reduction; LAPACK Users' Guide sec. 4.7,
+    # where p(N) is a modest function of N that its own error estimates take
+    # as 1; here it is 16 N^2).  By Weyl's inequality each computed eigenvalue
+    # of X is then within rho sigma(X) of the exact one, rho = (16 N^2 + 2m +
+    # 8) u.  Exactly, realize(alpha G + beta I) = alpha realize(G) + beta (I +
+    # D), D being the identity defect kron(sum_j c_j E_j - I, I_n), and forming
+    # the point P rounds it by at most 2 u sigma(P) in norm, where sigma(P) <=
+    # alpha sigma(G) + |beta| sqrt(n) sum_j |c_j| ||E_j||_F.  So in_domain's
+    # extreme eigenvalues of P lie within alpha rho sigma(G) + 2 u sigma(P) +
+    # |beta| ||D|| + rho sigma(P) of alpha lo + beta and alpha hi + beta.  The
+    # slack 4 rho sigma(P) + |beta| ||D|| also covers the rounding of these
+    # bounds and of ||D||, and one step more: Q = P + t H with t >= 0 has
+    # lmin(Q) >= lmin(P) + t lmin(H) and lmax(Q) <= lmax(P) + t lmax(H) (Weyl),
+    # and forming Q and decomposing it add 2 u + rho times sigma(P) + t
+    # sigma(H), so lower(P) + t lower(H) and upper(P) + t upper(H) bound it.
+    # The coefficients are exactly Hermitian (a Hermitian part, real scalings,
+    # real diagonal shifts and sums of such), so in_domain's Hermitian test
+    # holds.  A bound that is not finite certifies nothing.
+    system, n = g.system, g.level
+    nk, m, norms = n * system.k, system.size, system.basis_norms
+    rho4 = 4.0 * (16 * nk * nk + 2 * m + 8) * 2.0 ** -53
+    # the slack per unit of |beta|: 4 rho sqrt(n) sum_j |c_j| ||E_j||_F + ||D||
+    per_shift = rho4 * math.sqrt(n) * float(np.abs(system.id_coeffs) @ norms) + system.identity_defect
+    c = g.coeffs.reshape(len(lo), m, n * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = (rho4 * alpha) * (np.sqrt(np.vecdot(c, c).real) @ norms) + per_shift * np.abs(beta)
+        return alpha * lo + beta - slack, alpha * hi + beta + slack
+
+
+def _inside(domain: DomainSpec, p: NCPoint, lower, upper) -> np.ndarray:
+    # The mask of the candidates in the domain: the rows whose certified
+    # bounds clear the interval, and in_domain's decision on the others.
+    tol = kernels.TOL_PSD
+    inside = (lower > domain.a + tol) & (upper < domain.b - tol)
+    unsure = np.flatnonzero(~inside)
+    if unsure.size:
+        inside[unsure] = in_domain(p[unsure], domain)
+    return inside
+
+
+def _psd_point(g: NCPoint, lo, u) -> tuple:
+    # Shift the Hermitian draws g, whose realizations have least eigenvalues
+    # lo, until they clear margin >= 0.1; the shift takes the uniform u of
+    # each row: (the points, the shifts).
+    shift = np.where(-lo > 0.0, -lo, 0.0) + 0.1 + 0.9 * u
+    return g + identity_point(g.system, g.level) * shift, shift
+
+
+def _draw_count(domain: DomainSpec, level: int) -> int:
+    # the uniforms of one candidate: its Hermitian draw, then one per finite end
+    count = 2 * domain.system.size * level * level
+    return count + int(np.isfinite(domain.a)) + int(np.isfinite(domain.b))
+
+
+def _draw_in_domain(domain: DomainSpec, g: NCPoint, lo, hi, u: np.ndarray) -> tuple:
+    """Candidates, one per Hermitian draw of the stack ``g``: each draw's
+    realization has extreme eigenvalues ``lo`` and ``hi`` and is moved into
+    the domain by the row's placement uniforms ``u``.  Returns the stack and
+    the certified bounds of its spectra (:func:`_bounds`)."""
+    a, b = domain.a, domain.b
+    if np.isinf(a) and np.isinf(b):
+        return g, _bounds(g, lo, hi, 0.0)
+    ident = identity_point(g.system, g.level)
     with np.errstate(over="ignore", invalid="ignore"):  # per-row scalars overflow silently
         if np.isinf(b):
             shift = a + 0.1 + 0.9 * u[:, -1] - lo
@@ -437,8 +520,8 @@ def _draw_in_domain(domain: DomainSpec, level: int, gens: list) -> NCPoint:
             alpha = target / np.where(1e-9 > hi - lo, 1e-9, hi - lo)
             beta = start - alpha * lo
     if np.isinf(a) or np.isinf(b):
-        return g + ident * shift
-    return g * alpha + ident * beta
+        return g + ident * shift, _bounds(g, lo, hi, shift)
+    return g * alpha + ident * beta, _bounds(g, lo, hi, beta, alpha)
 
 
 def _redraw(attempt, rows: int, budget: int, exhausted: str, errors: dict | None):
@@ -457,25 +540,30 @@ def _redraw(attempt, rows: int, budget: int, exhausted: str, errors: dict | None
 def sample_point(domain: DomainSpec, level: int, rng, errors: dict | None = None) -> NCPoint:
     """Draw a point of the domain's level-n slice; a row out of budget gets the zero point."""
     gens, lead = _generators(rng)
-    coeffs = np.zeros((len(gens), domain.system.size, level, level), dtype=np.complex128)
+    system, count = domain.system, 2 * domain.system.size * level * level
+    draw = _draw_count(domain, level)
+    coeffs = np.zeros((len(gens), system.size, level, level), dtype=np.complex128)
 
     def attempt(rows, k):
-        p = _draw_in_domain(domain, level, [gens[i] for i in rows])
-        inside = in_domain(p, domain)
+        u = _uniforms([gens[i] for i in rows], draw)
+        p, bounds = _draw_in_domain(domain, *_decomposed(system, level, u[:, :count]), u[:, count:])
+        inside = _inside(domain, p, *bounds)
         coeffs[rows[inside]] = p.coeffs[inside]
         return inside
 
     _redraw(attempt, len(gens), SAMPLE_BUDGET,
             f"could not draw a point with spectrum in ({domain.a}, {domain.b}) "
             f"within {SAMPLE_BUDGET} attempts", errors)
-    return _point(domain.system, coeffs.reshape(lead + coeffs.shape[1:]))
+    return _point(system, coeffs.reshape(lead + coeffs.shape[1:]))
 
 
-def _bisect(domain: DomainSpec, p: NCPoint, h: NCPoint, t: np.ndarray):
+def _bisect(domain: DomainSpec, p: NCPoint, h: NCPoint, t: np.ndarray, p_bounds, h_bounds):
     # Per row, the first Q = P + t H inside the domain, halving t at most 60
     # times and stopping at t == 0: (mask of the rows that found one, the Qs).
+    # The first Q's bounds are P's plus t times H's (see _bounds).
     q = p + h * t
-    found = in_domain(q, domain)
+    with np.errstate(over="ignore", invalid="ignore"):
+        found = _inside(domain, q, p_bounds[0] + t * h_bounds[0], p_bounds[1] + t * h_bounds[1])
     if np.count_nonzero(found) == len(t):
         return found, q.coeffs
     q_out = q.coeffs.copy()
@@ -502,18 +590,26 @@ def sample_ordered_pair(domain: DomainSpec, level: int, rng, errors: dict | None
     """
     gens, lead = _generators(rng)
     system, count = domain.system, 2 * domain.system.size * level * level
+    draw = _draw_count(domain, level)  # P's uniforms; then H's draw, H's shift and t
     pq = np.zeros((2, len(gens), system.size, level, level), dtype=np.complex128)
 
     def attempt(rows, k):
-        p = _draw_in_domain(domain, level, [gens[i] for i in rows])
-        inside = np.flatnonzero(in_domain(p, domain))
-        found = np.zeros(len(rows), dtype=bool)
+        live, size = [gens[i] for i in rows], len(rows)
+        u = _uniforms(live, draw + count + 2)
+        g, lo, hi = _decomposed(system, level, u[:, :count], u[:, draw:-2])
+        p, p_bounds = _draw_in_domain(domain, g[:size], lo[:size], hi[:size], u[:, count:draw])
+        inside = _inside(domain, p, *p_bounds)
+        for i in np.flatnonzero(~inside):
+            live[i][1] -= count + 2  # no H after a rejected P: the next try draws from here
+        inside = np.flatnonzero(inside)
+        found = np.zeros(size, dtype=bool)
         if inside.size:
-            u = _uniforms([gens[i] for i in rows[inside]], count + 2)
-            h = _psd_point(system, level, u[:, :-1])
-            if inside.size < len(rows):
-                p = p[inside]
-            hit, q = _bisect(domain, p, h, 0.2 + 0.8 * u[:, -1])
+            steps = inside + size
+            h, shift = _psd_point(g[steps], lo[steps], u[inside, -2])
+            if inside.size < size:
+                p, p_bounds = p[inside], (p_bounds[0][inside], p_bounds[1][inside])
+            hit, q = _bisect(domain, p, h, 0.2 + 0.8 * u[inside, -1], p_bounds,
+                             _bounds(g[steps], lo[steps], hi[steps], shift))
             done = inside[hit]
             found[done] = True
             pq[0, rows[done]] = p.coeffs[hit]
@@ -531,7 +627,9 @@ def sample_halfplane(system: OpSysBasis, level: int, rng) -> NCPoint:
     gens, lead = _generators(rng)
     count = 2 * system.size * level * level
     u = _uniforms(gens, 2 * count + 1)
-    p = _hermitian_point(system, level, u[:, :count]) + 1j * _psd_point(system, level, u[:, count:])
+    g, lo, _ = _decomposed(system, level, u[:, count:-1])
+    k, _ = _psd_point(g, lo, u[:, -1])
+    p = _hermitian_point(system, level, u[:, :count]) + 1j * k
     return _point(system, p.coeffs.reshape(lead + p.coeffs.shape[1:]))
 
 

@@ -802,6 +802,54 @@ class TestSamplersBitForBit:
             sample_ordered_pair(hopeless, 1, Rng(1))
 
 
+def _position(gen):
+    # the uint64s a reference generator's stream has given: NumPy's Philox makes
+    # block c at counter c + 1 and has used buffer_pos of its 4 words
+    state = gen.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+
+
+class TestDrawPositions:
+    """After a stacked sampler, each row's stream stands where the serial reference's
+    does: a pair's try draws P and H at once, and a row rejected at P gives H's draw back."""
+
+    @pytest.mark.parametrize("domain", [
+        pd_cone(BLOCK2), NARROW, TINY, spectral_interval(SCALAR, 0.0, 1e-8),
+        spectral_interval(DIAG2, float("-inf"), -0.5),
+    ], ids=_domain_id)
+    def test_rows_end_where_the_reference_ends(self, monkeypatch, domain):
+        budget = 40
+        monkeypatch.setattr(opsys, "SAMPLE_BUDGET", budget)
+        streams, generators = [], opsys._generators
+        monkeypatch.setattr(opsys, "_generators", lambda rng: streams.append(generators(rng))
+                            or streams[-1])
+        made, generator = [], Rng.generator
+        monkeypatch.setattr(Rng, "generator", lambda r: made.append(generator(r)) or made[-1])
+        rngs = [Rng(14).split(t) for t in range(8)]
+        tries, exhausted = [], 0
+        for level in (1, 2):
+            for sampler, ref in ((sample_point, _ref_sample_point),
+                                 (sample_ordered_pair, _ref_sample_ordered_pair)):
+                streams.clear()
+                errors = {}
+                sampler(domain, level, rngs, errors=errors)
+                [(rows, _)] = streams
+                for i, r in enumerate(rngs):
+                    made.clear()
+                    kwargs = {"stats": tries} if ref is _ref_sample_ordered_pair else {}
+                    try:
+                        ref(domain, level, r, budget=budget, **kwargs)
+                    except SamplingError:
+                        assert i in errors
+                        exhausted += 1
+                    [gen] = made
+                    assert rows[i][1] == _position(gen)
+        if domain is NARROW:
+            assert max(attempts for attempts, _ in tries) > 1  # rows rejected at P, then found
+        if domain.b - domain.a < 1e-7:
+            assert exhausted  # rows out of budget
+
+
 # --------------------------------------------------------------------------
 # Square roots of non-Hermitian stacks against the per-matrix Schur method.
 

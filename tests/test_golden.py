@@ -54,6 +54,13 @@ GOLDEN = {
     # boundary trials whose evaluation leaves the domain, mixed with good ones
     "boundary_error_witness": (("--suite", "boundary", "--expr", "sqrt(X1 - 0.5)",
                                 "--system", "scalar", *SMALL), "0aa991aaa55e4fa8"),
+    # the benchmark's three recipes, whole
+    "recipe_schur": (("--suite", "equivalence", "--function", "schur_complement",
+                      "--levels", "1..4", "--trials", "500"), "4f38a3af89c07d45"),
+    "recipe_gmean": (("--suite", "equivalence", "--function", "geometric_mean",
+                      "--levels", "1..4", "--trials", "200"), "d75961f20a936a0e"),
+    "recipe_suite_all": (("--suite", "all", "--levels", "1..3", "--trials", "100"),
+                         "4ff5ef835d5f7b4b"),
 }
 # the exit codes of the cases that reach a redraw or error path
 EXIT_CODES = {"axioms_redraws": 0, "axioms_exhausted": 3, "boundary_error_witness": 1}

@@ -3,11 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from freemono import opsys
+from freemono import kernels, opsys
 from freemono.kernels import (
-    NonFiniteError, Rng, SamplingError, SingularMatrixError, imag_part, min_eig_h, op_norm,
-    random_matrix,
+    TOL_PSD, NonFiniteError, Rng, SamplingError, SingularMatrixError, imag_part, min_eig_h,
+    op_norm, random_matrix,
 )
 from freemono.opsys import (
     DomainSpec,
@@ -526,3 +527,80 @@ class TestBitExact:
             p + p
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             10.0 * p
+
+
+# A user system whose id_coeffs give the identity only to within 2e-13: a
+# shift by 1e12 moves one block's spectrum 0.2 less than the other's.
+SKEWED = OpSysBasis("skewed", 2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), (1.0 - 2e-13, 1.0))
+
+CERTIFIED_DOMAINS = {
+    "pd_cone": pd_cone(builtin_system("block2")),
+    "half_line_below": spectral_interval(builtin_system("diagonal(2)"), float("-inf"), -0.5),
+    "full": full_domain(builtin_system("block2")),
+    "interval_dense_system": spectral_interval(_dense_system(), -1.0, 2.0),
+    # rounding at 1e8 decides membership: the interval is 13 ulps wide
+    "narrow_far_from_0": spectral_interval(builtin_system("scalar"), 1e8, 1e8 + 2e-7),
+    "skewed_above": spectral_interval(SKEWED, 1e12, float("inf")),
+    "skewed_below": spectral_interval(SKEWED, float("-inf"), -1e12),
+}
+
+
+class TestCertifiedMembership:
+    """The samplers' certificate (``opsys._bounds``) accepts a candidate only when
+    ``in_domain`` does: the candidate P, and the first Q = P + t H of a pair."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(name=st.sampled_from(sorted(CERTIFIED_DOMAINS)), level=st.integers(1, 3),
+           seed=st.integers(0, 2**64 - 1))
+    def test_a_certified_row_is_in_the_domain(self, name, level, seed):
+        domain, inside, seen = CERTIFIED_DOMAINS[name], opsys._inside, []
+
+        def checked(dom, p, lower, upper):
+            sure = np.flatnonzero((lower > dom.a + TOL_PSD) & (upper < dom.b - TOL_PSD))
+            assert in_domain(p[sure], dom).all()
+            seen.append((len(sure), len(lower)))
+            return inside(dom, p, lower, upper)
+
+        rngs = [Rng(seed).split(t) for t in range(8)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(opsys, "_inside", checked)
+            mp.setattr(opsys, "SAMPLE_BUDGET", 20)
+            sample_point(domain, level, rngs, errors={})
+            sample_ordered_pair(domain, level, rngs, errors={})
+        assert seen
+        if name in ("pd_cone", "full"):
+            assert all(sure == rows for sure, rows in seen)  # nothing left to in_domain
+
+    @pytest.mark.parametrize("name", ["narrow_far_from_0", "skewed_above"])
+    def test_rounding_and_the_identity_defect_leave_rows_to_in_domain(self, name):
+        # the hard domains above: some rows are certified, some are not, and
+        # in_domain rejects some of those
+        domain, inside, sure, rejected = CERTIFIED_DOMAINS[name], opsys._inside, [0], [0]
+
+        def counted(dom, p, lower, upper):
+            mask = (lower > dom.a + TOL_PSD) & (upper < dom.b - TOL_PSD)
+            sure[0] += np.count_nonzero(mask)
+            found = inside(dom, p, lower, upper)
+            rejected[0] += np.count_nonzero(~found)
+            return found
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(opsys, "_inside", counted)
+            sample_ordered_pair(domain, 2, [Rng(5).split(t) for t in range(64)])
+        assert rejected[0] > 0
+        assert name == "narrow_far_from_0" or sure[0] > 0
+
+    @pytest.mark.parametrize("sampler", [sample_point, sample_ordered_pair])
+    def test_one_decomposition_and_no_in_domain_per_try_on_the_pd_cone(self, monkeypatch,
+                                                                        sampler):
+        calls, eigh = [], kernels._eigh
+        monkeypatch.setattr(kernels, "_eigh", lambda *a, **k: calls.append("_eigh") or eigh(*a, **k))
+        monkeypatch.setattr(opsys, "in_domain", lambda *a: calls.append("in_domain"))
+        sampler(pd_cone(builtin_system("block2")), 3, [Rng(15).split(t) for t in range(16)])
+        assert calls == ["_eigh"]  # one try: every row is accepted at once
+
+    def test_identity_defect(self):
+        assert all(builtin_system(name).identity_defect == 0.0 for name in SYSTEMS)
+        assert SKEWED.identity_defect == pytest.approx(2e-13, rel=1e-3)
+        with pytest.raises(ValueError, match="identity"):
+            OpSysBasis("far", 1, (np.eye(1),), (1.0 + 1e-11,))
