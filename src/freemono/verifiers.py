@@ -60,18 +60,33 @@ def _run_trials(check, function, run, levels, trials, tol, rng) -> CheckReport:
     """Run ``run(level, ts)``, a list of :class:`_Trial` for the trial indices ``ts``,
     over each level's trials, ``TRIAL_CHUNK`` at a time, and report the margins.
 
-    The witness is that of the most negative margin when some margin drops
-    below ``-tol``.  Raises :class:`NumericalError` on a non-finite margin.
+    Between chunks only the failure count and the first trial with the most
+    negative margin are kept, so memory does not grow with ``trials``.  The
+    witness is that trial's when some margin drops below ``-tol``.  Raises
+    :class:`NumericalError` on the first non-finite margin once every chunk
+    has run, so an error that a later chunk raises comes first.
     """
     levels = tuple(int(x) for x in levels)
-    results = [r for level in levels for lo in range(0, trials, TRIAL_CHUNK)
-               for r in run(level, range(lo, min(lo + TRIAL_CHUNK, trials)))]
-    for i, r in enumerate(results):
-        if not math.isfinite(r.margin):
-            raise NumericalError(f"{check} of {function}: margin {r.margin} at level "
-                                 f"{levels[i // trials]}, trial {i % trials}")
-    failures = sum(1 for r in results if r.margin < -tol)
-    worst = min(results, key=lambda r: r.margin)
+    failures, worst, bad = 0, None, None
+
+    def tally(level, lo):
+        # one chunk, whose trials are dropped when it returns
+        nonlocal failures, worst, bad
+        for t, r in enumerate(run(level, range(lo, min(lo + TRIAL_CHUNK, trials))), lo):
+            if not math.isfinite(r.margin):
+                bad = bad or (r.margin, level, t)
+                continue
+            if r.margin < -tol:
+                failures += 1
+            if worst is None or r.margin < worst.margin:
+                worst = r
+
+    for level in levels:
+        for lo in range(0, trials, TRIAL_CHUNK):
+            tally(level, lo)
+    if bad:
+        raise NumericalError(f"{check} of {function}: margin {bad[0]} at level {bad[1]}, "
+                             f"trial {bad[2]}")
     return CheckReport(
         check=check,
         function=function,

@@ -1,5 +1,7 @@
 import contextlib
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -327,3 +329,49 @@ class TestTrialRunner:
         margins = [bad if m is None else m for m in margins]
         with pytest.raises(NumericalError, match="monotone of f"):
             self._run(margins)
+
+    def test_equal_margins_keep_the_first_trial(self, monkeypatch):
+        monkeypatch.setattr(verifiers, "TRIAL_CHUNK", 2)
+        rep = self._run([0.5, -2.0, -1.0, -2.0, -2.0])
+        assert (rep.failures, rep.worst_margin, rep.witness) == (4, -2.0, {"t": 1})
+
+    def test_the_first_non_finite_margin_is_raised_after_every_chunk(self, monkeypatch):
+        monkeypatch.setattr(verifiers, "TRIAL_CHUNK", 2)
+        ran = []
+
+        def run(level, ts):
+            ran.append((level, list(ts)))
+            return [_Trial(float("nan") if (level, t) in ((1, 3), (2, 0)) else -1.0) for t in ts]
+
+        with pytest.raises(NumericalError, match="margin nan at level 1, trial 3"):
+            _run_trials("monotone", "f", run, (1, 2), 5, 1e-8, Rng(0))
+        assert ran == [(1, [0, 1]), (1, [2, 3]), (1, [4]), (2, [0, 1]), (2, [2, 3]), (2, [4])]
+
+    def test_an_error_of_a_later_chunk_comes_before_a_non_finite_margin(self, monkeypatch):
+        monkeypatch.setattr(verifiers, "TRIAL_CHUNK", 2)
+
+        def run(level, ts):
+            if ts[0] == 4:
+                raise OutOfDomainError("later chunk")
+            return [_Trial(float("-inf")) for _ in ts]
+
+        with pytest.raises(OutOfDomainError, match="later chunk"):
+            _run_trials("monotone", "f", run, (1,), 6, 1e-8, Rng(0))
+
+    def test_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
+        # every trial of `inverse` fails; each chunk's sampled points stay alive
+        # only while a trial of the chunk is the worst one so far
+        monkeypatch.setattr(verifiers, "TRIAL_CHUNK", 3)
+        refs, alive, sample = [], [], verifiers.sample_ordered_pair
+
+        def spy(domain, level, rngs, errors=None):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            a, b = sample(domain, level, rngs, errors=errors)
+            refs.append(weakref.ref(a))
+            return a, b
+
+        monkeypatch.setattr(verifiers, "sample_ordered_pair", spy)
+        rep = check_monotone(catalog("inverse"), levels=(1, 2), trials=60, rng=Rng(3))
+        assert len(alive) == 40 and rep.failures == 120
+        assert max(alive) <= 1
