@@ -51,11 +51,13 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# The most --trials a check takes.  A check keeps every trial's result, and
-# a failing trial keeps its chunk's points for the witness, so memory grows
-# with the count: `check --function inverse --suite equivalence --levels
-# 1..8` peaked at 278 MB with 20,000 trials (about 11 KB a trial), so about
-# 1.2 GB at this limit.
+# The most --trials a check takes.  Between chunks a check keeps only its
+# failure count and its worst trial so far, with that trial's chunk, so
+# memory does not grow with the count: `check --function inverse --suite
+# equivalence --levels 1..8` peaked at 49 MB with 20,000 and with 100,000
+# trials, and at 40 MB with one (getrusage, fresh processes).  The limit
+# bounds the run time instead: that run took 79 s at 100,000 trials on a
+# 2-vCPU host.
 TRIALS_MAX = 100_000
 
 

@@ -14,7 +14,12 @@ leading shape including none, after the convention of
 :mod:`freemono.kernels`: ``realize``, ``decode``, ``in_domain``,
 ``direct_sum`` and ``conjugate`` work on each point of a stack as they
 would on it alone and keep the leading shape.  The samplers draw a stack
-from an array of Rngs, each row drawing its own Rng's stream.
+from an array of Rngs, each row drawing its own Rng's stream.  A try of a
+rejection sampler makes one draw per row and one stacked eigendecomposition
+of all its Hermitian draws; each candidate's spectrum is bounded from its
+draw's, and ``in_domain`` decides only the rows those certified bounds leave
+open.  An ordered pair's row rejected at P gives back the draw of its step,
+so every row draws, accepts and rejects what it would alone.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ gets the margin, witness or error it would get alone (:func:`_row_trials`,
 :func:`_retry_trials`).  The local check draws the chunk's commuting paths
 as one stack and evaluates f once, at their stacked block points, for the
 exact derivatives (:func:`_derivative_margins`).  Only the trial the report
-keeps builds its witness JSON.
+keeps builds its witness JSON, and between chunks a check keeps only that
+trial and its failure count (:func:`_run_trials`), so its memory does not
+grow with the trial count.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ def _run_trials(check, function, run, levels, trials, tol, rng) -> CheckReport:
     if bad:
         raise NumericalError(f"{check} of {function}: margin {bad[0]} at level {bad[1]}, "
                              f"trial {bad[2]}")
+    if worst is None:
+        raise ValueError("a check needs at least one level and one trial")
     return CheckReport(
         check=check,
         function=function,

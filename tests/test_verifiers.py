@@ -358,6 +358,11 @@ class TestTrialRunner:
         with pytest.raises(OutOfDomainError, match="later chunk"):
             _run_trials("monotone", "f", run, (1,), 6, 1e-8, Rng(0))
 
+    @pytest.mark.parametrize("levels, trials", [((1,), 0), ((), 5)])
+    def test_no_trial_is_a_value_error(self, levels, trials):
+        with pytest.raises(ValueError):
+            _run_trials("monotone", "f", lambda level, ts: [], levels, trials, 1e-8, Rng(0))
+
     def test_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
         # every trial of `inverse` fails; each chunk's sampled points stay alive
         # only while a trial of the chunk is the worst one so far
