@@ -573,8 +573,9 @@ class TestCertifiedMembership:
 
     @pytest.mark.parametrize("name", ["narrow_far_from_0", "skewed_above"])
     def test_rounding_and_the_identity_defect_leave_rows_to_in_domain(self, name):
-        # the hard domains above: some rows are certified, some are not, and
-        # in_domain rejects some of those
+        # the hard domains above are not settled by the certificate alone:
+        # in_domain rejects some of the rows it leaves open, and on the skewed
+        # system the certificate still settles some rows
         domain, inside, sure, rejected = CERTIFIED_DOMAINS[name], opsys._inside, [0], [0]
 
         def counted(dom, p, lower, upper):
