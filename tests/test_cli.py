@@ -18,9 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 import freemono
 import freemono.cli
 from freemono.cli import main
+from freemono.kernels import NonFiniteError
 from freemono.opsys import DIAGONAL_MAX, builtin_system, point_from_json
 from freemono.report import REPORT_SCHEMA
-from freemono.verifiers import pair_margin
+from freemono.verifiers import halfplane_margin, pair_margin
 from freemono.freeexpr import CATALOG_NAMES, catalog
 
 
@@ -333,6 +334,53 @@ class TestEval:
         assert code == 2 and out == ""
         assert "bad point file" in err and "matrix size must be at least 1" in err
 
+    # A rejected point file: its JSON, the function it is fed to, and the
+    # error point_from_json raises for the function's system.
+    ONE = _m([4.0])
+    REJECTED = {
+        "count": ({"system": "diagonal(2)", "level": 1, "coeffs": [ONE]}, "geometric_mean",
+                  ValueError, "coefficient count must equal the basis size"),
+        "no_coeffs": ({"system": "scalar", "level": 1, "coeffs": []}, "identity",
+                      ValueError, "coefficient count must equal the basis size"),
+        # the count is checked before the level
+        "count_and_level": ({"system": "diagonal(2)", "level": 3, "coeffs": [ONE]},
+                            "geometric_mean", ValueError,
+                            "coefficient count must equal the basis size"),
+        "mixed_sizes": ({"system": "diagonal(2)", "level": 1, "coeffs": [ONE, _m([1, 0], [0, 1])]},
+                        "geometric_mean", ValueError, "all coefficients must share one level"),
+        "non_square": ({"system": "scalar", "level": 2, "coeffs": [
+            {"n": 2, "entries": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                                 [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]}]}, "identity",
+                       ValueError, "matrix JSON entries do not match the declared size"),
+        "non_finite": ({"system": "scalar", "level": 1,
+                        "coeffs": [{"n": 1, "entries": [[[float("nan"), 0.0]]]}]}, "identity",
+                       NonFiniteError, "matrix entries must all be finite"),
+        # a bad entry in a later coefficient is found before the count is checked
+        "non_finite_second": ({"system": "scalar", "level": 1,
+                               "coeffs": [ONE, {"n": 1, "entries": [[[0.0, float("inf")]]]}]},
+                              "identity", NonFiniteError, "matrix entries must all be finite"),
+        "level": ({"system": "scalar", "level": 2, "coeffs": [ONE]}, "identity",
+                  ValueError, "point JSON level does not match its coefficients"),
+        "system": ({"system": "block2", "level": 1, "coeffs": [ONE] * 4}, "identity",
+                   ValueError, "point JSON names system 'block2', expected 'scalar'"),
+        "coeffs_number": ({"system": "scalar", "level": 1, "coeffs": 5}, "identity",
+                          TypeError, "'int' object is not iterable"),
+        "coeffs_object": ({"system": "scalar", "level": 1, "coeffs": ONE}, "identity",
+                          TypeError, "string indices must be integers, not 'str'"),
+    }
+
+    @pytest.mark.parametrize("case", REJECTED)
+    def test_rejected_point(self, tmp_path, case):
+        doc, function, kind, why = self.REJECTED[case]
+        with pytest.raises(kind) as info:
+            point_from_json(doc, catalog(function).in_system)
+        assert type(info.value) is kind and str(info.value) == why
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("eval", "--function", function, "--point", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"freemono: bad point file {str(path)!r}: {why}\n"
+
 
 class TestParseCommand:
     def test_schur_expression(self):
@@ -525,7 +573,28 @@ class TestDocuments:
         square = catalog("square")
         a = point_from_json(witness["A"])
         b = point_from_json(witness["B"])
-        assert abs(pair_margin(square, a, b) - witness["margin"]) <= 1e-10
+        assert pair_margin(square, a, b) == witness["margin"]
+
+    @pytest.mark.parametrize("function, suite, levels, seed", [
+        ("square", "halfplane", "2..2", "7"),
+        ("inverse", "monotone", "3..3", "5"),
+        ("inverse", "halfplane", "1..4", "1"),
+    ])
+    def test_witness_replays_exactly(self, tmp_path, function, suite, levels, seed):
+        # a trial's point gets the value it would get alone, so replaying its
+        # witness gives the reported margin to the bit
+        path = tmp_path / "r.json"
+        run_cli("check", "--function", function, "--suite", suite, "--levels", levels,
+                "--trials", "50", "--seed", seed, "--out", str(path))
+        f = catalog(function)
+        for report in json.loads(path.read_text())["reports"]:
+            witness = report["witness"]
+            if suite == "monotone":
+                margin = pair_margin(f, point_from_json(witness["A"]),
+                                     point_from_json(witness["B"]))
+            else:
+                margin = halfplane_margin(f, point_from_json(witness["P"]))
+            assert margin == witness["margin"]
 
     def test_exit_zero_iff_all_pass(self, tmp_path):
         path = tmp_path / "r.json"

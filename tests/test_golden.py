@@ -1,18 +1,25 @@
 """Pinned report bytes: a fixed config and seed must print the same report.
 
 Each case runs the CLI in-process at ``--seed 42`` and compares the sha256
-of the report with its recorded 16-hex-digit prefix.  The prefixes were
-recorded with numpy 2.4.6, scipy 1.17.1 and scipy-openblas 0.3.31; a
-change that moves a byte here must say so and publish the new prefixes.
+of the report with its recorded 16-hex-digit prefix; one more case pins the
+margins of the benchmark's witness-replay corpus, one point at a time.  The
+prefixes were recorded with numpy 2.4.6, scipy 1.17.1 and scipy-openblas
+0.3.31; a change that moves a byte here must say so and publish the new
+prefixes.
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
+from pathlib import Path
 
 import pytest
 
 from freemono.cli import main
+from freemono.freeexpr import catalog
+from freemono.opsys import point_from_json
+from freemono.verifiers import halfplane_margin, pair_margin
 
 SMALL = ("--levels", "1..2", "--trials", "12")
 SQUARE = ("--function", "square", *SMALL)
@@ -76,3 +83,27 @@ def test_report_bytes(name):
     if name in EXIT_CODES:
         assert code == EXIT_CODES[name]
     assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == prefix
+
+
+def _load_corpus():
+    # the benchmark's witness corpus builder, loaded read only
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_replayed_margins():
+    # every record of the seed-42 replay corpus, each point parsed and scored alone
+    margins = []
+    for record in _load_corpus().build(42):
+        f = catalog(record["function"])
+        if record["kind"] == "pair":
+            margins.append(pair_margin(f, point_from_json(record["A"], f.in_system),
+                                       point_from_json(record["B"], f.in_system)))
+        else:
+            margins.append(halfplane_margin(f, point_from_json(record["P"], f.in_system)))
+    text = "\n".join(float(m).hex() for m in margins)
+    assert len(margins) == 512
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "c8f7f6e491b330ac"
