@@ -528,10 +528,13 @@ def eval_function(f: FreeFunction, point: NCPoint, errors: dict | None = None) -
                 v = blocks[..., a - 1, :, b - 1, :]
             vals.append(v)
         ko = f.out_system.k
-        out = np.zeros(lead + (ko * n, ko * n), dtype=np.complex128)
-        for p, row in enumerate(f.roots):
-            for q, r in enumerate(row):
-                out[..., p * n:(p + 1) * n, q * n:(q + 1) * n] = vals[r]
+        if ko == 1:  # one cell: decode reads its value and writes nothing
+            out = vals[f.roots[0][0]]
+        else:
+            out = np.zeros(lead + (ko * n, ko * n), dtype=np.complex128)
+            for p, row in enumerate(f.roots):
+                for q, r in enumerate(row):
+                    out[..., p * n:(p + 1) * n, q * n:(q + 1) * n] = vals[r]
     failed = {}
     value = opsys.decode(out, f.out_system, n, failed)
     for row, exc in failed.items():

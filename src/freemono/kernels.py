@@ -223,8 +223,11 @@ def min_eig_h(a):
 def scaled_min_eig(a, errors: dict | None = None):
     """min eig / (1 + ||A||) for Hermitian A, in one eigendecomposition."""
     w = _eigh(a, errors)
-    out = [r[0] / (1.0 + max(abs(r[0]), abs(r[-1]))) for r in w.reshape(-1, w.shape[-1]).tolist()]
-    return np.array(out).reshape(w.shape[:-1])[()]
+    lo, hi = w[..., 0], w[..., -1]
+    size = np.abs(lo)
+    scale = 1.0 + np.maximum(size, np.abs(hi))
+    # a least eigenvalue that is not finite gives NaN, as inf / inf does, with no warning
+    return np.divide(lo, scale, out=np.full(lo.shape, np.nan), where=size < np.inf)[()]
 
 
 def safe_inv(a, errors: dict | None = None) -> np.ndarray:
@@ -310,9 +313,10 @@ def _near_cut(a: np.ndarray, dist: np.ndarray, bound: np.ndarray) -> list:
     # most TOL_BRANCH * (1 + ||A||) from the closed ray (-inf, 0].  ``bound``
     # is at least 1 + ||A|| for each row, so only the rows within it need
     # their operator norm.
-    near = np.flatnonzero((dist <= TOL_BRANCH * bound[:, None]).any(axis=1))
-    if not near.size:
+    near = (dist <= TOL_BRANCH * bound[:, None]).any(axis=1)
+    if not near.any():
         return []
+    near = np.flatnonzero(near)
     scale = 1.0 + op_norm(a[near])
     return near[(dist[near] <= TOL_BRANCH * scale[:, None]).any(axis=1)].tolist()
 
@@ -380,26 +384,27 @@ def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
     errs = {}
     a = finite_rows(a, errs)
     norms = _frobenius(np.concatenate([a - _ct(a), a]))
+    skew, norm = norms[:len(a)], norms[len(a):]
     # The tolerances scale with 1 + ||A||, which is at most 1 + ||A||_F; twice
     # that leaves room for rounding.  Only a row whose decision lies within
     # that bound needs its operator norm, so each decision is the same.
-    bound = 2.0 * (1.0 + norms[len(a):])
-    norms = norms.tolist()
-    herm = [d <= 1e-13 * (1.0 + m) for d, m in zip(norms[:len(a)], norms[len(a):])]
-    if all(herm) or not any(herm):  # the whole stack, an empty one too, goes uncopied
-        root = (_roots_by_eigh if all(herm) else _roots_by_schur)(a, bound, errs, range(len(a)))
+    bound = 2.0 * (1.0 + norm)
+    herm = skew <= 1e-13 * (1.0 + norm)
+    if herm.all() or not herm.any():  # the whole stack, an empty one too, goes uncopied
+        root = (_roots_by_eigh if herm.all() else _roots_by_schur)(a, bound, errs, range(len(a)))
     else:
         root = np.empty_like(a)
-        for want, roots in ((True, _roots_by_eigh), (False, _roots_by_schur)):
-            rows = [row for row, h in enumerate(herm) if h == want]
-            root[rows] = roots(a[rows], bound[rows], errs, rows)
+        for rows, roots in ((np.flatnonzero(herm), _roots_by_eigh),
+                            (np.flatnonzero(~herm), _roots_by_schur)):
+            root[rows] = roots(a[rows], bound[rows], errs, rows.tolist())
     overflowed = {}
     resid = finite_rows(root @ root - a, overflowed)
     # ||R|| <= ||R||_F, and the tolerance TOL_RECON * (1 + ||A||) is at least
     # TOL_RECON: a residual under half of that passes without operator norms.
-    unsure = np.flatnonzero(_frobenius(resid) > 0.5 * TOL_RECON)
+    unsure = _frobenius(resid) > 0.5 * TOL_RECON
     failed = set(overflowed)
-    if unsure.size:
+    if unsure.any():
+        unsure = np.flatnonzero(unsure)
         r, m = np.split(op_norm(np.concatenate([resid[unsure], a[unsure]])), 2)
         failed.update(unsure[r > TOL_RECON * (1.0 + m)].tolist())
     for row in sorted(failed):
@@ -592,8 +597,5 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     entries = doc["entries"]
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError("matrix JSON entries do not match the declared size")
-    out = np.empty((n, n), dtype=np.complex128)
-    for i, row in enumerate(entries):
-        for j, (re, im) in enumerate(row):
-            out[i, j] = complex(re, im)
-    return as_matrix(out)
+    out = np.array([complex(re, im) for row in entries for re, im in row], dtype=np.complex128)
+    return as_matrix(out.reshape(n, n))

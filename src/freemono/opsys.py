@@ -123,6 +123,12 @@ class OpSysBasis:
         return tuple((j, int(p), int(q), complex(e[p, q]))
                      for j, e in enumerate(self.basis) for p, q in zip(*np.nonzero(e)))
 
+    @cached_property
+    def identity_frame(self) -> bool:
+        """True when the basis is the one 1-by-1 matrix ``[1]``, whatever the name:
+        then ``realize`` and ``decode`` are both ``m + 0.0`` (see :func:`realize`)."""
+        return self.k == 1 and self.size == 1 and bool(self.basis[0][0, 0] == 1.0)
+
 
 @dataclass(frozen=True, eq=False)
 class NCPoint:
@@ -290,8 +296,14 @@ def realize(point: NCPoint) -> np.ndarray:
     entries in basis order.  That is the kron sum bit for bit: a skipped
     zero entry adds only a signed zero, which changes no nonzero sum, and a
     zero sum starting from +0 is +0 either way.
+
+    For the identity frame (basis ``[1]``) that sum is ``A_1 + 0.0``: a
+    product by ``1+0j`` keeps every finite nonzero part and leaves a zero
+    part a signed zero, which adding it to +0 makes +0, as adding +0 does.
     """
     system, n, coeffs = point.system, point.level, point.coeffs
+    if system.identity_frame:
+        return coeffs[..., 0, :, :] + 0.0
     k, stack = system.k, coeffs.shape[:-3]
     acc = np.zeros(stack + (k, n, k, n), dtype=np.complex128)
     for j, p, q, w in system.terms:
@@ -305,12 +317,18 @@ def decode(m, system: OpSysBasis, level: int, errors: dict | None = None) -> NCP
     Raises :class:`NotInImageError` when the reassembly residual exceeds
     ``1e-9 * (1 + ||m||)``.  A matrix that is not finite or not in the
     image is a failed row and decodes to a finite stand-in.
+
+    The identity frame's dual is its basis ``[1]``, so its coefficient is
+    ``m + 0.0`` (see :func:`realize`), and since its image is every matrix,
+    a finite row needs no round trip.
     """
     m, lead = kernels.as_stack(m)
     m = finite_rows(m, errors)
     k, n = system.k, int(level)
     if m.shape[-1] != n * k:
         raise ValueError(f"matrix side {m.shape[-1]} does not equal level*k = {n * k}")
+    if system.identity_frame:
+        return _point(system, (m + 0.0).reshape(lead + (1, n, n)))
     errs = {}
     blocks = m.reshape(len(m), k, n, k, n)
     coeffs = np.empty((len(m), system.size, n, n), dtype=np.complex128)
@@ -655,8 +673,11 @@ def point_from_json(doc: dict, system: OpSysBasis | None = None) -> NCPoint:
         system = builtin_system(name)
     elif system.name != name:
         raise ValueError(f"point JSON names system {name!r}, expected {system.name!r}")
-    coeffs = tuple(kernels.matrix_from_json(c) for c in doc["coeffs"])
-    point = NCPoint(system, coeffs)
+    coeffs = [kernels.matrix_from_json(c) for c in doc["coeffs"]]  # finite square matrices
+    if len(coeffs) == system.size and all(c.shape == coeffs[0].shape for c in coeffs):
+        point = _point(system, np.array(coeffs))
+    else:
+        point = NCPoint(system, coeffs)  # raises the error of the check that fails first
     if point.level != kernels._json_int(doc, "level"):
         raise ValueError("point JSON level does not match its coefficients")
     return point

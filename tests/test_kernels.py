@@ -108,6 +108,47 @@ class TestMinEigH:
         assert min_eig_h(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(-1.0)
 
 
+class TestScaledMinEig:
+    @staticmethod
+    def _per_row(w):
+        # the margin of each row of eigenvalues as a Python expression
+        return [r[0] / (1.0 + max(abs(r[0]), abs(r[-1]))) for r in w.reshape(-1, w.shape[-1]).tolist()]
+
+    @pytest.mark.parametrize("rows", [0, 1, 256])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_equals_the_per_row_expression_bit_for_bit(self, rows, n):
+        rng = np.random.default_rng(rows * 10 + n)
+        a = rng.standard_normal((rows, n, n)) + 1j * rng.standard_normal((rows, n, n))
+        a = hermitize(a * np.exp(rng.uniform(-30.0, 30.0, (rows, 1, 1))))
+        a[::7] *= 1e-300  # tiny spectra, some of them zero
+        got = scaled_min_eig(a)
+        want = np.array(self._per_row(np.linalg.eigvalsh(a)), dtype=float)
+        assert got.shape == (rows,) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 256])
+    def test_spectra_with_signed_zeros_infinities_and_nans(self, monkeypatch, rows):
+        # eigvalsh gives all-NaN rows for some non-finite input; both forms make them NaN
+        rng = np.random.default_rng(rows)
+        w = rng.standard_normal((rows, 3)) * np.exp(rng.uniform(-700.0, 700.0, (rows, 1)))
+        w[1::5, 0] = -0.0
+        w[2::5] = (-0.0, 0.0, 0.0)
+        w[3::9, 0] = -np.inf
+        w[6::9, -1] = np.inf
+        w[::4] = np.nan
+        w.sort(axis=1)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: w.copy())
+        got = scaled_min_eig(np.zeros((rows, 3, 3)))
+        want = np.array(self._per_row(w), dtype=float)
+        nan = np.isnan(want)
+        assert nan[0] and (np.isnan(got) == nan).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_one_matrix_gives_a_numpy_scalar(self):
+        h = np.array([[2.0, 1j], [-1j, -3.0]])
+        got = scaled_min_eig(h)
+        assert type(got) is np.float64 and got == self._per_row(np.linalg.eigvalsh(h))[0]
+
+
 class TestPrincipalSqrt:
     def test_identity(self):
         np.testing.assert_allclose(principal_sqrt(np.eye(3)), np.eye(3), atol=1e-14)

@@ -529,6 +529,112 @@ class TestBitExact:
             10.0 * p
 
 
+def _term_loop_realize(point):
+    # Reference: realize's loop over the basis's nonzero entries, which the
+    # identity frame skips.
+    system, n, coeffs = point.system, point.level, point.coeffs
+    k, stack = system.k, coeffs.shape[:-3]
+    acc = np.zeros(stack + (k, n, k, n), dtype=np.complex128)
+    for j, p, q, w in system.terms:
+        acc[..., p, :, q, :] += w * coeffs[..., j, :, :]
+    return acc.reshape(stack + (k * n, k * n))
+
+
+def _dual_frame_decode(m, system, n):
+    # Reference: decode's coefficients from the dual frame, for a finite stack
+    # of matrices in the image, which the identity frame skips.
+    k = system.k
+    blocks = m.reshape(len(m), k, n, k, n)
+    coeffs = np.empty((len(m), system.size, n, n), dtype=np.complex128)
+    for j, dual in enumerate(system.dual_basis):
+        acc = np.zeros((len(m), n, n), dtype=np.complex128)
+        for p in range(k):
+            for q in range(k):
+                if dual[p, q] != 0:
+                    acc = acc + dual[p, q] * blocks[:, q, :, p, :]
+        coeffs[:, j] = acc
+    return coeffs
+
+
+def _with_signed_zeros(a, rng):
+    # a copy of the complex array ``a`` whose first entry is -0.0 - 0.0j and
+    # with about a third of its other real and imaginary parts -0.0 or +0.0
+    parts = a.copy().view(np.float64)
+    hit = rng.random(parts.shape) < 1 / 3
+    parts[hit] = np.where(rng.random(parts.shape) < 0.5, -0.0, 0.0)[hit]
+    parts.flat[:2] = -0.0
+    return parts.view(np.complex128)
+
+
+# system -> whether it is the identity frame; the frame is told by its basis, not its name
+FRAMES = {
+    "scalar": (builtin_system("scalar"), True),
+    "unit": (OpSysBasis("unit", 1, (np.eye(1),), (1.0,)), True),
+    "scalar_named_twice": (OpSysBasis("scalar", 1, (2.0 * np.eye(1),), (0.5,)), False),
+    "diagonal(2)": (builtin_system("diagonal(2)"), False),
+    "block2": (builtin_system("block2"), False),
+}
+
+
+class TestIdentityFrame:
+    """realize and decode on the identity frame (basis ``[1]``) give the term loop's
+    and the dual frame's values to the bit, signed zeros included."""
+
+    @staticmethod
+    def _same_bits(got, want):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", FRAMES)
+    def test_detected_from_the_basis(self, name):
+        system, frame = FRAMES[name]
+        assert system.identity_frame is frame
+
+    @pytest.mark.parametrize("name", FRAMES)
+    def test_realize_equals_the_term_loop(self, name):
+        system = FRAMES[name][0]
+        rng = np.random.default_rng(41)
+        for shape in ((), (1,), (7,), (2, 3)):
+            n = 1 + len(shape)
+            coeffs = rng.standard_normal(shape + (system.size, n, n, 2)).view(np.complex128)[..., 0]
+            point = opsys._point(system, _with_signed_zeros(coeffs, rng))
+            self._same_bits(realize(point), _term_loop_realize(point))
+
+    @pytest.mark.parametrize("name", FRAMES)
+    def test_decode_equals_the_dual_frame(self, name, monkeypatch):
+        system, frame = FRAMES[name]
+        rng = np.random.default_rng(42)
+        n = 3
+        coeffs = rng.standard_normal((6, system.size, n, n, 2)).view(np.complex128)[..., 0]
+        m = _with_signed_zeros(realize(opsys._point(system, coeffs)), rng)
+        calls = []
+        real_realize = opsys.realize
+        monkeypatch.setattr(opsys, "realize", lambda p: calls.append(p) or real_realize(p))
+        got = decode(m, system, n)
+        self._same_bits(got.coeffs, _dual_frame_decode(m, system, n))
+        assert len(calls) == (0 if frame else 1)  # the identity frame makes no round trip
+
+    @pytest.mark.parametrize("name", FRAMES)
+    def test_a_non_finite_row_fails_first(self, name):
+        system = FRAMES[name][0]
+        m = np.stack([np.eye(system.k * 2, dtype=complex)] * 3)
+        m[1, 0, 1] = complex(0.0, np.nan)
+        errors = {}
+        got = decode(m, system, 2, errors)
+        assert list(errors) == [1] and isinstance(errors[1], NonFiniteError)
+        self._same_bits(got.coeffs, _dual_frame_decode(np.stack([m[0]] * 3), system, 2))
+        with pytest.raises(NonFiniteError, match="finite"):
+            decode(m[1], system, 2)
+
+    def test_a_diagonal_system_still_rejects_off_image(self):
+        off = np.zeros((2, 4, 4), dtype=complex)
+        off[1, 0, 2] = 1.0
+        errors = {}
+        decode(off, builtin_system("diagonal(2)"), 2, errors)
+        assert list(errors) == [1] and isinstance(errors[1], NotInImageError)
+        with pytest.raises(NotInImageError, match="residual"):
+            decode(off[1], builtin_system("diagonal(2)"), 2)
+
+
 # A user system whose id_coeffs give the identity only to within 2e-13: a
 # shift by 1e12 moves one block's spectrum 0.2 less than the other's.
 SKEWED = OpSysBasis("skewed", 2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), (1.0 - 2e-13, 1.0))

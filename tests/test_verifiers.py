@@ -330,6 +330,12 @@ class TestTrialRunner:
         with pytest.raises(NumericalError, match="monotone of f"):
             self._run(margins)
 
+    def test_a_non_finite_spectrum_is_a_numerical_error(self):
+        margins = scaled_min_eig(np.array([[[1.0]], [[np.nan]], [[np.inf]]]))
+        assert margins[0] == 0.5 and np.isnan(margins[1:]).all()
+        with pytest.raises(NumericalError, match="margin nan at level 1, trial 1"):
+            self._run(margins.tolist())
+
     def test_equal_margins_keep_the_first_trial(self, monkeypatch):
         monkeypatch.setattr(verifiers, "TRIAL_CHUNK", 2)
         rep = self._run([0.5, -2.0, -1.0, -2.0, -2.0])
