@@ -8,6 +8,12 @@ matrix ``sum_j kron(E_j, A_j)``, a k-by-k grid of n-by-n blocks.  The
 ambient index is kept outermost so block (p, q) of the realization is
 ``sum_j E_j[p, q] * A_j``, a plain linear read of the coefficients; it is
 built from the basis's table of nonzero entries, one scaled add per entry.
+A system whose basis is the one 1-by-1 matrix ``[1]``, such as ``scalar``
+(the output system of every catalog function), is the identity frame:
+``realize`` and ``decode`` are both ``m + 0.0`` there, which is exactly what
+the entry table and the dual frame give, and since its image is every
+matrix, ``decode`` makes no round trip.  It is told from the basis's values,
+not its name.
 
 A stack of points of one level holds an ``(..., m, n, n)`` array, any
 leading shape including none, after the convention of
@@ -297,9 +303,10 @@ def realize(point: NCPoint) -> np.ndarray:
     zero entry adds only a signed zero, which changes no nonzero sum, and a
     zero sum starting from +0 is +0 either way.
 
-    For the identity frame (basis ``[1]``) that sum is ``A_1 + 0.0``: a
-    product by ``1+0j`` keeps every finite nonzero part and leaves a zero
-    part a signed zero, which adding it to +0 makes +0, as adding +0 does.
+    For the identity frame (basis ``[1]``) that sum is ``A_1 + 0.0``:
+    multiplying by ``1+0j`` keeps every finite part, up to the sign of a
+    zero, and adding the product to the +0 start turns each zero into +0,
+    just as adding +0.0 does.
     """
     system, n, coeffs = point.system, point.level, point.coeffs
     if system.identity_frame:
@@ -668,6 +675,8 @@ def point_to_json(point: NCPoint) -> dict:
 
 
 def point_from_json(doc: dict, system: OpSysBasis | None = None) -> NCPoint:
+    """The point a point JSON document encodes, over ``system`` when given, which
+    the document must name; input ``NCPoint`` rejects gets the error it raises."""
     name = doc["system"]
     if system is None:
         system = builtin_system(name)
