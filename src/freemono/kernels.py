@@ -224,10 +224,10 @@ def scaled_min_eig(a, errors: dict | None = None):
     """min eig / (1 + ||A||) for Hermitian A, in one eigendecomposition."""
     w = _eigh(a, errors)
     lo, hi = w[..., 0], w[..., -1]
-    size = np.abs(lo)
-    scale = 1.0 + np.maximum(size, np.abs(hi))
+    lo_abs = np.abs(lo)
+    scale = 1.0 + np.maximum(lo_abs, np.abs(hi))
     # a least eigenvalue that is not finite gives NaN, as inf / inf does, with no warning
-    return np.divide(lo, scale, out=np.full(lo.shape, np.nan), where=size < np.inf)[()]
+    return np.divide(lo, scale, out=np.full(lo.shape, np.nan), where=lo_abs < np.inf)[()]
 
 
 def safe_inv(a, errors: dict | None = None) -> np.ndarray:

@@ -112,7 +112,8 @@ class TestScaledMinEig:
     @staticmethod
     def _per_row(w):
         # the margin of each row of eigenvalues as a Python expression
-        return [r[0] / (1.0 + max(abs(r[0]), abs(r[-1]))) for r in w.reshape(-1, w.shape[-1]).tolist()]
+        rows = w.reshape(-1, w.shape[-1]).tolist()
+        return [r[0] / (1.0 + max(abs(r[0]), abs(r[-1]))) for r in rows]
 
     @pytest.mark.parametrize("rows", [0, 1, 256])
     @pytest.mark.parametrize("n", [1, 3])
