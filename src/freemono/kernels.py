@@ -16,7 +16,16 @@ error is raised.
 
 Tolerance convention: a comparison at tolerance ``t`` against a matrix
 ``A`` is made relative to ``t * (1 + ||A||)``, with ``||.||`` the operator
-(spectral) norm.
+(spectral) norm.  The operator norm is an SVD, so a kernel takes it only
+for the rows a cheaper screen leaves unsure.  Each screen bounds the
+quantity it stands for with at least a factor of two to spare for rounding,
+so it changes which rows take SVDs and never a decision: ``safe_inv``
+certifies a row by its Frobenius condition estimate, and ``principal_sqrt``
+passes a residual by its Frobenius norm and clears an eigenvalue of the
+branch cut by its real part, its imaginary part or its distance against
+``2 (1 + ||A||_F)``, which is at least twice ``1 + ||A||``.  A matrix with a
+non-finite entry is a failed row (:func:`finite_rows`); one whole-stack test
+comes first, and the rows are looked at only when it fails.
 
 Only NumPy is imported when the module loads.  SciPy's LAPACK bindings are
 imported by the square root of a non-Hermitian stack, the one routine that
@@ -124,9 +133,10 @@ def finite_rows(a: np.ndarray, errs: dict | None = None) -> np.ndarray:
     raises, and the stand-in goes into a copy of ``a``.  Without ``errs``,
     the error of the lowest such row is raised.
     """
-    if np.isfinite(a).all():
+    finite = np.isfinite(a)
+    if np.count_nonzero(finite) == finite.size:
         return a
-    bad = ~np.isfinite(a).all(axis=(1, 2))
+    bad = ~finite.all(axis=(1, 2))
     settle({row: NonFiniteError("matrix entries must all be finite")
             for row in np.flatnonzero(bad)}, errs)
     a = a.copy()
@@ -221,8 +231,13 @@ def min_eig_h(a):
 
 
 def scaled_min_eig(a, errors: dict | None = None):
-    """min eig / (1 + ||A||) for Hermitian A, in one eigendecomposition."""
-    w = _eigh(a, errors)
+    """min eig / (1 + ||A||) for Hermitian A, in one eigendecomposition.
+
+    A matrix with a non-finite entry is a failed row (see :func:`finite_rows`):
+    LAPACK can give such a matrix a finite spectrum, whose margin would pass.
+    """
+    a = np.asarray(a)
+    w = _eigh(finite_rows(a.reshape((-1,) + a.shape[-2:]), errors).reshape(a.shape), errors)
     lo, hi = w[..., 0], w[..., -1]
     lo_abs = np.abs(lo)
     scale = 1.0 + np.maximum(lo_abs, np.abs(hi))
@@ -282,25 +297,28 @@ def _sqrt_triu(t: np.ndarray) -> np.ndarray:
     # The Bjorck-Hammarling recurrence for the square roots of a stack of upper
     # triangular matrices, one superdiagonal at a time: each entry needs only
     # entries of lower superdiagonals.  The diagonal fixes the branch.  Entry
-    # (i, j) needs the inner product s[i, i+1:j] @ s[i+1:j, j]; for a whole
+    # (i, j) needs s[i, i+1:j] @ s[i+1:j, j], empty for j = i + 1; for a later
     # superdiagonal, x and y are views of those rows and columns, and x @ y is
     # the stack's 1-by-k times k-by-1 matmuls.  The views keep each matrix's
     # own strides, so BLAS sums each product as it does for one matrix: a
     # contiguous copy of the operands would change the rounding.
     rows, n = len(t), t.shape[-1]
+    if n == 1:
+        return np.sqrt(t)
     t = t.reshape(rows, n * n)
-    s = np.zeros_like(t)
+    s = np.zeros(t.shape, t.dtype)
     root = np.sqrt(t[:, ::n + 1])
     s[:, ::n + 1] = root
     den = (root[:, :, None] + root[:, None, :]).reshape(rows, n * n)  # s[i, i] + s[j, j]
+    np.divide(t[:, 1::n + 1], den[:, 1::n + 1], out=s[:, 1::n + 1])
     b = s.itemsize
     row_steps, col_steps = (n * n * b, (n + 1) * b, 0, b), (n * n * b, (n + 1) * b, n * b, b)
-    for off in range(1, n):
+    for off in range(2, n):
         m, k = n - off, off - 1
         diag = slice(off, off + m * (n + 1), n + 1)  # the entries (i, i + off)
         x = np.ndarray((rows, m, 1, k), s.dtype, s, b, row_steps)  # starts at s[0, 1]
         y = np.ndarray((rows, m, k, 1), s.dtype, s, (n + off) * b, col_steps)  # at s[1, off]
-        s[:, diag] = (t[:, diag] - (x @ y)[..., 0, 0]) / den[:, diag]
+        np.divide(t[:, diag] - (x @ y)[..., 0, 0], den[:, diag], out=s[:, diag])
     return s.reshape(rows, n, n)
 
 
@@ -308,44 +326,36 @@ def _branch_cut(value) -> BranchCutError:
     return BranchCutError(f"eigenvalue {value} within {TOL_BRANCH:g} of the closed ray (-inf, 0]")
 
 
-def _near_cut(a: np.ndarray, dist: np.ndarray, bound: np.ndarray) -> list:
-    # The rows of ``a`` with a distance in ``dist`` (one or more per row) at
-    # most TOL_BRANCH * (1 + ||A||) from the closed ray (-inf, 0].  ``bound``
-    # is at least 1 + ||A|| for each row, so only the rows within it need
-    # their operator norm.
-    near = (dist <= TOL_BRANCH * bound[:, None]).any(axis=1)
-    if not near.any():
-        return []
-    near = np.flatnonzero(near)
-    scale = 1.0 + op_norm(a[near])
-    return near[(dist[near] <= TOL_BRANCH * scale[:, None]).any(axis=1)].tolist()
+def _near_cut(a: np.ndarray, w: np.ndarray, reach: np.ndarray) -> dict:
+    # The rows of ``a`` with an eigenvalue in ``w`` (one or more per row) within
+    # TOL_BRANCH * (1 + ||A||) of the closed ray (-inf, 0], each with its nearest
+    # eigenvalue; a real one stands for its distance.  Screens: principal_sqrt.
+    r = reach[:, None]
+    if w.dtype.kind == "c" and np.count_nonzero((w.real > r) | (np.abs(w.imag) > r)) == w.size:
+        return {}
+    dist = w if w.dtype.kind == "f" else np.abs(np.where(w.real > 0.0, w, w.imag))
+    near = dist <= r
+    if not np.count_nonzero(near):
+        return {}
+    near = near.any(axis=1).nonzero()[0]
+    dist = dist[near]
+    cut = (dist <= TOL_BRANCH * (1.0 + op_norm(a[near]))[:, None]).any(axis=1)
+    return {row: w[row, dist[i].argmin()] for i, row in zip(cut.nonzero()[0], near[cut].tolist())}
 
 
-def _roots_by_eigh(a: np.ndarray, bound: np.ndarray, errs: dict, rows) -> np.ndarray:
-    # Roots of Hermitian matrices from one stacked eigendecomposition.
+def _roots_by_eigh(a: np.ndarray, reach: np.ndarray, errs: dict, rows) -> np.ndarray:
+    # Roots of Hermitian matrices from one stacked eigendecomposition.  The
+    # zero eigenvalues of a failed row put it on the closed negative ray.
     failed = {}
     w, u = _eigh(hermitize(a), failed, vectors=True)
-    # Real spectrum: any eigenvalue at or below the branch tolerance
-    # sits on the closed negative ray, as do the zeros of a failed row.
-    cut = _near_cut(a, w[:, :1], bound)
-    for i in cut:
-        errs[rows[i]] = failed.get(i, _branch_cut(float(w[i, 0])))
-    w[cut] = 1.0
+    cut = _near_cut(a, w[:, :1], reach)
+    for i, value in cut.items():
+        errs[rows[i]] = failed.get(i, _branch_cut(float(value)))
+        w[i] = 1.0
     return (u * np.sqrt(w)[:, None, :]) @ _ct(u)
 
 
-def _no_sort(value):
-    return None
-
-
-def _schur_failed(info: int) -> EigensolverError:
-    # the text ``scipy.linalg.schur`` gives a failed ``gees`` without sorting
-    why = (f"illegal value in {-info}-th argument of internal gees" if info < 0
-           else "Schur form not found. Possibly ill-conditioned.")
-    return EigensolverError(f"Schur triangularization failed: {why}")
-
-
-def _roots_by_schur(a: np.ndarray, bound: np.ndarray, errs: dict, rows) -> np.ndarray:
+def _roots_by_schur(a: np.ndarray, reach: np.ndarray, errs: dict, rows) -> np.ndarray:
     # Roots of general matrices.  Only LAPACK's complex Schur form runs once
     # per matrix: ``zgees`` with its default workspace.  That gives what
     # ``scipy.linalg.schur`` gives, without the workspace query it makes per
@@ -359,16 +369,15 @@ def _roots_by_schur(a: np.ndarray, bound: np.ndarray, errs: dict, rows) -> np.nd
     t, z = np.empty_like(a), np.empty_like(a)
     failed = {}
     for i, m in enumerate(a):
-        t[i], _, _, z[i], _, info = gees(_no_sort, m)
-        if info:
-            failed[i] = _schur_failed(info)
-    w = np.diagonal(t, axis1=1, axis2=2)
-    dist = np.abs(np.where(w.real > 0.0, w, w.imag))  # to the closed ray (-inf, 0]
-    bad = sorted(failed.keys() | set(_near_cut(a, dist, bound)))
-    for i in bad:
-        errs[rows[i]] = failed.get(i) or _branch_cut(w[i, np.argmin(dist[i])])
-    if bad:  # a failed row runs on the identity, whose root is the identity
-        t[bad] = z[bad] = np.eye(a.shape[-1])
+        t[i], _, _, z[i], _, info = gees(lambda value: None, m)  # a select function, unused
+        if info:  # the text ``scipy.linalg.schur`` gives a failed ``gees`` without sorting
+            why = (f"illegal value in {-info}-th argument of internal gees" if info < 0
+                   else "Schur form not found. Possibly ill-conditioned.")
+            failed[i] = EigensolverError(f"Schur triangularization failed: {why}")
+    cut = _near_cut(a, t.diagonal(0, 1, 2), reach)
+    for i in sorted(failed.keys() | cut.keys()):  # runs on the identity, whose root is the identity
+        errs[rows[i]] = failed.get(i) or _branch_cut(cut[i])
+        t[i] = z[i] = np.eye(a.shape[-1])
     return z @ _sqrt_triu(t) @ _ct(z)
 
 
@@ -379,36 +388,42 @@ def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
     eigenvalue of the result has strictly positive real part.  Hermitian
     inputs take the eigendecomposition shortcut (same branch, same errors),
     all of them by one stacked ``eigh``.
+
+    Both tolerances scale with 1 + ||A||, and a row takes SVDs only when a
+    screen leaves it unsure; each screen bounds what it replaces with a factor
+    of two to spare, so every decision is the SVDs'.  An eigenvalue whose
+    distance to the ray, real part or |Im| exceeds 2 (1 + ||A||_F) TOL_BRANCH
+    is off the cut.  A residual with ||R||_F <= TOL_RECON / 2 passes; a
+    non-finite one fails.
     """
     a, lead = as_stack(a)
     errs = {}
     a = finite_rows(a, errs)
     norms = _frobenius(np.concatenate([a - _ct(a), a]))
     skew, norm = norms[:len(a)], norms[len(a):]
-    # The tolerances scale with 1 + ||A||, which is at most 1 + ||A||_F; twice
-    # that leaves room for rounding.  Only a row whose decision lies within
-    # that bound needs its operator norm, so each decision is the same.
-    bound = 2.0 * (1.0 + norm)
-    herm = skew <= 1e-13 * (1.0 + norm)
-    if herm.all() or not herm.any():  # the whole stack, an empty one too, goes uncopied
-        root = (_roots_by_eigh if herm.all() else _roots_by_schur)(a, bound, errs, range(len(a)))
+    one = 1.0 + norm
+    reach, herm = (2.0 * TOL_BRANCH) * one, skew <= 1e-13 * one
+    count = np.count_nonzero(herm)
+    if count in (0, len(a)):  # the whole stack, an empty one too, goes uncopied
+        roots = _roots_by_eigh if count == len(a) else _roots_by_schur
+        root = roots(a, reach, errs, range(len(a)))
     else:
         root = np.empty_like(a)
-        for rows, roots in ((np.flatnonzero(herm), _roots_by_eigh),
-                            (np.flatnonzero(~herm), _roots_by_schur)):
-            root[rows] = roots(a[rows], bound[rows], errs, rows.tolist())
-    overflowed = {}
-    resid = finite_rows(root @ root - a, overflowed)
-    # ||R|| <= ||R||_F, and the tolerance TOL_RECON * (1 + ||A||) is at least
-    # TOL_RECON: a residual under half of that passes without operator norms.
-    unsure = _frobenius(resid) > 0.5 * TOL_RECON
-    failed = set(overflowed)
-    if unsure.any():
-        unsure = np.flatnonzero(unsure)
-        r, m = np.split(op_norm(np.concatenate([resid[unsure], a[unsure]])), 2)
-        failed.update(unsure[r > TOL_RECON * (1.0 + m)].tolist())
-    for row in sorted(failed):
-        errs.setdefault(row, NumericalError("principal square root failed to reconstruct its input"))
+        for rows, roots in ((herm.nonzero()[0], _roots_by_eigh),
+                            ((~herm).nonzero()[0], _roots_by_schur)):
+            root[rows] = roots(a[rows], reach[rows], errs, rows.tolist())
+    resid = np.ascontiguousarray(root @ root - a)
+    flat = resid.reshape(len(a), a.shape[-1] ** 2).view(np.float64)  # real and imaginary parts
+    sure = np.vecdot(flat, flat) <= (0.5 * TOL_RECON) ** 2
+    if np.count_nonzero(sure) < len(a):
+        unsure = (~sure).nonzero()[0]
+        r = resid[unsure]
+        finite = np.isfinite(r).all(axis=(1, 2))
+        r[~finite] = 0.0
+        r, m = np.split(op_norm(np.concatenate([r, a[unsure]])), 2)
+        for row in unsure[~finite | (r > TOL_RECON * (1.0 + m))].tolist():
+            errs.setdefault(row, NumericalError(
+                "principal square root failed to reconstruct its input"))
     settle(errs, errors)
     return root.reshape(lead + a.shape[1:])
 

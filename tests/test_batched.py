@@ -23,13 +23,14 @@ import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 
-from freemono import cli, loewner1d, opsys, paths, verifiers
+from freemono import cli, kernels, loewner1d, opsys, paths, verifiers
 from freemono.freeexpr import CATALOG_NAMES, CodomainError, OutOfDomainError, catalog
 from freemono.freeexpr import eval_function, function_from_expr
 from freemono.kernels import (
-    TOL_BRANCH, TOL_RECON, BranchCutError, EigensolverError, NumericalError, Rng, SamplingError,
-    SingularMatrixError, SpectrumDomainError, _generators, func_calc, hermitize, imag_part,
-    matrix_to_json, min_eig_h, op_norm, principal_sqrt, random_matrix, safe_inv, scaled_min_eig,
+    TOL_BRANCH, TOL_RECON, BranchCutError, EigensolverError, NonFiniteError, NumericalError, Rng,
+    SamplingError, SingularMatrixError, SpectrumDomainError, _generators, func_calc, hermitize,
+    imag_part, matrix_to_json, min_eig_h, op_norm, principal_sqrt, random_matrix, safe_inv,
+    scaled_min_eig,
 )
 from freemono.loewner1d import SCALAR_CATALOG_NAMES, ScalarFunction, scalar_catalog
 from freemono.opsys import (
@@ -983,6 +984,202 @@ class TestStackedSchurRoots:
         assert got[0].tobytes() == want[0].tobytes() and got[2].tobytes() == want[2].tobytes()
         with pytest.raises(EigensolverError, match=re.escape(text)):
             principal_sqrt(rows[1])
+
+
+# --------------------------------------------------------------------------
+# Square roots of Hermitian stacks against np.linalg.eigh, rows that are not
+# finite or whose norms overflow, and the screens in front of the operator
+# norms.
+
+def _ref_hermitian_root(m):
+    # One matrix by np.linalg.eigh of its Hermitian part, with the kernel's
+    # branch-cut text and reconstruction test.  Returns the root and None, or
+    # the root the kernel gives a failed row and the error: a row on the cut
+    # gets the product of its eigenvectors with every eigenvalue set to 1.
+    scale = 1.0 + op_norm(m)
+    w, u = np.linalg.eigh((m + m.conj().T) / 2.0)
+    if w[0] <= TOL_BRANCH * scale:
+        return u @ u.conj().T, BranchCutError(
+            f"eigenvalue {float(w[0])} within 1e-10 of the closed ray (-inf, 0]")
+    root = (u * np.sqrt(w)) @ u.conj().T
+    if op_norm(root @ root - m) > TOL_RECON * scale:
+        return root, NumericalError("principal square root failed to reconstruct its input")
+    return root, None
+
+
+def _hermitian_rows(n, count, rng):
+    # Hermitian rows, exactly or within the tolerance: positive and negative
+    # definite, a large one (its residual needs the operator norm), one off
+    # Hermitian by 1e-14, a zero one, and ones whose least eigenvalue lies just
+    # inside and just outside the branch cut's tolerance.
+    def row(kind, r):
+        if kind == "zero":
+            return np.zeros((n, n), dtype=np.complex128)
+        if kind in ("cut", "near"):
+            u = random_matrix("unitary", n, r)
+            w = 1.0 + np.arange(n)
+            w[0] = (0.5 if kind == "cut" else 1.5) * TOL_BRANCH * (1.0 + n)
+            return (u * w) @ u.conj().T
+        m = random_matrix("pd", n, r)
+        if kind == "rounded":
+            m[0, -1] += 1e-14j
+        return {"nd": -1.0, "large": 1e6}.get(kind, 1.0) * m
+
+    kinds = ("pd", "cut", "rounded", "nd", "near", "large", "zero")
+    return [row(kinds[i % len(kinds)], rng.split(i)) for i in range(count)]
+
+
+class TestHermitianRoots:
+    """principal_sqrt on Hermitian rows is, row for row, np.linalg.eigh of each one."""
+
+    @staticmethod
+    def _compare(rows, got, errors):
+        # every row against its reference; returns the count of Hermitian rows on the cut
+        failing, cut = set(), 0
+        for i, m in enumerate(rows):
+            if _takes_schur(m):
+                try:
+                    want, exc = _ref_principal_sqrt(m), None
+                except (BranchCutError, NumericalError) as err:
+                    want, exc = got[i], err
+            else:
+                want, exc = _ref_hermitian_root(m)
+                cut += isinstance(exc, BranchCutError)
+            assert got[i].tobytes() == want.tobytes()
+            if exc is not None:
+                failing.add(i)
+                assert (type(errors[i]), str(errors[i])) == (type(exc), str(exc))
+        assert set(errors) == failing
+        return cut
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_rows_match_eigh_bit_for_bit(self, n):
+        cut = 0
+        for count in (0, 1, 7, 30):
+            rows = _hermitian_rows(n, count, Rng(34).split(n, count))
+            assert not any(map(_takes_schur, rows))
+            errors = {}
+            got = principal_sqrt(np.reshape(rows, (count, n, n)), errors)
+            assert got.shape == (count, n, n)
+            cut += self._compare(rows, got, errors)
+            if count == 1:
+                alone, exc = _ref_hermitian_root(rows[0])
+                if exc is None:
+                    assert principal_sqrt(rows[0]).tobytes() == alone.tobytes()
+                else:
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        principal_sqrt(rows[0])
+        assert cut >= 8  # the cut and zero rows of the stacks of 7 and 30
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_mixed_with_schur_rows(self, n):
+        hermitian = _hermitian_rows(n, 14, Rng(35).split(n))
+        general = _mixed_rows(n, 16, Rng(36).split(n))
+        rows = [m for pair in zip(general, hermitian) for m in pair] + general[14:]
+        errors = {}
+        got = principal_sqrt(np.stack(rows), errors)
+        assert self._compare(rows, got, errors) >= 4
+
+
+class TestNonFiniteRoots:
+    """Rows with a NaN or an infinite entry, or whose norms overflow, fail or pass as alone."""
+
+    FINITE = "matrix entries must all be finite"
+    RECON = "principal square root failed to reconstruct its input"
+
+    @staticmethod
+    def _rows(n):
+        r = Rng(37).split(n)
+        pd, pd2 = random_matrix("pd", n, r.split(0)), random_matrix("pd", n, r.split(1))
+        half = random_matrix("hermitian", n, r.split(2)) + 1j * pd2
+        nan, inf = pd.copy(), half.copy()
+        nan[0, -1] = np.nan
+        inf[-1, -1] = np.inf
+        return {  # name -> (row, its error type)
+            "pd": (pd, None),
+            "nan": (nan, NonFiniteError),
+            "halfplane": (half, None),
+            "inf": (inf, NonFiniteError),
+            "pd*1e200": (1e200 * pd, None),  # its Frobenius norm overflows
+            # its skew norm overflows too, so it passes the Hermitian test, and
+            # the root of its Hermitian part does not reconstruct it
+            "halfplane*1e200": (1e200 * (pd + 1j * pd2), NumericalError),
+            # its Hermitian part overflows, and so does the residual
+            "pd at 1.7e308": (pd * (1.7e308 / np.abs(pd).max()), NumericalError),
+        }
+
+    @pytest.mark.parametrize("names", [
+        ("pd", "nan", "pd*1e200", "pd at 1.7e308"),
+        ("halfplane", "inf", "halfplane*1e200"),
+        ("nan", "halfplane", "pd*1e200", "inf", "pd", "pd at 1.7e308", "halfplane*1e200"),
+    ], ids=["hermitian", "general", "mixed"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rows_fail_as_alone(self, n, names):
+        cases = self._rows(n)
+        rows = [cases[name][0] for name in names]
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = []
+            for m in rows:
+                errs = {}
+                alone.append((principal_sqrt(m, errs), errs.get(0)))
+            errors = {}
+            got = principal_sqrt(np.stack(rows), errors)
+            for i, name in enumerate(names):
+                want = cases[name][1]
+                assert type(errors.get(i)) is type(alone[i][1]) is (want or type(None))
+                if want is not None:
+                    assert str(errors[i]) == str(alone[i][1]) == (
+                        self.FINITE if want is NonFiniteError else self.RECON)
+                assert got[i].tobytes() == alone[i][0].tobytes()
+                if want is NonFiniteError:  # the identity stand-in
+                    assert got[i].tobytes() == np.eye(n, dtype=np.complex128).tobytes()
+            lowest = min(errors)
+            with pytest.raises(type(errors[lowest]), match=re.escape(str(errors[lowest]))):
+                principal_sqrt(np.stack(rows))
+
+
+@pytest.fixture
+def op_norm_calls(monkeypatch):
+    calls = []
+    op = kernels.op_norm
+    monkeypatch.setattr(kernels, "op_norm", lambda a: calls.append(len(a)) or op(a))
+    return calls
+
+
+class TestRootScreens:
+    """The screens in front of the operator norms never add exact work."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_well_conditioned_rows_take_no_operator_norm(self, op_norm_calls, n):
+        r = Rng(38).split(n)
+        for count in (1, 5, 40):
+            rs = [r.split(count, t) for t in range(count)]
+            pd = random_matrix("pd", n, rs)
+            half = (random_matrix("hermitian", n, [s.split(0) for s in rs])
+                    + 1j * random_matrix("pd", n, [s.split(1) for s in rs]))
+            for a in (pd, half, np.concatenate([pd, half]), pd[0], half[0]):
+                principal_sqrt(a)
+        assert op_norm_calls == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+    def test_rows_near_a_tolerance_take_the_calls_they_took_before(self, op_norm_calls, n):
+        # The calls the kernel made before its screens were reworked: a row on
+        # the cut takes one for the branch-cut test and one for the residual of
+        # its identity stand-in (its first error is kept), a row just off the
+        # cut one for the branch-cut test, and from n = 2 a large or an
+        # ill-conditioned row one for its residual.  A stack takes one per test.
+        rows = _mixed_rows(n, 8, Rng(33).split(n))
+        calls = {}
+        for kind, i in (("cut", 2), ("near", 5), ("large", 6), ("ill", 7)):
+            op_norm_calls.clear()
+            principal_sqrt(rows[i], {})
+            calls[kind] = len(op_norm_calls)
+        for kind, stack in (("stack", [rows[i] for i in (2, 5, 6, 7)]), ("all", rows)):
+            op_norm_calls.clear()
+            principal_sqrt(np.stack(stack), {})
+            calls[kind] = len(op_norm_calls)
+        big = int(n > 1)
+        assert calls == {"cut": 2, "near": 1, "large": big, "ill": big, "stack": 2, "all": 3}
 
 
 # --------------------------------------------------------------------------

@@ -149,6 +149,23 @@ class TestScaledMinEig:
         got = scaled_min_eig(h)
         assert type(got) is np.float64 and got == self._per_row(np.linalg.eigvalsh(h))[0]
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+    def test_a_matrix_with_a_nan_entry_is_a_row_error(self, stacked):
+        # LAPACK gives the 3x3 identity with a NaN at (0, 0) the spectrum
+        # [0, -0, 1]: its margin would read 0.0, a pass within any tol
+        bad = np.eye(3)
+        bad[0, 0] = np.nan
+        a = np.stack([np.diag([1.0, 2.0, 4.0]), bad]) if stacked else bad
+        row = int(stacked)
+        errors = {}
+        got = scaled_min_eig(a, errors)
+        assert list(errors) == [row] and type(errors[row]) is NonFiniteError
+        assert str(errors[row]) == "matrix entries must all be finite"
+        if stacked:
+            assert got.shape == (2,) and got[0] == scaled_min_eig(a[0]) == 0.2
+        with pytest.raises(NonFiniteError, match="must all be finite"):
+            scaled_min_eig(a)
+
 
 class TestPrincipalSqrt:
     def test_identity(self):

@@ -9,7 +9,8 @@ import pytest
 from freemono import cli, paths, verifiers
 from freemono.freeexpr import OutOfDomainError, catalog, eval_function, function_from_expr
 from freemono.kernels import (
-    NumericalError, Rng, hermitize, min_eig_h, op_norm, random_matrix, scaled_min_eig,
+    NonFiniteError, NumericalError, Rng, hermitize, min_eig_h, op_norm, random_matrix,
+    scaled_min_eig,
 )
 from freemono.opsys import (
     NCPoint,
@@ -20,6 +21,7 @@ from freemono.opsys import (
     point_to_json,
     realize,
     sample_ordered_pair,
+    stack_points,
 )
 from freemono.verifiers import (
     _run_trials,
@@ -123,6 +125,28 @@ class TestFindCounterexample:
 
 def _pair_point(values):
     return NCPoint(SCALAR, (np.asarray(values, dtype=complex),))
+
+
+class TestOverflowingDifference:
+    """A pair whose f(B) - f(A) overflows has no margin: it is a row error, never a pass."""
+
+    @pytest.mark.parametrize("a, b", [
+        ([[-1e308]], [[1e308]]),
+        ([[-1e308, 0.0], [0.0, 1.0]], [[1e308, 0.0], [0.0, 1.0]]),
+        (-1e308 * np.ones((3, 3)), 1e308 * np.ones((3, 3))),
+    ], ids=["1x1", "diagonal", "dense"])
+    def test_identity_at_opposite_huge_entries(self, a, b):
+        f = catalog("identity")
+        a, b = _pair_point(a), _pair_point(b)
+        good = _pair_point(np.eye(len(a.coeffs[0])))
+        # as in eval_function: an overflow leaves inf or NaN, and no RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore"):
+            errors = {}
+            margins = pair_margin(f, stack_points(good, a), stack_points(good, b), errors)
+            assert list(errors) == [1] and type(errors[1]) is NonFiniteError
+            assert margins[0] == 0.0
+            with pytest.raises(NonFiniteError, match="must all be finite"):
+                pair_margin(f, a, b)
 
 
 class TestHalfplane:
@@ -331,8 +355,9 @@ class TestTrialRunner:
             self._run(margins)
 
     def test_a_non_finite_spectrum_is_a_numerical_error(self):
-        margins = scaled_min_eig(np.array([[[1.0]], [[np.nan]], [[np.inf]]]))
-        assert margins[0] == 0.5 and np.isnan(margins[1:]).all()
+        # finite entries, and a least eigenvalue of -2e308, which is -inf
+        margins = scaled_min_eig(np.array([np.eye(2), np.full((2, 2), -1e308)]))
+        assert margins[0] == 0.5 and np.isnan(margins[1])
         with pytest.raises(NumericalError, match="margin nan at level 1, trial 1"):
             self._run(margins.tolist())
 
