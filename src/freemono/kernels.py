@@ -23,7 +23,7 @@ so it changes which rows take SVDs and never a decision: ``safe_inv``
 certifies a row by its Frobenius condition estimate, and ``principal_sqrt``
 passes a residual by its Frobenius norm and clears an eigenvalue of the
 branch cut by its real part, its imaginary part or its distance against
-``2 (1 + ||A||_F)``, which is at least twice ``1 + ||A||``.  A matrix with a
+``2 TOL_BRANCH (1 + ||A||_F)``, at least twice its tolerance.  A matrix with a
 non-finite entry is a failed row (:func:`finite_rows`); one whole-stack test
 comes first, and the rows are looked at only when it fails.
 
@@ -329,7 +329,7 @@ def _branch_cut(value) -> BranchCutError:
 def _near_cut(a: np.ndarray, w: np.ndarray, reach: np.ndarray) -> dict:
     # The rows of ``a`` with an eigenvalue in ``w`` (one or more per row) within
     # TOL_BRANCH * (1 + ||A||) of the closed ray (-inf, 0], each with its nearest
-    # eigenvalue; a real one stands for its distance.  Screens: principal_sqrt.
+    # eigenvalue; a real one stands for its distance.  See principal_sqrt.
     r = reach[:, None]
     if w.dtype.kind == "c" and np.count_nonzero((w.real > r) | (np.abs(w.imag) > r)) == w.size:
         return {}
@@ -375,7 +375,7 @@ def _roots_by_schur(a: np.ndarray, reach: np.ndarray, errs: dict, rows) -> np.nd
                    else "Schur form not found. Possibly ill-conditioned.")
             failed[i] = EigensolverError(f"Schur triangularization failed: {why}")
     cut = _near_cut(a, t.diagonal(0, 1, 2), reach)
-    for i in sorted(failed.keys() | cut.keys()):  # runs on the identity, whose root is the identity
+    for i in sorted(failed.keys() | cut.keys()):  # a failed row runs on the identity
         errs[rows[i]] = failed.get(i) or _branch_cut(cut[i])
         t[i] = z[i] = np.eye(a.shape[-1])
     return z @ _sqrt_triu(t) @ _ct(z)
@@ -401,8 +401,8 @@ def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
     a = finite_rows(a, errs)
     norms = _frobenius(np.concatenate([a - _ct(a), a]))
     skew, norm = norms[:len(a)], norms[len(a):]
-    one = 1.0 + norm
-    reach, herm = (2.0 * TOL_BRANCH) * one, skew <= 1e-13 * one
+    bound = 1.0 + norm  # at least 1 + ||A||
+    reach, herm = (2.0 * TOL_BRANCH) * bound, skew <= 1e-13 * bound
     count = np.count_nonzero(herm)
     if count in (0, len(a)):  # the whole stack, an empty one too, goes uncopied
         roots = _roots_by_eigh if count == len(a) else _roots_by_schur

@@ -1181,6 +1181,24 @@ class TestRootScreens:
         big = int(n > 1)
         assert calls == {"cut": 2, "near": 1, "large": big, "ill": big, "stack": 2, "all": 3}
 
+    def test_the_residual_screen_passes_no_row_the_exact_test_fails(self):
+        # Rotated Jordan blocks [[l, 1], [0, l]] with a small l have roots of
+        # size 1 / sqrt(l), whose residuals come out near the tolerance: some
+        # fail it with a Frobenius norm of at most 4 TOL_RECON, which a screen
+        # eight times looser than the kernel's TOL_RECON / 2 would pass.
+        u = random_matrix("unitary", 2, Rng(40))
+        rows = [u @ np.array([[s * c, 1.0], [0.0, s * c]]) @ u.conj().T
+                for s in np.geomspace(1e-9, 1e-4, 60) for c in (1.0 + 1.0j, 1.0j, -1.0 + 1.0j)]
+        errors = {}
+        got = principal_sqrt(np.stack(rows), errors)
+        near = 0
+        for i, (m, root) in enumerate(zip(rows, got)):
+            resid = root @ root - m
+            fails = op_norm(resid) > TOL_RECON * (1.0 + op_norm(m))
+            assert (i in errors) == fails
+            near += fails and np.linalg.norm(resid) <= 4.0 * TOL_RECON
+        assert near >= 5
+
 
 # --------------------------------------------------------------------------
 # Which error a check raises when rows of one chunk fail at different stages.
