@@ -415,6 +415,7 @@ def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
     resid = np.ascontiguousarray(root @ root - a)
     flat = resid.reshape(len(a), a.shape[-1] ** 2).view(np.float64)  # real and imaginary parts
     sure = np.vecdot(flat, flat) <= (0.5 * TOL_RECON) ** 2
+    sure[list(errs)] = True  # a failed row keeps its first error and its stand-in
     if np.count_nonzero(sure) < len(a):
         unsure = (~sure).nonzero()[0]
         r = resid[unsure]

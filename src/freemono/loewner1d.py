@@ -21,11 +21,11 @@ from typing import Callable
 import numpy as np
 
 from .kernels import (
-    Rng, _generators, _uniforms, func_calc, hermitize, matrix_to_json, scaled_min_eig, settle,
+    Rng, _generators, _uniforms, func_calc, hermitize, matrix_to_json, scaled_min_eig,
 )
 from .opsys import _redraw, builtin_system, sample_ordered_pair, spectral_interval
 from .report import CheckReport, ConsistencyReport
-from .verifiers import _differences, _row_trials, _run_trials
+from .verifiers import _differences, _run_trials
 
 MIN_NODE_GAP = 1e-8
 
@@ -123,9 +123,8 @@ def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng, interva
         a, b = p.coeffs[:, 0], q.coeffs[:, 0]
         diff = _differences(lambda x, e: func_calc(f.rule, x, f.domain, e),
                             np.concatenate([a, b]), errors)
-        margins = scaled_min_eig(hermitize(diff), errors)
-        return _row_trials(margins, errors, tol,
-                           lambda i: {"A": matrix_to_json(a[i]), "B": matrix_to_json(b[i])})
+        return scaled_min_eig(hermitize(diff), errors), errors, lambda i, extra: {
+            "A": matrix_to_json(a[i]), "B": matrix_to_json(b[i]), **extra}
 
     return _run_trials("monotone_1d", f.name, run, levels, trials, tol, rng)
 
@@ -157,11 +156,12 @@ def cross_check(f: ScalarFunction, node_count: int = 5, node_sets: int = 100,
                 return ok
 
             _redraw(attempt, len(gens), 100, exhausted, errors)
-            if errors:  # a lower trial's ValueError comes before the first trial out of tries
-                build(x[:min(errors)])
-                settle(errors, None)
-            margins = scaled_min_eig(build(x), errors)
-            return _row_trials(margins, errors, tol, lambda i: witness(x[i].tolist()))
+            # the trials from the first one out of tries on are not built, so a
+            # lower trial's ValueError comes before that trial's error
+            live = min(errors, default=len(gens))
+            margins = np.zeros(len(gens))
+            margins[:live] = scaled_min_eig(build(x[:live]), errors)
+            return margins, errors, lambda i, extra: {**witness(x[i].tolist()), **extra}
 
         return run
 

@@ -12,21 +12,19 @@ Trials run in one thread, one level at a time.  Every check here, and the
 three checks of :mod:`freemono.loewner1d`, run the trials of a level as
 stacks of up to ``TRIAL_CHUNK`` points: they sample the chunk at once,
 evaluate f once per chunk (the boundary check at A and its six shifts in
-one stack) and take the margins of the whole chunk at once, and each trial
-gets the margin, witness or error it would get alone (:func:`_row_trials`,
-:func:`_retry_trials`).  The local check draws the chunk's commuting paths
-as one stack and evaluates f once, at their stacked block points, for the
-exact derivatives (:func:`_derivative_margins`).  Only the trial the report
-keeps builds its witness JSON, and between chunks a check keeps only that
-trial and its failure count (:func:`_run_trials`), so its memory does not
-grow with the trial count.
+one stack) and take the margins of the whole chunk at once.  A chunk hands
+:func:`_run_trials` its margins, its row errors and one witness builder,
+and there each trial gets the margin, witness or error it would get alone;
+the checks that redraw a trial until its evaluations succeed make theirs
+with :func:`_retry_trials`.  The local check draws the chunk's commuting
+paths as one stack and evaluates f once, at their stacked block points, for
+the exact derivatives (:func:`_derivative_margins`).  Only the trial the
+report keeps builds its witness JSON, and between chunks a check keeps only
+that trial and its failure count, so its memory does not grow with the
+trial count.
 """
 
 from __future__ import annotations
-
-import math
-from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,15 +50,17 @@ BOUNDARY_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 TRIAL_CHUNK = 256  # trials of one level run as one stack; bounds the memory of a large --trials
 
 
-@dataclass(frozen=True)
-class _Trial:
-    margin: float
-    witness: Callable[[], dict] | None = None  # builds the trial's witness
-
-
 def _run_trials(check, function, run, levels, trials, tol, rng) -> CheckReport:
-    """Run ``run(level, ts)``, a list of :class:`_Trial` for the trial indices ``ts``,
-    over each level's trials, ``TRIAL_CHUNK`` at a time, and report the margins.
+    """Run ``run(level, ts)`` over each level's trials, ``TRIAL_CHUNK`` at a time, and
+    report the margins.
+
+    ``run`` gives the chunk's ``margins``, one per trial index in ``ts``, its
+    row ``errors`` (``{row: first error}``) and ``witness(i, extra)``, which
+    builds row i's witness from ``extra``: ``{"margin": m}``, or
+    ``{"error": text}`` for an evaluation error.  Each row ends as its trial
+    run alone would: an evaluation error gives the margin
+    ``OUT_OF_DOMAIN_MARGIN``, and any other error is raised, the lowest
+    row's first.
 
     Between chunks only the failure count and the first trial with the most
     negative margin are kept, so memory does not grow with ``trials``.  The
@@ -72,16 +72,23 @@ def _run_trials(check, function, run, levels, trials, tol, rng) -> CheckReport:
     failures, worst, bad = 0, None, None
 
     def tally(level, lo):
-        # one chunk, whose trials are dropped when it returns
+        # one chunk, whose trials are dropped when it returns unless it holds the worst
         nonlocal failures, worst, bad
-        for t, r in enumerate(run(level, range(lo, min(lo + TRIAL_CHUNK, trials))), lo):
-            if not math.isfinite(r.margin):
-                bad = bad or (r.margin, level, t)
-                continue
-            if r.margin < -tol:
-                failures += 1
-            if worst is None or r.margin < worst.margin:
-                worst = r
+        margins, errors, witness = run(level, range(lo, min(lo + TRIAL_CHUNK, trials)))
+        settle({i: e for i, e in errors.items()
+                if not isinstance(e, (OutOfDomainError, CodomainError))}, None)
+        margins = np.array(margins, dtype=float)
+        margins[list(errors)] = OUT_OF_DOMAIN_MARGIN
+        finite = np.isfinite(margins)
+        if bad is None and not finite.all():
+            i = int(finite.argmin())
+            bad = (float(margins[i]), level, lo + i)
+        margins[~finite] = np.inf  # neither fails nor is kept
+        failures += int(np.count_nonzero(margins < -tol))
+        i = int(margins.argmin())
+        if finite[i] and (worst is None or margins[i] < worst[0]):
+            extra = {"error": str(errors[i])} if i in errors else {"margin": float(margins[i])}
+            worst = (float(margins[i]), witness, i, extra)
 
     for level in levels:
         for lo in range(0, trials, TRIAL_CHUNK):
@@ -91,67 +98,46 @@ def _run_trials(check, function, run, levels, trials, tol, rng) -> CheckReport:
                              f"trial {bad[2]}")
     if worst is None:
         raise ValueError("a check needs at least one level and one trial")
+    margin, witness, i, extra = worst
     return CheckReport(
         check=check,
         function=function,
         levels=levels,
         trials=int(trials),
         failures=failures,
-        worst_margin=float(worst.margin),
-        witness=worst.witness() if failures else None,
+        worst_margin=margin,
+        witness=witness(i, extra) if failures else None,
         seed=rng.seed,
         tol=float(tol),
     )
 
 
-def _row_trials(margins, errors: dict, tol: float, points) -> list:
-    """The :class:`_Trial` of each row of a stacked check, as a trial run alone would end.
-
-    ``errors`` holds each failed row's first error.  An evaluation error
-    makes an out-of-domain witness; any other error is raised, the lowest
-    row's first.  ``points(i)`` gives row i's witness points as JSON.
-    """
-    out = []
-    for i, margin in enumerate(margins):
-        exc = errors.get(i)
-        if exc is None:
-            margin = float(margin)
-            extra = {"margin": margin} if margin < -tol else None
-        elif isinstance(exc, (OutOfDomainError, CodomainError)):
-            margin, extra = OUT_OF_DOMAIN_MARGIN, {"error": str(exc)}
-        else:
-            raise exc
-        out.append(_Trial(margin, extra and (lambda i=i, extra=extra: {**points(i), **extra})))
-    return out
-
-
-def _retry_trials(rs: list, draw, retry: tuple, exhausted: str, tol: float) -> list:
-    """The :class:`_Trial` of each trial i at its first try that meets no error of the types ``retry``.
+def _retry_trials(rs: list, draw, retry: tuple, exhausted: str):
+    """The margins, row errors and witness builder, as :func:`_run_trials` takes them, of
+    the trials ``rs``, each at its first try that meets no error of the types ``retry``.
 
     Try k of trial i draws from ``rs[i].split("attempt", k)``, up to 100 tries.
     ``draw(rngs, failed)`` makes one try of a stack of trials, one per Rng: it
     adds each failed row's first error to ``failed`` and returns the rows'
-    margins and ``witness(j)``, row j's witness.  Any other error, and
-    ``SamplingError(exhausted)`` for a trial out of tries, is raised, the
-    lowest trial's first.
+    margins and ``witness(j)``, row j's witness, which carries no margin.
+    Any other error, and ``SamplingError(exhausted)`` for a trial out of
+    tries, is the trial's error.
     """
-    out, errs = [None] * len(rs), {}
+    margins, errs, kept = np.zeros(len(rs)), {}, [None] * len(rs)
 
     def attempt(rows, k):
         failed = {}
-        margins, witness = draw([rs[i].split("attempt", k) for i in rows], failed)
+        ms, witness = draw([rs[i].split("attempt", k) for i in rows], failed)
         done = np.array([not isinstance(failed.get(j), retry) for j in range(len(rows))])
         for j in np.flatnonzero(done):
             if j in failed:
                 errs[rows[j]] = failed[j]
             else:
-                out[rows[j]] = _Trial(margins[j],
-                                      (lambda j=j: witness(j)) if margins[j] < -tol else None)
+                margins[rows[j]], kept[rows[j]] = ms[j], (witness, j)
         return done
 
     opsys._redraw(attempt, len(rs), 100, exhausted, errs)
-    settle(errs, None)
-    return out
+    return margins, errs, lambda i, extra: kept[i][0](kept[i][1])
 
 
 def is_diagonal_type(system: opsys.OpSysBasis) -> bool:
@@ -239,9 +225,8 @@ def check_monotone(f: FreeFunction, levels=(1, 2, 3), trials: int = 100, tol: fl
         errors = {}
         rngs = rng.split_each(ts, "monotone", f.name, level)
         a, b = sample_ordered_pair(f.domain, level, rngs, errors=errors)
-        margins = pair_margin(f, a, b, errors)
-        return _row_trials(margins, errors, tol,
-                           lambda i: {"A": point_to_json(a[i]), "B": point_to_json(b[i])})
+        return pair_margin(f, a, b, errors), errors, lambda i, extra: {
+            "A": point_to_json(a[i]), "B": point_to_json(b[i]), **extra}
 
     return _run_trials("monotone", f.name, run, levels, trials, tol, rng)
 
@@ -272,8 +257,8 @@ def check_halfplane(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,
     def run(level, ts):
         errors = {}
         p = sample_halfplane(f.in_system, level, rng.split_each(ts, "halfplane", f.name, level))
-        margins = halfplane_margin(f, p, errors)
-        return _row_trials(margins, errors, tol, lambda i: {"P": point_to_json(p[i])})
+        return halfplane_margin(f, p, errors), errors, lambda i, extra: {
+            "P": point_to_json(p[i]), **extra}
 
     return _run_trials("halfplane", f.name, run, levels, trials, tol, rng)
 
@@ -312,7 +297,7 @@ def check_free_axioms(f: FreeFunction, levels=(1, 2, 3), trials: int = 200, tol:
 
         return _retry_trials(rng.split_each(ts, "axioms", f.name, level), draw,
                              (OutOfDomainError, CodomainError),
-                             "axiom check found no evaluable sample in 100 attempts", tol)
+                             "axiom check found no evaluable sample in 100 attempts")
 
     return _run_trials("free_axioms", f.name, run, levels, trials, tol, rng)
 
@@ -327,8 +312,8 @@ def check_local_monotone(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,
     def run(level, ts):
         errors = {}
         path = paths.sample_path(f.domain, level, rng.split_each(ts, "local", f.name, level))
-        margins = _derivative_margins(f, path, errors)
-        return _row_trials(margins, errors, tol, lambda i: {"path": path[i].to_witness()})
+        return _derivative_margins(f, path, errors), errors, lambda i, extra: {
+            "path": path[i].to_witness(), **extra}
 
     return _run_trials("local_monotone", f.name, run, levels, trials, tol, rng)
 
@@ -360,10 +345,11 @@ def check_boundary_continuity(f: FreeFunction, levels=(1, 2, 3), trials: int = 5
                 for eps, rr in zip(BOUNDARY_EPS_GRID, ratios[:, i]))
             for i, c in enumerate(rates)
         ]
-        return _row_trials(margins, errors, tol, lambda i: {"A": point_to_json(a[i]), **(
-            {} if i in errors else {  # an error witness names A only
+        return margins, errors, lambda i, extra: {"A": point_to_json(a[i]), **(
+            {} if "error" in extra else {  # an error witness names A only
                 "rate": float(rates[i]),
-                "ratios": [[e, float(rr)] for e, rr in zip(BOUNDARY_EPS_GRID, ratios[:, i])]})})
+                "ratios": [[e, float(rr)] for e, rr in zip(BOUNDARY_EPS_GRID, ratios[:, i])]}),
+            **extra}
 
     return _run_trials("boundary_continuity", f.name, run, levels, trials, tol, rng)
 
@@ -396,7 +382,7 @@ def check_schur_im_identity(levels=(1, 2, 3), trials: int = 500, tol: float = 1e
 
         return _retry_trials(rng.split_each(ts, "schur_im_identity", n), draw,
                              (SingularMatrixError, OutOfDomainError, CodomainError),
-                             "no half-plane sample with invertible X22 in 100 attempts", tol)
+                             "no half-plane sample with invertible X22 in 100 attempts")
 
     return _run_trials("schur_im_identity", "schur_complement", run, levels, trials, tol, rng)
 

@@ -39,7 +39,7 @@ from freemono.opsys import (
 )
 from freemono.report import OUT_OF_DOMAIN_MARGIN
 from freemono.verifiers import (
-    BOUNDARY_EPS_GRID, _run_trials, _Trial, halfplane_margin, pair_margin,
+    BOUNDARY_EPS_GRID, _run_trials, halfplane_margin, pair_margin,
 )
 
 SCALAR = builtin_system("scalar")
@@ -245,7 +245,7 @@ def _ref_monotone_1d(f, interval, level, r, tol):
     witness = None
     if m < -tol:
         witness = {"A": matrix_to_json(p.coeffs[0]), "B": matrix_to_json(q.coeffs[0]), "margin": m}
-    return _Trial(m, witness)
+    return m, witness
 
 
 def _ref_sample_nodes(gen, count, interval):
@@ -295,7 +295,7 @@ def _ref_certificate(kind, f, interval, count, r, tol):
         z = _ref_sample_pick_points(gen, count)
         margin = scaled_min_eig(hermitize(loewner1d.pick_matrix(f, z)))
         points = {"points": [[float(v.real), float(v.imag)] for v in z]}
-    return _Trial(margin, {**points, "margin": margin} if margin < -tol else None)
+    return margin, {**points, "margin": margin} if margin < -tol else None
 
 
 def _ref_axioms(f, dom, level, r, tol):
@@ -327,7 +327,7 @@ def _ref_axioms(f, dom, level, r, tol):
             "residual_direct_sum": float(res_ds / scale),
             "residual_similarity": float(res_sim / scale),
         }
-    return _Trial(margin, witness)
+    return margin, witness
 
 
 def _ref_boundary(f, dom, level, r, tol):
@@ -341,7 +341,7 @@ def _ref_boundary(f, dom, level, r, tol):
             val = realize(eval_function(f, a + (1j * eps) * ident))
             ratios.append(op_norm(val - base) / denom)
     except (OutOfDomainError, CodomainError) as exc:
-        return _Trial(OUT_OF_DOMAIN_MARGIN, {"A": point_to_json(a), "error": str(exc)})
+        return OUT_OF_DOMAIN_MARGIN, {"A": point_to_json(a), "error": str(exc)}
     c = ratios[0] / BOUNDARY_EPS_GRID[0]
     margin = min(
         (10.0 * c * eps + 1e-14 - rr) / (10.0 * c * eps + 1e-14)
@@ -355,7 +355,7 @@ def _ref_boundary(f, dom, level, r, tol):
             "ratios": [[float(e), float(rr)] for e, rr in zip(BOUNDARY_EPS_GRID, ratios)],
             "margin": margin,
         }
-    return _Trial(margin, witness)
+    return margin, witness
 
 
 def _ref_schur_identity(schur, dom, n, r, tol):
@@ -387,7 +387,7 @@ def _ref_schur_identity(schur, dom, n, r, tol):
             "residual": float(resid / scale),
             "im_margin": float(im_margin),
         }
-    return _Trial(margin, witness)
+    return margin, witness
 
 
 # kind -> the serial body of a check whose trials retry or catch their own errors
@@ -437,9 +437,9 @@ def _ref_trial(kind, f, dom, tol, rng, seen):
                 return halfplane_margin(f, p)
         try:
             m = margin()
-            out = _Trial(m, {**points, "margin": m} if m < -tol else None)
+            out = m, {**points, "margin": m} if m < -tol else None
         except (OutOfDomainError, CodomainError) as exc:
-            out = _Trial(OUT_OF_DOMAIN_MARGIN, {**points, "error": str(exc)})
+            out = OUT_OF_DOMAIN_MARGIN, {**points, "error": str(exc)}
         seen.append(out)
         return out
 
@@ -449,19 +449,23 @@ def _ref_trial(kind, f, dom, tol, rng, seen):
 # --------------------------------------------------------------------------
 # Comparison.
 
-def _built(trial):
-    # the trial with its witness built, as the serial reference records it
-    return _Trial(trial.margin, trial.witness and trial.witness())
-
-
-def _builder(trial):
-    # the serial trial with its witness as a builder, as _run_trials takes it
-    witness = trial.witness
-    return _Trial(trial.margin, witness and (lambda: witness))
+def _built(margins, errors, witness, tol):
+    # a chunk's trials as (margin, witness), the witnesses built, as the serial
+    # reference records them; a chunk with a row error that is raised records none
+    if any(not isinstance(e, (OutOfDomainError, CodomainError)) for e in errors.values()):
+        return []
+    out = []
+    for i, m in enumerate(np.asarray(margins, dtype=float).tolist()):
+        if i in errors:
+            m, extra = OUT_OF_DOMAIN_MARGIN, {"error": str(errors[i])}
+        else:
+            extra = {"margin": m}
+        out.append((m, witness(i, extra) if m < -tol else None))
+    return out
 
 
 def _bits(trials):
-    return [(struct.pack("<d", t.margin), json.dumps(t.witness)) for t in trials]
+    return [(struct.pack("<d", m), json.dumps(witness)) for m, witness in trials]
 
 
 def _outcome(run):
@@ -515,10 +519,10 @@ def _compare(monkeypatch, kind, f, dom, levels, trials, tol=1e-8, seed=42):
 
     def spy(name, function, run, *rest):
         def recorded(level, ts):
-            rows = run(level, ts)
+            chunk = run(level, ts)
             if name == check:
-                seen.extend(_built(r) for r in rows)
-            return rows
+                seen.extend(_built(*chunk, tol))
+            return chunk
 
         return _run_trials(name, function, recorded, *rest)
 
@@ -527,9 +531,14 @@ def _compare(monkeypatch, kind, f, dom, levels, trials, tol=1e-8, seed=42):
     monkeypatch.setattr(module, "_run_trials", _run_trials)
     ref_seen = []
     trial = _ref_trial(kind, f, dom, tol, rng, ref_seen)
-    ref_report, ref_error = _outcome(lambda: _run_trials(
-        check, f.name, lambda level, ts: [_builder(trial(level, t)) for t in ts], levels, trials,
-        tol, rng))
+
+    def reference(level, ts):
+        # the serial trials, their witnesses built already
+        rows = [trial(level, t) for t in ts]
+        return [m for m, _ in rows], {}, lambda i, extra: rows[i][1]
+
+    ref_report, ref_error = _outcome(lambda: _run_trials(check, f.name, reference, levels,
+                                                         trials, tol, rng))
     assert error == ref_error
     if ref_error is None:
         assert json.dumps(report.to_json()) == json.dumps(ref_report.to_json())
@@ -581,7 +590,7 @@ class TestAgainstSerialReference:
         for kind in ("monotone", "halfplane", "local"):
             seen, error = _compare(monkeypatch, kind, f, f.domain, (1, 2), 12)
             assert error is None
-            errors = [t for t in seen if t.witness and "error" in t.witness]
+            errors = [w for _, w in seen if w and "error" in w]
             if (kind, text == ERROR_WITNESS) in (("monotone", False), ("local", True)):
                 assert 0 < len(errors) < len(seen)
 
@@ -674,15 +683,15 @@ class TestAgainstSerialReference:
     def test_boundary_error_rows_mixed_with_good_rows(self, monkeypatch, chunk):
         f = function_from_expr("expr", "sqrt(X1 - 0.5)", SCALAR)
         seen, error = _compare(monkeypatch, "boundary", f, f.domain, (1, 2), 12)
-        errors = [t for t in seen if t.witness and "error" in t.witness]
+        errors = [w for _, w in seen if w and "error" in w]
         assert error is None and 0 < len(errors) < len(seen)
-        assert all(set(t.witness) == {"A", "error"} for t in errors)
+        assert all(set(w) == {"A", "error"} for w in errors)
 
     def test_boundary_witness_carries_rate_and_ratios(self, monkeypatch, chunk):
         # A near the pole at 0.5: f(A + i eps I) overshoots the rate line
         f = function_from_expr("expr", "inv(X1 - 0.5)", SCALAR)
         seen, error = _compare(monkeypatch, "boundary", f, f.domain, (1, 2), 12)
-        assert error is None and any(t.witness and "rate" in t.witness for t in seen)
+        assert error is None and any(w and "rate" in w for _, w in seen)
 
     def test_local_chunk_evaluates_once(self, monkeypatch):
         calls = []
@@ -1163,11 +1172,10 @@ class TestRootScreens:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
     def test_rows_near_a_tolerance_take_the_calls_they_took_before(self, op_norm_calls, n):
-        # The calls the kernel made before its screens were reworked: a row on
-        # the cut takes one for the branch-cut test and one for the residual of
-        # its identity stand-in (its first error is kept), a row just off the
-        # cut one for the branch-cut test, and from n = 2 a large or an
-        # ill-conditioned row one for its residual.  A stack takes one per test.
+        # A row on the cut or just off it takes one call, for the branch-cut
+        # test (a failed row keeps its first error, so its identity stand-in
+        # takes no residual test), and from n = 2 a large or an ill-conditioned
+        # row one for its residual.  A stack takes one per test.
         rows = _mixed_rows(n, 8, Rng(33).split(n))
         calls = {}
         for kind, i in (("cut", 2), ("near", 5), ("large", 6), ("ill", 7)):
@@ -1179,7 +1187,8 @@ class TestRootScreens:
             principal_sqrt(np.stack(stack), {})
             calls[kind] = len(op_norm_calls)
         big = int(n > 1)
-        assert calls == {"cut": 2, "near": 1, "large": big, "ill": big, "stack": 2, "all": 3}
+        assert calls == {"cut": 1, "near": 1, "large": big, "ill": big, "stack": 1 + big,
+                         "all": 2 + big}
 
     def test_the_residual_screen_passes_no_row_the_exact_test_fails(self):
         # Rotated Jordan blocks [[l, 1], [0, l]] with a small l have roots of

@@ -1,8 +1,10 @@
 """Pinned report bytes: a fixed config and seed must print the same report.
 
 Each case runs the CLI in-process at ``--seed 42`` and compares the sha256
-of the report with its recorded 16-hex-digit prefix; one more case pins the
-margins of the benchmark's witness-replay corpus, one point at a time.  The
+of the report with its recorded 16-hex-digit prefix.  The benchmark's three
+timed slices are pinned the same way at six more seeds, and one more case
+pins the margins of the benchmark's witness-replay corpus, one point at a
+time.  The
 prefixes were recorded with numpy 2.4.6, scipy 1.17.1 and scipy-openblas
 0.3.31; a change that moves a byte here must say so and publish the new
 prefixes.
@@ -85,19 +87,49 @@ def test_report_bytes(name):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == prefix
 
 
-def _load_corpus():
-    # the benchmark's witness corpus builder, loaded read only
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+def _load(name):
+    # a file of the benchmark, loaded read only
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+workload = _load("workload")
+
+# (workload, seed) -> prefix of the report of the workload's timed slice: its
+# recipe with ``TIMED_TRIALS`` trials.  At seed 49 ``monotone`` passes
+# ``square``, and at 187 and 198 ``monotone_1d`` does, so those reports fail
+# the benchmark's own gate (see ROADMAP item 1); they are pinned all the same.
+SLICES = {
+    ("schur-equiv", 7): "0af5d348f2de62a5", ("schur-equiv", 49): "1d02e82ccab8fdd9",
+    ("schur-equiv", 187): "3c3238db639b5e10", ("schur-equiv", 198): "cb885fddeeae394a",
+    ("schur-equiv", 1009): "e3d6ab73687327d1", ("schur-equiv", 3131): "4361e77c67dbc40a",
+    ("gmean-equiv", 7): "431cd8a98d8d6889", ("gmean-equiv", 49): "f9b0a11eac9d07cf",
+    ("gmean-equiv", 187): "6f699853c830c361", ("gmean-equiv", 198): "74810d0919998674",
+    ("gmean-equiv", 1009): "8e0e5c6f6b345992", ("gmean-equiv", 3131): "c8314196c2a02e0f",
+    ("suite-all", 7): "ac81e80bfdc9c4f6", ("suite-all", 49): "eeec593fbba3d693",
+    ("suite-all", 187): "86510c3fa181ff13", ("suite-all", 198): "fcaea0bfdf581e96",
+    ("suite-all", 1009): "6d2ac95388354dda", ("suite-all", 3131): "bbbf7339f5ff131e",
+}
+
+
+@pytest.mark.parametrize("name, seed", SLICES, ids=lambda v: str(v))
+def test_timed_slice_bytes(name, seed):
+    argv = list(workload.CHECK_ARGV[name])
+    argv[argv.index("--trials") + 1] = workload.TIMED_TRIALS[name]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--seed", str(seed)])
+    assert err.getvalue() == "" and code == (1 if name == "suite-all" else 0)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == SLICES[name, seed]
+
+
 def test_replayed_margins():
     # every record of the seed-42 replay corpus, each point parsed and scored alone
     margins = []
-    for record in _load_corpus().build(42):
+    for record in _load("corpus").build(42):
         f = catalog(record["function"])
         if record["kind"] == "pair":
             margins.append(pair_margin(f, point_from_json(record["A"], f.in_system),

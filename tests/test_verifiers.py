@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from freemono import cli, paths, verifiers
-from freemono.freeexpr import OutOfDomainError, catalog, eval_function, function_from_expr
+from freemono.freeexpr import (
+    CodomainError, OutOfDomainError, catalog, eval_function, function_from_expr,
+)
 from freemono.kernels import (
-    NonFiniteError, NumericalError, Rng, hermitize, min_eig_h, op_norm, random_matrix,
-    scaled_min_eig,
+    NonFiniteError, NumericalError, Rng, SamplingError, SingularMatrixError, hermitize, min_eig_h,
+    op_norm, random_matrix, scaled_min_eig,
 )
 from freemono.opsys import (
     NCPoint,
@@ -23,9 +25,9 @@ from freemono.opsys import (
     sample_ordered_pair,
     stack_points,
 )
+from freemono.report import OUT_OF_DOMAIN_MARGIN
 from freemono.verifiers import (
     _run_trials,
-    _Trial,
     check_boundary_continuity,
     check_free_axioms,
     check_halfplane,
@@ -324,7 +326,7 @@ class TestTrialRunner:
     @staticmethod
     def _run(margins):
         def run(level, ts):
-            return [_Trial(margins[t], lambda t=t: {"t": t}) for t in ts]
+            return [margins[t] for t in ts], {}, lambda i, extra: {"t": ts[i]}
 
         return _run_trials("monotone", "f", run, (1,), len(margins), 1e-8, Rng(0))
 
@@ -332,6 +334,22 @@ class TestTrialRunner:
         rep = self._run([0.5, -2.0, -1.0, -2.0])
         assert (rep.failures, rep.worst_margin, rep.witness) == (3, -2.0, {"t": 1})
         assert self._run([0.5, -1e-9]).witness is None
+
+    def test_row_errors(self):
+        def run(errors):
+            def chunk(level, ts):
+                return [0.5, -1.0, float("nan"), 0.5], errors, lambda i, extra: {"t": i, **extra}
+
+            return _run_trials("monotone", "f", chunk, (1,), 4, 1e-8, Rng(0))
+
+        # an evaluation error ends its trial out of the domain, whatever the row's margin
+        rep = run({2: OutOfDomainError("outside"), 3: CodomainError("not Hermitian")})
+        assert (rep.failures, rep.worst_margin, rep.witness) == (
+            3, OUT_OF_DOMAIN_MARGIN, {"t": 2, "error": "outside"})
+        # any other error is raised, the lowest row's first
+        with pytest.raises(SingularMatrixError, match="first"):
+            run({3: SamplingError("second"), 1: OutOfDomainError("outside"),
+                 2: SingularMatrixError("first")})
 
     def test_only_the_kept_witness_is_built(self, monkeypatch):
         # several of the 50 trials fail, and the report keeps one witness: its A and B
@@ -372,7 +390,7 @@ class TestTrialRunner:
 
         def run(level, ts):
             ran.append((level, list(ts)))
-            return [_Trial(float("nan") if (level, t) in ((1, 3), (2, 0)) else -1.0) for t in ts]
+            return [float("nan") if (level, t) in ((1, 3), (2, 0)) else -1.0 for t in ts], {}, None
 
         with pytest.raises(NumericalError, match="margin nan at level 1, trial 3"):
             _run_trials("monotone", "f", run, (1, 2), 5, 1e-8, Rng(0))
@@ -382,11 +400,10 @@ class TestTrialRunner:
         monkeypatch.setattr(verifiers, "TRIAL_CHUNK", 2)
 
         def run(level, ts):
-            if ts[0] == 4:
-                raise OutOfDomainError("later chunk")
-            return [_Trial(float("-inf")) for _ in ts]
+            errors = {1: SamplingError("later chunk")} if ts[0] == 4 else {}
+            return [float("-inf")] * len(ts), errors, None
 
-        with pytest.raises(OutOfDomainError, match="later chunk"):
+        with pytest.raises(SamplingError, match="later chunk"):
             _run_trials("monotone", "f", run, (1,), 6, 1e-8, Rng(0))
 
     @pytest.mark.parametrize("levels, trials", [((1,), 0), ((), 5)])
