@@ -72,7 +72,6 @@ from .verifiers import (
     check_monotone,
     check_schur_im_identity,
     equivalence_report,
-    find_counterexample,
     halfplane_margin,
     local_margin,
     pair_margin,

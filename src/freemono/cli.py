@@ -83,10 +83,9 @@ _SUITES = {
     "boundary": [("boundary_continuity", None, lambda f, o: check_boundary_continuity(f, *o))],
     "schur_identity": [("schur_im_identity", "schur_complement",
                         lambda f, o: check_schur_im_identity(*o))],
-    "loewner1d": [("cross_check_1d", name, lambda f, o, name=name: cross_check(
-        scalar_catalog(name), node_sets=o.trials, pick_sets=o.trials, levels=o.levels,
-        pairs=o.trials, tol=o.tol, rng=o.rng))
-        for name in SCALAR_CATALOG_NAMES],
+    "loewner1d": [("cross_check_1d", name,
+                   lambda f, o, name=name: cross_check(scalar_catalog(name), *o))
+                  for name in SCALAR_CATALOG_NAMES],
 }
 
 

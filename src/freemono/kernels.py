@@ -422,9 +422,12 @@ def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
         finite = np.isfinite(r).all(axis=(1, 2))
         r[~finite] = 0.0
         r, m = np.split(op_norm(np.concatenate([r, a[unsure]])), 2)
-        for row in unsure[~finite | (r > TOL_RECON * (1.0 + m))].tolist():
+        failed = unsure[~finite | (r > TOL_RECON * (1.0 + m))]
+        for row in failed.tolist():
             errs.setdefault(row, NumericalError(
                 "principal square root failed to reconstruct its input"))
+        # a root that is not finite gives way to the identity, the stand-in of finite_rows
+        root[failed[~np.isfinite(root[failed]).all(axis=(1, 2))]] = np.eye(a.shape[-1])
     settle(errs, errors)
     return root.reshape(lead + a.shape[1:])
 

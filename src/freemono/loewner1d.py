@@ -28,6 +28,8 @@ from .report import CheckReport, ConsistencyReport
 from .verifiers import _differences, _run_trials
 
 MIN_NODE_GAP = 1e-8
+NODE_COUNT = 5  # the nodes of a Loewner matrix and the points of a Pick matrix
+INTERVAL = (0.1, 10.0)  # where the Loewner nodes and the monotone_1d spectra lie
 
 
 @dataclass(frozen=True)
@@ -112,9 +114,8 @@ def pick_matrix(f: ScalarFunction, points) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Matrix-level monotonicity through the functional calculus.
 
-def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng, interval) -> CheckReport:
-    a, b = interval if interval is not None else f.domain
-    dom = spectral_interval(builtin_system("scalar"), a, b)
+def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng) -> CheckReport:
+    dom = spectral_interval(builtin_system("scalar"), *INTERVAL)
 
     def run(level, ts):
         errors = {}
@@ -132,11 +133,15 @@ def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng, interva
 # --------------------------------------------------------------------------
 # Cross-check of the three certificates.
 
-def cross_check(f: ScalarFunction, node_count: int = 5, node_sets: int = 100,
-                point_count: int = 5, pick_sets: int = 100,
-                levels=(2, 3, 4), pairs: int = 200, interval=(0.1, 10.0),
-                tol: float = 1e-8, rng: Rng = Rng(0)) -> ConsistencyReport:
-    """Loewner-matrix, Pick-matrix and functional-calculus verdicts side by side."""
+def cross_check(f: ScalarFunction, levels=(2, 3, 4), trials: int = 100, tol: float = 1e-8,
+                rng: Rng = Rng(0)) -> ConsistencyReport:
+    """Loewner-matrix, Pick-matrix and functional-calculus verdicts side by side.
+
+    The Loewner and Pick checks each draw ``trials`` sets of ``NODE_COUNT``
+    nodes in ``INTERVAL`` or points in the box (-3, 3) x (0.1, 3); the
+    functional-calculus check draws ``trials`` ordered pairs at each of
+    ``levels``, their spectra in ``INTERVAL``.
+    """
 
     def certificate_run(tag, width, draw, exhausted, build, witness):
         # The trials of one certificate.  A chunk's rows draw together, each row
@@ -165,17 +170,18 @@ def cross_check(f: ScalarFunction, node_count: int = 5, node_sets: int = 100,
 
         return run
 
-    a, b = interval
+    a, b = INTERVAL
+    c = NODE_COUNT
     loewner_rep = _run_trials("loewner_psd", f.name, certificate_run(
-        "loewner", node_count, lambda u: np.sort(a + (b - a) * u, axis=1),
+        "loewner", c, lambda u: np.sort(a + (b - a) * u, axis=1),
         "could not draw well-separated nodes", lambda x: loewner_matrix(f, x),
-        lambda x: {"nodes": x}), (node_count,), node_sets, tol, rng)
+        lambda x: {"nodes": x}), (c,), trials, tol, rng)
     pick_rep = _run_trials("pick_psd", f.name, certificate_run(
-        "pick", 2 * point_count,
-        lambda u: (-3.0 + 6.0 * u[:, :point_count]) + 1j * (0.1 + 2.9 * u[:, point_count:]),
+        "pick", 2 * c,
+        lambda u: (-3.0 + 6.0 * u[:, :c]) + 1j * (0.1 + 2.9 * u[:, c:]),
         "could not draw well-separated half-plane points", lambda z: hermitize(pick_matrix(f, z)),
-        lambda z: {"points": [[v.real, v.imag] for v in z]}), (point_count,), pick_sets, tol, rng)
-    mono_rep = _monotone_matrix_report(f, levels, pairs, tol, rng, interval)
+        lambda z: {"points": [[v.real, v.imag] for v in z]}), (c,), trials, tol, rng)
+    mono_rep = _monotone_matrix_report(f, levels, trials, tol, rng)
     sides = {
         "loewner_psd": loewner_rep.verdict,
         "pick_psd": pick_rep.verdict,

@@ -231,21 +231,6 @@ def check_monotone(f: FreeFunction, levels=(1, 2, 3), trials: int = 100, tol: fl
     return _run_trials("monotone", f.name, run, levels, trials, tol, rng)
 
 
-def find_counterexample(f: FreeFunction, level: int = 2, budget: int = 1000, tol: float = 1e-8,
-                        rng: Rng = Rng(0)) -> dict | None:
-    """Return the first ordered pair sampled in f's domain that violates monotonicity, if any."""
-    for t in range(budget):
-        r = rng.split("counterexample", f.name, level, t)
-        a, b = sample_ordered_pair(f.domain, level, r)
-        try:
-            margin = pair_margin(f, a, b)
-        except (OutOfDomainError, CodomainError):
-            continue
-        if margin < -tol:
-            return {"A": point_to_json(a), "B": point_to_json(b), "margin": margin}
-    return None
-
-
 def check_halfplane(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,
                     tol: float = 1e-8, rng: Rng = Rng(0)) -> CheckReport:
     """Sample upper-half-plane points and test Im f >= 0.

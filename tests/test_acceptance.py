@@ -23,7 +23,6 @@ from freemono.verifiers import (
     check_monotone,
     check_schur_im_identity,
     equivalence_report,
-    find_counterexample,
     pair_margin,
 )
 
@@ -80,7 +79,7 @@ def test_criterion_3_geometric_mean():
 
 
 def test_criterion_4_square_falsification():
-    witness = find_counterexample(catalog("square"), level=2, budget=1000, rng=Rng(42))
+    witness = check_monotone(catalog("square"), (2,), 1000, rng=Rng(42)).witness
     assert witness is not None
     a = NCPoint(SCALAR, (np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex),))
     b = NCPoint(SCALAR, (np.array([[3.0, 1.0], [1.0, 1.0]], dtype=complex),))
@@ -95,14 +94,12 @@ def test_criterion_4_square_falsification():
 
 def test_criterion_5_theorem1_oracles():
     for name in ("x", "sqrt", "neg_inverse", "square", "cube"):
-        cc = cross_check(scalar_catalog(name), node_count=5, node_sets=100,
-                         point_count=5, pick_sets=100, levels=(2, 3, 4),
-                         pairs=200, interval=(0.1, 10.0), rng=Rng(42))
+        cc = cross_check(scalar_catalog(name), (2, 3, 4), 200, rng=Rng(42))
         assert cc.consistent, (name, cc.sides)
     exact = loewner_matrix(scalar_catalog("sqrt"), [1.0, 4.0])
     np.testing.assert_array_equal(exact, np.array([[0.5, 1 / 3], [1 / 3, 0.25]]))
     _report("5 PASS: Loewner, Pick and matrix-monotone verdicts agree for "
-            "x, sqrt, neg_inverse, square, cube (100+100 configurations, 600 pairs "
+            "x, sqrt, neg_inverse, square, cube (200+200 configurations, 600 pairs "
             "each); sqrt Loewner example [[0.5,1/3],[1/3,0.25]] reproduced exactly")
 
 

@@ -233,7 +233,7 @@ def _ref_sample_path(system, level, rng, ranges):
 
 
 def _ref_monotone_1d(f, interval, level, r, tol):
-    a, b = interval if interval is not None else f.domain
+    a, b = interval
     if np.isinf(a) and np.isinf(b):
         dom = full_domain(SCALAR)
     else:
@@ -476,14 +476,24 @@ def _outcome(run):
 
 
 def _certificate_report(kind):
-    # cross_check's Loewner or Pick report, on levels[0] nodes or points
+    # cross_check's Loewner or Pick report, on levels[0] nodes or points, the
+    # nodes in ``interval``
     def batched(f, interval, levels, trials, tol, rng):
         [count] = levels
-        reports = loewner1d.cross_check(f, count, trials, count, trials, levels=(1,), pairs=1,
-                                        interval=interval, tol=tol, rng=rng).reports
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(loewner1d, "NODE_COUNT", count)
+            mp.setattr(loewner1d, "INTERVAL", interval)
+            reports = loewner1d.cross_check(f, (1,), trials, tol, rng).reports
         return reports[kind == "pick_psd"]
 
     return batched
+
+
+def _monotone_1d_report(f, interval, *opts):
+    # the monotone_1d check, its spectra in ``interval``
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(loewner1d, "INTERVAL", interval)
+        return loewner1d._monotone_matrix_report(f, *opts)
 
 
 def _over(check):
@@ -492,16 +502,15 @@ def _over(check):
 
 
 # kind -> (the module whose _run_trials the check calls, its report's check
-# name, the batched check); ``dom`` is an interval (or None) for the checks
-# of loewner1d, whose ``levels`` are the node or point count for the Loewner
-# and Pick checks
+# name, the batched check); ``dom`` is the interval ``loewner1d.INTERVAL``
+# is set to for the checks of loewner1d, whose ``levels`` are the node or
+# point count (``loewner1d.NODE_COUNT``) for the Loewner and Pick checks
 CHECKS = {
     "monotone": (verifiers, "monotone", _over(verifiers.check_monotone)),
     "halfplane": (verifiers, "halfplane",
                   lambda f, dom, *opts: verifiers.check_halfplane(f, *opts)),
     "local": (verifiers, "local_monotone", _over(verifiers.check_local_monotone)),
-    "monotone_1d": (loewner1d, "monotone_1d",
-                    lambda f, dom, *opts: loewner1d._monotone_matrix_report(f, *opts, dom)),
+    "monotone_1d": (loewner1d, "monotone_1d", _monotone_1d_report),
     "loewner_psd": (loewner1d, "loewner_psd", _certificate_report("loewner_psd")),
     "pick_psd": (loewner1d, "pick_psd", _certificate_report("pick_psd")),
     "axioms": (verifiers, "free_axioms", _over(verifiers.check_free_axioms)),
@@ -597,8 +606,9 @@ class TestAgainstSerialReference:
     @pytest.mark.parametrize("name", SCALAR_CATALOG_NAMES)
     @pytest.mark.parametrize("interval", [None, (0.1, 10.0), (-1.0, 1.0)], ids=str)
     def test_monotone_1d_levels_1_to_4(self, monkeypatch, chunk, name, interval):
-        seen, error = _compare(monkeypatch, "monotone_1d", scalar_catalog(name), interval,
-                               (1, 2, 3, 4), 5)
+        f = scalar_catalog(name)  # None stands for f's own domain
+        seen, error = _compare(monkeypatch, "monotone_1d", f,
+                               f.domain if interval is None else interval, (1, 2, 3, 4), 5)
         domain_error = interval == (-1.0, 1.0) and name in ("sqrt", "neg_inverse")
         assert (error is not None) == domain_error
         assert len(seen) == (0 if domain_error else 20)
@@ -1122,7 +1132,7 @@ class TestNonFiniteRoots:
         ("halfplane", "inf", "halfplane*1e200"),
         ("nan", "halfplane", "pd*1e200", "inf", "pd", "pd at 1.7e308", "halfplane*1e200"),
     ], ids=["hermitian", "general", "mixed"])
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rows_fail_as_alone(self, n, names):
         cases = self._rows(n)
         rows = [cases[name][0] for name in names]
@@ -1142,6 +1152,8 @@ class TestNonFiniteRoots:
                 assert got[i].tobytes() == alone[i][0].tobytes()
                 if want is NonFiniteError:  # the identity stand-in
                     assert got[i].tobytes() == np.eye(n, dtype=np.complex128).tobytes()
+                if want is not None:  # a failed row's stand-in is finite
+                    assert np.isfinite(got[i]).all()
             lowest = min(errors)
             with pytest.raises(type(errors[lowest]), match=re.escape(str(errors[lowest]))):
                 principal_sqrt(np.stack(rows))

@@ -1,6 +1,4 @@
 import contextlib
-import importlib
-import importlib.util
 import io
 import json
 import os
@@ -281,6 +279,13 @@ class TestNonFinite:
                                  "--levels", "1..1", "--trials", "2", "--tol", tol)
         assert (code, out) == (2, "")
         assert err == "freemono: --tol must be finite\n"
+
+    @pytest.mark.parametrize("tol", ["0", "-0.5"])
+    def test_tol_that_is_not_positive_is_usage_error(self, tol):
+        code, out, err = run_cli("check", "--function", "square", "--suite", "monotone",
+                                 "--levels", "1..1", "--trials", "2", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err == "freemono: --tol must be positive\n"
 
     def test_nan_margin_is_numerical_failure(self, monkeypatch):
         monkeypatch.setattr(freemono.verifiers, "pair_margin",
@@ -905,19 +910,3 @@ class TestSuiteTable:
         code, _, _ = run_cli("check", "--function", "identity", "--suite", "monotone",
                              "--levels", "1..1", "--trials", "2")
         assert code == 0 and calls == ["identity"]
-
-    def test_benchmark_names_resolve(self):
-        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
-        modules = {}
-        for name in ("spans", "workload"):
-            spec = importlib.util.spec_from_file_location(f"_bench_{name}", perfbench / f"{name}.py")
-            modules[name] = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(modules[name])
-        for layer, names in modules["spans"].LAYERS.items():
-            for name in names:
-                owner = importlib.import_module(f"freemono.{layer}")
-                for attr in name.split("."):
-                    owner = getattr(owner, attr)
-                assert callable(owner), f"{layer}.{name}"
-        for name in modules["workload"].CLI_CHECKS:
-            assert callable(getattr(freemono.cli, name)), name

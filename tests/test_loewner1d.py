@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freemono import loewner1d
 from freemono.freeexpr import catalog, function_from_expr
 from freemono.kernels import Rng, hermitize, min_eig_h, op_norm
 from freemono.loewner1d import (
@@ -116,19 +117,19 @@ class TestMonotone1d:
     """The functional-calculus check that `cross_check` runs, at one level."""
 
     def test_linear_passes(self):
-        rep = _monotone_matrix_report(scalar_catalog("x"), (2,), 100, 1e-8, Rng(5), (0.1, 10.0))
+        rep = _monotone_matrix_report(scalar_catalog("x"), (2,), 100, 1e-8, Rng(5))
         assert rep.failures == 0
         assert rep.worst_margin >= -1e-12
 
-    def test_sqrt_passes_levels(self):
+    def test_sqrt_passes_levels(self, monkeypatch):
         f = scalar_catalog("sqrt")
+        monkeypatch.setattr(loewner1d, "INTERVAL", f.domain)  # spectra anywhere in (0, inf)
         for level in (2, 3, 4):
-            rep = _monotone_matrix_report(f, (level,), 100, 1e-8, Rng(6), None)
+            rep = _monotone_matrix_report(f, (level,), 100, 1e-8, Rng(6))
             assert rep.failures == 0, level
 
     def test_square_witness_found(self):
-        rep = _monotone_matrix_report(scalar_catalog("square"), (2,), 400, 1e-8, Rng(7),
-                                      (0.1, 10.0))
+        rep = _monotone_matrix_report(scalar_catalog("square"), (2,), 400, 1e-8, Rng(7))
         assert rep.failures > 0
         assert rep.witness is not None
 
@@ -139,15 +140,15 @@ class TestCrossCheck:
         ("square", "fail"), ("cube", "fail"),
     ])
     def test_verdicts_agree(self, name, expected):
-        cc = cross_check(scalar_catalog(name), rng=Rng(8))
+        cc = cross_check(scalar_catalog(name), trials=200, rng=Rng(8))
         assert cc.consistent, cc.sides
         assert set(cc.sides.values()) == {expected}
 
     def test_report_shape(self):
-        cc = cross_check(scalar_catalog("sqrt"), node_sets=20, pick_sets=20,
-                         pairs=20, rng=Rng(9))
+        cc = cross_check(scalar_catalog("sqrt"), trials=20, rng=Rng(9))
         assert [r.check for r in cc.reports] == ["loewner_psd", "pick_psd", "monotone_1d"]
-        assert cc.reports[2].levels == (2, 3, 4)
+        assert [r.levels for r in cc.reports] == [(5,), (5,), (2, 3, 4)]
+        assert [r.trials for r in cc.reports] == [20, 20, 20]
 
 
 class TestAmyLocal:
@@ -180,18 +181,17 @@ class TestDimensionOneReduction:
         sqrt_1d = scalar_catalog("sqrt")
         square_free = catalog("square")
         square_1d = scalar_catalog("square")
-        interval = (0.1, 10.0)
         scalar_sys = builtin_system("scalar")
         assert sqrt_free.in_system.name == scalar_sys.name
         disagreements = 0
         for seed in range(100):
             rng = Rng(1000 + seed)
             a = check_local_monotone(sqrt_free, (2,), 10, 1e-8, rng)
-            b = _monotone_matrix_report(sqrt_1d, (2,), 10, 1e-8, rng, interval)
+            b = _monotone_matrix_report(sqrt_1d, (2,), 10, 1e-8, rng)
             if a.verdict != b.verdict:
                 disagreements += 1
             a = check_local_monotone(square_free, (2,), 60, 1e-8, rng)
-            b = _monotone_matrix_report(square_1d, (2,), 150, 1e-8, rng, interval)
+            b = _monotone_matrix_report(square_1d, (2,), 150, 1e-8, rng)
             if a.verdict != b.verdict:
                 disagreements += 1
         assert disagreements == 0

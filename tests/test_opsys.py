@@ -151,6 +151,21 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(np.eye(3), builtin_system("block2"), 1)
 
+    def test_dual_frame_overflow_fails_its_row(self):
+        # the basis [1e-150] has the dual frame [1e150], so the finite matrix
+        # [1e160] decodes past the largest float
+        tiny = OpSysBasis("tiny", 1, (1e-150 * np.eye(1),), (1e150,))
+        m = _mat([[[2.0]], [[1e160]], [[3.0]]])
+        errors = {}
+        with np.errstate(over="ignore"):
+            p = decode(m, tiny, 1, errors)
+            with pytest.raises(NonFiniteError, match="matrix entries must all be finite"):
+                decode(m[1], tiny, 1)
+        assert list(errors) == [1] and type(errors[1]) is NonFiniteError
+        assert p.coeffs[1].tobytes() == np.zeros((1, 1, 1), dtype=np.complex128).tobytes()
+        for row in (0, 2):  # the other rows decode as alone
+            assert p.coeffs[row].tobytes() == decode(m[row], tiny, 1).coeffs.tobytes()
+
 
 class TestHermitianPoint:
     @pytest.mark.parametrize("name", SYSTEMS)

@@ -11,13 +11,14 @@ from freemono.freeexpr import (
     CodomainError, OutOfDomainError, catalog, eval_function, function_from_expr,
 )
 from freemono.kernels import (
-    NonFiniteError, NumericalError, Rng, SamplingError, SingularMatrixError, hermitize, min_eig_h,
-    op_norm, random_matrix, scaled_min_eig,
+    NonFiniteError, NumericalError, Rng, SamplingError, SingularMatrixError, hermitize, imag_part,
+    matrix_from_json, min_eig_h, op_norm, random_matrix, safe_inv, scaled_min_eig,
 )
 from freemono.opsys import (
     NCPoint,
     builtin_system,
     conjugate,
+    direct_sum,
     full_domain,
     point_from_json,
     point_to_json,
@@ -35,7 +36,6 @@ from freemono.verifiers import (
     check_monotone,
     check_schur_im_identity,
     equivalence_report,
-    find_counterexample,
     halfplane_margin,
     local_margin,
     pair_margin,
@@ -76,6 +76,24 @@ class TestFreeAxioms:
             rhs = realize(eval_function(square, conjugate(x, s)))
             assert op_norm(lhs - rhs) <= 1e-9 * (1 + op_norm(lhs))
 
+    def test_witness_at_tol_zero_replays_its_residuals(self):
+        # at tol 0 a rounding residual fails its trial, so the witness is built;
+        # its points give back both residuals, to the bit
+        f = catalog("schur_complement")
+        rep = check_free_axioms(f, (2,), 5, 0.0, Rng(13))
+        w = rep.witness
+        assert sorted(w) == ["X", "Y", "residual_direct_sum", "residual_similarity", "unitary"]
+        x, y = (point_from_json(w[key], f.in_system) for key in "XY")
+        u = matrix_from_json(w["unitary"])
+        fx, fy = eval_function(f, x), eval_function(f, y)
+        scale = 1.0 + op_norm(realize(fx))
+        ds = op_norm(realize(eval_function(f, direct_sum(x, y)))
+                     - realize(direct_sum(fx, fy))) / scale
+        sim = op_norm(realize(conjugate(fx, u))
+                      - realize(eval_function(f, conjugate(x, u)))) / scale
+        assert (w["residual_direct_sum"], w["residual_similarity"]) == (ds, sim)
+        assert rep.worst_margin == -max(ds, sim) < 0.0
+
 
 class TestMonotone:
     def test_identity_passes_exactly(self):
@@ -101,17 +119,22 @@ class TestMonotone:
             assert (rep.witness is not None) == (rep.failures > 0)
 
 
-class TestFindCounterexample:
+class TestMonotoneAtOneLevel:
+    """A search of one level for an ordered pair that violates monotonicity: the
+    report's witness is the worst violating pair, if any."""
+
     def test_square_found(self):
-        w = find_counterexample(catalog("square"), level=2, budget=1000, rng=Rng(9))
+        square = catalog("square")
+        w = check_monotone(square, (2,), 1000, rng=Rng(9)).witness
         assert w is not None and w["margin"] < -1e-8
+        a, b = (point_from_json(w[key], square.in_system) for key in "AB")
+        assert pair_margin(square, a, b) == w["margin"]
 
     def test_identity_none(self):
-        assert find_counterexample(catalog("identity"), level=2, budget=200, rng=Rng(10)) is None
+        assert check_monotone(catalog("identity"), (2,), 200, rng=Rng(10)).witness is None
 
     def test_neg_inverse_none(self):
-        assert find_counterexample(catalog("neg_inverse"),
-                                   level=2, budget=1000, rng=Rng(11)) is None
+        assert check_monotone(catalog("neg_inverse"), (2,), 1000, rng=Rng(11)).witness is None
 
     def test_fixed_witness_accepted(self):
         # B - A = diag(1, 0) is PSD, but B^2 - A^2 has determinant -1
@@ -256,7 +279,6 @@ class TestSchurImIdentity:
         np.testing.assert_allclose(out.coeffs[0], [[1j]], atol=1e-14)
 
     def test_hermitian_pd_both_sides_zero(self):
-        from freemono.kernels import imag_part
         from freemono.opsys import sample_point
         schur = catalog("schur_complement")
         p = sample_point(schur.domain, 2, Rng(22))
@@ -267,6 +289,22 @@ class TestSchurImIdentity:
         rep = check_schur_im_identity(levels=(1, 2, 3), trials=500, rng=Rng(23))
         assert rep.failures == 0
         assert rep.worst_margin >= -1e-10
+
+    def test_witness_at_tol_zero_replays_its_residual(self):
+        # at tol 0 a rounding residual fails its trial, so the witness is built;
+        # its point gives back the residual and Im f's least eigenvalue, to the bit
+        schur, n = catalog("schur_complement"), 2
+        rep = check_schur_im_identity((n,), 5, 0.0, Rng(14))
+        w = rep.witness
+        assert sorted(w) == ["X", "im_margin", "residual"]
+        m = realize(point_from_json(w["X"], schur.in_system))
+        v = np.vstack([np.eye(n, dtype=complex),
+                       -safe_inv(m[n:, n:].conj().T) @ m[:n, n:].conj().T])
+        imf = imag_part(realize(eval_function(schur, point_from_json(w["X"], schur.in_system))))
+        resid = op_norm(imf - v.conj().T @ imag_part(m) @ v) / (1.0 + op_norm(m) ** 2)
+        assert (w["residual"], w["im_margin"]) == (resid, min_eig_h(imf))
+        assert w["im_margin"] > 0.0
+        assert rep.worst_margin == -resid < 0.0
 
 
 class TestEquivalence:
