@@ -477,6 +477,117 @@ def function_from_expr(name: str, text: str, in_system: OpSysBasis) -> FreeFunct
                         opsys.pd_cone(in_system), text)
 
 
+class _Run:
+    """One run of a function's program over a stack of points, and along a
+    stack of directions their tangents.
+
+    ``vals[i]`` is the value of step i and ``tans[i]`` its tangent, the
+    derivative of that value along the direction; ``errs`` gets each failed
+    row's first error.
+    """
+
+    def __init__(self, f: FreeFunction, point: NCPoint, direction: NCPoint | None):
+        self.f, self.point, self.direction = f, point, direction
+        self.lead, self.n = point.coeffs.shape[:-3], point.level
+        self.vals, self.tans, self.errs = [], [], {}
+        self._blocks = {}
+
+    def block(self, p: NCPoint, row: int, col: int) -> np.ndarray:
+        """Block (row, col), 1-based, of ``realize(p)``, p being the point or the direction."""
+        if id(p) not in self._blocks:
+            k = self.f.in_system.k
+            self._blocks[id(p)] = opsys.realize(p).reshape(self.lead + (k, self.n, k, self.n))
+        return self._blocks[id(p)][..., row - 1, :, col - 1, :]
+
+    def guarded(self, kernel, what: str, *args):
+        """Run the kernel of an Inv or Sqrt step or of its tangent on ``args``, adding
+        each failed row's error to ``errs``.
+
+        A row keeps its first error; the kernel's domain errors become
+        :class:`OutOfDomainError`.
+        """
+        failed = {}
+        v = kernel(*args, failed)
+        for row, exc in failed.items():
+            if not isinstance(exc, kernels.NumericalError):
+                exc = _caused(OutOfDomainError(f"{what}: {exc}"), exc)
+            self.errs.setdefault(row, exc)
+        return v
+
+
+# node type -> (value rule, tangent rule).  The value rule of a step ``(type,
+# a, b)`` is ``value(run, a, b)``, over the values of earlier steps; its
+# tangent rule is ``tangent(run, a, b, v)``, v being the step's value, over
+# their values and tangents: the derivative of the value rule.
+_RULES = {
+    Mul: (lambda r, a, b: r.vals[a] @ r.vals[b],
+          lambda r, a, b, v: r.tans[a] @ r.vals[b] + r.vals[a] @ r.tans[b]),
+    Var: (lambda r, a, b: r.point.coeffs[..., a - 1, :, :],
+          lambda r, a, b, v: r.direction.coeffs[..., a - 1, :, :]),
+    # the root's derivative solves S L + L S = K (Higham, "Functions of Matrices", sec. 6.1)
+    Sqrt: (lambda r, a, b: r.guarded(kernels.principal_sqrt, "square-root branch violation",
+                                     r.vals[a]),
+           lambda r, a, b, v: r.guarded(kernels.sqrt_derivative, "square-root derivative", v,
+                                        r.tans[a])),
+    # the inverse's derivative is -V K V, V being the inverse
+    Inv: (lambda r, a, b: r.guarded(kernels.safe_inv, "singular inverse", r.vals[a]),
+          lambda r, a, b, v: -(v @ r.tans[a] @ v)),
+    Add: (lambda r, a, b: r.vals[a] + r.vals[b], lambda r, a, b, v: r.tans[a] + r.tans[b]),
+    Sub: (lambda r, a, b: r.vals[a] - r.vals[b], lambda r, a, b, v: r.tans[a] - r.tans[b]),
+    Neg: (lambda r, a, b: -r.vals[a], lambda r, a, b, v: -r.tans[a]),
+    ScalarMul: (lambda r, a, b: a * r.vals[b], lambda r, a, b, v: a * r.tans[b]),
+    ScalarConst: (lambda r, a, b: np.broadcast_to(a * np.eye(r.n, dtype=np.complex128),
+                                                  r.lead + (r.n, r.n)),
+                  lambda r, a, b, v: np.zeros_like(v)),
+    Block: (lambda r, a, b: r.block(r.point, a, b),
+            lambda r, a, b, v: r.block(r.direction, a, b)),
+}
+
+
+def _run(f: FreeFunction, point: NCPoint, direction: NCPoint | None,
+         errors: dict | None) -> list:
+    """The points f(X) and, with a ``direction`` H, Df(X)[H], X being ``point``: see
+    :func:`eval_function` and :func:`eval_derivative`."""
+    if point.system.name != f.in_system.name:
+        raise ValueError(
+            f"point over {point.system.name!r} fed to function on {f.in_system.name!r}")
+    if direction is not None and (direction.system.name != point.system.name
+                                  or direction.coeffs.shape != point.coeffs.shape):
+        raise ValueError("a direction must be a point of the shape of the point, over its system")
+    run = _Run(f, point, direction)
+    # an overflow leaves inf/nan in the output, which decode rejects as NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind, a, b in f.program:
+            value, tangent = _RULES[kind]
+            run.vals.append(value(run, a, b))
+            if direction is not None:
+                run.tans.append(tangent(run, a, b, run.vals[-1]))
+        grids = [run.vals] if direction is None else [run.vals, run.tans]
+        outs = [_assemble(f, steps, run.lead, run.n) for steps in grids]
+    points = []
+    for out in outs:
+        failed = {}
+        points.append(opsys.decode(out, f.out_system, run.n, failed))
+        for row, exc in failed.items():
+            if isinstance(exc, NotInImageError):
+                exc = _caused(CodomainError(str(exc)), exc)
+            run.errs.setdefault(row, exc)
+    kernels.settle(run.errs, errors)
+    return points
+
+
+def _assemble(f: FreeFunction, steps: list, lead: tuple, n: int) -> np.ndarray:
+    """The output grid of f from the values (or tangents) of its program's steps."""
+    ko = f.out_system.k
+    if ko == 1:  # one cell: decode reads its value and writes nothing
+        return steps[f.roots[0][0]]
+    out = np.zeros(lead + (ko * n, ko * n), dtype=np.complex128)
+    for p, row in enumerate(f.roots):
+        for q, r in enumerate(row):
+            out[..., p * n:(p + 1) * n, q * n:(q + 1) * n] = steps[r]
+    return out
+
+
 def eval_function(f: FreeFunction, point: NCPoint, errors: dict | None = None) -> NCPoint:
     """Evaluate a free function at a point; output level equals input level.
 
@@ -493,76 +604,29 @@ def eval_function(f: FreeFunction, point: NCPoint, errors: dict | None = None) -
     evaluation fails is handed to :func:`~freemono.kernels.settle` with its
     first error and gets a finite stand-in value.
     """
-    if point.system.name != f.in_system.name:
-        raise ValueError(
-            f"point over {point.system.name!r} fed to function on {f.in_system.name!r}")
-    lead, n = point.coeffs.shape[:-3], point.level
-    errs = {}
-    blocks = None
-    vals = []
-    # an overflow leaves inf/nan in ``out``, which decode rejects as NonFiniteError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for kind, a, b in f.program:
-            if kind is Mul:
-                v = vals[a] @ vals[b]
-            elif kind is Var:
-                v = point.coeffs[..., a - 1, :, :]
-            elif kind is Sqrt:
-                v = _guarded(kernels.principal_sqrt, vals[a], errs, "square-root branch violation")
-            elif kind is Inv:
-                v = _guarded(kernels.safe_inv, vals[a], errs, "singular inverse")
-            elif kind is Add:
-                v = vals[a] + vals[b]
-            elif kind is Sub:
-                v = vals[a] - vals[b]
-            elif kind is Neg:
-                v = -vals[a]
-            elif kind is ScalarMul:
-                v = a * vals[b]
-            elif kind is ScalarConst:
-                v = np.broadcast_to(a * np.eye(n, dtype=np.complex128), lead + (n, n))
-            else:  # Block
-                if blocks is None:
-                    k = f.in_system.k
-                    blocks = opsys.realize(point).reshape(lead + (k, n, k, n))
-                v = blocks[..., a - 1, :, b - 1, :]
-            vals.append(v)
-        ko = f.out_system.k
-        if ko == 1:  # one cell: decode reads its value and writes nothing
-            out = vals[f.roots[0][0]]
-        else:
-            out = np.zeros(lead + (ko * n, ko * n), dtype=np.complex128)
-            for p, row in enumerate(f.roots):
-                for q, r in enumerate(row):
-                    out[..., p * n:(p + 1) * n, q * n:(q + 1) * n] = vals[r]
-    failed = {}
-    value = opsys.decode(out, f.out_system, n, failed)
-    for row, exc in failed.items():
-        if isinstance(exc, NotInImageError):
-            exc = _caused(CodomainError(str(exc)), exc)
-        errs.setdefault(row, exc)
-    kernels.settle(errs, errors)
-    return value
+    return _run(f, point, None, errors)[0]
+
+
+def eval_derivative(f: FreeFunction, point: NCPoint, direction: NCPoint,
+                    errors: dict | None = None) -> tuple[NCPoint, NCPoint]:
+    """f(X) and its derivative Df(X)[H] at X = ``point`` along H = ``direction``,
+    a point of the same level and leading shape over f's input system.
+
+    One run of the program carries each step's tangent beside its value by
+    the rule of its node (forward differentiation): a product's is
+    A'B + AB', an inverse's -V K V with V the inverse, a square root's the
+    solution L of S L + L S = K (:func:`~freemono.kernels.sqrt_derivative`),
+    and every other node is linear.  Errors are as :func:`eval_function`'s,
+    a step's tangent failing after its value; the derivative decodes into
+    the output system as the value does, and a failed row's is a finite
+    stand-in.
+    """
+    return tuple(_run(f, point, direction, errors))
 
 
 def _caused(exc, cause):
     exc.__cause__ = cause
     return exc
-
-
-def _guarded(kernel, x, errs: dict, what: str):
-    """Run the kernel of an Inv or Sqrt step, adding each failed row's error to ``errs``.
-
-    A row keeps its first error; the kernel's domain errors become
-    :class:`OutOfDomainError`.
-    """
-    failed = {}
-    v = kernel(x, failed)
-    for row, exc in failed.items():
-        if not isinstance(exc, kernels.NumericalError):
-            exc = _caused(OutOfDomainError(f"{what}: {exc}"), exc)
-        errs.setdefault(row, exc)
-    return v
 
 
 # --------------------------------------------------------------------------

@@ -27,13 +27,15 @@ branch cut by its real part, its imaginary part or its distance against
 non-finite entry is a failed row (:func:`finite_rows`); one whole-stack test
 comes first, and the rows are looked at only when it fails.
 
-Only NumPy is imported when the module loads.  SciPy's LAPACK bindings are
-imported by the square root of a non-Hermitian stack, the one routine that
-needs them, so a process that takes no such root never loads SciPy.
+Only NumPy is used.  A square root is taken by diagonalization: one stacked
+``eigh`` for the Hermitian rows of a stack and one stacked ``eig`` for the
+others, with a scaled Denman-Beavers iteration for the defective rows whose
+eigenvectors leave the diagonalization untrusted (:func:`principal_sqrt`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import threading
@@ -47,6 +49,8 @@ TOL_PSD = 1e-8
 TOL_RECON = 1e-10
 TOL_BRANCH = 1e-10
 COND_LIMIT = 1e12
+EIG_COND_LIMIT = 1e6
+_ITERATION_STEPS = 100
 
 _MASK64 = (1 << 64) - 1
 
@@ -183,6 +187,29 @@ def imag_part(a) -> np.ndarray:
     return ((b + _ct(b)) / 2.0).reshape(lead + a.shape[1:])
 
 
+def _by_rows(solve, a, errors: dict | None, outputs):
+    # solve(a) on the whole stack; when that fails, solve of one matrix at a
+    # time into ``outputs(rows)``, zeroed arrays of each output's shape for
+    # ``rows`` matrices, and each matrix whose solver does not converge is a
+    # failed row with an EigensolverError and zeros
+    try:
+        return solve(a)
+    except np.linalg.LinAlgError:
+        flat = a.reshape((-1,) + a.shape[-2:])
+        outs, errs = outputs(len(flat)), {}
+        for row, m in enumerate(flat):
+            try:
+                got = solve(m)
+            except np.linalg.LinAlgError as exc:
+                errs[row] = EigensolverError(f"eigensolver did not converge: {exc}")
+                continue
+            for out, part in zip(outs, got if isinstance(got, tuple) else (got,)):
+                out[row] = part
+        settle(errs, errors)
+        outs = [out.reshape(a.shape[:-2] + out.shape[1:]) for out in outs]
+        return tuple(outs) if len(outs) > 1 else outs[0]
+
+
 def _eigh(a, errors: dict | None = None, vectors: bool = False):
     """Ascending eigenvalues of each matrix of ``a``, and with ``vectors`` also the
     unitary eigenvectors, as ``(w, u)``; a real ``a`` keeps the real solver.
@@ -192,19 +219,29 @@ def _eigh(a, errors: dict | None = None, vectors: bool = False):
     :class:`EigensolverError`, and gets zeros.
     """
     a = np.asarray(a)
+    n = a.shape[-1]
+    return _by_rows(np.linalg.eigh if vectors else np.linalg.eigvalsh, a, errors, lambda rows: [
+        np.zeros((rows, n)), *([np.zeros((rows, n, n), np.result_type(a, 1.0))] * vectors)])
+
+
+def _eig(a: np.ndarray, errors: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues and the eigenvectors of ``np.linalg.eig`` of each matrix of the
+    stack ``a``, a matrix whose solver does not converge failing as by :func:`_eigh`."""
+    n = a.shape[-1]
+    return _by_rows(np.linalg.eig, a, errors,
+                    lambda rows: [np.zeros((rows, n), complex), np.zeros((rows, n, n), complex)])
+
+
+def _inverses(a: np.ndarray) -> np.ndarray:
+    # inv of each matrix of a stack, each on its own; an exactly singular one gets NaNs
     try:
-        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+        return np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        flat = a.reshape((-1,) + a.shape[-2:])
-        w, u, errs = np.zeros(flat.shape[:-1]), np.zeros(flat.shape, np.result_type(a, 1.0)), {}
-        for row, m in enumerate(flat):
-            try:
-                w[row], u[row] = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), 0.0)
-            except np.linalg.LinAlgError as exc:
-                errs[row] = EigensolverError(f"eigensolver did not converge: {exc}")
-        settle(errs, errors)
-        w = w.reshape(a.shape[:-1])
-        return (w, u.reshape(a.shape)) if vectors else w
+        out = np.full_like(a, np.nan)
+        for row, m in enumerate(a):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[row] = np.linalg.inv(m)
+        return out
 
 
 def herm_eig(a, errors: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -293,35 +330,6 @@ def safe_inv(a, errors: dict | None = None) -> np.ndarray:
     return inv.reshape(lead + a.shape[1:])
 
 
-def _sqrt_triu(t: np.ndarray) -> np.ndarray:
-    # The Bjorck-Hammarling recurrence for the square roots of a stack of upper
-    # triangular matrices, one superdiagonal at a time: each entry needs only
-    # entries of lower superdiagonals.  The diagonal fixes the branch.  Entry
-    # (i, j) needs s[i, i+1:j] @ s[i+1:j, j], empty for j = i + 1; for a later
-    # superdiagonal, x and y are views of those rows and columns, and x @ y is
-    # the stack's 1-by-k times k-by-1 matmuls.  The views keep each matrix's
-    # own strides, so BLAS sums each product as it does for one matrix: a
-    # contiguous copy of the operands would change the rounding.
-    rows, n = len(t), t.shape[-1]
-    if n == 1:
-        return np.sqrt(t)
-    t = t.reshape(rows, n * n)
-    s = np.zeros(t.shape, t.dtype)
-    root = np.sqrt(t[:, ::n + 1])
-    s[:, ::n + 1] = root
-    den = (root[:, :, None] + root[:, None, :]).reshape(rows, n * n)  # s[i, i] + s[j, j]
-    np.divide(t[:, 1::n + 1], den[:, 1::n + 1], out=s[:, 1::n + 1])
-    b = s.itemsize
-    row_steps, col_steps = (n * n * b, (n + 1) * b, 0, b), (n * n * b, (n + 1) * b, n * b, b)
-    for off in range(2, n):
-        m, k = n - off, off - 1
-        diag = slice(off, off + m * (n + 1), n + 1)  # the entries (i, i + off)
-        x = np.ndarray((rows, m, 1, k), s.dtype, s, b, row_steps)  # starts at s[0, 1]
-        y = np.ndarray((rows, m, k, 1), s.dtype, s, (n + off) * b, col_steps)  # at s[1, off]
-        np.divide(t[:, diag] - (x @ y)[..., 0, 0], den[:, diag], out=s[:, diag])
-    return s.reshape(rows, n, n)
-
-
 def _branch_cut(value) -> BranchCutError:
     return BranchCutError(f"eigenvalue {value} within {TOL_BRANCH:g} of the closed ray (-inf, 0]")
 
@@ -343,93 +351,228 @@ def _near_cut(a: np.ndarray, w: np.ndarray, reach: np.ndarray) -> dict:
     return {row: w[row, dist[i].argmin()] for i, row in zip(cut.nonzero()[0], near[cut].tolist())}
 
 
-def _roots_by_eigh(a: np.ndarray, reach: np.ndarray, errs: dict, rows) -> np.ndarray:
+def _roots_by_eigh(a: np.ndarray, reach: np.ndarray, errs: dict, rows, units: dict) -> np.ndarray:
     # Roots of Hermitian matrices from one stacked eigendecomposition.  The
     # zero eigenvalues of a failed row put it on the closed negative ray.
     failed = {}
     w, u = _eigh(hermitize(a), failed, vectors=True)
     cut = _near_cut(a, w[:, :1], reach)
     for i, value in cut.items():
-        errs[rows[i]] = failed.get(i, _branch_cut(float(value)))
+        errs[rows[i]] = failed.get(i, _branch_cut(float(value) * units.get(rows[i], 1.0)))
         w[i] = 1.0
     return (u * np.sqrt(w)[:, None, :]) @ _ct(u)
 
 
-def _roots_by_schur(a: np.ndarray, reach: np.ndarray, errs: dict, rows) -> np.ndarray:
-    # Roots of general matrices.  Only LAPACK's complex Schur form runs once
-    # per matrix: ``zgees`` with its default workspace.  That gives what
-    # ``scipy.linalg.schur`` gives, without the workspace query it makes per
-    # matrix, as long as LAPACK's reduction runs unblocked (through n = 129
-    # with OpenBLAS); a larger matrix can differ in the last bits.  The
-    # branch-cut test, the triangular recurrence and the back-transform each
-    # run once over the stack; a failed row runs on the identity.
-    import scipy.linalg.lapack  # here, not at module level: see the module docstring
-
-    gees, = scipy.linalg.lapack.get_lapack_funcs(("gees",), (a,))
-    t, z = np.empty_like(a), np.empty_like(a)
+def _roots_by_eig(a: np.ndarray, reach: np.ndarray, errs: dict, rows, units: dict) -> tuple:
+    # Roots V sqrt(D) inv(V) of general matrices from one stacked eig (Higham,
+    # "Functions of Matrices", sec. 4.5), their eigenvalues, and whether each
+    # row's ||V||_F ||inv(V)||_F is at most EIG_COND_LIMIT, so that its root can
+    # be trusted.  A failed row (its zero eigenvalues are on the cut) runs on
+    # the identity.
     failed = {}
-    for i, m in enumerate(a):
-        t[i], _, _, z[i], _, info = gees(lambda value: None, m)  # a select function, unused
-        if info:  # the text ``scipy.linalg.schur`` gives a failed ``gees`` without sorting
-            why = (f"illegal value in {-info}-th argument of internal gees" if info < 0
-                   else "Schur form not found. Possibly ill-conditioned.")
-            failed[i] = EigensolverError(f"Schur triangularization failed: {why}")
-    cut = _near_cut(a, t.diagonal(0, 1, 2), reach)
-    for i in sorted(failed.keys() | cut.keys()):  # a failed row runs on the identity
-        errs[rows[i]] = failed.get(i) or _branch_cut(cut[i])
-        t[i] = z[i] = np.eye(a.shape[-1])
-    return z @ _sqrt_triu(t) @ _ct(z)
+    w, v = _eig(a, failed)
+    cut = _near_cut(a, w, reach)
+    for i, value in cut.items():
+        errs[rows[i]] = failed.get(i, _branch_cut(value * units.get(rows[i], 1.0)))
+        w[i], v[i] = 1.0, np.eye(a.shape[-1])
+    n = a.shape[-1]
+    vinv = _inverses(v)
+    flat = vinv.reshape(len(a), n * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # eig's eigenvectors have unit norms, so ||V||_F^2 = n
+        trusted = n * np.vecdot(flat, flat).real <= EIG_COND_LIMIT ** 2
+    return (v * np.sqrt(w)[:, None, :]) @ vinv, w, trusted
+
+
+def _roots_by_iteration(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # Roots by the scaled Denman-Beavers iteration in product form (Higham,
+    # "Functions of Matrices", sec. 6.3): M <- (I + (mu^2 M + inv(M) / mu^2) / 2) / 2
+    # and Y <- mu Y (I + inv(M) / mu^2) / 2 from M = Y = A, with the determinant
+    # scaling mu = |det M|^(-1/2n); Y tends to the root of A and M to I.  The
+    # iteration loses accuracy when an eigenvalue lies near the negative axis,
+    # so each row first turns its spectrum, as the eigenvalues ``w`` estimate it,
+    # by the phase c that centres its arguments on 0: the root of A is that of
+    # cA over sqrt(c) while every argument stays in (-pi, pi).  A row stops when
+    # ||M - I||_F <= n 1e-15, or when that no longer falls once below 1e-6, so
+    # its steps do not depend on the other rows; a non-finite row stops at once.
+    n = a.shape[-1]
+    eye = np.eye(n)
+    arg = np.angle(w)
+    half = np.exp(-0.25j * (arg.max(axis=1) + arg.min(axis=1)))[:, None, None]  # sqrt(c)
+    m = (half * half) * a
+    y = m.copy()
+    live, last = np.arange(len(a)), np.full(len(a), np.inf)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_ITERATION_STEPS):
+            if not live.size:
+                break
+            ml = m[live]
+            inv = _inverses(ml)
+            mu = np.exp(np.linalg.slogdet(ml)[1] / (-2.0 * n))[:, None, None]
+            mu2 = mu * mu
+            y[live] = (0.5 * mu) * (y[live] @ (eye + inv / mu2))
+            m[live] = 0.5 * (eye + 0.5 * (mu2 * ml + inv / mu2))
+            d = _frobenius(m[live] - eye)
+            go = (d > n * 1e-15) & ((d < last[live]) | (last[live] > 1e-6))
+            last[live] = d
+            live = live[go]
+    return y / half
+
+
+def _skew_and_norm(a: np.ndarray) -> list:
+    # ||A - A*||_F and ||A||_F of each matrix of a stack: A is taken for
+    # Hermitian when the first is at most 1e-13 (1 + the second)
+    return np.split(_frobenius(np.concatenate([a - _ct(a), a])), 2)
+
+
+def _misfits(resid: np.ndarray, a: np.ndarray, skip=()) -> np.ndarray:
+    # The rows of a stack of residuals R whose inputs A do not pass
+    # ||R|| <= TOL_RECON (1 + ||A||), a non-finite R failing; the rows ``skip``
+    # pass.  A residual with ||R||_F <= TOL_RECON / 2 passes without the
+    # operator norms, a bound with a factor of two to spare.
+    resid = np.ascontiguousarray(resid)
+    flat = resid.reshape(len(resid), resid.shape[-1] ** 2).view(np.float64)  # re and im parts
+    sure = np.vecdot(flat, flat) <= (0.5 * TOL_RECON) ** 2
+    sure[list(skip)] = True
+    if np.count_nonzero(sure) == len(sure):
+        return np.zeros(0, dtype=np.intp)
+    unsure = (~sure).nonzero()[0]
+    r = resid[unsure]
+    finite = np.isfinite(r).all(axis=(1, 2))
+    r[~finite] = 0.0
+    r, m = np.split(op_norm(np.concatenate([r, a[unsure]])), 2)
+    return unsure[~finite | (r > TOL_RECON * (1.0 + m))]
 
 
 def principal_sqrt(a, errors: dict | None = None) -> np.ndarray:
-    """Principal matrix square root via complex triangularization.
+    """Principal matrix square root by diagonalization.
 
     Requires the spectrum to stay off the closed ray (-inf, 0]; every
     eigenvalue of the result has strictly positive real part.  Hermitian
-    inputs take the eigendecomposition shortcut (same branch, same errors),
-    all of them by one stacked ``eigh``.
+    inputs take one stacked ``eigh``, any others one stacked ``eig``, whose
+    root is V sqrt(D) inv(V).  A non-Hermitian row whose eigenvectors have
+    ||V||_F ||inv(V)||_F above ``EIG_COND_LIMIT``, or whose root fails to
+    reconstruct it, takes the scaled Denman-Beavers iteration instead, and
+    its root must then reconstruct it.  Only defective or nearly defective
+    (Jordan-like) input gets there.
 
     Both tolerances scale with 1 + ||A||, and a row takes SVDs only when a
     screen leaves it unsure; each screen bounds what it replaces with a factor
     of two to spare, so every decision is the SVDs'.  An eigenvalue whose
     distance to the ray, real part or |Im| exceeds 2 (1 + ||A||_F) TOL_BRANCH
     is off the cut.  A residual with ||R||_F <= TOL_RECON / 2 passes; a
-    non-finite one fails.
+    non-finite one fails.  A row of finite entries whose Frobenius norm
+    overflows is taken as 4^-k times itself, k making its largest part less
+    than 2^400, and its root is scaled back by 2^k; both steps are exact, so
+    every decision is that of the row itself.
     """
     a, lead = as_stack(a)
     errs = {}
     a = finite_rows(a, errs)
-    norms = _frobenius(np.concatenate([a - _ct(a), a]))
-    skew, norm = norms[:len(a)], norms[len(a):]
+    skew, norm = _skew_and_norm(a)
+    units = {}  # row -> 4^k of each row taken as 4^-k times itself
+    if np.count_nonzero(norm == np.inf):
+        huge = (norm == np.inf).nonzero()[0]
+        parts = np.abs(a[huge].reshape(len(huge), -1).view(np.float64)).max(axis=1)
+        k = (np.frexp(parts)[1] - 399) // 2  # parts < 2^e, and 2^(e - 2k) <= 2^400
+        a = a.copy()
+        a[huge] *= np.ldexp(1.0, -2 * k)[:, None, None]
+        skew[huge], norm[huge] = _skew_and_norm(a[huge])
+        units = dict(zip(huge.tolist(), np.ldexp(1.0, 2 * k).tolist()))
     bound = 1.0 + norm  # at least 1 + ||A||
     reach, herm = (2.0 * TOL_BRANCH) * bound, skew <= 1e-13 * bound
     count = np.count_nonzero(herm)
-    if count in (0, len(a)):  # the whole stack, an empty one too, goes uncopied
-        roots = _roots_by_eigh if count == len(a) else _roots_by_schur
-        root = roots(a, reach, errs, range(len(a)))
+    general = trusted = None
+    if count == len(a):  # the whole stack, an empty one too, goes uncopied
+        root = _roots_by_eigh(a, reach, errs, range(len(a)), units)
+    elif count == 0:
+        general = np.arange(len(a))
+        root, w, trusted = _roots_by_eig(a, reach, errs, range(len(a)), units)
     else:
         root = np.empty_like(a)
-        for rows, roots in ((herm.nonzero()[0], _roots_by_eigh),
-                            ((~herm).nonzero()[0], _roots_by_schur)):
-            root[rows] = roots(a[rows], reach[rows], errs, rows.tolist())
-    resid = np.ascontiguousarray(root @ root - a)
-    flat = resid.reshape(len(a), a.shape[-1] ** 2).view(np.float64)  # real and imaginary parts
-    sure = np.vecdot(flat, flat) <= (0.5 * TOL_RECON) ** 2
-    sure[list(errs)] = True  # a failed row keeps its first error and its stand-in
-    if np.count_nonzero(sure) < len(a):
-        unsure = (~sure).nonzero()[0]
-        r = resid[unsure]
-        finite = np.isfinite(r).all(axis=(1, 2))
-        r[~finite] = 0.0
-        r, m = np.split(op_norm(np.concatenate([r, a[unsure]])), 2)
-        failed = unsure[~finite | (r > TOL_RECON * (1.0 + m))]
+        rows, general = herm.nonzero()[0], (~herm).nonzero()[0]
+        root[rows] = _roots_by_eigh(a[rows], reach[rows], errs, rows.tolist(), units)
+        root[general], w, trusted = _roots_by_eig(a[general], reach[general], errs,
+                                                  general.tolist(), units)
+
+    def iterate(take):  # the iteration's roots of the rows of ``general`` that ``take`` marks
+        rows = general[take]
+        root[rows] = _roots_by_iteration(a[rows], w[take])
+        return rows
+
+    # A row whose eigenvectors leave its diagonalization untrusted takes the
+    # iteration before the reconstruction test (a failed row ran on the
+    # identity, which is trusted), and a trusted row that fails the test
+    # takes it after, and then the test again.
+    if trusted is not None and np.count_nonzero(~trusted):
+        iterate(~trusted)
+    failed = _misfits(root @ root - a, a, errs)
+    if failed.size:
+        if trusted is not None:
+            again = np.zeros(len(a), dtype=bool)
+            again[failed] = True
+            again = again[general] & trusted
+            if np.count_nonzero(again):
+                rows = iterate(again)
+                failed = np.union1d(np.setdiff1d(failed, rows), rows[_misfits(
+                    root[rows] @ root[rows] - a[rows], a[rows])])
         for row in failed.tolist():
-            errs.setdefault(row, NumericalError(
-                "principal square root failed to reconstruct its input"))
+            errs[row] = NumericalError("principal square root failed to reconstruct its input")
         # a root that is not finite gives way to the identity, the stand-in of finite_rows
         root[failed[~np.isfinite(root[failed]).all(axis=(1, 2))]] = np.eye(a.shape[-1])
+    for row, unit in units.items():
+        if row not in errs:
+            root[row] *= math.sqrt(unit)
     settle(errs, errors)
     return root.reshape(lead + a.shape[1:])
+
+
+def _eigenbasis(s: np.ndarray, hermitian: bool, errs: dict, rows) -> tuple:
+    # The eigenvalues and eigenvectors V of each matrix of ``s``, by eigh or by
+    # eig, and inv(V); a row whose eigensolver fails gets zeros and its error
+    failed = {}
+    if hermitian:
+        w, v = _eigh(hermitize(s), failed, vectors=True)
+        vinv = _ct(v)
+    else:
+        w, v = _eig(s, failed)
+        vinv = _inverses(v)
+    for i, exc in failed.items():
+        errs[rows[i]] = exc
+    return w, v, vinv
+
+
+def sqrt_derivative(root, k, errors: dict | None = None) -> np.ndarray:
+    """The solution L of S L + L S = K for each root S of ``root`` and direction K of ``k``.
+
+    When S is the principal square root of A, L is the derivative of the root
+    at A in the direction K (Higham, "Functions of Matrices", sec. 6.1).  It is
+    solved in the eigenbasis of S, by ``eigh`` when S is Hermitian within the
+    test :func:`principal_sqrt` makes and by ``eig`` otherwise.  A row whose
+    residual fails ||S L + L S - K|| <= TOL_RECON (1 + ||K||), screened as a
+    root's residual is, and a row whose eigensolver fails is a failed row, and
+    gets zeros.
+    """
+    s, lead = as_stack(root)
+    k = np.asarray(k, dtype=np.complex128).reshape(s.shape)
+    errs = {}
+    skew, norm = _skew_and_norm(s)
+    herm = skew <= 1e-13 * (1.0 + norm)
+    count = np.count_nonzero(herm)
+    if count in (0, len(s)):  # the whole stack, an empty one too, goes uncopied
+        w, v, vinv = _eigenbasis(s, count == len(s), errs, range(len(s)))
+    else:
+        w, v, vinv = np.empty(s.shape[:-1], complex), np.empty_like(s), np.empty_like(s)
+        for rows, hermitian in ((herm.nonzero()[0], True), ((~herm).nonzero()[0], False)):
+            w[rows], v[rows], vinv[rows] = _eigenbasis(s[rows], hermitian, errs, rows.tolist())
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        der = v @ ((vinv @ k @ v) / (w[:, :, None] + w[:, None, :])) @ vinv
+        failed = _misfits(s @ der + der @ s - k, k, errs)
+    for row in failed.tolist():
+        errs[row] = NumericalError("square-root derivative failed its residual test")
+    der[list(errs)] = 0.0
+    settle(errs, errors)
+    return der.reshape(lead + s.shape[1:])
 
 
 def func_calc(fn: Callable[[np.ndarray], np.ndarray], a,

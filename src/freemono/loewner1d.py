@@ -25,7 +25,7 @@ from .kernels import (
 )
 from .opsys import _redraw, builtin_system, sample_ordered_pair, spectral_interval
 from .report import CheckReport, ConsistencyReport
-from .verifiers import _differences, _run_trials
+from .verifiers import _differences, _run_trials, _trial_levels
 
 MIN_NODE_GAP = 1e-8
 NODE_COUNT = 5  # the nodes of a Loewner matrix and the points of a Pick matrix
@@ -140,8 +140,10 @@ def cross_check(f: ScalarFunction, levels=(2, 3, 4), trials: int = 100, tol: flo
     The Loewner and Pick checks each draw ``trials`` sets of ``NODE_COUNT``
     nodes in ``INTERVAL`` or points in the box (-3, 3) x (0.1, 3); the
     functional-calculus check draws ``trials`` ordered pairs at each of
-    ``levels``, their spectra in ``INTERVAL``.
+    ``levels``, their spectra in ``INTERVAL``.  ``levels`` and ``trials`` are
+    checked before any of them runs.
     """
+    levels = _trial_levels(levels, trials)
 
     def certificate_run(tag, width, draw, exhausted, build, witness):
         # The trials of one certificate.  A chunk's rows draw together, each row

@@ -14,9 +14,8 @@ only, where both the point and the velocity have closed forms:
 The rotation makes H non-commuting with X, which is what exposes order
 violations of functions that are merely scalar-monotone.  K is scaled as
 large as the positivity of every H_i allows.  :meth:`CommutingPath.point`
-gives the block point with coefficients ``[[X_i, H_i], [0, X_i]]``, at which
-a free function's value carries its derivative ``Df(X)[H]`` in the
-upper-right corner.
+and :meth:`CommutingPath.velocity` give X and H, at which the local check
+takes the derivative ``Df(X)[H]``.
 
 A :class:`CommutingPath` holds one path or a stack: ``unitary`` and ``skew``
 are ``(..., n, n)``, ``diags`` and ``deltas`` ``(..., d, n)``.
@@ -52,17 +51,19 @@ class CommutingPath:
         return CommutingPath(self.system, self.unitary[rows], self.diags[rows], self.deltas[rows],
                              self.skew[rows])
 
+    def _x(self) -> np.ndarray:
+        return hermitize(_coordinates(self.unitary, self.diags))
+
     def point(self) -> NCPoint:
-        """The level-2n point with coefficients ``[[X_i, H_i], [0, X_i]]``: the path's
-        point X and velocity H at t = 0, one point per path of a stack."""
-        x = hermitize(_coordinates(self.unitary, self.diags))
+        """The path's point X at t = 0, one point per path of a stack."""
+        return _point(self.system, _check_finite(self._x()))
+
+    def velocity(self) -> NCPoint:
+        """The path's velocity H at t = 0, one point per path of a stack."""
+        x = self._x()
         k = self.skew[..., np.newaxis, :, :]
         h = hermitize(_coordinates(self.unitary, self.deltas) + (k @ x - x @ k))
-        n = x.shape[-1]
-        c = np.zeros(x.shape[:-2] + (2 * n, 2 * n), dtype=np.complex128)
-        c[..., :n, :n] = c[..., n:, n:] = x
-        c[..., :n, n:] = h
-        return _point(self.system, _check_finite(c))
+        return _point(self.system, _check_finite(h))
 
     def to_witness(self) -> dict:
         return {

@@ -17,11 +17,11 @@ one stack) and take the margins of the whole chunk at once.  A chunk hands
 and there each trial gets the margin, witness or error it would get alone;
 the checks that redraw a trial until its evaluations succeed make theirs
 with :func:`_retry_trials`.  The local check draws the chunk's commuting
-paths as one stack and evaluates f once, at their stacked block points, for
-the exact derivatives (:func:`_derivative_margins`).  Only the trial the
-report keeps builds its witness JSON, and between chunks a check keeps only
-that trial and its failure count, so its memory does not grow with the
-trial count.
+paths as one stack and evaluates f once, at their points, carrying the
+exact derivatives along their velocities (:func:`_derivative_margins`).
+Only the trial the report keeps builds its witness JSON, and between chunks
+a check keeps only that trial and its failure count, so its memory does not
+grow with the trial count.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels, opsys, paths
-from .freeexpr import CodomainError, FreeFunction, OutOfDomainError, catalog, eval_function
+from .freeexpr import (
+    CodomainError, FreeFunction, OutOfDomainError, catalog, eval_derivative, eval_function,
+)
 from .kernels import (
     NumericalError, Rng, SingularMatrixError, _ct, hermitize, imag_part, op_norm, scaled_min_eig,
     settle,
@@ -50,6 +52,15 @@ BOUNDARY_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 TRIAL_CHUNK = 256  # trials of one level run as one stack; bounds the memory of a large --trials
 
 
+def _trial_levels(levels, trials) -> tuple:
+    """``levels`` as a tuple of ints, checked before any trial runs: a check needs
+    at least one level and one trial."""
+    levels = tuple(int(x) for x in levels)
+    if not levels or trials < 1:
+        raise ValueError("a check needs at least one level and one trial")
+    return levels
+
+
 def _run_trials(check, function, run, levels, trials, tol, rng) -> CheckReport:
     """Run ``run(level, ts)`` over each level's trials, ``TRIAL_CHUNK`` at a time, and
     report the margins.
@@ -68,7 +79,7 @@ def _run_trials(check, function, run, levels, trials, tol, rng) -> CheckReport:
     :class:`NumericalError` on the first non-finite margin once every chunk
     has run, so an error that a later chunk raises comes first.
     """
-    levels = tuple(int(x) for x in levels)
+    levels = _trial_levels(levels, trials)
     failures, worst, bad = 0, None, None
 
     def tally(level, lo):
@@ -96,8 +107,6 @@ def _run_trials(check, function, run, levels, trials, tol, rng) -> CheckReport:
     if bad:
         raise NumericalError(f"{check} of {function}: margin {bad[0]} at level {bad[1]}, "
                              f"trial {bad[2]}")
-    if worst is None:
-        raise ValueError("a check needs at least one level and one trial")
     margin, witness, i, extra = worst
     return CheckReport(
         check=check,
@@ -196,16 +205,12 @@ def _derivative_margins(f: FreeFunction, path: paths.CommutingPath,
     """Scaled PSD margin of Df(X)[H] for each row of a stack of paths, X and H
     being the path's point and velocity at t = 0.
 
-    f is evaluated once, at the stack of block points ``[[X, H], [0, X]]``
-    (:meth:`~freemono.paths.CommutingPath.point`).  A free function respects
-    direct sums and similarities, so its value there is
-    ``[[f(X), Df(X)[H]], [0, f(X)]]``: the upper-right corner is the exact
-    derivative.  A row that fails is handed on as by :func:`pair_margin`.
+    f is evaluated once, at the stack of points X, carrying its derivative
+    along H through the same program (:func:`~freemono.freeexpr.eval_derivative`).
+    A row that fails is handed on as by :func:`pair_margin`.
     """
-    fx = eval_function(f, path.point(), errors)
-    n = path.unitary.shape[-1]
-    der = realize(opsys._point(f.out_system, fx.coeffs[..., :n, n:]))
-    return scaled_min_eig(hermitize(der), errors)
+    _, der = eval_derivative(f, path.point(), path.velocity(), errors)
+    return scaled_min_eig(hermitize(realize(der)), errors)
 
 
 def local_margin(f: FreeFunction, witness: dict) -> float:

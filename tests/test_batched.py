@@ -4,8 +4,8 @@ Every check of ``verifiers`` and the three checks of ``loewner1d.cross_check``
 (Loewner matrices, Pick matrices and ``monotone_1d``) run the trials of a
 level as stacks.  The reference here is the serial engine they replaced:
 samplers that draw one point, matrix or commuting path at a time, two
-``random`` calls per coefficient, a path's block point built one entry at
-a time, a rejection loop per trial, and a loop that runs one trial after another
+``random`` calls per coefficient, a path's point and velocity built one
+entry at a time, a rejection loop per trial, and a loop that runs one trial after another
 through single-point evaluations and margins.  Every margin, witness and error text must come
 out the same, whatever the chunk size.
 """
@@ -21,11 +21,11 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack
+from hypothesis import given, settings, strategies as st
 
 from freemono import cli, kernels, loewner1d, opsys, paths, verifiers
 from freemono.freeexpr import CATALOG_NAMES, CodomainError, OutOfDomainError, catalog
-from freemono.freeexpr import eval_function, function_from_expr
+from freemono.freeexpr import eval_derivative, eval_function, function_from_expr
 from freemono.kernels import (
     TOL_BRANCH, TOL_RECON, BranchCutError, EigensolverError, NonFiniteError, NumericalError, Rng,
     SamplingError, SingularMatrixError, SpectrumDomainError, _generators, func_calc, hermitize,
@@ -163,22 +163,22 @@ def _ref_sample_halfplane(system, level, rng):
     return h + 1j * _ref_psd_point(system, level, gen)
 
 
-def _ref_point(path):
-    # one coordinate at a time: [[X, H], [0, X]] with X and H the path's point
-    # and velocity at t = 0
+def _ref_tangent(path):
+    # one coordinate at a time, entry by entry: the path's point X and velocity
+    # H at t = 0
     u, k = path.unitary, path.skew
     n = u.shape[0]
-    coeffs = []
+    xs, hs = [], []
     for d, dl in zip(path.diags, path.deltas):
         x = hermitize((u * d) @ u.conj().T)
         h = hermitize((u * dl) @ u.conj().T + (k @ x - x @ k))
-        c = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+        cx, ch = np.zeros((n, n), dtype=np.complex128), np.zeros((n, n), dtype=np.complex128)
         for i in range(n):
             for j in range(n):
-                c[i, j] = c[n + i, n + j] = x[i, j]
-                c[i, n + j] = h[i, j]
-        coeffs.append(c)
-    return NCPoint(path.system, tuple(coeffs))
+                cx[i, j], ch[i, j] = x[i, j], h[i, j]
+        xs.append(cx)
+        hs.append(ch)
+    return NCPoint(path.system, tuple(xs)), NCPoint(path.system, tuple(hs))
 
 
 def _ref_max_rotation(u, diags, deltas, khat, floor):
@@ -418,10 +418,8 @@ def _ref_trial(kind, f, dom, tol, rng, seen):
             points = {"path": path.to_witness()}
 
             def margin():
-                # the upper-right corner of f at the block point is Df(X)[H]
-                fx = eval_function(f, _ref_point(path))
-                n = path.unitary.shape[0]
-                der = NCPoint(fx.system, tuple(c[:n, n:] for c in fx.coeffs))
+                # Df(X)[H] of one path
+                _, der = eval_derivative(f, *_ref_tangent(path))
                 return scaled_min_eig(hermitize(realize(der)))
         elif kind == "monotone":
             a, b = _ref_sample_ordered_pair(dom, level, r)
@@ -706,13 +704,14 @@ class TestAgainstSerialReference:
     def test_local_chunk_evaluates_once(self, monkeypatch):
         calls = []
 
-        def spy(f, point, errors=None):
-            calls.append(len(point.coeffs))
-            return eval_function(f, point, errors)
+        def spy(f, point, direction, errors=None):
+            calls.append((len(point.coeffs), point.level, len(direction.coeffs)))
+            return eval_derivative(f, point, direction, errors)
 
-        monkeypatch.setattr(verifiers, "eval_function", spy)
+        monkeypatch.setattr(verifiers, "eval_derivative", spy)
+        monkeypatch.setattr(verifiers, "eval_function", None)  # not called
         verifiers.check_local_monotone(catalog("geometric_mean"), levels=(3,), trials=5, rng=Rng(4))
-        assert calls == [5]  # the five block points
+        assert calls == [(5, 3, 5)]  # the five points, at level 3, and their velocities
 
     def test_local_chunk_samples_its_paths_once(self, monkeypatch, chunk):
         calls, sample = [], paths.sample_path
@@ -871,7 +870,8 @@ class TestDrawPositions:
 
 
 # --------------------------------------------------------------------------
-# Square roots of non-Hermitian stacks against the per-matrix Schur method.
+# Square roots of non-Hermitian stacks: each row as it is alone, and against
+# the per-matrix Schur method of SciPy, an independent route.
 
 def _ref_sqrt_triu(t):
     # the Bjorck-Hammarling recurrence for one upper triangular matrix, entry by entry
@@ -886,17 +886,24 @@ def _ref_sqrt_triu(t):
     return s
 
 
-def _takes_schur(m):
-    # whether principal_sqrt takes a matrix's root by a Schur form, not by eigh
+def _overflow_exponent(m):
+    # k for a matrix whose Frobenius norm overflows: principal_sqrt takes the
+    # root of 4^-k times it, its largest part then below 2^400; 0 for any other
+    if np.isfinite(np.linalg.norm(m)):
+        return 0
+    parts = np.abs(np.concatenate([m.real.ravel(), m.imag.ravel()]))
+    return int((np.frexp(parts.max())[1] - 399) // 2)
+
+
+def _takes_eig(m):
+    # whether principal_sqrt takes a matrix's root by eig (or the iteration), not by eigh
+    m = m * 4.0 ** -_overflow_exponent(m)
     return np.linalg.norm(m - m.conj().T) > 1e-13 * (1.0 + np.linalg.norm(m))
 
 
 def _ref_principal_sqrt(m):
-    # One matrix: a Hermitian one through principal_sqrt alone (its eigh path),
-    # any other through scipy.linalg.schur and _ref_sqrt_triu, with the errors
-    # of the kernel.
-    if not _takes_schur(m):
-        return principal_sqrt(m)
+    # One general matrix through scipy.linalg.schur and _ref_sqrt_triu, with the
+    # branch-cut and reconstruction tests of the kernel.
     scale = 1.0 + op_norm(m)
     t, z = scipy.linalg.schur(m, output="complex")
     w = np.diag(t)
@@ -908,6 +915,27 @@ def _ref_principal_sqrt(m):
     if op_norm(root @ root - m) > TOL_RECON * scale:
         raise NumericalError("principal square root failed to reconstruct its input")
     return root
+
+
+def _cut_value(exc):
+    # the eigenvalue a BranchCutError names
+    return complex(str(exc).split()[1])
+
+
+def _against_schur(m, got, exc):
+    """Assert that a general row's root ``got`` or error ``exc`` is what the Schur
+    method gives: the same error type (a branch-cut error naming nearly the same
+    eigenvalue), or a root within 1e-9 of its root."""
+    try:
+        want, ref = _ref_principal_sqrt(m), None
+    except (BranchCutError, NumericalError) as err:
+        want, ref = None, err
+    assert type(exc) is type(ref)
+    if isinstance(ref, BranchCutError):
+        value = _cut_value(ref)
+        assert abs(_cut_value(exc) - value) <= 1e-9 * (1.0 + op_norm(m))
+    elif ref is None:
+        assert op_norm(got - want) <= 1e-9 * op_norm(want)
 
 
 def _mixed_rows(n, count, rng):
@@ -941,11 +969,21 @@ def _mixed_rows(n, count, rng):
     return [row(kinds[i % len(kinds)], rng.split(i)) for i in range(count)]
 
 
-class TestStackedSchurRoots:
-    """principal_sqrt on a stack is, row for row, the per-matrix Schur method."""
+@pytest.fixture
+def iterated(monkeypatch):
+    """The rows of each stack principal_sqrt hands to the Denman-Beavers iteration."""
+    rows, iterate = [], kernels._roots_by_iteration
+    monkeypatch.setattr(kernels, "_roots_by_iteration",
+                        lambda a, w: rows.append(a.copy()) or iterate(a, w))
+    return rows
+
+
+class TestGeneralRoots:
+    """principal_sqrt on a stack is, row for row, the root each row gets alone, and
+    the root or the error of the per-matrix Schur method."""
 
     @pytest.mark.parametrize("n", range(1, 17))
-    def test_rows_match_the_per_matrix_method_bit_for_bit(self, n):
+    def test_rows_match_alone_bit_for_bit_and_the_schur_method(self, n, iterated):
         eye = np.eye(n, dtype=np.complex128)
         cut = recon = 0
         for count in (0, 1, 2, 5, 40):
@@ -953,62 +991,126 @@ class TestStackedSchurRoots:
             errors = {}
             got = principal_sqrt(np.reshape(rows, (count, n, n)), errors)
             assert got.shape == (count, n, n)
-            failing = set()
             for i, m in enumerate(rows):
-                try:
-                    want = _ref_principal_sqrt(m)
-                except (BranchCutError, NumericalError) as exc:
-                    failing.add(i)
-                    assert (type(errors[i]), str(errors[i])) == (type(exc), str(exc))
-                    if isinstance(exc, BranchCutError) and _takes_schur(m):
+                alone = {}
+                assert got[i].tobytes() == principal_sqrt(m, alone).tobytes()
+                assert [(type(e), str(e)) for e in alone.values()] == (
+                    [(type(errors[i]), str(errors[i]))] if i in errors else [])
+                if i in errors:
+                    with pytest.raises(type(errors[i]), match=re.escape(str(errors[i]))):
+                        principal_sqrt(m)
+                if _takes_eig(m):
+                    _against_schur(m, got[i], errors.get(i))
+                    if isinstance(errors.get(i), BranchCutError):
                         cut += 1
                         assert got[i].tobytes() == eye.tobytes()  # the identity stand-in
-                    recon += isinstance(exc, NumericalError)
-                else:
-                    assert got[i].tobytes() == want.tobytes()
-            assert set(errors) == failing
+                recon += isinstance(errors.get(i), NumericalError)
         assert cut >= 6  # every stack of 5 or 40 rows has non-Hermitian branch-cut rows
         assert recon >= (n > 1)  # and from n = 2 an ill-conditioned row fails to reconstruct
+        # from n = 2 the ill-conditioned rows take the iteration, alone and in their stacks
+        assert len(iterated) >= 4 * (n > 1)
 
-    @pytest.mark.parametrize("info, why", [
-        (2, "Schur form not found. Possibly ill-conditioned."),
-        (-2, "illegal value in 2-th argument of internal gees"),
-    ], ids=["no_convergence", "illegal_argument"])
-    def test_a_failed_schur_form_is_a_row_error_with_scipys_text(self, monkeypatch, info, why):
-        lapack_funcs = scipy.linalg.lapack.get_lapack_funcs
+    def test_a_failed_eigensolver_is_a_row_error(self, monkeypatch):
+        eig = np.linalg.eig
 
-        def marked_fails(names, arrays):  # a matrix with 7 in its corner gets ``info``
-            [gees] = lapack_funcs(names, arrays)
-
-            def run(select, m, **options):
-                *out, got = gees(select, m, **options)
-                return (*out, info if m[0, 0] == 7.0 else got)
-            return (run,)
+        def fails_on_marked(a):  # a matrix with 7 in its corner does not converge
+            if (np.asarray(a)[..., 0, 0] == 7.0).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eig(a)
 
         rows = _mixed_rows(3, 3, Rng(32))[:1] * 3
         rows[1] = rows[1].copy()
         rows[1][0, 0] = 7.0
         want = [principal_sqrt(m) for m in rows]
-        monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", marked_fails)
-        monkeypatch.setattr(sys.modules[scipy.linalg.schur.__module__], "get_lapack_funcs",
-                            marked_fails)
-        with pytest.raises((scipy.linalg.LinAlgError, ValueError), match=re.escape(why)) as scipys:
-            scipy.linalg.schur(rows[1], output="complex")
-        text = f"Schur triangularization failed: {scipys.value}"
+        monkeypatch.setattr(np.linalg, "eig", fails_on_marked)
+        text = "eigensolver did not converge: Eigenvalues did not converge"
         errors = {}
         got = principal_sqrt(np.stack(rows), errors)
         assert list(errors) == [1] and type(errors[1]) is EigensolverError
-        assert str(errors[1]) == text == f"Schur triangularization failed: {why}"
+        assert str(errors[1]) == text
         assert got[1].tobytes() == np.eye(3, dtype=np.complex128).tobytes()
         assert got[0].tobytes() == want[0].tobytes() and got[2].tobytes() == want[2].tobytes()
         with pytest.raises(EigensolverError, match=re.escape(text)):
             principal_sqrt(rows[1])
 
 
-# --------------------------------------------------------------------------
-# Square roots of Hermitian stacks against np.linalg.eigh, rows that are not
-# finite or whose norms overflow, and the screens in front of the operator
-# norms.
+# kinds of rows for the differential test: name -> row of size n from an Rng
+def _jordan(n, r):
+    # a rotated Jordan block J_n(lam), |lam| in [0.5, 2] and |arg lam| <= 2.5:
+    # defective, so its eigenvectors leave the diagonalization untrusted
+    u = r.split(0).generator().random(2)
+    lam = (0.5 + 1.5 * u[0]) * np.exp(1j * (5.0 * u[1] - 2.5))
+    q = random_matrix("unitary", n, r.split(1))
+    return q @ (lam * np.eye(n) + np.eye(n, k=1)) @ q.conj().T
+
+
+def _with_entry(value):
+    def row(n, r):
+        m = random_matrix("pd", n, r).copy()
+        m[n - 1, 0] = value
+        return m
+    return row
+
+
+DIFFERENTIAL_ROWS = {
+    "pd": lambda n, r: random_matrix("pd", n, r),
+    "nd": lambda n, r: -random_matrix("pd", n, r),
+    "halfplane": lambda n, r: (random_matrix("hermitian", n, r.split(0))
+                               + 1j * random_matrix("pd", n, r.split(1))),
+    "ginibre": lambda n, r: random_matrix("ginibre", n, r) + 2.0 * np.sqrt(n) * np.eye(n),
+    "cut": lambda n, r: _mixed_rows(n, 3, r)[2],
+    "near": lambda n, r: _mixed_rows(n, 6, r)[5],
+    "jordan": lambda n, r: _jordan(n, r) if n > 1 else np.array([[1.0 + 1.0j]]),
+    "nan": _with_entry(np.nan),
+    "inf": _with_entry(complex(np.inf, 1.0)),
+}
+
+
+class TestRootsDifferential:
+    """principal_sqrt against independent references on hostile stacks: NaN and
+    infinite rows, rows scaled by 1e300 or 1e-300, rows on or just off the branch
+    cut, and Jordan rows, which must take the iteration and still reconstruct."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           rows=st.lists(st.tuples(st.sampled_from(sorted(DIFFERENTIAL_ROWS)),
+                                   st.sampled_from([1.0, 1e300, 1e-300])),
+                         min_size=1, max_size=8))
+    def test_stacks_against_eigh_and_schur(self, n, seed, rows):
+        iterated = []
+        iterate = kernels._roots_by_iteration
+        r = Rng(seed)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+            stack = np.stack([scale * DIFFERENTIAL_ROWS[kind](n, r.split(i))
+                              for i, (kind, scale) in enumerate(rows)])
+            mp.setattr(kernels, "_roots_by_iteration",
+                       lambda a, w: iterated.extend(a.tolist()) or iterate(a, w))
+            errors = {}
+            got = principal_sqrt(stack, errors)
+            for i, ((kind, scale), m) in enumerate(zip(rows, stack)):
+                exc = errors.get(i)
+                if kind in ("nan", "inf"):
+                    assert type(exc) is NonFiniteError
+                    assert got[i].tobytes() == np.eye(n, dtype=np.complex128).tobytes()
+                elif _takes_eig(m):
+                    _against_schur(m, got[i], exc)
+                    if kind == "jordan" and n > 1 and scale >= 1.0:  # as the kernel scales it
+                        assert exc is None
+                        assert (m * 4.0 ** -_overflow_exponent(m)).tolist() in iterated
+                else:  # eigh, of the row as principal_sqrt scales it, bit for bit
+                    k = _overflow_exponent(m)
+                    want, ref = _ref_hermitian_root(m * 4.0 ** -k)
+                    assert type(exc) is type(ref)
+                    if ref is None:
+                        assert got[i].tobytes() == (want * 2.0 ** k).tobytes()
+                    elif isinstance(ref, BranchCutError):
+                        assert _cut_value(exc) == _cut_value(ref) * 4.0 ** k
+                if exc is None:  # every root reconstructs its row
+                    k = _overflow_exponent(m)
+                    root, a = got[i] * 2.0 ** -k, m * 4.0 ** -k
+                    assert op_norm(root @ root - a) <= TOL_RECON * (1.0 + op_norm(a))
+                assert np.isfinite(got[i]).all()
+
 
 def _ref_hermitian_root(m):
     # One matrix by np.linalg.eigh of its Hermitian part, with the kernel's
@@ -1056,11 +1158,11 @@ class TestHermitianRoots:
         # every row against its reference; returns the count of Hermitian rows on the cut
         failing, cut = set(), 0
         for i, m in enumerate(rows):
-            if _takes_schur(m):
-                try:
-                    want, exc = _ref_principal_sqrt(m), None
-                except (BranchCutError, NumericalError) as err:
-                    want, exc = got[i], err
+            if _takes_eig(m):  # as alone, and as the Schur method has it
+                alone = {}
+                want = principal_sqrt(m, alone)
+                exc = alone.get(0)
+                _against_schur(m, got[i], exc)
             else:
                 want, exc = _ref_hermitian_root(m)
                 cut += isinstance(exc, BranchCutError)
@@ -1076,7 +1178,7 @@ class TestHermitianRoots:
         cut = 0
         for count in (0, 1, 7, 30):
             rows = _hermitian_rows(n, count, Rng(34).split(n, count))
-            assert not any(map(_takes_schur, rows))
+            assert not any(map(_takes_eig, rows))
             errors = {}
             got = principal_sqrt(np.reshape(rows, (count, n, n)), errors)
             assert got.shape == (count, n, n)
@@ -1091,7 +1193,7 @@ class TestHermitianRoots:
         assert cut >= 8  # the cut and zero rows of the stacks of 7 and 30
 
     @pytest.mark.parametrize("n", range(1, 17))
-    def test_mixed_with_schur_rows(self, n):
+    def test_mixed_with_general_rows(self, n):
         hermitian = _hermitian_rows(n, 14, Rng(35).split(n))
         general = _mixed_rows(n, 16, Rng(36).split(n))
         rows = [m for pair in zip(general, hermitian) for m in pair] + general[14:]
@@ -1101,10 +1203,10 @@ class TestHermitianRoots:
 
 
 class TestNonFiniteRoots:
-    """Rows with a NaN or an infinite entry, or whose norms overflow, fail or pass as alone."""
+    """Rows with a NaN or an infinite entry fail as alone; rows whose norms overflow
+    get, as alone, the root of 4^-k times themselves scaled back by 2^k."""
 
     FINITE = "matrix entries must all be finite"
-    RECON = "principal square root failed to reconstruct its input"
 
     @staticmethod
     def _rows(n):
@@ -1120,20 +1222,21 @@ class TestNonFiniteRoots:
             "halfplane": (half, None),
             "inf": (inf, NonFiniteError),
             "pd*1e200": (1e200 * pd, None),  # its Frobenius norm overflows
-            # its skew norm overflows too, so it passes the Hermitian test, and
-            # the root of its Hermitian part does not reconstruct it
-            "halfplane*1e200": (1e200 * (pd + 1j * pd2), NumericalError),
-            # its Hermitian part overflows, and so does the residual
-            "pd at 1.7e308": (pd * (1.7e308 / np.abs(pd).max()), NumericalError),
+            # its skew norm overflows too; scaled, it is not Hermitian and takes eig
+            "halfplane*1e200": (1e200 * (pd + 1j * pd2), None),
+            # its Hermitian part and its residual would overflow
+            "pd at 1.7e308": (pd * (1.7e308 / np.abs(pd).max()), None),
+            "halfplane at 1.7e308": (half * (1.7e308 / np.abs(half).max()), None),
         }
 
     @pytest.mark.parametrize("names", [
         ("pd", "nan", "pd*1e200", "pd at 1.7e308"),
-        ("halfplane", "inf", "halfplane*1e200"),
-        ("nan", "halfplane", "pd*1e200", "inf", "pd", "pd at 1.7e308", "halfplane*1e200"),
+        ("halfplane", "inf", "halfplane*1e200", "halfplane at 1.7e308"),
+        ("nan", "halfplane", "pd*1e200", "inf", "pd", "pd at 1.7e308", "halfplane*1e200",
+         "halfplane at 1.7e308"),
     ], ids=["hermitian", "general", "mixed"])
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_rows_fail_as_alone(self, n, names):
+    def test_rows_fail_or_pass_as_alone(self, n, names):
         cases = self._rows(n)
         rows = [cases[name][0] for name in names]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1146,13 +1249,15 @@ class TestNonFiniteRoots:
             for i, name in enumerate(names):
                 want = cases[name][1]
                 assert type(errors.get(i)) is type(alone[i][1]) is (want or type(None))
-                if want is not None:
-                    assert str(errors[i]) == str(alone[i][1]) == (
-                        self.FINITE if want is NonFiniteError else self.RECON)
                 assert got[i].tobytes() == alone[i][0].tobytes()
                 if want is NonFiniteError:  # the identity stand-in
+                    assert str(errors[i]) == str(alone[i][1]) == self.FINITE
                     assert got[i].tobytes() == np.eye(n, dtype=np.complex128).tobytes()
-                if want is not None:  # a failed row's stand-in is finite
+                else:  # the root reconstructs the row, both scaled as the kernel scales them
+                    k = _overflow_exponent(rows[i])
+                    assert (k > 0) == ("*" in name or " at " in name)
+                    root, a = got[i] * 2.0 ** -k, rows[i] * 4.0 ** -k
+                    assert op_norm(root @ root - a) <= TOL_RECON * (1.0 + op_norm(a))
                     assert np.isfinite(got[i]).all()
             lowest = min(errors)
             with pytest.raises(type(errors[lowest]), match=re.escape(str(errors[lowest]))):
@@ -1204,12 +1309,13 @@ class TestRootScreens:
 
     def test_the_residual_screen_passes_no_row_the_exact_test_fails(self):
         # Rotated Jordan blocks [[l, 1], [0, l]] with a small l have roots of
-        # size 1 / sqrt(l), whose residuals come out near the tolerance: some
-        # fail it with a Frobenius norm of at most 4 TOL_RECON, which a screen
-        # eight times looser than the kernel's TOL_RECON / 2 would pass.
+        # size 1 / sqrt(l), which the Denman-Beavers iteration takes with
+        # residuals near the tolerance for l in (1e-5, 1e-3): some fail it with
+        # a Frobenius norm of at most 4 TOL_RECON, which a screen eight times
+        # looser than the kernel's TOL_RECON / 2 would pass.
         u = random_matrix("unitary", 2, Rng(40))
         rows = [u @ np.array([[s * c, 1.0], [0.0, s * c]]) @ u.conj().T
-                for s in np.geomspace(1e-9, 1e-4, 60) for c in (1.0 + 1.0j, 1.0j, -1.0 + 1.0j)]
+                for s in np.geomspace(1e-5, 1e-3, 60) for c in (1.0 + 1.0j, 1.0j, -1.0 + 1.0j)]
         errors = {}
         got = principal_sqrt(np.stack(rows), errors)
         near = 0

@@ -250,11 +250,26 @@ class TestNonFinite:
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr == "freemono: evaluation failed: matrix entries must all be finite\n"
 
-    def test_square_root_residual_overflow_is_three(self, tmp_path):
-        # the root of diag(1e308, 1e308) is found, but squaring it back overflows
+    def test_a_root_whose_norm_overflows_is_found(self, tmp_path):
+        # the Frobenius norm of diag(1e308, 1e308) overflows: its root is taken
+        # at 4^-k times it and scaled back, exactly
         path = tmp_path / "huge-point.json"
         path.write_text(json.dumps({"system": "scalar", "level": 2, "coeffs": [
             {"n": 2, "entries": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]}]}))
+        code, out, err = run_cli("eval", "--function", "msqrt", "--point", str(path))
+        assert (code, err) == (0, "")
+        root = point_from_json(json.loads(out), builtin_system("scalar")).coeffs[0]
+        np.testing.assert_allclose(root, np.diag([1e154, 1e154]), rtol=1e-15)
+
+    def test_square_root_that_fails_to_reconstruct_is_three(self, tmp_path):
+        # a rotated Jordan block [[l, 1], [0, l]] with l = 1e-9 (1 + i): its root
+        # has entries near 1 / sqrt(l), and no root found in double precision
+        # squares back to it within the tolerance
+        u = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+        m = u @ np.array([[1e-9 + 1e-9j, 1.0], [0.0, 1e-9 + 1e-9j]]) @ u.conj().T
+        path = tmp_path / "jordan-point.json"
+        path.write_text(json.dumps({"system": "scalar", "level": 2, "coeffs": [
+            {"n": 2, "entries": [[[v.real, v.imag] for v in row] for row in m]}]}))
         code, out, err = run_cli("eval", "--function", "msqrt", "--point", str(path))
         assert (code, out) == (3, "")
         assert err == ("freemono: evaluation failed: "

@@ -1,76 +1,76 @@
-"""SciPy loads at the first non-Hermitian square root, not when freemono
-loads: a command that needs none never imports it."""
+"""No command ever loads SciPy: freemono needs NumPy alone.
+
+SciPy is a test dependency only; the tests use it as an independent
+reference (``scipy.linalg.schur``, ``sqrtm`` and ``solve_sylvester``).
+"""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import freemono
-from freemono import paths
-from freemono.kernels import Rng, principal_sqrt, random_matrix
-from freemono.opsys import builtin_system, pd_cone
+from freemono.cli import main
 
 SRC = Path(freemono.__file__).resolve().parent
 
-# Run in a fresh interpreter: four commands that take no non-Hermitian square
-# root (a local check of a function without sqrt among them), then a root and
-# a path's block point.  Prints whether SciPy was loaded before the calls and
-# the bytes of both results.
+# the acceptance criterion-1 run, the geometric-mean recipe, a short run of
+# every suite, and the catalog
+CONFIGS = (
+    ["check", "--function", "schur_complement", "--suite", "equivalence", "--levels", "1..4",
+     "--trials", "500", "--seed", "42", "--tol", "1e-8"],
+    ["check", "--function", "geometric_mean", "--suite", "equivalence", "--levels", "1..4",
+     "--trials", "200", "--seed", "42"],
+    ["check", "--suite", "all", "--levels", "1..3", "--trials", "25", "--seed", "42"],
+    ["catalog"],
+)
+
+# Run in a fresh interpreter whose sys.meta_path makes every import of scipy
+# fail; prints each config's exit code and report, and the modules loaded.
 SCRIPT = """
 import contextlib, io, json, sys
-import freemono, freemono.cli
+
+class Blocker:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, Blocker())
 from freemono.cli import main
-argvs = (["catalog"], ["parse", "--expr", "sqrt(X1)", "--system", "scalar"],
-         ["check", "--function", "schur_complement", "--suite", "equivalence",
-          "--levels", "1..2", "--trials", "4"],
-         ["check", "--function", "inverse", "--suite", "local", "--levels", "1..2",
-          "--trials", "4"])
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in argvs]
-loaded = "scipy" in sys.modules
-from test_cold_start import _results
-print(json.dumps({"codes": codes, "loaded": loaded,
-                  "results": [r.tobytes().hex() for r in _results()]}))
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
+print(json.dumps({"runs": runs, "loaded": sorted(m for m in sys.modules if "scipy" in m)}))
 """
 
 
-def _results():
-    # a non-Hermitian square root, and the block point of a sampled path
-    a = random_matrix("ginibre", 4, Rng(3)) + 3j * np.eye(4)
-    path = paths.sample_path(pd_cone(builtin_system("diagonal(2)")), 3,
-                             Rng(5).split("path", 3))
-    return principal_sqrt(a), path.point().coeffs
-
-
-def _module_level(node):
-    # the statements that run when a module loads: all but function bodies
-    yield node
-    for child in ast.iter_child_nodes(node):
-        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            yield from _module_level(child)
-
-
-def test_no_module_imports_scipy_when_it_loads():
+def test_no_module_imports_scipy():
     found = [(path.stem, node.lineno) for path in sorted(SRC.glob("*.py"))
-             for node in _module_level(ast.parse(path.read_text()))
+             for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy"
                                                      for a in node.names)
              or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"]
     assert found == []
 
 
-def test_commands_without_a_schur_root_never_load_scipy():
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(Path(__file__).parent)])}
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
-                          env=env, timeout=300)
+def test_the_canonical_configs_run_with_scipy_blocked():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(CONFIGS)],
+                          capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["codes"] == [0, 0, 0, 1]  # inverse fails its local check
-    assert doc["loaded"] is False
-    assert doc["results"] == [r.tobytes().hex() for r in _results()]
+    assert doc["loaded"] == []
+    in_process = []
+    for argv in CONFIGS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            in_process.append([main(list(argv)), out.getvalue()])
+    assert [code for code, _ in doc["runs"]] == [0, 0, 1, 0]  # square and cube fail
+    assert doc["runs"] == in_process

@@ -5,8 +5,8 @@ of the report with its recorded 16-hex-digit prefix.  The benchmark's three
 timed slices are pinned the same way at six more seeds, and one more case
 pins the margins of the benchmark's witness-replay corpus, one point at a
 time.  The
-prefixes were recorded with numpy 2.4.6, scipy 1.17.1 and scipy-openblas
-0.3.31; a change that moves a byte here must say so and publish the new
+prefixes were recorded with numpy 2.4.6 and its OpenBLAS (scipy-openblas
+0.3.31); a change that moves a byte here must say so and publish the new
 prefixes.
 """
 
@@ -27,33 +27,33 @@ SMALL = ("--levels", "1..2", "--trials", "12")
 SQUARE = ("--function", "square", *SMALL)
 
 GOLDEN = {
-    "equivalence": (("--suite", "equivalence", *SQUARE), "1832477352c7350a"),
+    "equivalence": (("--suite", "equivalence", *SQUARE), "7b76d1162be33355"),
     "axioms": (("--suite", "axioms", *SQUARE), "f197d0718c7f019c"),
     "monotone": (("--suite", "monotone", *SQUARE), "5747a34340c29795"),
     "halfplane": (("--suite", "halfplane", *SQUARE), "895d2ec13a828834"),
-    "local": (("--suite", "local", *SQUARE), "9416f40214bd3542"),
+    "local": (("--suite", "local", *SQUARE), "af295202f7f08251"),
     "boundary": (("--suite", "boundary", *SQUARE), "54c3ac74c9ab7ae4"),
     "schur_identity": (("--suite", "schur_identity", *SMALL), "daaae5c1a08c9463"),
     "loewner1d": (("--suite", "loewner1d", *SMALL), "0a95638f93b8960c"),
     # chunks of 100 trials, and three levels of monotone_1d
     "loewner1d_levels_1_3": (("--suite", "loewner1d", "--levels", "1..3", "--trials", "100"),
                              "63f54a566fe6bfe5"),
-    "all": (("--suite", "all", *SMALL), "ea7eed1d189cb02e"),
+    "all": (("--suite", "all", *SMALL), "0318cb28d3526d46"),
     "geometric_mean": (("--suite", "equivalence", "--function", "geometric_mean",
-                        "--levels", "1..3", "--trials", "30"), "bf03276e734d93e3"),
+                        "--levels", "1..3", "--trials", "30"), "b321fa4a10e807cf"),
     # the witness carries an evaluation error raised inside a repeated subexpression
     "error_witness": (("--suite", "monotone", "--expr", "sqrt(X1 - 2)*sqrt(X1 - 2) + inv(X1 - 1)",
                        "--system", "scalar", *SMALL), "577ac9283daa3f79"),
     # the local check's worst witness carries an evaluation error; good rows are mixed in
     "local_error_witness": (("--suite", "local", "--expr",
                              "sqrt(X1 - 2)*sqrt(X1 - 2) + inv(X1 - 1)", "--system", "scalar",
-                             *SMALL), "be1bf96df08a15d1"),
+                             *SMALL), "1f1af1bb9ded55ec"),
     # block variables, a k = 2 decode and level 4; every check passes
     "schur_levels_1_4": (("--suite", "equivalence", "--function", "schur_complement",
                           "--levels", "1..4", "--trials", "40"), "3d69e89d4b0fb1f5"),
     # every trial of every check fails, so the report keeps a witness of each check
     "inverse_levels_1_4": (("--suite", "equivalence", "--function", "inverse",
-                            "--levels", "1..4", "--trials", "40"), "6ebc1e5369f8dea5"),
+                            "--levels", "1..4", "--trials", "40"), "bf9c0c8cf3b72356"),
     # most axiom trials redraw their sample many times before every evaluation succeeds
     "axioms_redraws": (("--suite", "axioms", "--expr", "sqrt(X1 - 0.5)", "--system", "scalar",
                         *SMALL), "615726a0cf19edb2"),
@@ -67,9 +67,9 @@ GOLDEN = {
     "recipe_schur": (("--suite", "equivalence", "--function", "schur_complement",
                       "--levels", "1..4", "--trials", "500"), "4f38a3af89c07d45"),
     "recipe_gmean": (("--suite", "equivalence", "--function", "geometric_mean",
-                      "--levels", "1..4", "--trials", "200"), "d75961f20a936a0e"),
+                      "--levels", "1..4", "--trials", "200"), "02e482ace8d310dd"),
     "recipe_suite_all": (("--suite", "all", "--levels", "1..3", "--trials", "100"),
-                         "4ff5ef835d5f7b4b"),
+                         "aa645ddb6c4644e7"),
 }
 # the exit codes of the cases that reach a redraw or error path
 EXIT_CODES = {"axioms_redraws": 0, "axioms_exhausted": 3, "boundary_error_witness": 1}
@@ -106,12 +106,12 @@ SLICES = {
     ("schur-equiv", 7): "0af5d348f2de62a5", ("schur-equiv", 49): "1d02e82ccab8fdd9",
     ("schur-equiv", 187): "3c3238db639b5e10", ("schur-equiv", 198): "cb885fddeeae394a",
     ("schur-equiv", 1009): "e3d6ab73687327d1", ("schur-equiv", 3131): "4361e77c67dbc40a",
-    ("gmean-equiv", 7): "431cd8a98d8d6889", ("gmean-equiv", 49): "f9b0a11eac9d07cf",
-    ("gmean-equiv", 187): "6f699853c830c361", ("gmean-equiv", 198): "74810d0919998674",
-    ("gmean-equiv", 1009): "8e0e5c6f6b345992", ("gmean-equiv", 3131): "c8314196c2a02e0f",
-    ("suite-all", 7): "ac81e80bfdc9c4f6", ("suite-all", 49): "eeec593fbba3d693",
-    ("suite-all", 187): "86510c3fa181ff13", ("suite-all", 198): "fcaea0bfdf581e96",
-    ("suite-all", 1009): "6d2ac95388354dda", ("suite-all", 3131): "bbbf7339f5ff131e",
+    ("gmean-equiv", 7): "cb14818cd699d6d9", ("gmean-equiv", 49): "523643c0d6ea983c",
+    ("gmean-equiv", 187): "d7e6a22f6632bc68", ("gmean-equiv", 198): "1a336387b1a6e247",
+    ("gmean-equiv", 1009): "f4009626c38eefd4", ("gmean-equiv", 3131): "fa2ad568637595f1",
+    ("suite-all", 7): "e19986ca4b60e333", ("suite-all", 49): "20dbaf98e87e72de",
+    ("suite-all", 187): "c1b0ddc3918a642b", ("suite-all", 198): "8b37c1346d8fdb08",
+    ("suite-all", 1009): "3bc92fee3be5a013", ("suite-all", 3131): "856c49d27452764e",
 }
 
 
@@ -138,4 +138,4 @@ def test_replayed_margins():
             margins.append(halfplane_margin(f, point_from_json(record["P"], f.in_system)))
     text = "\n".join(float(m).hex() for m in margins)
     assert len(margins) == 512
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "c8f7f6e491b330ac"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "9eaadb04b0690ecd"

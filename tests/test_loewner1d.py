@@ -150,6 +150,17 @@ class TestCrossCheck:
         assert [r.levels for r in cc.reports] == [(5,), (5,), (2, 3, 4)]
         assert [r.trials for r in cc.reports] == [20, 20, 20]
 
+    @pytest.mark.parametrize("levels, trials", [((), 20), ((2, 3), 0), ((), 0)])
+    def test_levels_and_trials_are_checked_before_any_trial(self, monkeypatch, levels, trials):
+        drawn = []
+        uniforms = loewner1d._uniforms
+        monkeypatch.setattr(loewner1d, "_uniforms", lambda *a: drawn.append(a) or uniforms(*a))
+        for name in ("loewner_matrix", "pick_matrix", "scaled_min_eig"):
+            monkeypatch.setattr(loewner1d, name, None)  # never reached
+        with pytest.raises(ValueError, match="a check needs at least one level and one trial"):
+            cross_check(scalar_catalog("sqrt"), levels, trials, 1e-8, Rng(9))
+        assert drawn == []
+
 
 class TestAmyLocal:
     """Order preservation along commuting-tuple paths (Agler-McCarthy-Young),

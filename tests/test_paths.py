@@ -19,18 +19,26 @@ def _paths(seeds=range(60)):
 
 
 def _blocks(path):
-    # the point X and the velocity H: the diagonal and upper-right blocks of path.point()
-    c, n = path.point().coeffs, path.unitary.shape[-1]
-    return c[..., :n, :n], c[..., :n, n:]
+    # the point X and the velocity H of a path at t = 0
+    return path.point().coeffs, path.velocity().coeffs
 
 
 class TestCommutingPath:
-    def test_block_point_is_upper_triangular_with_x_twice(self):
+    def test_point_and_velocity_are_the_closed_forms(self):
+        # X_i = U diag(D_i) U* and H_i = U diag(Delta_i) U* + [K, X_i], one
+        # coordinate at a time, Hermitian to the bit
         for path in _paths(range(10)):
-            c, n = path.point().coeffs, path.unitary.shape[-1]
-            assert c.shape == (2, 2 * n, 2 * n)
-            np.testing.assert_array_equal(c[:, n:, n:], c[:, :n, :n])
-            assert not c[:, n:, :n].any()
+            x, h = _blocks(path)
+            n = path.unitary.shape[-1]
+            assert x.shape == h.shape == (2, n, n)
+            u, k = path.unitary, path.skew
+            for i, (d, dl) in enumerate(zip(path.diags, path.deltas)):
+                want_x = (u * d) @ u.conj().T
+                want_h = (u * dl) @ u.conj().T + (k @ want_x - want_x @ k)
+                assert op_norm(x[i] - want_x) <= 1e-14 * op_norm(want_x)
+                assert op_norm(h[i] - want_h) <= 1e-14 * op_norm(want_h)
+                np.testing.assert_array_equal(x[i], x[i].conj().T)
+                np.testing.assert_array_equal(h[i], h[i].conj().T)
 
     def test_coordinates_commute(self):
         for path in _paths():
@@ -55,7 +63,7 @@ class TestCommutingPath:
             doc = json.loads(json.dumps(path.to_witness()))
             assert set(doc) == {"system", "unitary", "diags", "deltas", "skew"}
             again = path_from_witness(DIAG2, doc)
-            for a, b in zip(again.point().coeffs, path.point().coeffs):
+            for a, b in zip(_blocks(again), _blocks(path)):
                 np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("a, b, window", [

@@ -5,10 +5,12 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from freemono import cli, paths, verifiers
 from freemono.freeexpr import (
-    CodomainError, OutOfDomainError, catalog, eval_function, function_from_expr,
+    CATALOG_NAMES, CodomainError, OutOfDomainError, catalog, eval_derivative, eval_function,
+    function_from_expr,
 )
 from freemono.kernels import (
     NonFiniteError, NumericalError, Rng, SamplingError, SingularMatrixError, hermitize, imag_part,
@@ -195,6 +197,36 @@ class TestHalfplane:
         assert margin < 0
 
 
+def _sqrt_derivative(s, k):
+    # L with S L + L S = K, by SciPy's Sylvester solver
+    return scipy.linalg.solve_sylvester(s, s, k)
+
+
+def _closed_form_derivative(name, x, h):
+    """Df(X)[H] of a catalog function by the chain rule of its closed form, in SciPy's
+    square roots and Sylvester solves and NumPy's inverses."""
+    if name == "product":
+        return h[0] @ x[1] + x[0] @ h[1]
+    a, k = x[0], h[0]
+    if name in ("identity", "msqrt", "square", "inverse", "neg_inverse"):
+        inv = np.linalg.inv(a)
+        return {"identity": lambda: k,
+                "msqrt": lambda: _sqrt_derivative(scipy.linalg.sqrtm(a), k),
+                "square": lambda: a @ k + k @ a,
+                "inverse": lambda: -inv @ k @ inv,
+                "neg_inverse": lambda: inv @ k @ inv}[name]()
+    assert name == "geometric_mean"  # S M S, S = sqrt(X1), M = sqrt(T), T = inv(S) X2 inv(S)
+    b, kb = x[1], h[1]
+    s = scipy.linalg.sqrtm(a)
+    si = np.linalg.inv(s)
+    ds = _sqrt_derivative(s, k)
+    dsi = -si @ ds @ si
+    t = si @ b @ si
+    m = scipy.linalg.sqrtm(t)
+    dm = _sqrt_derivative(m, dsi @ b @ si + si @ kb @ si + si @ b @ dsi)
+    return ds @ m @ s + s @ dm @ s + s @ m @ ds
+
+
 class TestLocalMonotone:
     def test_identity_positive(self):
         rep = check_local_monotone(catalog("identity"), levels=(1, 2), trials=50, rng=Rng(15))
@@ -223,32 +255,52 @@ class TestLocalMonotone:
             local_margin(f, rep.witness)
         assert str(exc.value) == rep.witness["error"]
 
-    @pytest.mark.parametrize("f, closed_form", [
-        (catalog("identity"), lambda x, h, xi: h[0]),
-        (catalog("square"), lambda x, h, xi: x[0] @ h[0] + h[0] @ x[0]),
-        (catalog("inverse"), lambda x, h, xi: -xi[0] @ h[0] @ xi[0]),
-        (catalog("neg_inverse"), lambda x, h, xi: xi[0] @ h[0] @ xi[0]),
-        (function_from_expr("product", "X1*X2", DIAG2),
-         lambda x, h, xi: h[0] @ x[1] + x[0] @ h[1]),
-    ], ids=["identity", "square", "inverse", "neg_inverse", "product"])
-    def test_corner_is_the_closed_form_derivative(self, monkeypatch, f, closed_form):
-        # the upper-right corner of the evaluation at [[X, H], [0, X]] is Df(X)[H]
-        values = []
+    @pytest.mark.parametrize("f", [
+        *(catalog(name) for name in CATALOG_NAMES
+          if verifiers.is_diagonal_type(catalog(name).in_system)),
+        function_from_expr("product", "X1*X2", DIAG2),
+    ], ids=lambda f: f.name)
+    def test_forward_derivative_is_the_closed_form_and_the_block_corner(self, monkeypatch, f):
+        # Df(X)[H] as the local check takes it, by forward differentiation at
+        # level n, against two routes that share none of its arithmetic: the
+        # chain rule of the function's closed form, whose square roots' derivatives
+        # solve Sylvester equations through SciPy, and the upper-right corner of
+        # f at the level-2n point [[X, H], [0, X]], which a free function maps to
+        # [[f(X), Df(X)[H]], [0, f(X)]]
+        derivatives = []
 
-        def spy(f, point, errors=None):
-            values.append(eval_function(f, point, errors))
-            return values[-1]
+        def spy(f, point, direction, errors=None):
+            derivatives.append(eval_derivative(f, point, direction, errors))
+            return derivatives[-1]
 
-        monkeypatch.setattr(verifiers, "eval_function", spy)
+        monkeypatch.setattr(verifiers, "eval_derivative", spy)
         for level in (1, 2, 3, 4):
             path = paths.sample_path(f.domain, level, [Rng(30).split(level, t) for t in range(50)])
             margins = verifiers._derivative_margins(f, path)
-            c, n = path.point().coeffs, level
-            x, h = c[..., :n, :n], c[..., :n, n:]
-            for i, value in enumerate(values.pop().coeffs):
-                want = closed_form(x[i], h[i], np.linalg.inv(x[i]))
-                assert op_norm(value[0, :n, n:] - want) <= 1e-12 * op_norm(want)
-                assert margins[i] == scaled_min_eig(hermitize(value[0, :n, n:]))
+            x, h = path.point().coeffs, path.velocity().coeffs
+            block = np.zeros(x.shape[:-2] + (2 * level, 2 * level), dtype=np.complex128)
+            block[..., :level, :level] = block[..., level:, level:] = x
+            block[..., :level, level:] = h
+            corner = eval_function(f, stack_points(*(NCPoint(f.in_system, c) for c in block)))
+            corner = corner.coeffs[:, 0, :level, level:]
+            [(_, der)] = derivatives
+            derivatives.clear()
+            for i, got in enumerate(der.coeffs[:, 0]):
+                want = _closed_form_derivative(f.name, x[i], h[i])
+                scale = op_norm(want)
+                assert op_norm(got - want) <= 1e-12 * scale
+                assert op_norm(got - corner[i]) <= 1e-12 * scale
+                assert margins[i] == scaled_min_eig(hermitize(got))
+
+    @pytest.mark.parametrize("name, levels", [("square", (2, 3)), ("geometric_mean", (3, 4))])
+    def test_every_local_witness_replays_exactly(self, name, levels):
+        # a scaled margin is below 1, so at tol -2 every trial fails, and the
+        # witness is that of the worst margin
+        f = catalog(name)
+        rep = check_local_monotone(f, levels, 40, -2.0, Rng(31))
+        assert rep.failures == 80
+        again = local_margin(f, rep.witness)
+        assert type(again) is float and again == rep.witness["margin"] == rep.worst_margin
 
     def test_rejects_block_systems(self):
         with pytest.raises(ValueError):
