@@ -486,18 +486,20 @@ class _Run:
     row's first error.
     """
 
+    __slots__ = ("f", "point", "direction", "lead", "n", "vals", "tans", "errs", "_blocks")
+
     def __init__(self, f: FreeFunction, point: NCPoint, direction: NCPoint | None):
         self.f, self.point, self.direction = f, point, direction
-        self.lead, self.n = point.coeffs.shape[:-3], point.level
-        self.vals, self.tans, self.errs = [], [], {}
-        self._blocks = {}
+        self.lead, self.n = point.coeffs.shape[:-3], point.coeffs.shape[-1]
+        self.vals, self.tans, self.errs, self._blocks = [], [], {}, {}
 
     def block(self, p: NCPoint, row: int, col: int) -> np.ndarray:
         """Block (row, col), 1-based, of ``realize(p)``, p being the point or the direction."""
-        if id(p) not in self._blocks:
-            k = self.f.in_system.k
-            self._blocks[id(p)] = opsys.realize(p).reshape(self.lead + (k, self.n, k, self.n))
-        return self._blocks[id(p)][..., row - 1, :, col - 1, :]
+        blocks = self._blocks.get(id(p))
+        if blocks is None:
+            k, n = self.f.in_system.k, self.n
+            blocks = self._blocks[id(p)] = opsys.realize(p).reshape(self.lead + (k, n, k, n))
+        return blocks[..., row - 1, :, col - 1, :]
 
     def guarded(self, kernel, what: str, *args):
         """Run the kernel of an Inv or Sqrt step or of its tangent on ``args``, adding
@@ -559,9 +561,10 @@ def _run(f: FreeFunction, point: NCPoint, direction: NCPoint | None,
     with np.errstate(over="ignore", invalid="ignore"):
         for kind, a, b in f.program:
             value, tangent = _RULES[kind]
-            run.vals.append(value(run, a, b))
+            v = value(run, a, b)
+            run.vals.append(v)
             if direction is not None:
-                run.tans.append(tangent(run, a, b, run.vals[-1]))
+                run.tans.append(tangent(run, a, b, v))
         grids = [run.vals] if direction is None else [run.vals, run.tans]
         outs = [_assemble(f, steps, run.lead, run.n) for steps in grids]
     points = []

@@ -187,27 +187,24 @@ def imag_part(a) -> np.ndarray:
     return ((b + _ct(b)) / 2.0).reshape(lead + a.shape[1:])
 
 
-def _by_rows(solve, a, errors: dict | None, outputs):
-    # solve(a) on the whole stack; when that fails, solve of one matrix at a
-    # time into ``outputs(rows)``, zeroed arrays of each output's shape for
-    # ``rows`` matrices, and each matrix whose solver does not converge is a
-    # failed row with an EigensolverError and zeros
-    try:
-        return solve(a)
-    except np.linalg.LinAlgError:
-        flat = a.reshape((-1,) + a.shape[-2:])
-        outs, errs = outputs(len(flat)), {}
-        for row, m in enumerate(flat):
-            try:
-                got = solve(m)
-            except np.linalg.LinAlgError as exc:
-                errs[row] = EigensolverError(f"eigensolver did not converge: {exc}")
-                continue
-            for out, part in zip(outs, got if isinstance(got, tuple) else (got,)):
-                out[row] = part
-        settle(errs, errors)
-        outs = [out.reshape(a.shape[:-2] + out.shape[1:]) for out in outs]
-        return tuple(outs) if len(outs) > 1 else outs[0]
+def _each_matrix(solve, a, errors: dict | None, outputs):
+    # solve of one matrix of ``a`` at a time, after solve(a) failed on the whole
+    # stack, into ``outputs(rows)``, zeroed arrays of each output's shape for
+    # ``rows`` matrices; each matrix whose solver does not converge is a failed
+    # row with an EigensolverError and zeros
+    flat = a.reshape((-1,) + a.shape[-2:])
+    outs, errs = outputs(len(flat)), {}
+    for row, m in enumerate(flat):
+        try:
+            got = solve(m)
+        except np.linalg.LinAlgError as exc:
+            errs[row] = EigensolverError(f"eigensolver did not converge: {exc}")
+            continue
+        for out, part in zip(outs, got if isinstance(got, tuple) else (got,)):
+            out[row] = part
+    settle(errs, errors)
+    outs = [out.reshape(a.shape[:-2] + out.shape[1:]) for out in outs]
+    return tuple(outs) if len(outs) > 1 else outs[0]
 
 
 def _eigh(a, errors: dict | None = None, vectors: bool = False):
@@ -219,17 +216,24 @@ def _eigh(a, errors: dict | None = None, vectors: bool = False):
     :class:`EigensolverError`, and gets zeros.
     """
     a = np.asarray(a)
-    n = a.shape[-1]
-    return _by_rows(np.linalg.eigh if vectors else np.linalg.eigvalsh, a, errors, lambda rows: [
-        np.zeros((rows, n)), *([np.zeros((rows, n, n), np.result_type(a, 1.0))] * vectors)])
+    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    try:
+        return solve(a)
+    except np.linalg.LinAlgError:
+        n = a.shape[-1]
+        return _each_matrix(solve, a, errors, lambda rows: [
+            np.zeros((rows, n)), *[np.zeros((rows, n, n), np.result_type(a, 1.0))] * vectors])
 
 
 def _eig(a: np.ndarray, errors: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues and the eigenvectors of ``np.linalg.eig`` of each matrix of the
     stack ``a``, a matrix whose solver does not converge failing as by :func:`_eigh`."""
-    n = a.shape[-1]
-    return _by_rows(np.linalg.eig, a, errors,
-                    lambda rows: [np.zeros((rows, n), complex), np.zeros((rows, n, n), complex)])
+    try:
+        return np.linalg.eig(a)
+    except np.linalg.LinAlgError:
+        n = a.shape[-1]
+        return _each_matrix(np.linalg.eig, a, errors, lambda rows: [
+            np.zeros((rows, n), complex), np.zeros((rows, n, n), complex)])
 
 
 def _inverses(a: np.ndarray) -> np.ndarray:
@@ -419,10 +423,15 @@ def _roots_by_iteration(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return y / half
 
 
-def _skew_and_norm(a: np.ndarray) -> list:
+def _skew_and_norm(a: np.ndarray) -> tuple:
     # ||A - A*||_F and ||A||_F of each matrix of a stack: A is taken for
     # Hermitian when the first is at most 1e-13 (1 + the second)
-    return np.split(_frobenius(np.concatenate([a - _ct(a), a])), 2)
+    norms = _frobenius(np.concatenate([a - _ct(a), a]))
+    return norms[:len(a)], norms[len(a):]
+
+
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_NO_ROWS.setflags(write=False)
 
 
 def _misfits(resid: np.ndarray, a: np.ndarray, skip=()) -> np.ndarray:
@@ -435,7 +444,7 @@ def _misfits(resid: np.ndarray, a: np.ndarray, skip=()) -> np.ndarray:
     sure = np.vecdot(flat, flat) <= (0.5 * TOL_RECON) ** 2
     sure[list(skip)] = True
     if np.count_nonzero(sure) == len(sure):
-        return np.zeros(0, dtype=np.intp)
+        return _NO_ROWS
     unsure = (~sure).nonzero()[0]
     r = resid[unsure]
     finite = np.isfinite(r).all(axis=(1, 2))
