@@ -925,7 +925,7 @@ def _cut_value(exc):
 def _against_schur(m, got, exc):
     """Assert that a general row's root ``got`` or error ``exc`` is what the Schur
     method gives: the same error type (a branch-cut error naming nearly the same
-    eigenvalue), or a root within 1e-9 of its root."""
+    eigenvalue), or a root within 1e-12 of its root."""
     try:
         want, ref = _ref_principal_sqrt(m), None
     except (BranchCutError, NumericalError) as err:
@@ -935,7 +935,7 @@ def _against_schur(m, got, exc):
         value = _cut_value(ref)
         assert abs(_cut_value(exc) - value) <= 1e-9 * (1.0 + op_norm(m))
     elif ref is None:
-        assert op_norm(got - want) <= 1e-9 * op_norm(want)
+        assert op_norm(got - want) <= 1e-12 * op_norm(want)
 
 
 def _mixed_rows(n, count, rng):
