@@ -1060,6 +1060,8 @@ DIFFERENTIAL_ROWS = {
     "ginibre": lambda n, r: random_matrix("ginibre", n, r) + 2.0 * np.sqrt(n) * np.eye(n),
     "cut": lambda n, r: _mixed_rows(n, 3, r)[2],
     "near": lambda n, r: _mixed_rows(n, 6, r)[5],
+    "hermitian_cut": lambda n, r: _hermitian_rows(n, 2, r)[1],
+    "hermitian_near": lambda n, r: _hermitian_rows(n, 5, r)[4],
     "jordan": lambda n, r: _jordan(n, r) if n > 1 else np.array([[1.0 + 1.0j]]),
     "nan": _with_entry(np.nan),
     "inf": _with_entry(complex(np.inf, 1.0)),
@@ -1071,7 +1073,7 @@ class TestRootsDifferential:
     infinite rows, rows scaled by 1e300 or 1e-300, rows on or just off the branch
     cut, and Jordan rows, which must take the iteration and still reconstruct."""
 
-    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
            rows=st.lists(st.tuples(st.sampled_from(sorted(DIFFERENTIAL_ROWS)),
                                    st.sampled_from([1.0, 1e300, 1e-300])),
