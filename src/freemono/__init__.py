@@ -15,9 +15,6 @@ from .kernels import (
     Rng,
     SamplingError,
     SingularMatrixError,
-    SpectrumDomainError,
-    func_calc,
-    herm_eig,
     hermitize,
     imag_part,
     matrix_from_json,
@@ -78,7 +75,6 @@ from .verifiers import (
 )
 from .loewner1d import (
     SCALAR_CATALOG_NAMES,
-    ScalarFunction,
     cross_check,
     loewner_matrix,
     pick_matrix,

@@ -117,6 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run a verification suite")
+    # --tol -1e-8 is a value, though argparse's own test takes only plain decimals for one
+    check._negative_number_matcher = re.compile(r"-\.?[0-9]")
     check.add_argument("--function", help="catalog function name")
     check.add_argument("--expr", help="expression text (requires --system)")
     check.add_argument("--system", help="input system name or system JSON path")

@@ -762,11 +762,19 @@ def _json_int(doc: dict, key: str) -> int:
 
 
 def matrix_from_json(doc: dict) -> np.ndarray:
+    """The n-by-n matrix of ``{"n": n, "entries": rows}``, each row n ``[re, im]`` pairs
+    of finite JSON numbers, read as ``complex(re, im)`` reads them."""
     n = _json_int(doc, "n")
     if n < 1:
         raise ValueError("matrix size must be at least 1")
     entries = doc["entries"]
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError("matrix JSON entries do not match the declared size")
-    out = np.array([complex(re, im) for row in entries for re, im in row], dtype=np.complex128)
-    return as_matrix(out.reshape(n, n))
+    flat = [v for row in entries for re, im in row for v in (re, im)]
+    if not set(map(type, flat)) <= {float, int}:  # not bool: complex(True, False) is 1+0j
+        k = next(k for k, v in enumerate(flat) if type(v) not in (float, int)) // 2
+        raise ValueError(f"matrix entry [{k // n}][{k % n}] must be a pair of JSON numbers, "
+                         f"got {entries[k // n][k % n]!r}")
+    if not all(map(math.isfinite, flat)):
+        raise NonFiniteError("matrix entries must all be finite")
+    return np.array(flat, dtype=np.float64).view(np.complex128).reshape(n, n)

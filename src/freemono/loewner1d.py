@@ -1,85 +1,72 @@
 """Classical one-variable monotonicity oracles.
 
-Three independent certificates for a scalar function: positivity of its
-divided-difference (Loewner) matrices at real node sets, positivity of its
-Pick matrices at upper-half-plane configurations, and direct functional-
-calculus monotonicity on sampled Hermitian pairs.  For an operator monotone
-function all three agree; ``cross_check`` runs them side by side.
-Each check runs its trials as stacks on the engine that every check of
-:mod:`freemono.verifiers` shares: per chunk, one draw of its nodes, points
-or pairs through ``opsys._redraw``, one build of its matrices (for
-``monotone_1d`` one functional calculus) and one eigenvalue call.
-``loewner_matrix`` and ``pick_matrix`` take ``(..., c)`` nodes or points,
-one vector or a stack, and give ``(..., c, c)`` matrices.
+Three independent certificates for a scalar function f, any
+:class:`~freemono.freeexpr.FreeFunction` from the ``scalar`` system to
+itself: positive Loewner matrices at real nodes, positive Pick matrices at
+upper-half-plane points, and :mod:`freemono.verifiers`' monotone pair
+check.  For an operator monotone f all three agree (Loewner's theorem);
+``cross_check`` runs them side by side.  ``loewner_matrix`` and
+``pick_matrix`` evaluate f once at ``(..., c)`` nodes or points, each a
+level-1 point, and give ``(..., c, c)`` matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import functools
 
 import numpy as np
 
-from .kernels import (
-    Rng, _generators, _uniforms, func_calc, hermitize, matrix_to_json, scaled_min_eig,
+from .freeexpr import FreeFunction, eval_derivative, eval_function, parse
+from .kernels import Rng, _generators, _uniforms, hermitize, scaled_min_eig
+from .opsys import (
+    NCPoint, _point, _redraw, builtin_system, full_domain, pd_cone, realize, spectral_interval,
 )
-from .opsys import _redraw, builtin_system, sample_ordered_pair, spectral_interval
-from .report import CheckReport, ConsistencyReport
-from .verifiers import _differences, _run_trials, _trial_levels
+from .report import ConsistencyReport
+from .verifiers import _pair_check, _run_trials, _trial_levels
 
 MIN_NODE_GAP = 1e-8
 NODE_COUNT = 5  # the nodes of a Loewner matrix and the points of a Pick matrix
 INTERVAL = (0.1, 10.0)  # where the Loewner nodes and the monotone_1d spectra lie
 
-
-@dataclass(frozen=True)
-class ScalarFunction:
-    """Scalar function on the open interval ``domain``: a NumPy ``rule`` that maps a
-    float array to its values and a complex array to its principal-branch values,
-    and a ``deriv_rule`` for real arguments."""
-
-    name: str
-    domain: tuple
-    rule: Callable
-    deriv_rule: Callable
-
-
-_INF = float("inf")
-
+# name -> (expression over the scalar system, its domain)
 _SCALAR_CATALOG = {
-    "x": ScalarFunction(
-        "x", (-_INF, _INF), lambda x: x, lambda x: np.ones_like(np.asarray(x, dtype=float))),
-    "sqrt": ScalarFunction(
-        "sqrt", (0.0, _INF), np.sqrt, lambda x: 0.5 / np.sqrt(np.asarray(x, dtype=float))),
-    "neg_inverse": ScalarFunction(
-        "neg_inverse", (0.0, _INF), lambda x: -1.0 / x,
-        lambda x: 1.0 / np.asarray(x, dtype=float) ** 2),
-    "square": ScalarFunction(
-        "square", (-_INF, _INF), lambda x: x ** 2, lambda x: 2.0 * np.asarray(x, dtype=float)),
-    "cube": ScalarFunction(
-        "cube", (-_INF, _INF), lambda x: x ** 3,
-        lambda x: 3.0 * np.asarray(x, dtype=float) ** 2),
+    "x": ("X1", full_domain),
+    "sqrt": ("sqrt(X1)", pd_cone),
+    "neg_inverse": ("-inv(X1)", pd_cone),
+    "square": ("X1*X1", full_domain),
+    "cube": ("X1*X1*X1", full_domain),
 }
 
 SCALAR_CATALOG_NAMES = tuple(_SCALAR_CATALOG)
 
 
-def scalar_catalog(name: str) -> ScalarFunction:
+@functools.cache
+def scalar_catalog(name: str) -> FreeFunction:
+    """Look up a named scalar function; parsed and compiled at its first use, then shared."""
     try:
-        return _SCALAR_CATALOG[name]
+        text, domain = _SCALAR_CATALOG[name]
     except KeyError:
         raise ValueError(f"unknown scalar function {name!r}") from None
+    scalar = builtin_system("scalar")
+    return FreeFunction(name, scalar, scalar, ((parse(text, scalar),),), domain(scalar), text)
 
 
 # --------------------------------------------------------------------------
 # Certificate matrices.
 
-def loewner_matrix(f: ScalarFunction, nodes) -> np.ndarray:
+def _level_one(f: FreeFunction, values: np.ndarray) -> NCPoint:
+    """The stack of level-1 points at ``values``, for f on the scalar system."""
+    if f.in_system.name != "scalar" or f.out_system.name != "scalar":
+        raise ValueError(f"{f.name!r} does not map the scalar system to itself")
+    return _point(f.in_system, values.astype(np.complex128).reshape(values.shape + (1, 1, 1)))
+
+
+def loewner_matrix(f: FreeFunction, nodes) -> np.ndarray:
     """Divided-difference matrices ``(..., c, c)`` at strictly increasing interior nodes
     ``(..., c)``, one vector or a stack.
 
     Off-diagonal entries are (f(x_i) - f(x_j)) / (x_i - x_j); the diagonal
-    carries the closed-form derivative.  Positive semidefiniteness is the
+    carries f's derivative along 1.  Positive semidefiniteness is the
     classical certificate of monotonicity at that node count.
     """
     x = np.asarray(nodes, dtype=float)
@@ -87,17 +74,19 @@ def loewner_matrix(f: ScalarFunction, nodes) -> np.ndarray:
         raise ValueError("nodes must be a nonempty vector")
     if np.any(np.diff(x) < MIN_NODE_GAP):
         raise ValueError(f"nodes must increase with gaps of at least {MIN_NODE_GAP:g}")
-    a, b = f.domain
+    a, b = f.domain.a, f.domain.b
     if np.any(x[..., 0] <= a) or np.any(x[..., -1] >= b):
         raise ValueError(f"nodes must lie inside the open interval ({a}, {b})")
-    fx = np.asarray(f.rule(x), dtype=float)
+    p = _level_one(f, x)
+    fx, dfx = (realize(v)[..., 0, 0].real
+               for v in eval_derivative(f, p, _point(p.system, np.ones_like(p.coeffs))))
     n = x.shape[-1]  # the diagonal divides 0 by 1; the derivative replaces it
     out = (fx[..., :, None] - fx[..., None, :]) / (x[..., :, None] - x[..., None, :] + np.eye(n))
-    out[..., range(n), range(n)] = np.asarray(f.deriv_rule(x), dtype=float)
+    out[..., range(n), range(n)] = dfx
     return out
 
 
-def pick_matrix(f: ScalarFunction, points) -> np.ndarray:
+def pick_matrix(f: FreeFunction, points) -> np.ndarray:
     """Pick kernel matrices ``(..., c, c)`` of entries (f(z_i) - conj f(z_j)) / (z_i - conj z_j)
     at half-plane points ``(..., c)``, one vector or a stack."""
     z = np.asarray(points, dtype=complex)
@@ -107,39 +96,20 @@ def pick_matrix(f: ScalarFunction, points) -> np.ndarray:
         raise ValueError("points must have strictly positive imaginary part")
     if np.any(np.abs(z[..., :, None] - z[..., None, :]) + np.eye(z.shape[-1]) < MIN_NODE_GAP):
         raise ValueError("points must be pairwise distinct")
-    fz = np.asarray(f.rule(z), dtype=complex)
+    fz = realize(eval_function(f, _level_one(f, z)))[..., 0, 0]
     return (fz[..., :, None] - fz[..., None, :].conj()) / (z[..., :, None] - z[..., None, :].conj())
-
-
-# --------------------------------------------------------------------------
-# Matrix-level monotonicity through the functional calculus.
-
-def _monotone_matrix_report(f: ScalarFunction, levels, trials, tol, rng) -> CheckReport:
-    dom = spectral_interval(builtin_system("scalar"), *INTERVAL)
-
-    def run(level, ts):
-        errors = {}
-        p, q = sample_ordered_pair(dom, level, rng.split_each(ts, "monotone_1d", f.name, level),
-                                   errors=errors)
-        a, b = p.coeffs[:, 0], q.coeffs[:, 0]
-        diff = _differences(lambda x, e: func_calc(f.rule, x, f.domain, e),
-                            np.concatenate([a, b]), errors)
-        return scaled_min_eig(hermitize(diff), errors), errors, lambda i, extra: {
-            "A": matrix_to_json(a[i]), "B": matrix_to_json(b[i]), **extra}
-
-    return _run_trials("monotone_1d", f.name, run, levels, trials, tol, rng)
 
 
 # --------------------------------------------------------------------------
 # Cross-check of the three certificates.
 
-def cross_check(f: ScalarFunction, levels=(2, 3, 4), trials: int = 100, tol: float = 1e-8,
+def cross_check(f: FreeFunction, levels=(2, 3, 4), trials: int = 100, tol: float = 1e-8,
                 rng: Rng = Rng(0)) -> ConsistencyReport:
-    """Loewner-matrix, Pick-matrix and functional-calculus verdicts side by side.
+    """Loewner-matrix, Pick-matrix and matrix-monotone verdicts side by side.
 
     The Loewner and Pick checks each draw ``trials`` sets of ``NODE_COUNT``
     nodes in ``INTERVAL`` or points in the box (-3, 3) x (0.1, 3); the
-    functional-calculus check draws ``trials`` ordered pairs at each of
+    monotone check ``monotone_1d`` draws ``trials`` ordered pairs at each of
     ``levels``, their spectra in ``INTERVAL``.  ``levels`` and ``trials`` are
     checked before any of them runs.
     """
@@ -183,11 +153,8 @@ def cross_check(f: ScalarFunction, levels=(2, 3, 4), trials: int = 100, tol: flo
         lambda u: (-3.0 + 6.0 * u[:, :c]) + 1j * (0.1 + 2.9 * u[:, c:]),
         "could not draw well-separated half-plane points", lambda z: hermitize(pick_matrix(f, z)),
         lambda z: {"points": [[v.real, v.imag] for v in z]}), (c,), trials, tol, rng)
-    mono_rep = _monotone_matrix_report(f, levels, trials, tol, rng)
-    sides = {
-        "loewner_psd": loewner_rep.verdict,
-        "pick_psd": pick_rep.verdict,
-        "matrix_monotone": mono_rep.verdict,
-    }
-    return ConsistencyReport("cross_check_1d", f.name,
-                             (loewner_rep, pick_rep, mono_rep), sides)
+    mono_rep = _pair_check("monotone_1d", f, spectral_interval(f.in_system, *INTERVAL), levels,
+                           trials, tol, rng)
+    reports = (loewner_rep, pick_rep, mono_rep)
+    sides = dict(zip(("loewner_psd", "pick_psd", "matrix_monotone"), (r.verdict for r in reports)))
+    return ConsistencyReport("cross_check_1d", f.name, reports, sides)

@@ -128,9 +128,9 @@ def _retry_trials(rs: list, draw, retry: tuple, exhausted: str):
     Try k of trial i draws from ``rs[i].split("attempt", k)``, up to 100 tries.
     ``draw(rngs, failed)`` makes one try of a stack of trials, one per Rng: it
     adds each failed row's first error to ``failed`` and returns the rows'
-    margins and ``witness(j)``, row j's witness, which carries no margin.
-    Any other error, and ``SamplingError(exhausted)`` for a trial out of
-    tries, is the trial's error.
+    margins and ``witness(j)``, row j's witness, to which the builder adds its
+    ``extra``.  Any other error, and ``SamplingError(exhausted)`` for a trial
+    out of tries, is the trial's error.
     """
     margins, errs, kept = np.zeros(len(rs)), {}, [None] * len(rs)
 
@@ -146,7 +146,7 @@ def _retry_trials(rs: list, draw, retry: tuple, exhausted: str):
         return done
 
     opsys._redraw(attempt, len(rs), 100, exhausted, errs)
-    return margins, errs, lambda i, extra: kept[i][0](kept[i][1])
+    return margins, errs, lambda i, extra: {**kept[i][0](kept[i][1]), **extra}
 
 
 def is_diagonal_type(system: opsys.OpSysBasis) -> bool:
@@ -167,21 +167,6 @@ def _settle_by_row(failed: dict, rows: int, errors: dict | None):
     settle(first, errors)
 
 
-def _differences(values, ab, errors: dict | None) -> np.ndarray:
-    """values(B) - values(A) of each pair, ``ab`` being the stack of the As, then the Bs.
-
-    ``values(ab, failed)`` evaluates the whole stack at once and adds its
-    failed rows to the dict ``failed``.  A pair that fails is handed to
-    :func:`~freemono.kernels.settle` with its first error, at A before B,
-    and its difference means nothing.
-    """
-    failed = {}
-    fab = values(ab, failed)
-    rows = len(fab) // 2
-    _settle_by_row(failed, rows, errors)
-    return fab[rows:] - fab[:rows]
-
-
 def pair_margin(f: FreeFunction, a: opsys.NCPoint, b: opsys.NCPoint,
                 errors: dict | None = None):
     """Scaled PSD margin of realize(f(b)) - realize(f(a)).
@@ -190,7 +175,11 @@ def pair_margin(f: FreeFunction, a: opsys.NCPoint, b: opsys.NCPoint,
     handed to :func:`~freemono.kernels.settle` with its first error, at A
     before B, and its margin means nothing.
     """
-    diff = _differences(lambda x, e: realize(eval_function(f, x, e)), stack_points(a, b), errors)
+    failed = {}
+    fab = realize(eval_function(f, stack_points(a, b), failed))
+    rows = len(fab) // 2
+    _settle_by_row(failed, rows, errors)
+    diff = fab[rows:] - fab[:rows]
     return scaled_min_eig(hermitize(diff.reshape(a.coeffs.shape[:-3] + diff.shape[1:])), errors)
 
 
@@ -222,18 +211,25 @@ def local_margin(f: FreeFunction, witness: dict) -> float:
 # --------------------------------------------------------------------------
 # Checks.
 
-def check_monotone(f: FreeFunction, levels=(1, 2, 3), trials: int = 100, tol: float = 1e-8,
-                   rng: Rng = Rng(0)) -> CheckReport:
-    """Sample ordered pairs in f's domain and test f(A) <= f(B)."""
+def _pair_check(check: str, f: FreeFunction, domain: opsys.DomainSpec, levels, trials, tol,
+                rng) -> CheckReport:
+    """Sample ordered pairs in ``domain`` and test f(A) <= f(B), in a report labelled
+    ``check``, which also tags the trials' streams."""
 
     def run(level, ts):
         errors = {}
-        rngs = rng.split_each(ts, "monotone", f.name, level)
-        a, b = sample_ordered_pair(f.domain, level, rngs, errors=errors)
+        a, b = sample_ordered_pair(domain, level, rng.split_each(ts, check, f.name, level),
+                                   errors=errors)
         return pair_margin(f, a, b, errors), errors, lambda i, extra: {
             "A": point_to_json(a[i]), "B": point_to_json(b[i]), **extra}
 
-    return _run_trials("monotone", f.name, run, levels, trials, tol, rng)
+    return _run_trials(check, f.name, run, levels, trials, tol, rng)
+
+
+def check_monotone(f: FreeFunction, levels=(1, 2, 3), trials: int = 100, tol: float = 1e-8,
+                   rng: Rng = Rng(0)) -> CheckReport:
+    """Sample ordered pairs in f's domain and test f(A) <= f(B)."""
+    return _pair_check("monotone", f, f.domain, levels, trials, tol, rng)
 
 
 def check_halfplane(f: FreeFunction, levels=(1, 2, 3), trials: int = 100,

@@ -2,12 +2,13 @@
 
 ``perfbench/spans.py`` wraps the functions its ``LAYERS`` names, and
 ``perfbench/workload.py`` times the ``freemono.cli`` checks its
-``CLI_CHECKS`` names, calls ``freemono.cli.main`` and replays witnesses
+``CLI_CHECKS`` names, calls ``freemono.cli.main``, replays witnesses
 through the top-level exports it reaches as ``self.fm.<name>`` (and
-``freemono.<name>``).  A rename in freemono breaks ``run.py --trace 1``,
-the timed parts or the replays (counted there as failed replays) without
-failing any other test, so these tests load both files (read only) and
-look every name up.
+``freemono.<name>``) and gates ``suite-all`` on the function names of its
+``CATALOG`` and ``SCALAR_CATALOG``.  A rename in freemono breaks
+``run.py --trace 1``, the timed parts, the replays (counted there as failed
+replays) or the suite-all gate (the run exits 1) without failing any other
+test, so these tests load both files (read only) and look every name up.
 """
 
 import ast
@@ -18,6 +19,8 @@ from pathlib import Path
 import pytest
 
 import freemono.cli
+from freemono.freeexpr import CATALOG_NAMES
+from freemono.loewner1d import SCALAR_CATALOG_NAMES
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -72,3 +75,8 @@ def test_package_name_resolves(name):
 
 def test_cli_main_is_callable():
     assert callable(freemono.cli.main)
+
+
+def test_the_gated_function_names_are_the_catalogs():
+    assert set(workload.SCALAR_CATALOG) == set(SCALAR_CATALOG_NAMES)
+    assert set(workload.CATALOG) == set(CATALOG_NAMES)

@@ -21,6 +21,7 @@ from freemono.opsys import DIAGONAL_MAX, builtin_system, point_from_json
 from freemono.report import REPORT_SCHEMA
 from freemono.verifiers import halfplane_margin, pair_margin
 from freemono.freeexpr import CATALOG_NAMES, catalog
+from freemono.loewner1d import scalar_catalog
 
 
 def _m(*rows):
@@ -616,6 +617,22 @@ class TestDocuments:
                 margin = halfplane_margin(f, point_from_json(witness["P"]))
             assert margin == witness["margin"]
 
+    @pytest.mark.parametrize("seed", ["0", "7", "187"])
+    def test_monotone_1d_witness_replays_exactly(self, tmp_path, seed):
+        # a monotone_1d witness is an ordered pair of points, as a monotone one is
+        path = tmp_path / "r.json"
+        run_cli("check", "--suite", "loewner1d", "--levels", "1..3", "--trials", "50",
+                "--seed", seed, "--out", str(path))
+        replayed = []
+        for report in json.loads(path.read_text())["reports"]:
+            if report["check"] == "monotone_1d" and report["witness"]:
+                f, witness = scalar_catalog(report["function"]), report["witness"]
+                margin = pair_margin(f, point_from_json(witness["A"], f.in_system),
+                                     point_from_json(witness["B"], f.in_system))
+                assert margin == witness["margin"] == report["worst_margin"]
+                replayed.append(report["function"])
+        assert replayed == ["square", "cube"]
+
     def test_exit_zero_iff_all_pass(self, tmp_path):
         path = tmp_path / "r.json"
         code, _, _ = run_cli("check", "--function", "msqrt", "--suite", "equivalence",
@@ -769,6 +786,8 @@ _POINT_FILES = {
     "huge_diagonal_point.json": {"system": "diagonal(99999999)", "level": 1,
                                  "coeffs": [{"n": 1, "entries": [[[1.0, 0.0]]]}]},
     "zero_level_point.json": {"system": "scalar", "level": 0, "coeffs": []},
+    "boolean_entry_point.json": {"system": "scalar", "level": 1,
+                                 "coeffs": [{"n": 1, "entries": [[[True, False]]]}]},
 }
 
 
@@ -788,13 +807,13 @@ _FLAGS = {
     "--levels": _mostly(["1..1", "1..2", "2"], ["0..1", "2..1", "1..9", "a", ""]),
     "--trials": _mostly(["1", "2"], ["0", "-1", "x", "99999999999999999999"]),
     "--seed": _mostly(["0", "42", "7", str(2**64 - 1)], [str(2**64), "-1", "x"]),
-    "--tol": _mostly(["1e-8", "0.5"], ["0", "-1", "inf", "nan", "1e400", "x"]),
+    "--tol": _mostly(["1e-8", "0.5"], ["0", "-1", "-1e-8", "inf", "nan", "1e400", "x"]),
     "--jobs": _mostly(["1", "2"], ["0"]),
 }
 _OUTS = _mostly(["report.json"], [".", "missing/report.json"])
 _POINTS = _mostly(["scalar_point.json", "block2_point.json"],
-                  ["huge_diagonal_point.json", "zero_level_point.json", "missing.json",
-                   "not_json.json"])
+                  ["huge_diagonal_point.json", "zero_level_point.json", "boolean_entry_point.json",
+                   "missing.json", "not_json.json"])
 
 
 @st.composite
@@ -849,6 +868,7 @@ class TestArgvContract:
     @example(argv=["check", "--function", "square", "--suite", "monotone",
                    "--levels", "0" * 4400 + "1..2"])
     @example(argv=["parse", "--system", "block2", "--expr", "X" + "1" * 5000])
+    @example(argv=["eval", "--function", "msqrt", "--point", "boolean_entry_point.json"])
     def test_any_argv_keeps_the_exit_code_contract(self, inputs, argv):
         # the code is one of 0-3 and stderr holds no traceback; a usage error
         # writes nothing to stdout, and a violation comes with a failing report
@@ -864,6 +884,16 @@ class TestArgvContract:
         if code == 1:
             written = (inputs / "report.json").read_text() if "--out" in argv else out
             assert argv[0] == "check" and json.loads(written)["verdict"] == "fail"
+        if argv[0] == "eval" and "boolean_entry_point.json" in argv:
+            assert code == 2  # a JSON boolean is no matrix entry
+
+    @pytest.mark.parametrize("tol", [["--tol", "-1e-8"], ["--tol", "-0.5"], ["--tol=-1e-8"],
+                                     ["--tol", "-.5E+2"]])
+    def test_a_negative_tol_is_refused_as_not_positive(self, tol):
+        # a negative number in exponent form is --tol's value, not an option
+        code, out, err = run_cli("check", "--function", "square", "--suite", "monotone",
+                                 "--levels", "1..1", "--trials", "1", *tol)
+        assert (code, out, err) == (2, "", "freemono: --tol must be positive\n")
 
 
 class TestSuiteTable:

@@ -34,11 +34,11 @@ GOLDEN = {
     "local": (("--suite", "local", *SQUARE), "af295202f7f08251"),
     "boundary": (("--suite", "boundary", *SQUARE), "54c3ac74c9ab7ae4"),
     "schur_identity": (("--suite", "schur_identity", *SMALL), "daaae5c1a08c9463"),
-    "loewner1d": (("--suite", "loewner1d", *SMALL), "0a95638f93b8960c"),
+    "loewner1d": (("--suite", "loewner1d", *SMALL), "32b2bf4fbca0550d"),
     # chunks of 100 trials, and three levels of monotone_1d
     "loewner1d_levels_1_3": (("--suite", "loewner1d", "--levels", "1..3", "--trials", "100"),
-                             "63f54a566fe6bfe5"),
-    "all": (("--suite", "all", *SMALL), "0318cb28d3526d46"),
+                             "d4ca8d347961fa39"),
+    "all": (("--suite", "all", *SMALL), "c90500ae86256cce"),
     "geometric_mean": (("--suite", "equivalence", "--function", "geometric_mean",
                         "--levels", "1..3", "--trials", "30"), "b321fa4a10e807cf"),
     # the witness carries an evaluation error raised inside a repeated subexpression
@@ -69,7 +69,7 @@ GOLDEN = {
     "recipe_gmean": (("--suite", "equivalence", "--function", "geometric_mean",
                       "--levels", "1..4", "--trials", "200"), "02e482ace8d310dd"),
     "recipe_suite_all": (("--suite", "all", "--levels", "1..3", "--trials", "100"),
-                         "aa645ddb6c4644e7"),
+                         "6f169ef9a76eedc3"),
 }
 # the exit codes of the cases that reach a redraw or error path
 EXIT_CODES = {"axioms_redraws": 0, "axioms_exhausted": 3, "boundary_error_witness": 1}
@@ -109,9 +109,9 @@ SLICES = {
     ("gmean-equiv", 7): "cb14818cd699d6d9", ("gmean-equiv", 49): "523643c0d6ea983c",
     ("gmean-equiv", 187): "d7e6a22f6632bc68", ("gmean-equiv", 198): "1a336387b1a6e247",
     ("gmean-equiv", 1009): "f4009626c38eefd4", ("gmean-equiv", 3131): "fa2ad568637595f1",
-    ("suite-all", 7): "e19986ca4b60e333", ("suite-all", 49): "20dbaf98e87e72de",
-    ("suite-all", 187): "c1b0ddc3918a642b", ("suite-all", 198): "8b37c1346d8fdb08",
-    ("suite-all", 1009): "3bc92fee3be5a013", ("suite-all", 3131): "856c49d27452764e",
+    ("suite-all", 7): "4c6272a7bacefda4", ("suite-all", 49): "de5b2e767bfcbb5d",
+    ("suite-all", 187): "2c87bb5b5e2c606b", ("suite-all", 198): "92c57ea5fa5d0d2d",
+    ("suite-all", 1009): "f59e8134b49094c7", ("suite-all", 3131): "28197c7f2317bc91",
 }
 
 

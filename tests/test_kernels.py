@@ -592,6 +592,33 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match="matrix size must be at least 1"):
             matrix_from_json({"n": 0, "entries": []})
 
+    @pytest.mark.parametrize("entry", [[True, 0.0], [1.0, False], ["1", 0.0], [0.5, None]])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_an_entry_must_be_a_pair_of_json_numbers(self, entry, n):
+        # complex(True, False) is 1+0j: a JSON boolean must not pass for a number
+        entries = [[[float(i + j), 0.0] for j in range(n)] for i in range(n)]
+        entries[n - 1][n - 1] = entry
+        with pytest.raises(ValueError, match=re.escape(
+                f"matrix entry [{n - 1}][{n - 1}] must be a pair of JSON numbers, got {entry!r}")):
+            matrix_from_json({"n": n, "entries": entries})
+
+    def test_entries_parse_as_complex_bit_for_bit(self):
+        # ints, signed zeros, subnormals and the extremes, as complex(re, im) reads them
+        values = [0, -0.0, 1, -3, 2 ** 70 + 1, 5e-324, -1.7976931348623157e308, 0.1, 1 / 3]
+        gen = np.random.default_rng(5)
+        for _ in range(20):
+            entries = [[list(gen.choice(np.array(values, dtype=object), 2)) for _ in range(3)]
+                       for _ in range(3)]
+            want = np.array([[complex(re, im) for re, im in row] for row in entries])
+            got = matrix_from_json({"n": 3, "entries": entries})
+            assert got.dtype == np.complex128 and got.shape == (3, 3)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -float("inf")])
+    def test_an_entry_must_be_finite(self, bad):
+        with pytest.raises(NonFiniteError, match="matrix entries must all be finite"):
+            matrix_from_json({"n": 1, "entries": [[[1.0, bad]]]})
+
     @pytest.mark.parametrize("n", [True, 1.0, 1.9, "1", None])
     def test_size_must_be_a_json_integer(self, n):
         with pytest.raises(ValueError, match=re.escape(f"'n' must be an integer, got {n!r}")):

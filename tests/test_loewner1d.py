@@ -6,16 +6,22 @@ from freemono.freeexpr import catalog, function_from_expr
 from freemono.kernels import Rng, hermitize, min_eig_h, op_norm
 from freemono.loewner1d import (
     SCALAR_CATALOG_NAMES,
-    _monotone_matrix_report,
     cross_check,
     loewner_matrix,
     pick_matrix,
     scalar_catalog,
 )
-from freemono.opsys import builtin_system
-from freemono.verifiers import check_local_monotone, local_margin
+from freemono.opsys import builtin_system, point_from_json, spectral_interval
+from freemono.verifiers import _pair_check, check_local_monotone, local_margin, pair_margin
+from scalar_closed_forms import loewner, pick
 
 DIAG2 = builtin_system("diagonal(2)")
+
+
+def _monotone_1d(f, *opts):
+    # the monotone_1d check that cross_check runs, its spectra in loewner1d.INTERVAL
+    return _pair_check("monotone_1d", f, spectral_interval(f.in_system, *loewner1d.INTERVAL),
+                       *opts)
 
 
 class TestScalarCatalog:
@@ -26,14 +32,40 @@ class TestScalarCatalog:
         with pytest.raises(ValueError):
             scalar_catalog("log")
 
+    @pytest.mark.parametrize("name, text, a", [
+        ("x", "X1", -np.inf), ("sqrt", "sqrt(X1)", 0.0), ("neg_inverse", "-inv(X1)", 0.0),
+        ("square", "X1*X1", -np.inf), ("cube", "X1*X1*X1", -np.inf),
+    ])
+    def test_each_is_an_expression_over_the_scalar_system(self, name, text, a):
+        f = scalar_catalog(name)
+        assert (f.name, f.text, f.in_system.name, f.out_system.name) == (
+            name, text, "scalar", "scalar")
+        assert (f.domain.a, f.domain.b) == (a, np.inf)
+        assert scalar_catalog(name) is f
+
     @pytest.mark.parametrize("name", SCALAR_CATALOG_NAMES)
-    def test_rule_on_reals_is_halfplane_limit(self, name):
+    def test_matrices_are_the_closed_forms(self, name):
+        # 1,000 stacks of 5 nodes in (0.1, 10) and of 5 half-plane points, drawn as
+        # cross_check draws them
         f = scalar_catalog(name)
         gen = Rng(1).generator()
-        lo = max(f.domain[0], 0.1)
-        xs = lo + (10.0 - lo) * gen.random(100)
-        limit = f.rule(xs + 1e-12j)
-        assert np.max(np.abs(limit - f.rule(xs))) <= 1e-9
+        x = np.sort(0.1 + 9.9 * gen.random((1000, 5)), axis=1)
+        z = (-3 + 6 * gen.random((1000, 5))) + 1j * (0.1 + 2.9 * gen.random((1000, 5)))
+        mat, ref = loewner_matrix(f, x), loewner(name, x)
+        pmat, pref = pick_matrix(f, z), pick(name, z)
+        if name in ("x", "sqrt"):
+            np.testing.assert_array_equal(mat, ref)
+            np.testing.assert_array_equal(pmat, pref)
+        # X1*X1*X1 rounds otherwise than x**3, which shows at close nodes
+        np.testing.assert_allclose(mat, ref, rtol=1e-11, atol=0.0)
+        assert np.all(op_norm(pmat - pref) <= 1e-15 * op_norm(pref))
+
+    @pytest.mark.parametrize("build, at", [(loewner_matrix, [1.0, 2.0]), (pick_matrix, [1j])])
+    def test_a_function_off_the_scalar_system_is_refused(self, build, at):
+        with pytest.raises(ValueError, match="does not map the scalar system to itself"):
+            build(catalog("geometric_mean"), at)
+        with pytest.raises(ValueError, match="does not map the scalar system to itself"):
+            build(function_from_expr("first", "X1", DIAG2), at)
 
 
 class TestLoewnerMatrix:
@@ -114,24 +146,28 @@ class TestPickMatrix:
 
 
 class TestMonotone1d:
-    """The functional-calculus check that `cross_check` runs, at one level."""
+    """The monotone pair check that `cross_check` runs, at one level."""
 
     def test_linear_passes(self):
-        rep = _monotone_matrix_report(scalar_catalog("x"), (2,), 100, 1e-8, Rng(5))
+        rep = _monotone_1d(scalar_catalog("x"), (2,), 100, 1e-8, Rng(5))
         assert rep.failures == 0
         assert rep.worst_margin >= -1e-12
 
     def test_sqrt_passes_levels(self, monkeypatch):
         f = scalar_catalog("sqrt")
-        monkeypatch.setattr(loewner1d, "INTERVAL", f.domain)  # spectra anywhere in (0, inf)
+        monkeypatch.setattr(loewner1d, "INTERVAL", (0.0, np.inf))  # spectra anywhere in f's domain
         for level in (2, 3, 4):
-            rep = _monotone_matrix_report(f, (level,), 100, 1e-8, Rng(6))
+            rep = _monotone_1d(f, (level,), 100, 1e-8, Rng(6))
             assert rep.failures == 0, level
 
-    def test_square_witness_found(self):
-        rep = _monotone_matrix_report(scalar_catalog("square"), (2,), 400, 1e-8, Rng(7))
+    def test_square_witness_replays_exactly(self):
+        f = scalar_catalog("square")
+        rep = _monotone_1d(f, (2,), 400, 1e-8, Rng(7))
         assert rep.failures > 0
-        assert rep.witness is not None
+        w = rep.witness
+        assert sorted(w) == ["A", "B", "margin"]
+        a, b = (point_from_json(w[key], f.in_system) for key in "AB")
+        assert a.level == 2 and pair_margin(f, a, b) == w["margin"] == rep.worst_margin
 
 
 class TestCrossCheck:
@@ -149,6 +185,7 @@ class TestCrossCheck:
         assert [r.check for r in cc.reports] == ["loewner_psd", "pick_psd", "monotone_1d"]
         assert [r.levels for r in cc.reports] == [(5,), (5,), (2, 3, 4)]
         assert [r.trials for r in cc.reports] == [20, 20, 20]
+        assert cc.reports[2] == _monotone_1d(scalar_catalog("sqrt"), (2, 3, 4), 20, 1e-8, Rng(9))
 
     @pytest.mark.parametrize("levels, trials", [((), 20), ((2, 3), 0), ((), 0)])
     def test_levels_and_trials_are_checked_before_any_trial(self, monkeypatch, levels, trials):
@@ -186,7 +223,7 @@ class TestAmyLocal:
 
 class TestDimensionOneReduction:
     def test_verdicts_agree_on_shared_seeds(self):
-        # at d = 1 the commuting-path check and the functional-calculus check
+        # at d = 1 the commuting-path check and the monotone pair check
         # probe the same property; verdicts agree run by run
         sqrt_free = catalog("msqrt")
         sqrt_1d = scalar_catalog("sqrt")
@@ -198,11 +235,11 @@ class TestDimensionOneReduction:
         for seed in range(100):
             rng = Rng(1000 + seed)
             a = check_local_monotone(sqrt_free, (2,), 10, 1e-8, rng)
-            b = _monotone_matrix_report(sqrt_1d, (2,), 10, 1e-8, rng)
+            b = _monotone_1d(sqrt_1d, (2,), 10, 1e-8, rng)
             if a.verdict != b.verdict:
                 disagreements += 1
             a = check_local_monotone(square_free, (2,), 60, 1e-8, rng)
-            b = _monotone_matrix_report(square_1d, (2,), 150, 1e-8, rng)
+            b = _monotone_1d(square_1d, (2,), 150, 1e-8, rng)
             if a.verdict != b.verdict:
                 disagreements += 1
         assert disagreements == 0

@@ -80,11 +80,12 @@ class TestFreeAxioms:
 
     def test_witness_at_tol_zero_replays_its_residuals(self):
         # at tol 0 a rounding residual fails its trial, so the witness is built;
-        # its points give back both residuals, to the bit
+        # its points give back both residuals and its margin, to the bit
         f = catalog("schur_complement")
         rep = check_free_axioms(f, (2,), 5, 0.0, Rng(13))
         w = rep.witness
-        assert sorted(w) == ["X", "Y", "residual_direct_sum", "residual_similarity", "unitary"]
+        assert sorted(w) == ["X", "Y", "margin", "residual_direct_sum", "residual_similarity",
+                             "unitary"]
         x, y = (point_from_json(w[key], f.in_system) for key in "XY")
         u = matrix_from_json(w["unitary"])
         fx, fy = eval_function(f, x), eval_function(f, y)
@@ -94,7 +95,7 @@ class TestFreeAxioms:
         sim = op_norm(realize(conjugate(fx, u))
                       - realize(eval_function(f, conjugate(x, u)))) / scale
         assert (w["residual_direct_sum"], w["residual_similarity"]) == (ds, sim)
-        assert rep.worst_margin == -max(ds, sim) < 0.0
+        assert w["margin"] == rep.worst_margin == -max(ds, sim) < 0.0
 
 
 class TestMonotone:
@@ -344,11 +345,12 @@ class TestSchurImIdentity:
 
     def test_witness_at_tol_zero_replays_its_residual(self):
         # at tol 0 a rounding residual fails its trial, so the witness is built;
-        # its point gives back the residual and Im f's least eigenvalue, to the bit
+        # its point gives back the residual, Im f's least eigenvalue and the margin,
+        # to the bit
         schur, n = catalog("schur_complement"), 2
         rep = check_schur_im_identity((n,), 5, 0.0, Rng(14))
         w = rep.witness
-        assert sorted(w) == ["X", "im_margin", "residual"]
+        assert sorted(w) == ["X", "im_margin", "margin", "residual"]
         m = realize(point_from_json(w["X"], schur.in_system))
         v = np.vstack([np.eye(n, dtype=complex),
                        -safe_inv(m[n:, n:].conj().T) @ m[:n, n:].conj().T])
@@ -356,7 +358,7 @@ class TestSchurImIdentity:
         resid = op_norm(imf - v.conj().T @ imag_part(m) @ v) / (1.0 + op_norm(m) ** 2)
         assert (w["residual"], w["im_margin"]) == (resid, min_eig_h(imf))
         assert w["im_margin"] > 0.0
-        assert rep.worst_margin == -resid < 0.0
+        assert w["margin"] == rep.worst_margin == -resid < 0.0
 
 
 class TestEquivalence:
